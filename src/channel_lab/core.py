@@ -198,8 +198,9 @@ class KrausChannel:
                 raise ValidationError(
                     f"Kraus operators disagree in shape: {a.shape} vs {shape}"
                 )
-            _require_finite(a, "Kraus operator")
-        total = sum(dagger(a) @ a for a in ops)
+        stack = np.stack(ops)
+        _require_finite(stack, "Kraus operator")
+        total = np.einsum("kji,kjl->il", stack.conj(), stack, optimize=True)
         defect = opnorm(total - np.eye(shape[1]))
         if defect > TOL_VALID:
             raise ValidationError(
@@ -374,12 +375,13 @@ def complementary(v: StinespringIsometry, rho: DensityOperator) -> DensityOperat
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """The Choi matrix ``sum_ij ch(E_ij) (tensor) E_ij`` on output (x) input."""
-    j = np.zeros((ch.d_out * ch.d_in,) * 2, dtype=np.complex128)
-    for a in ch.kraus_ops:
-        vec = a.reshape(-1)
-        j += np.outer(vec, vec.conj())
-    return j
+    """The Choi matrix ``sum_ij ch(E_ij) (tensor) E_ij`` on output (x) input.
+
+    One GEMM: with M the (K, d_out*d_in) stack of row-major ``vec(A_k)``,
+    ``J = M^T conj(M)``.
+    """
+    m = np.stack(ch.kraus_ops).reshape(len(ch.kraus_ops), -1)
+    return m.T @ m.conj()
 
 
 def max_action_deviation(a: KrausChannel, b: KrausChannel) -> float:

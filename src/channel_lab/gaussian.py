@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -363,6 +364,9 @@ class GaussianConvergenceReport:
         for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev", "within_eps"):
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"column {name} has wrong length")
+        for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev"):
+            if not all(math.isfinite(x) for x in getattr(self, name)):
+                raise ValidationError(f"column {name} has non-finite entries")
 
     def to_json_dict(self) -> dict:
         return {

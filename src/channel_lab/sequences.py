@@ -16,13 +16,22 @@ against the limit over finite test families:
   on the completely bounded (diamond) distance.  Being a lower bound it can
   undershoot a strong defect measured at a well-chosen state; reports carry
   the comparison as a diagnostic rather than an invariant.
+
+All four come from one batched kernel.  A term's Choi matrix is one GEMM
+over its stacked Kraus vectors, and reshuffling ``J(term) - J(limit)``
+gives the superoperator difference ``S_n - S_0`` (``vec(ch(X)) = S vec(X)``),
+so every channel and dual difference over a whole test family is one matrix
+product.  Trace norms of the Hermitian differences are sums of |eigenvalues|.
+:func:`convergence_report` builds each term once per index and the limit's
+Choi matrix and the stacked test families once per report.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -41,10 +50,7 @@ from .core import (
     dagger,
     opnorm,
     ordered_eigh,
-    channel_action,
-    dual_action,
     tensor_channels,
-    trace_norm,
 )
 from .dilation import (
     complementary_kraus,
@@ -90,57 +96,81 @@ def _require_nonempty(family, what: str):
         raise ValidationError(f"empty {what} family")
 
 
-def _strong(seq: ChannelSequence, n: int, test_states) -> tuple[float, int]:
-    _require_nonempty(test_states, "test state")
-    term, limit = seq.term(n), seq.limit
-    best, arg = -1.0, 0
-    for k, rho in enumerate(test_states):
-        val = trace_norm(channel_action(term, rho.matrix) - channel_action(limit, rho.matrix))
-        if val > best:
-            best, arg = val, k
-    return best, arg
+def _columns(family, what: str) -> np.ndarray:
+    """A test family stacked as the columns of one array.
+
+    Matrices (states, observables) enter as their row-major ``vec``, so the
+    result is (dim^2, size); vectors give (dim, size).
+    """
+    _require_nonempty(family, what)
+    return np.stack([np.ravel(getattr(x, "matrix", x)) for x in family], axis=1)
+
+
+def _superoperator(j: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
+    """Reshuffle a Choi matrix into the natural (superoperator) representation.
+
+    ``S[(a,b),(i,j)] = J[(a,i),(b,j)]``, so that with row-major ``vec``
+    ``vec(ch(X)) = S vec(X)`` and ``vec(ch*(B)) = S^H vec(B)``.  The map is
+    linear, so the reshuffle of ``J_n - J_0`` is ``S_n - S_0``.
+    """
+    return j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3).reshape(d_out**2, d_in**2)
+
+
+def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
+    """Trace norms of a Hermitian matrix or a stack of them: sums of |eigenvalues|.
+
+    The input is symmetrized first, so rounding-level skew is ignored.
+    """
+    herm = (h + h.conj().swapaxes(-1, -2)) / 2
+    return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
+
+
+def _delta(seq: ChannelSequence, n: int, limit_choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``J_n - J_0`` and ``S_n - S_0`` for term n; builds the term once."""
+    dj = choi_matrix(seq.term(n)) - limit_choi
+    return dj, _superoperator(dj, seq.limit.d_out, seq.limit.d_in)
+
+
+def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
+    """``(term - limit)(rho)`` for every stacked state, as a (S, d_out, d_out) array."""
+    return (ds @ states).T.reshape(-1, d_out, d_out)
+
+
+def _strongstar_values(ds: np.ndarray, obs: np.ndarray, vecs: np.ndarray, d_in: int) -> np.ndarray:
+    """``||(term* - limit*)(B) phi||_2`` as an (observable, vector) array."""
+    duals = (ds.conj().T @ obs).T.reshape(-1, d_in, d_in)
+    return np.linalg.norm(duals @ vecs, axis=1)
 
 
 def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
-    return _strong(seq, n, test_states)[0]
+    states = _columns(test_states, "test state")
+    _, ds = _delta(seq, n, choi_matrix(seq.limit))
+    return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
 def weak_defect(seq: ChannelSequence, n: int, test_states, test_obs) -> float:
     """Largest expectation gap ``|Tr B (term - limit)(rho)|`` over the test grid."""
-    _require_nonempty(test_states, "test state")
+    states = _columns(test_states, "test state")
     _require_nonempty(test_obs, "test observable")
-    term, limit = seq.term(n), seq.limit
-    best = 0.0
-    for rho in test_states:
-        delta = channel_action(term, rho.matrix) - channel_action(limit, rho.matrix)
-        for b in test_obs:
-            best = max(best, abs(complex(np.trace(b.matrix @ delta))))
-    return best
-
-
-def _strongstar(seq: ChannelSequence, n: int, test_obs, test_vectors) -> tuple[float, int, int]:
-    _require_nonempty(test_obs, "test observable")
-    _require_nonempty(test_vectors, "test vector")
-    term, limit = seq.term(n), seq.limit
-    best, arg_b, arg_v = -1.0, 0, 0
-    for kb, b in enumerate(test_obs):
-        delta = dual_action(term, b.matrix) - dual_action(limit, b.matrix)
-        for kv, vec in enumerate(test_vectors):
-            val = float(np.linalg.norm(delta @ vec))
-            if val > best:
-                best, arg_b, arg_v = val, kb, kv
-    return best, arg_b, arg_v
+    _, ds = _delta(seq, n, choi_matrix(seq.limit))
+    diffs = _output_diffs(ds, states, seq.limit.d_out)
+    obs = np.stack([b.matrix for b in test_obs])
+    return float(np.abs(np.einsum("nab,sba->ns", obs, diffs)).max())
 
 
 def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> float:
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
-    return _strongstar(seq, n, test_obs, test_vectors)[0]
+    obs = _columns(test_obs, "test observable")
+    vecs = _columns(test_vectors, "test vector")
+    _, ds = _delta(seq, n, choi_matrix(seq.limit))
+    return float(_strongstar_values(ds, obs, vecs, seq.limit.d_in).max())
 
 
 def choi_defect(seq: ChannelSequence, n: int) -> float:
     """``trace_norm(J(term) - J(limit)) / d_in``, a diamond-distance lower bound."""
-    return trace_norm(choi_matrix(seq.term(n)) - choi_matrix(seq.limit)) / seq.limit.d_in
+    dj = choi_matrix(seq.term(n)) - choi_matrix(seq.limit)
+    return float(_hermitian_trace_norm(dj)) / seq.limit.d_in
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +197,8 @@ class ConvergenceReport:
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"column {name} has wrong length")
         for col in (self.strong, self.strongstar, self.choi):
-            if any(x < 0 for x in col):
-                raise ValidationError("defects must be nonnegative")
+            if not all(math.isfinite(x) and x >= 0 for x in col):
+                raise ValidationError("defects must be finite and nonnegative")
 
     @property
     def choi_dominates_strong(self) -> tuple:
@@ -235,16 +265,37 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Sweep all three defect kinds over the given indices.
 
+    The test families are stacked and the limit's Choi matrix is built once
+    per report; each term is built once per index.  Its Choi matrix (one
+    GEMM) minus the limit's, reshuffled, is ``S_n - S_0``: one product with
+    the stacked states gives every output difference, one with the stacked
+    observables every dual difference.  Trace norms are sums of |eigenvalues|
+    of the Hermitian differences.  Witnesses are first maximizers: in state
+    order for strong, observable-major then vector order for strong*.
+
     The sweep is parallel over indices when CHANNEL_LAB_THREADS allows it;
     results are assembled in index order either way.
     """
     ns = [int(n) for n in ns]
+    d_in, d_out = seq.limit.d_in, seq.limit.d_out
+    states = _columns(test_states, "test state")
+    obs = _columns(test_obs, "test observable")
+    vecs = _columns(test_vectors, "test vector")
+    limit_choi = choi_matrix(seq.limit)
 
     def evaluate(n):
-        s, s_arg = _strong(seq, n, test_states)
-        ss, b_arg, v_arg = _strongstar(seq, n, test_obs, test_vectors)
-        c = choi_defect(seq, n)
-        return s, f"state[{s_arg}]", ss, f"obs[{b_arg}]|vec[{v_arg}]", c
+        dj, ds = _delta(seq, n, limit_choi)
+        strong = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
+        star = _strongstar_values(ds, obs, vecs, d_in)
+        s_arg = int(np.argmax(strong))
+        b_arg, v_arg = divmod(int(np.argmax(star)), star.shape[1])
+        return (
+            float(strong[s_arg]),
+            f"state[{s_arg}]",
+            float(star[b_arg, v_arg]),
+            f"obs[{b_arg}]|vec[{v_arg}]",
+            float(_hermitian_trace_norm(dj)) / d_in,
+        )
 
     rows = pmap(evaluate, ns)
     return ConvergenceReport(
@@ -344,6 +395,11 @@ class PartialTraceForm:
 
     v0: StinespringIsometry
     w_fn: Callable[[int], PartialIsometry]
+    #: The range projector ``v0 v0*`` of the embedding, computed once.
+    range0: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "range0", self.v0.v @ dagger(self.v0.v))
 
     def isometry(self, n: int) -> StinespringIsometry:
         if n < 0:
@@ -351,8 +407,7 @@ class PartialTraceForm:
         if n == 0:
             return self.v0
         w = self.w_fn(n)
-        range0 = self.v0.v @ dagger(self.v0.v)
-        drift = opnorm(w.initial_projector - range0)
+        drift = opnorm(w.initial_projector - self.range0)
         if drift > 1e-10:
             raise ValidationError(
                 f"term {n}: initial projector deviates from the embedding range "

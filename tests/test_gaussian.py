@@ -7,6 +7,7 @@ import pytest
 from channel_lab import gaussian
 from channel_lab.core import ValidationError, trace_norm
 from channel_lab.gaussian import (
+    GaussianConvergenceReport,
     GaussianChannel,
     GaussianChannelSequence,
     GaussianState,
@@ -285,3 +286,13 @@ def test_random_valid_pairs_propagate_validity(rng):
         assert validate_channel(ch).ok
         assert validate_state(st).ok
         assert validate_state(apply_gaussian(ch, st)).ok
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_gaussian_report_rejects_non_finite_deviations(bad):
+    names = ("scale_dev", "shift_dev", "noise_dev", "char_dev")
+    for name in names:
+        cols = {other: (0.1,) for other in names}
+        cols[name] = (bad,)
+        with pytest.raises(ValidationError, match=f"{name} has non-finite"):
+            GaussianConvergenceReport(indices=(1,), eps=1e-6, within_eps=(False,), **cols)

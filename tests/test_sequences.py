@@ -9,8 +9,10 @@ from channel_lab.core import (
     KrausChannel,
     StinespringIsometry,
     UnitaryOp,
+    Observable,
     ValidationError,
     channel_action,
+    dual_action,
     identity_channel,
     trace_norm,
 )
@@ -388,3 +390,125 @@ def test_choi_dominance_diagnostic_can_be_false():
     basis = ensembles.basis_states(2)
     assert strong_defect(seq, 1, basis) == pytest.approx(2.0, abs=1e-12)
     assert choi_defect(seq, 1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_report_rejects_non_finite_defects(bad):
+    for col in range(3):
+        values = [(0.1,), (0.1,), (0.1,)]
+        values[col] = (bad,)
+        with pytest.raises(ValidationError, match="finite"):
+            ConvergenceReport((1,), *values, ("a",), ("b",))
+
+
+def _block_choi(ch):
+    """``sum_ij ch(E_ij) (x) E_ij``, one channel action per matrix unit."""
+    d = ch.d_in
+    out = np.zeros((ch.d_out * d,) * 2, dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=np.complex128)
+            unit[i, j] = 1.0
+            out += np.kron(channel_action(ch, unit), unit)
+    return out
+
+
+def _naive_report(seq, ns, states, obs, vecs):
+    """Oracle: per-state and per-observable loops over the Kraus actions,
+    with first-strict-maximum witnesses."""
+    rows = []
+    for n in ns:
+        term, limit = seq.term(n), seq.limit
+        strong, s_arg = -1.0, 0
+        for k, rho in enumerate(states):
+            val = trace_norm(channel_action(term, rho.matrix) - channel_action(limit, rho.matrix))
+            if val > strong:
+                strong, s_arg = val, k
+        star, b_arg, v_arg = -1.0, 0, 0
+        for kb, b in enumerate(obs):
+            delta = dual_action(term, b.matrix) - dual_action(limit, b.matrix)
+            for kv, vec in enumerate(vecs):
+                val = float(np.linalg.norm(delta @ vec))
+                if val > star:
+                    star, b_arg, v_arg = val, kb, kv
+        choi = trace_norm(_block_choi(term) - _block_choi(limit)) / limit.d_in
+        rows.append((n, strong, f"state[{s_arg}]", star, f"obs[{b_arg}]|vec[{v_arg}]", choi))
+    return rows
+
+
+def _assert_matches_oracle(seq, ns, states, obs, vecs):
+    rep = convergence_report(seq, ns, states, obs, vecs)
+    want = _naive_report(seq, ns, states, obs, vecs)
+    assert rep.indices == tuple(r[0] for r in want)
+    assert rep.strong_witness == tuple(r[2] for r in want)
+    assert rep.strongstar_witness == tuple(r[4] for r in want)
+    for got, col in ((rep.strong, 1), (rep.strongstar, 3), (rep.choi, 5)):
+        assert got == pytest.approx([r[col] for r in want], rel=0, abs=1e-12)
+    return rep
+
+
+@pytest.mark.parametrize("base", ["identity", "random"])
+def test_kernel_matches_oracle_on_compression(base, rng):
+    ch = identity_channel(5) if base == "identity" else ensembles.random_kraus_channel(5, 5, 3, rng)
+    seq = compression_sequence(ch, _mixed(5), [1, 2, 3, 4, 5])
+    _assert_matches_oracle(
+        seq,
+        range(1, 6),
+        ensembles.default_test_states(5, rng),
+        ensembles.matrix_unit_observables(5),
+        ensembles.default_test_vectors(5, rng),
+    )
+
+
+def test_kernel_matches_oracle_on_rotation_partial_trace_form(rng):
+    v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
+    form = rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
+    _assert_matches_oracle(
+        channels_from_partial_isometries(form),
+        [1, 2, 10, 100],
+        ensembles.default_test_states(4, rng),
+        ensembles.matrix_unit_observables(2),
+        ensembles.default_test_vectors(4, rng),
+    )
+
+
+def test_kernel_matches_oracle_on_rectangular_pair_with_many_kraus_ops(rng):
+    # d_in != d_out and K > d_in * d_out: more Kraus operators than Choi rank
+    a = ensembles.random_kraus_channel(2, 3, 8, rng)
+    b = ensembles.random_kraus_channel(2, 3, 7, rng)
+    assert len(a.kraus_ops) > a.d_in * a.d_out
+    _assert_matches_oracle(
+        _pair_sequence(a, b),
+        [1, 2],
+        ensembles.default_test_states(2, rng),
+        ensembles.matrix_unit_observables(3),
+        ensembles.default_test_vectors(2, rng),
+    )
+
+
+def test_kernel_matches_oracle_on_non_hermitian_observables(rng):
+    a = ensembles.random_kraus_channel(3, 4, 2, rng)
+    b = ensembles.random_kraus_channel(3, 4, 3, rng)
+    obs = [Observable(ensembles.crandn((4, 4), rng)) for _ in range(6)]
+    assert all(np.abs(o.matrix - o.matrix.conj().T).max() > 0.1 for o in obs)
+    _assert_matches_oracle(
+        _pair_sequence(a, b),
+        [1],
+        ensembles.default_test_states(3, rng),
+        obs,
+        ensembles.default_test_vectors(3, rng),
+    )
+
+
+def test_kernel_on_constant_sequence_is_zero_with_first_witnesses(rng):
+    seq = constant_sequence(ensembles.random_kraus_channel(3, 2, 4, rng))
+    rep = _assert_matches_oracle(
+        seq,
+        [1, 2, 3],
+        ensembles.default_test_states(3, rng),
+        ensembles.matrix_unit_observables(2),
+        ensembles.default_test_vectors(3, rng),
+    )
+    assert rep.strong == rep.strongstar == rep.choi == (0.0, 0.0, 0.0)
+    assert rep.strong_witness == ("state[0]",) * 3
+    assert rep.strongstar_witness == ("obs[0]|vec[0]",) * 3
