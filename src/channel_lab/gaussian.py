@@ -22,7 +22,6 @@ parameter triples; no Fock-space matrices are built.  Conventions:
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -46,25 +45,6 @@ def symplectic_form(modes: int) -> np.ndarray:
     if modes < 1:
         raise ValidationError(f"mode count must be positive, got {modes}")
     return np.kron(np.eye(modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-@dataclass(frozen=True, eq=False)
-class SymplecticSpace:
-    """Phase space R^(2 modes) with its symplectic form."""
-
-    modes: int
-
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ValidationError(f"mode count must be positive, got {self.modes}")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.modes
-
-    @property
-    def form(self) -> np.ndarray:
-        return symplectic_form(self.modes)
 
 
 def _real_matrix(m, what: str) -> np.ndarray:
@@ -103,10 +83,6 @@ class GaussianState:
     @property
     def modes(self) -> int:
         return len(self.mean) // 2
-
-    @property
-    def space(self) -> SymplecticSpace:
-        return SymplecticSpace(self.modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +157,14 @@ def validate_channel(ch: GaussianChannel, tol: float = TOL_PSD) -> PsdCheck:
     return PsdCheck(ok=min(plus, minus) >= -tol, min_eig_plus=plus, min_eig_minus=minus)
 
 
+def _require(check: PsdCheck, problem: str) -> None:
+    """Raise ``problem`` with the worst validity eigenvalue when a check failed."""
+    if not check:
+        raise ValidationError(
+            f"{problem} (min eigenvalue {min(check.min_eig_plus, check.min_eig_minus):.3e})"
+        )
+
+
 def apply_gaussian(ch: GaussianChannel, st: GaussianState) -> GaussianState:
     """Push a state through a channel: ``m -> m K + l``, ``sigma -> alpha + K^T sigma K``.
 
@@ -191,30 +175,31 @@ def apply_gaussian(ch: GaussianChannel, st: GaussianState) -> GaussianState:
         raise ValidationError(
             f"channel expects {ch.modes_in} input modes, state has {st.modes}"
         )
-    state_check = validate_state(st)
-    if not state_check:
-        raise ValidationError(
-            f"input state violates the uncertainty condition "
-            f"(min eigenvalue {min(state_check.min_eig_plus, state_check.min_eig_minus):.3e})"
-        )
-    channel_check = validate_channel(ch)
-    if not channel_check:
-        raise ValidationError(
-            f"channel parameters violate complete positivity "
-            f"(min eigenvalue {min(channel_check.min_eig_plus, channel_check.min_eig_minus):.3e})"
-        )
+    _require(validate_state(st), "input state violates the uncertainty condition")
+    _require(validate_channel(ch), "channel parameters violate complete positivity")
     return GaussianState(
         mean=st.mean @ ch.scale + ch.shift,
         cov=ch.noise + ch.scale.T @ st.cov @ ch.scale,
     )
 
 
-def char_fn(st: GaussianState, z) -> complex:
-    """Characteristic function ``exp(i m.z - z.sigma.z / 2)`` at a phase-space point."""
+def _char_values(means: np.ndarray, covs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``exp(i m.z - z.sigma.z / 2)`` for means (S, 2s), covs (S, 2s, 2s) at points (P, 2s): (S, P)."""
+    quad = np.sum((points @ covs) * points, axis=-1)
+    return np.exp(1j * (means @ points.T) - 0.5 * quad)
+
+
+def char_fn(st: GaussianState, z) -> complex | np.ndarray:
+    """Characteristic function ``exp(i m.z - z.sigma.z / 2)`` at phase-space points.
+
+    A point of shape (2s,) gives a ``complex``; a (P, 2s) stack gives the P values.
+    """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (2 * st.modes,):
+    d = 2 * st.modes
+    if z.shape != (d,) and (z.ndim != 2 or z.shape[1] != d):
         raise ValidationError(f"argument of shape {z.shape} does not match {st.modes} modes")
-    return complex(np.exp(1j * (st.mean @ z) - 0.5 * (z @ st.cov @ z)))
+    values = _char_values(st.mean[None], st.cov[None], np.atleast_2d(z))[0]
+    return complex(values[0]) if z.ndim == 1 else values
 
 
 def dual_weyl_symbol(ch: GaussianChannel, z) -> tuple[np.ndarray, complex]:
@@ -227,7 +212,7 @@ def dual_weyl_symbol(ch: GaussianChannel, z) -> tuple[np.ndarray, complex]:
     if z.shape != (2 * ch.modes_out,):
         raise ValidationError(f"argument of shape {z.shape} does not match {ch.modes_out} output modes")
     point = ch.scale @ z
-    factor = complex(np.exp(1j * (ch.shift @ z) - 0.5 * (z @ ch.noise @ z)))
+    factor = complex(_char_values(ch.shift[None], ch.noise[None], z[None])[0, 0])
     return point, factor
 
 
@@ -301,17 +286,21 @@ def attenuator_output_distance(k: float, k_prime: float, eta: complex) -> float:
 def z_grid(modes: int, half_width: float = 2.0, step: float = 1.0, max_points: int = 625) -> np.ndarray:
     """Deterministic phase-space grid {-hw, ..., hw}^(2s), truncated.
 
-    Points come in lexicographic order; at most ``max_points`` are kept.
+    Points come in lexicographic order; only the first ``max_points`` are built.
     """
     if modes < 1:
         raise ValidationError(f"mode count must be positive, got {modes}")
+    if not max_points >= 1:
+        raise ValidationError(f"max_points must be >= 1, got {max_points}")
+    if not (step > 0 and half_width >= 0):
+        raise ValidationError(f"grid needs step > 0 and half_width >= 0, got {step} and {half_width}")
     axis = np.arange(-half_width, half_width + step / 2, step)
-    pts = []
-    for combo in itertools.product(axis, repeat=2 * modes):
-        pts.append(combo)
-        if len(pts) >= max_points:
-            break
-    return np.array(pts, dtype=np.float64)
+    n, d = len(axis), 2 * modes
+    count = min(max_points, n**d)
+    # Only the last t coordinates vary over the kept points, and (n,) * d may overflow an index.
+    t = next(t for t in range(1, d + 1) if n**t >= count)
+    trailing = np.unravel_index(np.arange(count), (n,) * t)
+    return np.column_stack([np.full(count, axis[0])] * (d - t) + [axis[i] for i in trailing])
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,30 +433,40 @@ def param_convergence_check(
     indices where all four are at most ``eps``.  Parameter convergence and
     pointwise convergence of the outputs are equivalent, so the two sides
     must co-vanish; the report exists to exhibit that numerically.
+
+    An empty state list or a grid that is not a nonempty (P, 2 s_out) stack
+    raises ValidationError.  Each term is validated once and gives all its
+    output characteristic values in one (states x points) evaluation.
     """
     ns = [int(n) for n in ns]
     limit = seq.limit
     states = test_states if test_states is not None else default_gaussian_test_states(limit.modes_in)
+    if not states:
+        raise ValidationError("the test-state family is empty")
     for st in states:
         if st.modes != limit.modes_in:
             raise ValidationError(
                 f"test state has {st.modes} modes, channel expects {limit.modes_in}"
             )
-        if not validate_state(st):
-            raise ValidationError("test state violates the uncertainty condition")
-    pts = grid if grid is not None else z_grid(limit.modes_out)
-    limit_outputs = [apply_gaussian(limit, st) for st in states]
+        _require(validate_state(st), "test state violates the uncertainty condition")
+    pts = np.asarray(grid if grid is not None else z_grid(limit.modes_out), dtype=np.float64)
+    if pts.ndim != 2 or len(pts) == 0 or pts.shape[1] != 2 * limit.modes_out:
+        raise ValidationError(f"grid of shape {pts.shape} is not a nonempty (P, {2 * limit.modes_out}) stack")
+    means = np.stack([st.mean for st in states])
+    covs = np.stack([st.cov for st in states])
+
+    def output_chars(ch):
+        _require(validate_channel(ch), "channel parameters violate complete positivity")
+        return _char_values(means @ ch.scale + ch.shift, ch.noise + ch.scale.T @ covs @ ch.scale, pts)
+
+    base = output_chars(limit)
 
     def evaluate(n):
         ch = seq.term(n)
         k_dev = float(np.max(np.abs(ch.scale - limit.scale)))
         l_dev = float(np.max(np.abs(ch.shift - limit.shift)))
         a_dev = float(np.max(np.abs(ch.noise - limit.noise)))
-        worst = 0.0
-        for st, base in zip(states, limit_outputs):
-            out = apply_gaussian(ch, st)
-            for z in pts:
-                worst = max(worst, abs(char_fn(out, z) - char_fn(base, z)))
+        worst = float(np.max(np.abs(output_chars(ch) - base)))
         flag = max(k_dev, l_dev, a_dev, worst) <= eps
         return k_dev, l_dev, a_dev, worst, flag
 

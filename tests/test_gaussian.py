@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -106,6 +107,20 @@ def test_char_fn_hand_values():
         char_fn(vacuum(), np.zeros(4))
 
 
+def test_char_fn_on_a_point_stack_matches_scalar_calls(rng):
+    for modes in (1, 2, 3):
+        st = _random_valid_state(modes, rng)
+        pts = rng.standard_normal((17, 2 * modes))
+        got = char_fn(st, pts)
+        assert got.shape == (17,)
+        # batched and single-point products may round differently in the last bit
+        assert np.allclose(got, [char_fn(st, z) for z in pts], rtol=0, atol=1e-15)
+        assert isinstance(char_fn(st, pts[0]), complex)
+    for bad in (np.zeros((3, 4)), np.zeros((2, 2, 2)), np.zeros(3), np.zeros(())):
+        with pytest.raises(ValidationError, match="does not match"):
+            char_fn(vacuum(), bad)
+
+
 def test_attenuator_scales_coherent_amplitudes():
     out = apply_gaussian(attenuator(0.25), coherent_state(2.0 - 1.0j))
     want = coherent_state(0.25 * (2.0 - 1.0j))
@@ -190,6 +205,35 @@ def test_attenuator_output_distance_against_fock_trace_norm():
         attenuator_output_distance(0.5, 0.0, 1.0)
 
 
+def test_z_grid_matches_the_lexicographic_product():
+    for modes in (1, 2, 3):
+        for half_width, step in ((2.0, 1.0), (1.0, 0.5), (0.0, 1.0)):
+            axis = np.arange(-half_width, half_width + step / 2, step)
+            for max_points in (1, 2, 7, 25, 26, 624, 625, 626, 10**6):
+                want = list(itertools.islice(itertools.product(axis, repeat=2 * modes), max_points))
+                got = z_grid(modes, half_width, step, max_points)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, np.array(want, dtype=np.float64))
+
+
+def test_z_grid_builds_only_the_kept_points_of_a_huge_product():
+    # 4001**6 grid points overflow any index type; the first three differ in the last axis only
+    got = z_grid(3, step=0.001, max_points=3)
+    assert got.shape == (3, 6)
+    assert np.array_equal(got[:, :5], np.full((3, 5), -2.0))
+    assert np.allclose(got[:, 5], [-2.0, -1.999, -1.998], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_points": 0}, {"max_points": -3}, {"step": 0.0}, {"step": -1.0},
+     {"step": float("nan")}, {"half_width": -0.5}, {"half_width": float("nan")}],
+)
+def test_z_grid_rejects_empty_or_degenerate_parameters(kwargs):
+    with pytest.raises(ValidationError):
+        z_grid(1, **kwargs)
+
+
 def test_z_grid_shape_and_truncation():
     pts = z_grid(1)
     assert pts.shape == (25, 2)
@@ -257,6 +301,104 @@ def test_param_convergence_check_validates_test_states():
         param_convergence_check(seq, [1], eps=1e-9, test_states=[squeezed])
     with pytest.raises(ValidationError, match="modes"):
         param_convergence_check(seq, [1], eps=1e-9, test_states=[vacuum(2)])
+
+
+def _char_oracle(st, z):
+    return complex(np.exp(1j * (st.mean @ z) - 0.5 * (z @ st.cov @ z)))
+
+
+def _naive_char_devs(seq, ns, states, grid):
+    """The per-state, per-point loop: apply_gaussian, then the closed form at each z."""
+    base = [apply_gaussian(seq.limit, st) for st in states]
+    devs = []
+    for n in ns:
+        outs = [apply_gaussian(seq.term(n), st) for st in states]
+        devs.append(max(
+            abs(_char_oracle(out, z) - _char_oracle(ref, z))
+            for out, ref in zip(outs, base) for z in grid
+        ))
+    return devs
+
+
+def _recipe_channel(k, shift, noise_seed):
+    """Acceptance-criterion-8 recipe: noise padded by the norm of the symplectic bracket."""
+    s_in, s_out = k.shape[0] // 2, k.shape[1] // 2
+    bracket = symplectic_form(s_out) - k.T @ symplectic_form(s_in) @ k
+    pad = float(np.linalg.norm(bracket, 2))
+    return GaussianChannel(scale=k, shift=shift, noise=noise_seed @ noise_seed.T + pad * np.eye(2 * s_out))
+
+
+def _recipe_sequence(s_in, s_out, rng):
+    k, dk = rng.standard_normal((2, 2 * s_in, 2 * s_out)) / np.sqrt(2 * s_in)
+    shift, dl = rng.standard_normal((2, 2 * s_out))
+    noise_seed = rng.standard_normal((2 * s_out, 2 * s_out))
+    return GaussianChannelSequence(
+        _recipe_channel(k, shift, noise_seed),
+        lambda n: _recipe_channel(k + dk / n, shift + dl / n, noise_seed),
+    )
+
+
+def _bench_style_sequence():
+    k = np.array([0.4, 0.4, 0.6, 0.6])
+    shift = np.array([0.3, -0.2, 0.1, 0.4])
+
+    def channel(n):
+        kn = k if n is None else k + 0.2 / n
+        ln = shift if n is None else shift + 0.1 / n
+        return GaussianChannel(np.diag(kn), ln, np.diag(1.0 - kn * kn + 0.1))
+
+    return GaussianChannelSequence(channel(None), channel)
+
+
+@pytest.mark.parametrize("case", ["bench-style", "attenuator", "rect-2-to-1", "rect-1-to-3", "custom-states"])
+def test_param_convergence_check_matches_the_naive_loop(case, rng):
+    states, grid = None, None
+    if case == "bench-style":
+        seq, grid = _bench_style_sequence(), z_grid(2, max_points=81)
+    elif case == "attenuator":
+        seq = attenuator_sequence(lambda n: 0.5 + 1.0 / n, 0.5)
+    elif case == "rect-2-to-1":
+        seq = _recipe_sequence(2, 1, rng)
+    elif case == "rect-1-to-3":
+        seq, grid = _recipe_sequence(1, 3, rng), z_grid(3, half_width=1.0, max_points=200)
+    else:
+        seq = attenuator_sequence(lambda n: 0.3 + 0.5 / n, 0.3)
+        states = [_random_valid_state(1, rng) for _ in range(4)] + [coherent_state(1.5 - 0.5j)]
+    ns = range(2, 9)
+    rep = param_convergence_check(seq, ns, eps=1e-6, test_states=states, grid=grid)
+    states = states if states is not None else gaussian.default_gaussian_test_states(seq.limit.modes_in)
+    grid = grid if grid is not None else z_grid(seq.limit.modes_out)
+    want = _naive_char_devs(seq, ns, states, grid)
+    assert max(want) > 1e-3
+    assert np.allclose(rep.char_dev, want, rtol=0, atol=1e-12)
+    assert rep.test_family == f"{len(states)} states x {len(grid)} grid points"
+    for n, k_dev in zip(ns, rep.scale_dev):
+        assert k_dev == float(np.max(np.abs(seq.term(n).scale - seq.limit.scale)))
+
+
+def test_param_convergence_check_rejects_invalid_terms_like_apply_gaussian():
+    bad = GaussianChannel(scale=2.0 * np.eye(2), shift=np.zeros(2), noise=np.zeros((2, 2)))
+    with pytest.raises(ValidationError) as direct:
+        apply_gaussian(bad, vacuum())
+    assert str(direct.value).startswith("channel parameters violate complete positivity (min eigenvalue ")
+
+    seq = GaussianChannelSequence(attenuator(0.5), lambda n: bad if n == 3 else attenuator(0.5))
+    with pytest.raises(ValidationError) as swept:
+        param_convergence_check(seq, [1, 2, 3], eps=1e-9)
+    assert str(swept.value) == str(direct.value)
+
+    with pytest.raises(ValidationError) as limit:
+        param_convergence_check(GaussianChannelSequence(bad, lambda n: attenuator(0.5)), [1], eps=1e-9)
+    assert str(limit.value) == str(direct.value)
+
+
+def test_param_convergence_check_rejects_empty_or_misshapen_probe_families():
+    seq = attenuator_sequence(lambda n: 0.5 + 0.1 / n, 0.5)
+    with pytest.raises(ValidationError, match="test-state family is empty"):
+        param_convergence_check(seq, [1, 2], eps=1.0, test_states=[])
+    for grid in (np.zeros((0, 2)), np.zeros((5, 4)), np.zeros(2), np.zeros((2, 2, 1))):
+        with pytest.raises(ValidationError, match="grid of shape"):
+            param_convergence_check(seq, [1, 2], eps=1.0, grid=grid)
 
 
 def test_gaussian_report_round_trip_and_csv(tmp_path):

@@ -1,9 +1,10 @@
 """Fixed-seed CLI reports against saved golden files.
 
-The files under ``tests/data/`` were written by the per-observable loop
-implementation of the defect sweep.  The batched kernel must reproduce
-every numeric column within 1e-12, and the indices, witnesses and test
-family exactly.
+The files under ``tests/data/`` were written by the loop implementations
+of the two sweeps: the per-observable defect sweep and the per-point
+Gaussian characteristic-function sweep.  The batched kernels must
+reproduce every deviation column within 1e-12, and the indices,
+witnesses, parameter columns, flags and test family exactly.
 """
 
 import json
@@ -40,3 +41,17 @@ def test_report_matches_golden_file(name, tmp_path):
         assert got[key] == want[key], key
     for key in ("strong", "strongstar", "choi"):
         assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12), key
+
+
+def test_gaussian_report_matches_golden_file(tmp_path):
+    argv = ["gaussian", "converge", "--k", "0.5", "--ns", "100"]
+    first = _run(argv, tmp_path / "a")
+    assert _run(argv, tmp_path / "b") == first
+
+    got = json.loads(first[1])
+    want = json.loads((DATA / "gaussian_converge_default.json").read_text())
+    assert sorted(got) == sorted(want)
+    for key in ("kind", "schema_version", "indices", "scale_dev", "shift_dev",
+                "noise_dev", "eps", "within_eps", "test_family"):
+        assert got[key] == want[key], key
+    assert got["char_dev"] == pytest.approx(want["char_dev"], rel=0, abs=1e-12)
