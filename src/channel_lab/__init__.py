@@ -38,7 +38,6 @@ from .dilation import (
 )
 from .gaussian import (
     GaussianChannel,
-    GaussianChannelSequence,
     GaussianState,
     apply_gaussian,
     attenuator,
@@ -49,9 +48,9 @@ from .gaussian import (
     validate_channel,
     validate_state,
 )
+from .report import Report
 from .sequences import (
     ChannelSequence,
-    ConvergenceReport,
     PartialTraceForm,
     channels_from_partial_isometries,
     choi_defect,

@@ -35,6 +35,7 @@ from .dilation import (
     stinespring_from_unitary,
     unitary_from_isometry,
 )
+from .report import Report, dump_json
 
 ACTION_TOL = 1e-8
 
@@ -83,7 +84,7 @@ def cmd_convert(args) -> int:
     else:
         doc = serialize.to_json_obj(target)
         doc["metadata"] = metadata
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        dump_json(doc, sys.stdout)
     return 0
 
 
@@ -101,15 +102,16 @@ def _write_report(report, prefix: str) -> None:
     print(f"wrote {prefix}.csv and {prefix}.json")
 
 
-def _gaussian_sweep(k: float, n_max: int, eps: float, grid_points: int) -> gaussian.GaussianConvergenceReport:
+def _gaussian_sweep(k: float, n_max: int, eps: float, grid_points: int) -> Report:
     # Transmissivities k + 1/n are only valid parameters once they drop to 1,
-    # so the sweep starts at the first usable index.
+    # so the sweep starts at the first usable index.  With n_max < 1 there
+    # are no indices at all, which the report rejects.
     if not 0.0 < k < 1.0:
         raise ValidationError(f"limit transmissivity must lie in (0, 1), got {k}")
     start = 1
     while k + 1.0 / start > 1.0:
         start += 1
-    if start > n_max:
+    if start > n_max >= 1:
         raise ValidationError(
             f"no valid sweep indices: k + 1/n stays above 1 up to n = {n_max}"
         )
@@ -144,14 +146,14 @@ def cmd_sequence(args) -> int:
         report = _rotation_report(args, rng)
     elif args.kind == "gaussian":
         ns = _parse_int_list(args.ns) if args.ns else list(range(1, 101))
-        report = _gaussian_sweep(args.k, max(ns), args.tol, args.grid * args.grid)
+        report = _gaussian_sweep(args.k, max(ns, default=0), args.tol, args.grid * args.grid)
     else:
         raise ValidationError(f"unknown sequence kind {args.kind!r}")
     _write_report(report, args.out)
     return 0
 
 
-def _swap_report(d: int, probe: int) -> sequences.ConvergenceReport:
+def _swap_report(d: int, probe: int) -> Report:
     """Vector-level defects of the swap family, with the embedded-channel Choi column."""
     if d % 2:
         raise ValidationError(f"the swap report needs an even dimension to embed, got {d}")
@@ -166,25 +168,25 @@ def _swap_report(d: int, probe: int) -> sequences.ConvergenceReport:
     form = sequences.PartialTraceForm(v0, lambda n: terms[n - 1])
     channel_seq = sequences.channels_from_partial_isometries(form)
 
-    indices, strong, strongstar, choi = [], [], [], []
-    for n in range(1, d):
-        w = terms[n - 1].w
-        indices.append(n)
-        strong.append(float(np.linalg.norm((w - limit) @ tau)))
-        strongstar.append(float(np.linalg.norm((w.conj().T - limit) @ psi)))
-        choi.append(sequences.choi_defect(channel_seq, n))
-    return sequences.ConvergenceReport(
-        indices=tuple(indices),
-        strong=tuple(strong),
-        strongstar=tuple(strongstar),
-        choi=tuple(choi),
-        strong_witness=(f"tau[{probe}]",) * len(indices),
-        strongstar_witness=("psi",) * len(indices),
+    rows = [
+        (
+            float(np.linalg.norm((w.w - limit) @ tau)),
+            float(np.linalg.norm((w.w.conj().T - limit) @ psi)),
+            sequences.choi_defect(channel_seq, n),
+            f"tau[{probe}]",
+            "psi",
+        )
+        for n, w in enumerate(terms, start=1)
+    ]
+    return Report.from_rows(
+        "convergence-report",
+        range(1, d),
+        rows,
         test_family=f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding",
     )
 
 
-def _rotation_report(args, rng) -> sequences.ConvergenceReport:
+def _rotation_report(args, rng) -> Report:
     d_in, d_out, d_env = args.dim, args.dim_out, args.dim_env
     total = d_out * d_env
     if d_in >= total:
@@ -237,13 +239,12 @@ def cmd_gaussian(args) -> int:
             "channel": serialize.to_json_obj(channel),
             "output": serialize.to_json_obj(out),
         }
-        text = json.dumps(doc, indent=2, sort_keys=True)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                dump_json(doc, fh)
             print(f"wrote {args.out}")
         else:
-            print(text)
+            dump_json(doc, sys.stdout)
         return 0
     if args.action == "converge":
         report = _gaussian_sweep(args.k, args.ns, args.tol, args.grid * args.grid)
@@ -253,18 +254,7 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.infile) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise serialize.SchemaError(f"invalid JSON in {args.infile}: {exc}") from exc
-    kind = doc.get("kind")
-    if kind == "convergence-report":
-        report = sequences.report_from_json_dict(doc)
-    elif kind == "gaussian-convergence-report":
-        report = gaussian.report_from_json_dict(doc)
-    else:
-        raise serialize.SchemaError(f"not a report document (kind={kind!r})")
+    report = serialize.load(args.infile, report=True)
     if args.out:
         report.write_csv(args.out)
         print(f"wrote {args.out}")
@@ -276,13 +266,8 @@ def cmd_report(args) -> int:
 
 def _summary_lines(report) -> list[str]:
     lines = [f"indices: {report.indices[0]}..{report.indices[-1]} ({len(report.indices)} rows)"]
-    if isinstance(report, sequences.ConvergenceReport):
-        for name in ("strong", "strongstar", "choi"):
-            col = getattr(report, name)
-            lines.append(f"{name}: first={col[0]!r} last={col[-1]!r} max={max(col)!r}")
-    else:
-        for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev"):
-            col = getattr(report, name)
+    for name, col in report.columns.items():
+        if isinstance(col[0], float):
             lines.append(f"{name}: first={col[0]!r} last={col[-1]!r} max={max(col)!r}")
     if report.test_family:
         lines.append(f"test family: {report.test_family}")

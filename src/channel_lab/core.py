@@ -216,6 +216,11 @@ class KrausChannel:
     def d_out(self) -> int:
         return self.kraus_ops[0].shape[0]
 
+    @property
+    def signature(self) -> str:
+        """The spaces the channel acts between, as text; sequences compare it term by term."""
+        return f"dims ({self.d_in},{self.d_out})"
+
 
 @dataclass(frozen=True, eq=False)
 class StinespringIsometry:

@@ -21,9 +21,6 @@ parameter triples; no Fock-space matrices are built.  Conventions:
 
 from __future__ import annotations
 
-import csv
-import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,13 +28,13 @@ import numpy as np
 
 from ._parallel import pmap
 from .core import ValidationError
+from .report import Report
+from .sequences import ChannelSequence
 
 #: Symmetry tolerance for covariance and noise matrices.
 TOL_SYM = 1e-12
 #: How far below zero a validity eigenvalue may slip.
 TOL_PSD = 1e-10
-
-SCHEMA_VERSION = 1
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -122,6 +119,11 @@ class GaussianChannel:
     @property
     def modes_out(self) -> int:
         return self.scale.shape[1] // 2
+
+    @property
+    def signature(self) -> str:
+        """The mode counts the channel acts between, as text; sequences compare it term by term."""
+        return f"{self.modes_in}->{self.modes_out} modes"
 
 
 @dataclass(frozen=True)
@@ -303,107 +305,16 @@ def z_grid(modes: int, half_width: float = 2.0, step: float = 1.0, max_points: i
     return np.column_stack([np.full(count, axis[0])] * (d - t) + [axis[i] for i in trailing])
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianChannelSequence:
-    """A limit Gaussian channel plus a rule for term n >= 1 (0 is the limit)."""
-
-    limit: GaussianChannel
-    term_fn: Callable[[int], GaussianChannel]
-
-    def term(self, n: int) -> GaussianChannel:
-        if n < 0:
-            raise ValidationError(f"sequence index must be >= 0, got {n}")
-        if n == 0:
-            return self.limit
-        ch = self.term_fn(n)
-        if (ch.modes_in, ch.modes_out) != (self.limit.modes_in, self.limit.modes_out):
-            raise ValidationError(
-                f"term {n} acts between {ch.modes_in}->{ch.modes_out} modes, limit "
-                f"between {self.limit.modes_in}->{self.limit.modes_out}"
-            )
-        return ch
+#: Older names of :class:`~channel_lab.sequences.ChannelSequence` and
+#: :class:`~channel_lab.report.Report`; the benchmark harness in ``bench/``
+#: still looks them up here.
+GaussianChannelSequence = ChannelSequence
+GaussianConvergenceReport = Report
 
 
-def attenuator_sequence(k_fn: Callable[[int], float], k_limit: float) -> GaussianChannelSequence:
+def attenuator_sequence(k_fn: Callable[[int], float], k_limit: float) -> ChannelSequence:
     """Attenuators with index-dependent transmissivities."""
-    return GaussianChannelSequence(attenuator(k_limit), lambda n: attenuator(k_fn(n)))
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianConvergenceReport:
-    """Per-index parameter deviations and characteristic-function deviations.
-
-    Parameter deviations are max-entry distances of (scale, shift, noise)
-    from the limit; ``char_dev`` is the sup over the grid and the test
-    states of the output characteristic-function gap.  The two columns
-    vanish together exactly when the sequence converges pointwise.
-    """
-
-    indices: tuple
-    scale_dev: tuple
-    shift_dev: tuple
-    noise_dev: tuple
-    char_dev: tuple
-    eps: float
-    within_eps: tuple
-    test_family: str = ""
-
-    def __post_init__(self):
-        n = len(self.indices)
-        for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev", "within_eps"):
-            if len(getattr(self, name)) != n:
-                raise ValidationError(f"column {name} has wrong length")
-        for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev"):
-            if not all(math.isfinite(x) for x in getattr(self, name)):
-                raise ValidationError(f"column {name} has non-finite entries")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "gaussian-convergence-report",
-            "indices": list(self.indices),
-            "scale_dev": list(self.scale_dev),
-            "shift_dev": list(self.shift_dev),
-            "noise_dev": list(self.noise_dev),
-            "char_dev": list(self.char_dev),
-            "eps": self.eps,
-            "within_eps": list(self.within_eps),
-            "test_family": self.test_family,
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "scale_dev", "shift_dev", "noise_dev", "char_dev", "within_eps"])
-            for row in zip(
-                self.indices, self.scale_dev, self.shift_dev, self.noise_dev,
-                self.char_dev, self.within_eps,
-            ):
-                writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-
-
-def report_from_json_dict(doc: dict) -> GaussianConvergenceReport:
-    """Rebuild a report from its JSON form, checking kind and columns."""
-    if doc.get("kind") != "gaussian-convergence-report":
-        raise ValidationError(f"not a gaussian-convergence-report (kind={doc.get('kind')!r})")
-    try:
-        return GaussianConvergenceReport(
-            indices=tuple(int(n) for n in doc["indices"]),
-            scale_dev=tuple(float(x) for x in doc["scale_dev"]),
-            shift_dev=tuple(float(x) for x in doc["shift_dev"]),
-            noise_dev=tuple(float(x) for x in doc["noise_dev"]),
-            char_dev=tuple(float(x) for x in doc["char_dev"]),
-            eps=float(doc["eps"]),
-            within_eps=tuple(bool(b) for b in doc["within_eps"]),
-            test_family=str(doc.get("test_family", "")),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"report document is missing field {exc}") from exc
+    return ChannelSequence(attenuator(k_limit), lambda n: attenuator(k_fn(n)))
 
 
 def default_gaussian_test_states(modes: int) -> list[GaussianState]:
@@ -419,12 +330,12 @@ def default_gaussian_test_states(modes: int) -> list[GaussianState]:
 
 
 def param_convergence_check(
-    seq: GaussianChannelSequence,
+    seq: ChannelSequence,
     ns,
     eps: float,
     test_states: list[GaussianState] | None = None,
     grid: np.ndarray | None = None,
-) -> GaussianConvergenceReport:
+) -> Report:
     """Probe parameter convergence against characteristic-function convergence.
 
     For each index the report carries the max-entry deviation of each
@@ -470,14 +381,10 @@ def param_convergence_check(
         flag = max(k_dev, l_dev, a_dev, worst) <= eps
         return k_dev, l_dev, a_dev, worst, flag
 
-    rows = pmap(evaluate, ns)
-    return GaussianConvergenceReport(
-        indices=tuple(ns),
-        scale_dev=tuple(r[0] for r in rows),
-        shift_dev=tuple(r[1] for r in rows),
-        noise_dev=tuple(r[2] for r in rows),
-        char_dev=tuple(r[3] for r in rows),
+    return Report.from_rows(
+        "gaussian-convergence-report",
+        ns,
+        pmap(evaluate, ns),
         eps=float(eps),
-        within_eps=tuple(r[4] for r in rows),
         test_family=f"{len(states)} states x {len(pts)} grid points",
     )

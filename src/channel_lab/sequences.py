@@ -28,9 +28,6 @@ Choi matrix and the stacked test families once per report.
 
 from __future__ import annotations
 
-import csv
-import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -58,8 +55,11 @@ from .dilation import (
     minimal_stinespring,
     pad_environment,
 )
+from .report import Report
 
-SCHEMA_VERSION = 1
+#: Older name of :class:`~channel_lab.report.Report`; the benchmark harness in
+#: ``bench/`` still looks it up here.
+ConvergenceReport = Report
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +67,23 @@ class ChannelSequence:
     """A limit channel plus a rule producing term n for n >= 1.
 
     ``term(0)`` returns the limit.  Every term must act between the same
-    spaces as the limit; this is checked on access.
+    spaces as the limit, which is checked on access by comparing the
+    channels' ``signature``.  Kraus channels and Gaussian channels both
+    provide one, so the class serves both.
     """
 
-    limit: KrausChannel
-    term_fn: Callable[[int], KrausChannel]
+    limit: object
+    term_fn: Callable[[int], object]
 
-    def term(self, n: int) -> KrausChannel:
+    def term(self, n: int):
         if n < 0:
             raise ValidationError(f"sequence index must be >= 0, got {n}")
         if n == 0:
             return self.limit
         ch = self.term_fn(n)
-        if (ch.d_in, ch.d_out) != (self.limit.d_in, self.limit.d_out):
+        if ch.signature != self.limit.signature:
             raise ValidationError(
-                f"term {n} acts between dims ({ch.d_in},{ch.d_out}), limit between "
-                f"({self.limit.d_in},{self.limit.d_out})"
+                f"term {n} acts between {ch.signature}, limit between {self.limit.signature}"
             )
         return ch
 
@@ -173,88 +174,6 @@ def choi_defect(seq: ChannelSequence, n: int) -> float:
     return float(_hermitian_trace_norm(dj)) / seq.limit.d_in
 
 
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport:
-    """Defect sweep results plus the witnesses that attained each maximum.
-
-    ``choi_dominates_strong`` records, per index, whether the Choi lower
-    bound weakly dominates the strong defect seen on the test family.  It is
-    a diagnostic: the true completely bounded distance always dominates, the
-    lower bound need not.
-    """
-
-    indices: tuple
-    strong: tuple
-    strongstar: tuple
-    choi: tuple
-    strong_witness: tuple
-    strongstar_witness: tuple
-    test_family: str = ""
-
-    def __post_init__(self):
-        n = len(self.indices)
-        for name in ("strong", "strongstar", "choi", "strong_witness", "strongstar_witness"):
-            if len(getattr(self, name)) != n:
-                raise ValidationError(f"column {name} has wrong length")
-        for col in (self.strong, self.strongstar, self.choi):
-            if not all(math.isfinite(x) and x >= 0 for x in col):
-                raise ValidationError("defects must be finite and nonnegative")
-
-    @property
-    def choi_dominates_strong(self) -> tuple:
-        return tuple(c >= s - 1e-12 for c, s in zip(self.choi, self.strong))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "convergence-report",
-            "indices": list(self.indices),
-            "strong": list(self.strong),
-            "strongstar": list(self.strongstar),
-            "choi": list(self.choi),
-            "strong_witness": list(self.strong_witness),
-            "strongstar_witness": list(self.strongstar_witness),
-            "choi_dominates_strong": list(self.choi_dominates_strong),
-            "test_family": self.test_family,
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "strong", "strongstar", "choi", "strong_witness", "strongstar_witness"]
-            )
-            for row in zip(
-                self.indices,
-                self.strong,
-                self.strongstar,
-                self.choi,
-                self.strong_witness,
-                self.strongstar_witness,
-            ):
-                writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-
-
-def report_from_json_dict(obj: dict) -> ConvergenceReport:
-    try:
-        return ConvergenceReport(
-            indices=tuple(int(n) for n in obj["indices"]),
-            strong=tuple(float(x) for x in obj["strong"]),
-            strongstar=tuple(float(x) for x in obj["strongstar"]),
-            choi=tuple(float(x) for x in obj["choi"]),
-            strong_witness=tuple(str(x) for x in obj["strong_witness"]),
-            strongstar_witness=tuple(str(x) for x in obj["strongstar_witness"]),
-            test_family=str(obj.get("test_family", "")),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed convergence report: {exc}") from exc
-
-
 def convergence_report(
     seq: ChannelSequence,
     ns,
@@ -262,7 +181,7 @@ def convergence_report(
     test_obs,
     test_vectors,
     test_family: str = "",
-) -> ConvergenceReport:
+) -> Report:
     """Sweep all three defect kinds over the given indices.
 
     The test families are stacked and the limit's Choi matrix is built once
@@ -291,22 +210,13 @@ def convergence_report(
         b_arg, v_arg = divmod(int(np.argmax(star)), star.shape[1])
         return (
             float(strong[s_arg]),
-            f"state[{s_arg}]",
             float(star[b_arg, v_arg]),
-            f"obs[{b_arg}]|vec[{v_arg}]",
             float(_hermitian_trace_norm(dj)) / d_in,
+            f"state[{s_arg}]",
+            f"obs[{b_arg}]|vec[{v_arg}]",
         )
 
-    rows = pmap(evaluate, ns)
-    return ConvergenceReport(
-        indices=tuple(ns),
-        strong=tuple(r[0] for r in rows),
-        strongstar=tuple(r[2] for r in rows),
-        choi=tuple(r[4] for r in rows),
-        strong_witness=tuple(r[1] for r in rows),
-        strongstar_witness=tuple(r[3] for r in rows),
-        test_family=test_family,
-    )
+    return Report.from_rows("convergence-report", ns, pmap(evaluate, ns), test_family=test_family)
 
 
 def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> ChannelSequence:

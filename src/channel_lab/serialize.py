@@ -3,7 +3,8 @@
 Complex matrices and vectors are nested arrays of ``[re, im]`` pairs; real
 Gaussian parameters are plain numbers.  Every object carries a ``kind`` tag
 and ``schema_version``; loading reconstructs the domain object, which
-re-runs its invariants.  Structural problems raise :class:`SchemaError`,
+re-runs its invariants.  Sweep reports (:mod:`channel_lab.report`) are
+decoded on request.  Structural problems raise :class:`SchemaError`,
 invariant violations propagate as :class:`channel_lab.core.ValidationError`.
 """
 
@@ -16,8 +17,7 @@ import numpy as np
 from .core import KrausChannel, StinespringIsometry, UnitaryOp
 from .dilation import UnitaryDilation
 from .gaussian import GaussianChannel, GaussianState
-
-SCHEMA_VERSION = 1
+from .report import COLUMNS, SCHEMA_VERSION, dump_json, from_json_dict
 
 
 class SchemaError(ValueError):
@@ -116,11 +116,19 @@ def _field(obj: dict, key: str):
         raise SchemaError(f"missing field {key!r}") from exc
 
 
-def from_json_obj(obj):
-    """Decode a JSON object into the domain object its ``kind`` names."""
+def from_json_obj(obj, report: bool = False):
+    """Decode a JSON object into the domain object its ``kind`` names.
+
+    With ``report`` set, only the report kinds are decoded, into a
+    :class:`~channel_lab.report.Report`; without it they are unknown kinds.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
     kind = _field(obj, "kind")
+    if report:
+        if not isinstance(kind, str) or kind not in COLUMNS:
+            raise SchemaError(f"not a report document (kind={kind!r})")
+        return from_json_dict(obj)
     if kind == "kraus":
         raw = _field(obj, "kraus")
         if not isinstance(raw, list) or not raw:
@@ -174,15 +182,14 @@ def dump(x, path, metadata: dict | None = None) -> None:
     if metadata:
         doc["metadata"] = metadata
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        dump_json(doc, fh)
 
 
-def load(path):
-    """Read a JSON file back into a domain object."""
+def load(path, report: bool = False):
+    """Read a JSON file back into a domain object, or into a report with ``report`` set."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return from_json_obj(doc)
+    return from_json_obj(doc, report)

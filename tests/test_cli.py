@@ -154,3 +154,38 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         run("convert", "--in", "x.json", "--to", "nonsense")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["partial-trace-form", "gaussian"])
+def test_empty_sweep_is_a_validation_error(kind, tmp_path, capsys):
+    prefix = tmp_path / "empty"
+    assert run("sequence", kind, "--ns", "5:1", "--out", str(prefix)) == 2
+    assert "at least one row" in capsys.readouterr().err
+    assert not (tmp_path / "empty.csv").exists()
+    assert not (tmp_path / "empty.json").exists()
+
+
+def test_report_rejects_malformed_documents(tmp_path, capsys):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]\n")
+    assert run("report", "--in", str(array)) == 3
+    assert "expected a JSON object" in capsys.readouterr().err
+
+    prefix = tmp_path / "sweep"
+    assert run("gaussian", "converge", "--ns", "5", "--out", str(prefix)) == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    broken = tmp_path / "broken.json"
+    for field in ("indices", "char_dev"):
+        broken.write_text(json.dumps({**doc, field: None}))
+        capsys.readouterr()
+        assert run("report", "--in", str(broken)) == 2
+        assert "malformed gaussian-convergence-report" in capsys.readouterr().err
+    missing = {k: v for k, v in doc.items() if k != "indices"}
+    broken.write_text(json.dumps(missing))
+    assert run("report", "--in", str(broken)) == 2
+    assert "missing field 'indices'" in capsys.readouterr().err
+
+    kraus = tmp_path / "kraus.json"
+    serialize.dump(identity_channel(2), kraus)
+    assert run("report", "--in", str(kraus)) == 3
+    assert "not a report document (kind='kraus')" in capsys.readouterr().err

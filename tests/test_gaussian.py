@@ -8,9 +8,7 @@ import pytest
 from channel_lab import gaussian
 from channel_lab.core import ValidationError, trace_norm
 from channel_lab.gaussian import (
-    GaussianConvergenceReport,
     GaussianChannel,
-    GaussianChannelSequence,
     GaussianState,
     apply_gaussian,
     attenuator,
@@ -23,13 +21,14 @@ from channel_lab.gaussian import (
     dual_weyl_symbol,
     identity_gaussian,
     param_convergence_check,
-    report_from_json_dict,
     symplectic_form,
     vacuum,
     validate_channel,
     validate_state,
     z_grid,
 )
+from channel_lab.report import Report, from_json_dict
+from channel_lab.sequences import ChannelSequence
 
 
 def _fock_coherent(eta, cutoff=60):
@@ -249,7 +248,7 @@ def test_gaussian_sequence_term_checks():
     assert seq.term(2).scale[0, 0] == pytest.approx(0.7)
     with pytest.raises(ValidationError, match=">= 0"):
         seq.term(-1)
-    mismatched = GaussianChannelSequence(
+    mismatched = ChannelSequence(
         identity_gaussian(1),
         lambda n: identity_gaussian(2),
     )
@@ -258,7 +257,7 @@ def test_gaussian_sequence_term_checks():
 
 
 def test_param_convergence_check_constant_sequence():
-    seq = GaussianChannelSequence(attenuator(0.5), lambda n: attenuator(0.5))
+    seq = ChannelSequence(attenuator(0.5), lambda n: attenuator(0.5))
     rep = param_convergence_check(seq, [1, 2, 3], eps=1e-9)
     assert rep.scale_dev == (0.0, 0.0, 0.0)
     assert rep.char_dev == (0.0, 0.0, 0.0)
@@ -271,7 +270,7 @@ def test_param_convergence_check_sees_oscillating_shift():
     def term(n):
         return GaussianChannel(np.eye(2), np.array([float(n % 2), 0.0]), np.zeros((2, 2)))
 
-    seq = GaussianChannelSequence(identity_gaussian(1), term)
+    seq = ChannelSequence(identity_gaussian(1), term)
     rep = param_convergence_check(seq, [1, 2, 3, 4], eps=1e-9)
     assert rep.shift_dev == (1.0, 0.0, 1.0, 0.0)
     assert rep.within_eps == (False, True, False, True)
@@ -295,7 +294,7 @@ def test_param_convergence_check_attenuator_sweep_co_vanishes():
 
 
 def test_param_convergence_check_validates_test_states():
-    seq = GaussianChannelSequence(attenuator(0.5), lambda n: attenuator(0.5))
+    seq = ChannelSequence(attenuator(0.5), lambda n: attenuator(0.5))
     squeezed = GaussianState(mean=np.zeros(2), cov=np.eye(2) / 2)
     with pytest.raises(ValidationError, match="uncertainty"):
         param_convergence_check(seq, [1], eps=1e-9, test_states=[squeezed])
@@ -332,7 +331,7 @@ def _recipe_sequence(s_in, s_out, rng):
     k, dk = rng.standard_normal((2, 2 * s_in, 2 * s_out)) / np.sqrt(2 * s_in)
     shift, dl = rng.standard_normal((2, 2 * s_out))
     noise_seed = rng.standard_normal((2 * s_out, 2 * s_out))
-    return GaussianChannelSequence(
+    return ChannelSequence(
         _recipe_channel(k, shift, noise_seed),
         lambda n: _recipe_channel(k + dk / n, shift + dl / n, noise_seed),
     )
@@ -347,7 +346,7 @@ def _bench_style_sequence():
         ln = shift if n is None else shift + 0.1 / n
         return GaussianChannel(np.diag(kn), ln, np.diag(1.0 - kn * kn + 0.1))
 
-    return GaussianChannelSequence(channel(None), channel)
+    return ChannelSequence(channel(None), channel)
 
 
 @pytest.mark.parametrize("case", ["bench-style", "attenuator", "rect-2-to-1", "rect-1-to-3", "custom-states"])
@@ -382,13 +381,13 @@ def test_param_convergence_check_rejects_invalid_terms_like_apply_gaussian():
         apply_gaussian(bad, vacuum())
     assert str(direct.value).startswith("channel parameters violate complete positivity (min eigenvalue ")
 
-    seq = GaussianChannelSequence(attenuator(0.5), lambda n: bad if n == 3 else attenuator(0.5))
+    seq = ChannelSequence(attenuator(0.5), lambda n: bad if n == 3 else attenuator(0.5))
     with pytest.raises(ValidationError) as swept:
         param_convergence_check(seq, [1, 2, 3], eps=1e-9)
     assert str(swept.value) == str(direct.value)
 
     with pytest.raises(ValidationError) as limit:
-        param_convergence_check(GaussianChannelSequence(bad, lambda n: attenuator(0.5)), [1], eps=1e-9)
+        param_convergence_check(ChannelSequence(bad, lambda n: attenuator(0.5)), [1], eps=1e-9)
     assert str(limit.value) == str(direct.value)
 
 
@@ -406,7 +405,7 @@ def test_gaussian_report_round_trip_and_csv(tmp_path):
     rep = param_convergence_check(seq, [2, 3], eps=1e-6)
     path = tmp_path / "gauss.json"
     rep.write_json(path)
-    loaded = report_from_json_dict(json.loads(path.read_text()))
+    loaded = from_json_dict(json.loads(path.read_text()))
     assert loaded.indices == rep.indices
     assert loaded.char_dev == rep.char_dev
     assert loaded.eps == rep.eps
@@ -416,7 +415,7 @@ def test_gaussian_report_round_trip_and_csv(tmp_path):
     header = csv_path.read_text().splitlines()[0]
     assert header == "n,scale_dev,shift_dev,noise_dev,char_dev,within_eps"
     with pytest.raises(ValidationError, match="not a gaussian-convergence-report"):
-        report_from_json_dict({"kind": "convergence-report"})
+        from_json_dict({"kind": "convergence-report"}, kind="gaussian-convergence-report")
 
 
 def test_random_valid_pairs_propagate_validity(rng):
@@ -437,4 +436,4 @@ def test_gaussian_report_rejects_non_finite_deviations(bad):
         cols = {other: (0.1,) for other in names}
         cols[name] = (bad,)
         with pytest.raises(ValidationError, match=f"{name} has non-finite"):
-            GaussianConvergenceReport(indices=(1,), eps=1e-6, within_eps=(False,), **cols)
+            Report("gaussian-convergence-report", indices=(1,), eps=1e-6, within_eps=(False,), **cols)

@@ -16,9 +16,9 @@ from channel_lab.core import (
     identity_channel,
     trace_norm,
 )
+from channel_lab.report import Report, from_json_dict
 from channel_lab.sequences import (
     ChannelSequence,
-    ConvergenceReport,
     PartialTraceForm,
     channels_from_partial_isometries,
     choi_defect,
@@ -28,7 +28,6 @@ from channel_lab.sequences import (
     constant_sequence,
     convergence_report,
     givens_rotation,
-    report_from_json_dict,
     rotation_partial_trace_form,
     strong_defect,
     strongstar_defect,
@@ -334,7 +333,8 @@ def test_convergence_report_parallel_matches_sequential(rng, monkeypatch):
 
 
 def test_report_validation_and_round_trip(tmp_path):
-    rep = ConvergenceReport(
+    rep = Report(
+        "convergence-report",
         indices=(1, 2),
         strong=(0.5, 0.25),
         strongstar=(1.0, 1.0),
@@ -346,7 +346,7 @@ def test_report_validation_and_round_trip(tmp_path):
     assert rep.choi_dominates_strong == (True, True)
     path = tmp_path / "rep.json"
     rep.write_json(path)
-    loaded = report_from_json_dict(json.loads(path.read_text()))
+    loaded = from_json_dict(json.loads(path.read_text()))
     assert loaded.indices == rep.indices
     assert loaded.strong == rep.strong
     assert loaded.test_family == "crafted"
@@ -358,11 +358,13 @@ def test_report_validation_and_round_trip(tmp_path):
     assert lines[1] == "1,0.5,1.0,0.75,state[0],obs[1]|vec[0]"
 
     with pytest.raises(ValidationError, match="wrong length"):
-        ConvergenceReport((1,), (0.1, 0.2), (0.1,), (0.1,), ("a",), ("b",))
+        Report("convergence-report", (1,), strong=(0.1, 0.2), strongstar=(0.1,), choi=(0.1,),
+               strong_witness=("a",), strongstar_witness=("b",))
     with pytest.raises(ValidationError, match="nonnegative"):
-        ConvergenceReport((1,), (-0.1,), (0.1,), (0.1,), ("a",), ("b",))
+        Report("convergence-report", (1,), strong=(-0.1,), strongstar=(0.1,), choi=(0.1,),
+               strong_witness=("a",), strongstar_witness=("b",))
     with pytest.raises(ValidationError, match="malformed"):
-        report_from_json_dict({"kind": "convergence-report"})
+        from_json_dict({"kind": "convergence-report"})
 
 
 def test_choi_dominance_diagnostic_can_be_false():
@@ -398,7 +400,8 @@ def test_report_rejects_non_finite_defects(bad):
         values = [(0.1,), (0.1,), (0.1,)]
         values[col] = (bad,)
         with pytest.raises(ValidationError, match="finite"):
-            ConvergenceReport((1,), *values, ("a",), ("b",))
+            Report("convergence-report", (1,), **dict(zip(("strong", "strongstar", "choi"), values)),
+                   strong_witness=("a",), strongstar_witness=("b",))
 
 
 def _block_choi(ch):
@@ -512,3 +515,21 @@ def test_kernel_on_constant_sequence_is_zero_with_first_witnesses(rng):
     assert rep.strong == rep.strongstar == rep.choi == (0.0, 0.0, 0.0)
     assert rep.strong_witness == ("state[0]",) * 3
     assert rep.strongstar_witness == ("obs[0]|vec[0]",) * 3
+
+
+def test_report_reader_rejects_unknown_kinds():
+    rep = Report(
+        "convergence-report",
+        indices=(1,),
+        strong=(0.5,),
+        strongstar=(1.0,),
+        choi=(0.75,),
+        strong_witness=("state[0]",),
+        strongstar_witness=("obs[0]|vec[0]",),
+    )
+    doc = rep.to_json_dict()
+    for kind in ("kraus", None, ["convergence-report"]):
+        with pytest.raises(ValidationError, match="not a report"):
+            from_json_dict({**doc, "kind": kind})
+    with pytest.raises(ValidationError, match="unknown report kind"):
+        Report("kraus", (1,), strong=(0.5,))
