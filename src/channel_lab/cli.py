@@ -50,31 +50,32 @@ def _as_kraus(obj) -> KrausChannel:
     raise ValidationError(f"object of type {type(obj).__name__} is not a channel representation")
 
 
-def _as_isometry(obj) -> StinespringIsometry:
+def _as_isometry(obj, kraus: KrausChannel) -> StinespringIsometry:
+    """The isometry of ``obj``, or the one stacked from its Kraus family ``kraus``."""
     if isinstance(obj, StinespringIsometry):
         return obj
     if isinstance(obj, UnitaryDilation):
         return stinespring_from_unitary(obj)
-    return isometry_from_kraus(_as_kraus(obj))
+    return isometry_from_kraus(kraus)
 
 
 def cmd_convert(args) -> int:
     source = serialize.load(args.infile)
-    source_kind = serialize.to_json_obj(source)["kind"]
+    kraus = _as_kraus(source)
     if args.to == "kraus":
-        target = _as_kraus(source)
+        target = kraus
     elif args.to == "stinespring":
-        target = _as_isometry(source)
+        target = _as_isometry(source, kraus)
     elif args.to == "minimal-stinespring":
-        target = minimal_stinespring(_as_kraus(source))
+        target = minimal_stinespring(kraus)
     elif args.to == "unitary-dilation":
-        target = unitary_from_isometry(_as_isometry(source))
+        target = unitary_from_isometry(_as_isometry(source, kraus))
     else:
         raise ValidationError(f"unknown target representation {args.to!r}")
 
-    deviation = max_action_deviation(_as_kraus(source), _as_kraus(target))
+    deviation = max_action_deviation(kraus, _as_kraus(target))
     metadata = {
-        "source_kind": source_kind,
+        "source_kind": serialize.kind_of(source),
         "max_action_deviation": deviation,
         "verified": bool(deviation <= ACTION_TOL),
     }
@@ -82,9 +83,7 @@ def cmd_convert(args) -> int:
         serialize.dump(target, args.out, metadata=metadata)
         print(f"wrote {args.out} (verified={metadata['verified']})")
     else:
-        doc = serialize.to_json_obj(target)
-        doc["metadata"] = metadata
-        dump_json(doc, sys.stdout)
+        dump_json(serialize.document(target, metadata), sys.stdout)
     return 0
 
 
@@ -235,9 +234,9 @@ def cmd_gaussian(args) -> int:
             raise ValidationError("the --in file must hold a gaussian-state")
         out = gaussian.apply_gaussian(channel, state)
         doc = {
-            "input": serialize.to_json_obj(state),
-            "channel": serialize.to_json_obj(channel),
-            "output": serialize.to_json_obj(out),
+            "input": serialize.document(state),
+            "channel": serialize.document(channel),
+            "output": serialize.document(out),
         }
         if args.out:
             with open(args.out, "w") as fh:

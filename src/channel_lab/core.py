@@ -106,14 +106,6 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / abs(pivot))
 
 
-def _lex_key(v: np.ndarray) -> tuple:
-    out = []
-    for z in v:
-        out.append(z.real)
-        out.append(z.imag)
-    return tuple(out)
-
-
 def ordered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with a reproducible output convention.
 
@@ -123,11 +115,16 @@ def ordered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is what downstream constructions need for determinism.
     """
     w, v = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
-    cols = [_fix_phase(v[:, k]) for k in range(v.shape[1])]
-    order = sorted(range(len(w)), key=lambda k: (w[k],) + _lex_key(cols[k]))
-    vals = np.array([w[k] for k in order])
-    vecs = np.column_stack([cols[k] for k in order]) if order else v
-    return vals, vecs
+    if not len(w):
+        return w, v
+    vecs = np.column_stack([_fix_phase(v[:, k]) for k in range(v.shape[1])])
+    if np.all(w[1:] > w[:-1]):
+        # eigh returns ascending eigenvalues, so without an exact tie the order is final.
+        return w, vecs
+    # np.lexsort sorts by its last key first: the eigenvalue, then re/im of entry 0, 1, ...
+    entries = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, len(w))
+    order = np.lexsort(np.vstack([entries[::-1], w]))
+    return w[order], vecs[:, order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,13 +393,14 @@ def max_action_deviation(a: KrausChannel, b: KrausChannel) -> float:
             f"channels act between different spaces: "
             f"({a.d_in},{a.d_out}) vs ({b.d_in},{b.d_out})"
         )
-    worst = 0.0
-    for i in range(a.d_in):
-        for j in range(a.d_in):
-            unit = np.zeros((a.d_in, a.d_in), dtype=np.complex128)
-            unit[i, j] = 1.0
-            worst = max(worst, trace_norm(channel_action(a, unit) - channel_action(b, unit)))
-    return worst
+    # Phi(E_ij)[p, q] = sum_k A_k[p, i] conj(A_k[q, j]) for every matrix unit at
+    # once.  Each channel is summed on its own, so equal families differ by exactly 0.
+    def unit_outputs(ch):
+        s = np.stack(ch.kraus_ops)
+        return np.einsum("kpi,kqj->ijpq", s, s.conj(), optimize=True)
+
+    diffs = (unit_outputs(a) - unit_outputs(b)).reshape(a.d_in * a.d_in, a.d_out, a.d_out)
+    return float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max())
 
 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:

@@ -11,8 +11,12 @@ tables, which also carry their flag threshold ``eps``.
 from __future__ import annotations
 
 import csv
-import json
 import math
+import numbers
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .core import ValidationError
 
@@ -37,15 +41,129 @@ COLUMNS = {
 }
 #: The report kinds that carry the flag threshold ``eps``.
 EPS_KINDS = frozenset({"gaussian-convergence-report"})
+_NOT_NUMBERS = (bool, np.bool_)
+#: Which values a cell of each column type accepts; numpy scalars count.
+_ACCEPTS = {
+    float: lambda x: isinstance(x, numbers.Real) and not isinstance(x, _NOT_NUMBERS),
+    bool: lambda x: isinstance(x, _NOT_NUMBERS),
+    str: lambda x: isinstance(x, str),
+}
 
 
 def dump_json(doc, fh) -> None:
     """Write ``doc`` to an open text file in the one JSON layout: keys sorted, indent 2, trailing newline.
 
-    It streams, so a large document is never held as one string.
+    The bytes are exactly ``json.dump(doc, fh, indent=2, sort_keys=True)``
+    plus ``"\\n"``.  ``doc`` may also hold numpy arrays, written as their
+    ``tolist()``; float arrays are formatted without the stdlib's per-element
+    encoder, one slice of the outermost axis at a time, so a large document
+    is never held as one string.
     """
-    json.dump(doc, fh, indent=2, sort_keys=True)
+    _write_value(doc, 0, fh.write)
     fh.write("\n")
+
+
+_INDENT = "  "
+_CONTAINERS = (list, tuple, dict, np.ndarray)
+
+
+def _float_text(x: float) -> str:
+    # json's spelling: non-finite values as JavaScript literals, the rest as float.__repr__.
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _scalar_text(x) -> str:
+    # The same type tests, in the same order, as json's encoder; exact floats skip them.
+    if type(x) is float:
+        return _float_text(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, (str, int, float)) or key is None:
+        return encode_basestring_ascii(key if isinstance(key, str) else _scalar_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_value(x, level: int, write) -> None:
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind == "f" and x.itemsize <= 8 and x.ndim > 1 and x.size:
+            _write_float_array(x, level, write)
+        else:
+            _write_value(x.tolist(), level, write)
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            write("[]")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        if not any(isinstance(item, _CONTAINERS) for item in x):
+            write("[" + inner + ("," + inner).join(map(_scalar_text, x)) + "\n" + _INDENT * level + "]")
+            return
+        write("[")
+        for i, item in enumerate(x):
+            write(("," + inner) if i else inner)
+            _write_value(item, level + 1, write)
+        write("\n" + _INDENT * level + "]")
+    elif isinstance(x, dict):
+        if not x:
+            write("{}")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        write("{")
+        for i, (key, value) in enumerate(sorted(x.items())):
+            write(("," + inner if i else inner) + _key_text(key) + ": ")
+            _write_value(value, level + 1, write)
+        write("\n" + _INDENT * level + "}")
+    else:
+        write(_scalar_text(x))
+
+
+def _write_float_array(a: np.ndarray, level: int, write) -> None:
+    """Write a nonempty float array of rank >= 2 as json lays out its ``tolist()``.
+
+    Each slice of the outermost axis is formatted in one pass: its entries'
+    reprs interleaved with the separators, which depend only on the shape.
+    """
+    text = float.__repr__ if np.isfinite(a).all() else _float_text
+    head, seps = _block_layout(a.shape[1:], level + 1)
+    inner = "\n" + _INDENT * (level + 1)
+    write("[")
+    for i, block in enumerate(a):
+        entries = map(text, block.ravel().tolist())
+        write(("," + inner if i else inner) + head + "".join(chain.from_iterable(zip(entries, seps))))
+    write("\n" + _INDENT * level + "]")
+
+
+def _block_layout(shape: tuple, level: int) -> tuple[str, list]:
+    """The text before the first entry of a nested list of ``shape`` at ``level``, and after each entry."""
+    depth = len(shape)
+
+    def opens(first: int) -> str:
+        brackets = "".join("\n" + _INDENT * (level + j) + "[" for j in range(first, depth))
+        return brackets + "\n" + _INDENT * (level + depth)
+
+    def closes(last: int) -> str:
+        return "".join("\n" + _INDENT * (level + j) + "]" for j in range(depth - 1, last - 1, -1))
+
+    seps = []
+    for axis in range(depth - 1, -1, -1):
+        # Between two children along ``axis``: close the inner brackets, then open the next child's.
+        seps = ((seps + [closes(axis + 1) + "," + opens(axis + 1)]) * shape[axis])[:-1]
+    return "[" + opens(1), seps + [closes(0)]
 
 
 class Report:
@@ -53,9 +171,10 @@ class Report:
 
     Columns are passed by name and read back as attributes (``rep.strong``).
     Construction checks the kind, that there is at least one row, that every
-    column has one cell per index, and that float cells are finite and
-    nonnegative (they are all defects or deviations).  Cells are converted to
-    their column's type.
+    column has one cell per index, that indices are integers and every cell
+    has its column's type (numpy scalars included, bools are not numbers),
+    and that float cells are finite and nonnegative (they are all defects or
+    deviations).  Cells are stored as plain Python values.
 
     For ``convergence-report`` tables, ``choi_dominates_strong`` records per
     index whether the Choi lower bound weakly dominates the strong defect seen
@@ -67,16 +186,27 @@ class Report:
         if kind not in COLUMNS:
             raise ValidationError(f"unknown report kind {kind!r}")
         self.kind = kind
+        indices = tuple(indices)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in indices):
+            raise ValidationError(f"malformed {kind}: indices must be integers, got {list(indices)!r}")
         self.indices = tuple(int(n) for n in indices)
         if not self.indices:
             raise ValidationError("a report needs at least one row, got an empty index list")
         if (eps is not None) != (kind in EPS_KINDS):
             raise ValidationError(f"eps={eps!r} does not fit a {kind}")
+        if eps is not None and not _ACCEPTS[float](eps):
+            raise ValidationError(f"malformed {kind}: eps must be a real number, got {eps!r}")
         if set(columns) != set(COLUMNS[kind]):
             raise ValidationError(f"a {kind} has columns {list(COLUMNS[kind])}, got {list(columns)}")
         self.columns = {}
         for name, cell in COLUMNS[kind].items():
-            col = tuple(cell(x) for x in columns[name])
+            col = tuple(columns[name])
+            wrong = [x for x in col if not _ACCEPTS[cell](x)]
+            if wrong:
+                raise ValidationError(
+                    f"malformed {kind}: column {name} holds {cell.__name__} cells, got {wrong[0]!r}"
+                )
+            col = tuple(map(cell, col))
             if len(col) != len(self.indices):
                 raise ValidationError(f"column {name} has wrong length")
             if cell is float and not all(math.isfinite(x) and x >= 0 for x in col):
@@ -84,7 +214,7 @@ class Report:
                     f"column {name} has non-finite or negative entries; defects must be finite and nonnegative"
                 )
             self.columns[name] = col
-        self.eps = eps
+        self.eps = None if eps is None else float(eps)
         self.test_family = test_family
 
     @classmethod
@@ -141,7 +271,7 @@ def from_json_dict(doc: dict, kind: str | None = None) -> Report:
         return Report(
             got,
             doc["indices"],
-            eps=float(doc["eps"]) if got in EPS_KINDS else None,
+            eps=doc["eps"] if got in EPS_KINDS else None,
             test_family=str(doc.get("test_family", "")),
             **{name: doc[name] for name in COLUMNS[got]},
         )

@@ -26,10 +26,13 @@ class SchemaError(ValueError):
 
 def complex_to_json(m) -> list:
     """Encode a complex array (any depth) as nested [re, im] pairs."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim == 0:
-        return [float(a.real), float(a.imag)]
-    return [complex_to_json(part) for part in a]
+    return _pairs(m).tolist()
+
+
+def _pairs(m) -> np.ndarray:
+    """A complex array as a real array with a trailing [re, im] axis (a view when it can be)."""
+    a = np.asarray(m, dtype=np.complex128, order="C")
+    return a.reshape(-1).view(np.float64).reshape(a.shape + (2,))
 
 
 def complex_from_json(obj, ndim: int) -> np.ndarray:
@@ -44,8 +47,8 @@ def complex_from_json(obj, ndim: int) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def real_to_json(m) -> list:
-    return np.asarray(m, dtype=np.float64).tolist()
+def _reals(m) -> np.ndarray:
+    return np.asarray(m, dtype=np.float64)
 
 
 def real_from_json(obj, ndim: int) -> np.ndarray:
@@ -58,55 +61,68 @@ def real_from_json(obj, ndim: int) -> np.ndarray:
     return a
 
 
-def to_json_obj(x) -> dict:
-    """Encode a supported domain object as a JSON-ready dict."""
-    if isinstance(x, KrausChannel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "kraus",
-            "d_in": x.d_in,
-            "d_out": x.d_out,
-            "kraus": [complex_to_json(a) for a in x.kraus_ops],
-        }
-    if isinstance(x, StinespringIsometry):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "stinespring",
-            "d_in": x.d_in,
-            "d_out": x.d_out,
-            "d_env": x.d_env,
-            "V": complex_to_json(x.v),
-        }
-    if isinstance(x, UnitaryDilation):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "unitary-dilation",
-            "d_in": x.d_in,
-            "d_anc": x.d_anc,
-            "d_out": x.d_out,
-            "d_env": x.d_env,
-            "U": complex_to_json(x.u.u),
-            "tau0": complex_to_json(x.tau0),
-        }
-    if isinstance(x, GaussianState):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "gaussian-state",
-            "s": x.modes,
-            "m": real_to_json(x.mean),
-            "sigma": real_to_json(x.cov),
-        }
-    if isinstance(x, GaussianChannel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "gaussian-channel",
-            "s_in": x.modes_in,
-            "s_out": x.modes_out,
-            "K": real_to_json(x.scale),
-            "ell": real_to_json(x.shift),
-            "alpha": real_to_json(x.noise),
-        }
+#: Each encodable type with its document kind and the builder of its other
+#: fields.  Arrays are left as ndarrays, complex ones with a trailing
+#: [re, im] axis; :func:`~channel_lab.report.dump_json` writes them directly.
+_ENCODERS = {
+    KrausChannel: ("kraus", lambda x: {
+        "d_in": x.d_in,
+        "d_out": x.d_out,
+        "kraus": _pairs(np.stack(x.kraus_ops)),
+    }),
+    StinespringIsometry: ("stinespring", lambda x: {
+        "d_in": x.d_in,
+        "d_out": x.d_out,
+        "d_env": x.d_env,
+        "V": _pairs(x.v),
+    }),
+    UnitaryDilation: ("unitary-dilation", lambda x: {
+        "d_in": x.d_in,
+        "d_anc": x.d_anc,
+        "d_out": x.d_out,
+        "d_env": x.d_env,
+        "U": _pairs(x.u.u),
+        "tau0": _pairs(x.tau0),
+    }),
+    GaussianState: ("gaussian-state", lambda x: {
+        "s": x.modes,
+        "m": _reals(x.mean),
+        "sigma": _reals(x.cov),
+    }),
+    GaussianChannel: ("gaussian-channel", lambda x: {
+        "s_in": x.modes_in,
+        "s_out": x.modes_out,
+        "K": _reals(x.scale),
+        "ell": _reals(x.shift),
+        "alpha": _reals(x.noise),
+    }),
+}
+
+
+def _encoder(x):
+    for cls, entry in _ENCODERS.items():
+        if isinstance(x, cls):
+            return entry
     raise SchemaError(f"no JSON encoding for objects of type {type(x).__name__}")
+
+
+def kind_of(x) -> str:
+    """The document ``kind`` a supported domain object is written as."""
+    return _encoder(x)[0]
+
+
+def document(x, metadata: dict | None = None) -> dict:
+    """The document of a supported domain object, arrays as ndarrays, for :func:`dump_json`."""
+    kind, fields = _encoder(x)
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields(x)}
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
+
+
+def to_json_obj(x) -> dict:
+    """Encode a supported domain object as a JSON-ready dict of plain lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in document(x).items()}
 
 
 def _field(obj: dict, key: str):
@@ -114,6 +130,17 @@ def _field(obj: dict, key: str):
         return obj[key]
     except KeyError as exc:
         raise SchemaError(f"missing field {key!r}") from exc
+
+
+def _dim(obj: dict, key: str) -> int:
+    """A declared dimension: an integer, or a float with an integral value, but not a bool."""
+    value = _field(obj, key)
+    if not (
+        isinstance(value, int) and not isinstance(value, bool)
+        or isinstance(value, float) and value.is_integer()
+    ):
+        raise SchemaError(f"field {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def from_json_obj(obj, report: bool = False):
@@ -139,17 +166,17 @@ def from_json_obj(obj, report: bool = False):
         return ch
     if kind == "stinespring":
         v = complex_from_json(_field(obj, "V"), 2)
-        iso = StinespringIsometry(v, int(_field(obj, "d_out")), int(_field(obj, "d_env")))
+        iso = StinespringIsometry(v, _dim(obj, "d_out"), _dim(obj, "d_env"))
         _check_dims(obj, {"d_in": iso.d_in})
         return iso
     if kind == "unitary-dilation":
         return UnitaryDilation(
             u=UnitaryOp(complex_from_json(_field(obj, "U"), 2)),
             tau0=complex_from_json(_field(obj, "tau0"), 1),
-            d_in=int(_field(obj, "d_in")),
-            d_anc=int(_field(obj, "d_anc")),
-            d_out=int(_field(obj, "d_out")),
-            d_env=int(_field(obj, "d_env")),
+            d_in=_dim(obj, "d_in"),
+            d_anc=_dim(obj, "d_anc"),
+            d_out=_dim(obj, "d_out"),
+            d_env=_dim(obj, "d_env"),
         )
     if kind == "gaussian-state":
         st = GaussianState(
@@ -171,18 +198,14 @@ def from_json_obj(obj, report: bool = False):
 
 def _check_dims(obj: dict, expected: dict) -> None:
     for key, want in expected.items():
-        got = obj.get(key, want)
-        if int(got) != want:
-            raise SchemaError(f"declared {key}={got} but the data implies {key}={want}")
+        if key in obj and _dim(obj, key) != want:
+            raise SchemaError(f"declared {key}={obj[key]} but the data implies {key}={want}")
 
 
 def dump(x, path, metadata: dict | None = None) -> None:
     """Write an object to a JSON file, optionally with a metadata block."""
-    doc = to_json_obj(x)
-    if metadata:
-        doc["metadata"] = metadata
     with open(path, "w") as fh:
-        dump_json(doc, fh)
+        dump_json(document(x, metadata), fh)
 
 
 def load(path, report: bool = False):

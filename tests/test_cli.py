@@ -6,7 +6,8 @@ import pytest
 from channel_lab import serialize
 from channel_lab.cli import main
 from channel_lab.core import amplitude_damping_channel, dephasing_channel, identity_channel
-from channel_lab.gaussian import GaussianState
+from channel_lab.dilation import isometry_from_kraus, unitary_from_isometry
+from channel_lab.gaussian import GaussianState, attenuator
 
 
 def run(*argv):
@@ -189,3 +190,49 @@ def test_report_rejects_malformed_documents(tmp_path, capsys):
     serialize.dump(identity_channel(2), kraus)
     assert run("report", "--in", str(kraus)) == 3
     assert "not a report document (kind='kraus')" in capsys.readouterr().err
+
+
+_DOCUMENTS = {
+    "kraus": (lambda: amplitude_damping_channel(0.3), ["convert", "--to", "kraus"], "d_in"),
+    "stinespring": (lambda: isometry_from_kraus(dephasing_channel(0.5)), ["convert", "--to", "kraus"], "d_env"),
+    "unitary-dilation": (
+        lambda: unitary_from_isometry(isometry_from_kraus(dephasing_channel(0.5))),
+        ["convert", "--to", "kraus"],
+        "d_anc",
+    ),
+    "gaussian-state": (lambda: GaussianState(mean=np.zeros(2), cov=np.eye(2)), ["gaussian", "validate"], "s"),
+    "gaussian-channel": (lambda: attenuator(0.5), ["gaussian", "validate"], "s_out"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DOCUMENTS))
+@pytest.mark.parametrize("bad", ["two", True, 2.5, None])
+def test_non_integer_dimensions_are_parse_errors(kind, bad, tmp_path, capsys):
+    make, argv, field = _DOCUMENTS[kind]
+    doc = serialize.to_json_obj(make())
+    assert doc["kind"] == kind
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(*argv, "--in", str(path)) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps({**doc, field: bad}))
+    assert run(*argv, "--in", str(path)) == 3
+    assert f"field '{field}' must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_dimensions_still_load(tmp_path):
+    doc = serialize.to_json_obj(isometry_from_kraus(dephasing_channel(0.5)))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**doc, "d_out": 2.0, "d_in": 2.0}))
+    assert run("convert", "--in", str(path), "--to", "kraus") == 0
+
+
+def test_convert_stdout_matches_the_written_file(tmp_path, capsys):
+    src = tmp_path / "ch.json"
+    serialize.dump(amplitude_damping_channel(0.3), src)
+    for to in ("kraus", "stinespring", "minimal-stinespring", "unitary-dilation"):
+        out = tmp_path / f"{to}.json"
+        assert run("convert", "--in", str(src), "--to", to, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("convert", "--in", str(src), "--to", to) == 0
+        assert capsys.readouterr().out == out.read_text()

@@ -28,6 +28,7 @@ from channel_lab.core import (
     tensor,
     tensor_channels,
     trace_norm,
+    _fix_phase,
 )
 
 
@@ -260,6 +261,60 @@ def test_ordered_eigh_handles_degenerate_spectra():
     vals2, vecs2 = ordered_eigh(p)
     assert np.array_equal(vecs1, vecs2)
     assert np.allclose(vals1, [0.0, 0.0, 1.0], atol=1e-15)
+
+
+def _sorted_key_eigh(h):
+    """The tie-break before np.lexsort: Python sort on (eigenvalue, re/im entries) tuples."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
+    cols = [_fix_phase(v[:, k]) for k in range(v.shape[1])]
+    order = sorted(
+        range(len(w)), key=lambda k: (w[k],) + tuple(x for z in cols[k] for x in (z.real, z.imag))
+    )
+    return np.array([w[k] for k in order]), np.column_stack([cols[k] for k in order])
+
+
+def _degenerate_matrices(rng):
+    yield np.eye(6)
+    yield np.zeros((5, 5))
+    yield np.diag([1.0, 0.0, 1.0, 0.0, 2.0, 0.0])
+    yield np.kron(np.eye(4), np.full((3, 3), 1.0 / 3.0))
+    u = ensembles.random_unitary(8, rng)
+    yield u @ np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0]) @ dagger(u)
+    frame = ensembles.random_isometry(3, 32, rng)
+    yield frame @ dagger(frame)
+    g = ensembles.crandn((40, 40), rng)
+    yield g + dagger(g)
+
+
+def test_ordered_eigh_matches_sorted_key_tie_break(rng):
+    for h in _degenerate_matrices(rng):
+        vals, vecs = ordered_eigh(h)
+        want_vals, want_vecs = _sorted_key_eigh(h)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+
+
+def _loop_action_deviation(a, b):
+    """One channel action per matrix unit and one trace norm each, as before batching."""
+    worst = 0.0
+    for i in range(a.d_in):
+        for j in range(a.d_in):
+            unit = np.zeros((a.d_in, a.d_in), dtype=np.complex128)
+            unit[i, j] = 1.0
+            worst = max(worst, trace_norm(channel_action(a, unit) - channel_action(b, unit)))
+    return worst
+
+
+@pytest.mark.parametrize("d_in,d_out", [(3, 3), (2, 5), (4, 3)])
+def test_max_action_deviation_matches_loop_oracle(d_in, d_out, rng):
+    a = ensembles.random_kraus_channel(d_in, d_out, 2, rng)
+    b = ensembles.random_kraus_channel(d_in, d_out, 3, rng)
+    same = KrausChannel(tuple(np.sqrt(0.5) * x for x in a.kraus_ops + a.kraus_ops))
+    for x, y in ((a, b), (b, a), (a, same)):
+        got = max_action_deviation(x, y)
+        assert got == pytest.approx(_loop_action_deviation(x, y), rel=0, abs=1e-12)
+    assert max_action_deviation(a, b) > 0.1
+    assert max_action_deviation(a, same) < 1e-12
 
 
 def test_opnorm_is_largest_singular_value():

@@ -1,0 +1,47 @@
+"""Property test: ``dump_json`` writes exactly what ``json.dump(indent=2, sort_keys=True)`` writes."""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from channel_lab.report import dump_json  # noqa: E402
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_leaves = st.none() | st.booleans() | st.integers() | _floats | st.text()
+_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    elements=_floats,
+)
+_docs = st.recursive(
+    _leaves | _arrays,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=24,
+)
+
+
+def _plain(x):
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_plain(v) for v in x]
+    return x
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_docs)
+def test_dump_json_matches_the_stdlib_layout(doc):
+    want = io.StringIO()
+    json.dump(_plain(doc), want, indent=2, sort_keys=True)
+    got = io.StringIO()
+    dump_json(doc, got)
+    assert got.getvalue() == want.getvalue() + "\n"

@@ -10,6 +10,10 @@ The ``.csv`` files were written by the CLI while each sweep still had its
 own report class.  Today's CSV, and the CSV that ``channel-lab report``
 re-emits from the golden JSON, must keep their layout: the same header,
 line endings and non-float cells, and floats within 1e-12.
+
+``convert_unitary_dilation_d2.json`` was written by ``channel-lab convert
+--to unitary-dilation`` while documents still went through the stdlib JSON
+encoder; the array-native writer must reproduce it byte for byte.
 """
 
 import json
@@ -17,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from channel_lab import serialize
 from channel_lab.cli import main
+from channel_lab.core import amplitude_damping_channel
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,3 +100,11 @@ def test_report_csv_matches_golden_file(name, tmp_path):
     out = tmp_path / "again.csv"
     assert main(["report", "--in", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
     _assert_csv_layout(out.read_bytes(), want)
+
+
+def test_convert_matches_golden_file(tmp_path):
+    src = tmp_path / "ch.json"
+    serialize.dump(amplitude_damping_channel(0.3), src)
+    out = tmp_path / "dilation.json"
+    assert main(["convert", "--in", str(src), "--to", "unitary-dilation", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "convert_unitary_dilation_d2.json").read_bytes()
