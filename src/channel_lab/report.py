@@ -64,7 +64,6 @@ def dump_json(doc, fh) -> None:
 
 
 _INDENT = "  "
-_CONTAINERS = (list, tuple, dict, np.ndarray)
 
 
 def _float_text(x: float) -> str:
@@ -75,9 +74,7 @@ def _float_text(x: float) -> str:
 
 
 def _scalar_text(x) -> str:
-    # The same type tests, in the same order, as json's encoder; exact floats skip them.
-    if type(x) is float:
-        return _float_text(x)
+    # The same type tests, in the same order, as json's encoder.
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None:
@@ -110,9 +107,6 @@ def _write_value(x, level: int, write) -> None:
             write("[]")
             return
         inner = "\n" + _INDENT * (level + 1)
-        if not any(isinstance(item, _CONTAINERS) for item in x):
-            write("[" + inner + ("," + inner).join(map(_scalar_text, x)) + "\n" + _INDENT * level + "]")
-            return
         write("[")
         for i, item in enumerate(x):
             write(("," + inner) if i else inner)
@@ -138,12 +132,11 @@ def _write_float_array(a: np.ndarray, level: int, write) -> None:
     Each slice of the outermost axis is formatted in one pass: its entries'
     reprs interleaved with the separators, which depend only on the shape.
     """
-    text = float.__repr__ if np.isfinite(a).all() else _float_text
     head, seps = _block_layout(a.shape[1:], level + 1)
     inner = "\n" + _INDENT * (level + 1)
     write("[")
     for i, block in enumerate(a):
-        entries = map(text, block.ravel().tolist())
+        entries = map(_float_text, block.ravel().tolist())
         write(("," + inner if i else inner) + head + "".join(chain.from_iterable(zip(entries, seps))))
     write("\n" + _INDENT * level + "]")
 
