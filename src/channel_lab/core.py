@@ -118,9 +118,9 @@ def ordered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not len(w):
         return w, v
     vecs = np.column_stack([_fix_phase(v[:, k]) for k in range(v.shape[1])])
-    # np.lexsort sorts by its last key first: the eigenvalue, then re/im of entry 0, 1, ...
-    entries = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, len(w))
-    order = np.lexsort(np.vstack([entries[::-1], w]))
+    # np.lexsort sorts by its last key first: the eigenvalue, then entry 0, 1, ...;
+    # complex keys compare by real part, then imaginary part.
+    order = np.lexsort(np.vstack([vecs[::-1], w]))
     return w[order], vecs[:, order]
 
 

@@ -294,6 +294,17 @@ def test_ordered_eigh_matches_sorted_key_tie_break(rng):
         assert np.array_equal(vecs, want_vecs)
 
 
+def test_ordered_eigh_breaks_ties_on_imaginary_parts(monkeypatch):
+    """Tied columns that agree in every real part are ordered by their imaginary parts."""
+    s = np.sqrt(0.5)
+    basis = np.array([[s, s], [1j * s, -1j * s]])
+    for cols in ([0, 1], [1, 0]):
+        monkeypatch.setattr(np.linalg, "eigh", lambda h, v=basis[:, cols]: (np.zeros(2), v))
+        vecs = ordered_eigh(np.zeros((2, 2)))[1]
+        assert np.array_equal(vecs, _sorted_key_eigh(np.zeros((2, 2)))[1])
+        assert np.array_equal(vecs, basis[:, [1, 0]])
+
+
 def _loop_action_deviation(a, b):
     """One channel action per matrix unit and one trace norm each, as before batching."""
     worst = 0.0
