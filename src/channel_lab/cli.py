@@ -38,6 +38,7 @@ from .dilation import (
 from .report import Report, dump_json
 
 ACTION_TOL = 1e-8
+GRID_HELP = "probe the first GRID^2 points, in lexicographic order, of the 5x5 grid {-2..2}^2"
 
 
 def _as_kraus(obj) -> KrausChannel:
@@ -50,26 +51,17 @@ def _as_kraus(obj) -> KrausChannel:
     raise ValidationError(f"object of type {type(obj).__name__} is not a channel representation")
 
 
-def _as_isometry(obj, kraus: KrausChannel) -> StinespringIsometry:
-    """The isometry of ``obj``, or the one stacked from its Kraus family ``kraus``."""
-    if isinstance(obj, StinespringIsometry):
-        return obj
-    if isinstance(obj, UnitaryDilation):
-        return stinespring_from_unitary(obj)
-    return isometry_from_kraus(kraus)
-
-
 def cmd_convert(args) -> int:
     source = serialize.load(args.infile)
     kraus = _as_kraus(source)
     if args.to == "kraus":
         target = kraus
     elif args.to == "stinespring":
-        target = _as_isometry(source, kraus)
+        target = isometry_from_kraus(kraus)
     elif args.to == "minimal-stinespring":
         target = minimal_stinespring(kraus)
     elif args.to == "unitary-dilation":
-        target = unitary_from_isometry(_as_isometry(source, kraus))
+        target = unitary_from_isometry(isometry_from_kraus(kraus))
     else:
         raise ValidationError(f"unknown target representation {args.to!r}")
 
@@ -101,12 +93,14 @@ def _write_report(report, prefix: str) -> None:
     print(f"wrote {prefix}.csv and {prefix}.json")
 
 
-def _gaussian_sweep(k: float, n_max: int, eps: float, grid_points: int) -> Report:
+def _gaussian_sweep(k: float, n_max: int, eps: float, grid: int) -> Report:
     # Transmissivities k + 1/n are only valid parameters once they drop to 1,
     # so the sweep starts at the first usable index.  With n_max < 1 there
     # are no indices at all, which the report rejects.
     if not 0.0 < k < 1.0:
         raise ValidationError(f"limit transmissivity must lie in (0, 1), got {k}")
+    if grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {grid}")
     start = 1
     while k + 1.0 / start > 1.0:
         start += 1
@@ -115,8 +109,8 @@ def _gaussian_sweep(k: float, n_max: int, eps: float, grid_points: int) -> Repor
             f"no valid sweep indices: k + 1/n stays above 1 up to n = {n_max}"
         )
     seq = gaussian.attenuator_sequence(lambda n: k + 1.0 / n, k)
-    grid = gaussian.z_grid(1, max_points=grid_points)
-    return gaussian.param_convergence_check(seq, range(start, n_max + 1), eps, grid=grid)
+    points = gaussian.z_grid(1, max_points=grid * grid)
+    return gaussian.param_convergence_check(seq, range(start, n_max + 1), eps, grid=points)
 
 
 def cmd_sequence(args) -> int:
@@ -145,7 +139,7 @@ def cmd_sequence(args) -> int:
         report = _rotation_report(args, rng)
     elif args.kind == "gaussian":
         ns = _parse_int_list(args.ns) if args.ns else list(range(1, 101))
-        report = _gaussian_sweep(args.k, max(ns, default=0), args.tol, args.grid * args.grid)
+        report = _gaussian_sweep(args.k, max(ns, default=0), args.tol, args.grid)
     else:
         raise ValidationError(f"unknown sequence kind {args.kind!r}")
     _write_report(report, args.out)
@@ -246,7 +240,7 @@ def cmd_gaussian(args) -> int:
             dump_json(doc, sys.stdout)
         return 0
     if args.action == "converge":
-        report = _gaussian_sweep(args.k, args.ns, args.tol, args.grid * args.grid)
+        report = _gaussian_sweep(args.k, args.ns, args.tol, args.grid)
         _write_report(report, args.out)
         return 0
     raise ValidationError(f"unknown gaussian action {args.action!r}")
@@ -305,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", help="indices to sweep, e.g. 1:100 or 1,10,100")
     p.add_argument("--probe", type=int, default=1, help="tracked frame index (swap)")
     p.add_argument("--k", type=float, default=0.5, help="limit transmissivity (gaussian)")
-    p.add_argument("--grid", type=int, default=5, help="grid points per phase-space axis")
+    p.add_argument("--grid", type=int, default=5, help=GRID_HELP)
     p.add_argument("--seed", type=int, default=7, help="seed for the random test family")
     p.add_argument("--tol", type=float, default=1e-6, help="co-vanishing threshold (gaussian)")
     p.set_defaults(fn=cmd_sequence)
@@ -319,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kprime", type=float, default=0.5, help="second transmissivity (distance)")
     p.add_argument("--eta", default="1", help="coherent amplitude, complex literal (distance)")
     p.add_argument("--ns", type=int, default=100, help="largest sweep index (converge)")
-    p.add_argument("--grid", type=int, default=5, help="grid points per phase-space axis")
+    p.add_argument("--grid", type=int, default=5, help=GRID_HELP)
     p.add_argument("--tol", type=float, default=1e-6, help="co-vanishing threshold (converge)")
     p.set_defaults(fn=cmd_gaussian)
 

@@ -18,7 +18,7 @@ passed construction-time validation and are free to rely on the invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,15 +173,20 @@ class Observable:
 class KrausChannel:
     """A channel presented by Kraus operators ``rho -> sum_i A_i rho A_i*``.
 
-    All operators share one (d_out, d_in) shape and the family is trace
-    preserving: ``sum_i A_i* A_i = I`` within ``TOL_VALID`` in operator norm.
-    Zero operators are legal members.
+    The family is one read-only complex array ``stack`` of shape
+    (K, d_out, d_in), built from any sequence of equal-shape matrices or
+    from such an array; ``kraus_ops`` holds read-only views of its slices.
+    Its Stinespring isometry is a transpose-and-reshape of ``stack``, and
+    ``stack.reshape(K, -1)`` is the matrix of stacked ``vec(A_k)``.
+    The family is trace preserving: ``sum_i A_i* A_i = I`` within
+    ``TOL_VALID`` in operator norm.  Zero operators are legal members.
     """
 
     kraus_ops: tuple
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(_cmat(a) for a in self.kraus_ops)
+        ops = [np.asarray(a, dtype=np.complex128) for a in self.kraus_ops]
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
@@ -192,7 +197,7 @@ class KrausChannel:
                 raise ValidationError(
                     f"Kraus operators disagree in shape: {a.shape} vs {shape}"
                 )
-        stack = np.stack(ops)
+        stack = _cmat(ops)
         _require_finite(stack, "Kraus operator")
         total = np.einsum("kji,kjl->il", stack.conj(), stack, optimize=True)
         defect = opnorm(total - np.eye(shape[1]))
@@ -200,15 +205,16 @@ class KrausChannel:
             raise ValidationError(
                 f"Kraus family is not trace preserving: ||sum A*A - I|| = {defect:.3e}"
             )
-        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus_ops", tuple(stack))
 
     @property
     def d_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
+        return self.stack.shape[2]
 
     @property
     def d_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def signature(self) -> str:
@@ -323,10 +329,8 @@ def channel_action(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"channel expects a {ch.d_in}x{ch.d_in} input, got shape {x.shape}"
         )
-    out = np.zeros((ch.d_out, ch.d_out), dtype=np.complex128)
-    for a in ch.kraus_ops:
-        out += a @ x @ dagger(a)
-    return out
+    s = ch.stack
+    return (s @ x @ s.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def dual_action(ch: KrausChannel, b: np.ndarray) -> np.ndarray:
@@ -336,10 +340,8 @@ def dual_action(ch: KrausChannel, b: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"dual action expects a {ch.d_out}x{ch.d_out} operator, got shape {b.shape}"
         )
-    out = np.zeros((ch.d_in, ch.d_in), dtype=np.complex128)
-    for a in ch.kraus_ops:
-        out += dagger(a) @ b @ a
-    return out
+    s = ch.stack
+    return (s.conj().swapaxes(1, 2) @ b @ s).sum(axis=0)
 
 
 def apply_kraus(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
@@ -379,7 +381,7 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
     One GEMM: with M the (K, d_out*d_in) stack of row-major ``vec(A_k)``,
     ``J = M^T conj(M)``.
     """
-    m = np.stack(ch.kraus_ops).reshape(len(ch.kraus_ops), -1)
+    m = ch.stack.reshape(len(ch.stack), -1)
     return m.T @ m.conj()
 
 
@@ -400,7 +402,7 @@ def max_action_deviation(a: KrausChannel, b: KrausChannel) -> float:
         prod = s[:, :, i].T @ s_bar.reshape(len(s), -1)
         return prod.reshape(d_out, d_out, d_in).transpose(2, 0, 1)
 
-    sa, sb = np.stack(a.kraus_ops), np.stack(b.kraus_ops)
+    sa, sb = a.stack, b.stack
     sa_bar, sb_bar = sa.conj(), sb.conj()
     worst = 0.0
     for i in range(d_in):
@@ -443,13 +445,7 @@ def dephasing_channel(keep: float = 0.0) -> KrausChannel:
 
 def depolarizing_qubit_channel() -> KrausChannel:
     """The completely depolarizing qubit channel, Kraus {|i><j| / sqrt(2)}."""
-    ops = []
-    for i in range(2):
-        for j in range(2):
-            a = np.zeros((2, 2), dtype=np.complex128)
-            a[i, j] = 1.0 / np.sqrt(2.0)
-            ops.append(a)
-    return KrausChannel(tuple(ops))
+    return KrausChannel(np.eye(4).reshape(4, 2, 2) / np.sqrt(2.0))
 
 
 def amplitude_damping_channel(gamma: float) -> KrausChannel:
@@ -464,12 +460,8 @@ def amplitude_damping_channel(gamma: float) -> KrausChannel:
 def replacement_channel(sigma: DensityOperator, d_in: int) -> KrausChannel:
     """The constant channel ``rho -> Tr(rho) sigma``."""
     vals, vecs = ordered_eigh(sigma.matrix)
-    ops = []
-    for k in range(len(vals)):
-        if vals[k] <= 1e-12:
-            continue
-        for m in range(d_in):
-            a = np.zeros((sigma.dim, d_in), dtype=np.complex128)
-            a[:, m] = np.sqrt(vals[k]) * vecs[:, k]
-            ops.append(a)
-    return KrausChannel(tuple(ops))
+    keep = vals > 1e-12
+    # Operator (k, m) writes sqrt(p_k) v_k into column m.
+    cols = (np.sqrt(vals[keep]) * vecs[:, keep]).T
+    ops = cols[:, None, :, None] * np.eye(d_in)[None, :, None, :]
+    return KrausChannel(ops.reshape(-1, sigma.dim, d_in))

@@ -5,7 +5,10 @@ them:
 
 * Kraus family {A_i}  <->  Stinespring isometry V with
   ``V phi = sum_i (A_i phi) (tensor) e_i``, so the i-th Kraus operator is
-  the environment-basis slice ``(I (x) <e_i|) V``.
+  the environment-basis slice ``(I (x) <e_i|) V``.  Both are one array
+  read two ways: V reshaped to (d_out, d_env, d_in) is the (K, d_out, d_in)
+  Kraus stack with its first two axes swapped, so converting is a
+  transpose-and-reshape.
 * Stinespring isometry V  ->  unitary U on input (x) ancilla with
   ``U (phi (x) tau_0) = (V phi) (x) chi_0``, built by completing the
   partial isometry that matches those two subspaces.
@@ -33,7 +36,6 @@ from .core import (
     dagger,
     opnorm,
     ordered_eigh,
-    tensor,
     _cmat,
     _fix_phase,
 )
@@ -92,15 +94,13 @@ def kraus_from_isometry(v: StinespringIsometry) -> KrausChannel:
     Returns exactly ``d_env`` operators; zero slices are kept so the
     indexing matches the environment basis.
     """
-    blocks = v.v.reshape(v.d_out, v.d_env, v.d_in)
-    return KrausChannel(tuple(blocks[:, e, :] for e in range(v.d_env)))
+    return KrausChannel(v.v.reshape(v.d_out, v.d_env, v.d_in).transpose(1, 0, 2))
 
 
 def isometry_from_kraus(ch: KrausChannel) -> StinespringIsometry:
-    """Stack a Kraus family into the isometry ``phi -> sum_i A_i phi (x) e_i``."""
-    arr = np.stack(ch.kraus_ops, axis=1)
-    v = arr.reshape(ch.d_out * len(ch.kraus_ops), ch.d_in)
-    return StinespringIsometry(v, ch.d_out, len(ch.kraus_ops))
+    """The isometry ``phi -> sum_i A_i phi (x) e_i``: the Kraus stack, first two axes swapped."""
+    k, d_out, d_in = ch.stack.shape
+    return StinespringIsometry(ch.stack.transpose(1, 0, 2).reshape(d_out * k, d_in), d_out, k)
 
 
 def minimal_stinespring(ch: KrausChannel, cutoff: float = CHOI_RANK_CUTOFF) -> StinespringIsometry:
@@ -110,30 +110,25 @@ def minimal_stinespring(ch: KrausChannel, cutoff: float = CHOI_RANK_CUTOFF) -> S
     (eigenvalues above ``cutoff`` kept, deterministic ordering), then stacked.
     """
     vals, vecs = ordered_eigh(choi_matrix(ch))
-    ops = []
-    for k in range(len(vals)):
-        if vals[k] > cutoff:
-            ops.append(np.sqrt(vals[k]) * vecs[:, k].reshape(ch.d_out, ch.d_in))
-    if not ops:
+    keep = vals > cutoff
+    if not keep.any():
         raise ValidationError("channel has numerically vanishing Choi matrix")
-    return isometry_from_kraus(KrausChannel(tuple(ops)))
+    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, ch.d_out, ch.d_in)
+    return isometry_from_kraus(KrausChannel(ops))
 
 
 def stinespring_span_rank(v: StinespringIsometry, rel_tol: float = 1e-8) -> int:
     """Rank of span{(B (x) I) V phi} over matrix units B and basis vectors phi.
 
-    Equals d_out * d_env exactly when the isometry is minimal.
+    Equals d_out * d_env exactly when the isometry is minimal.  Since
+    ``(|a><b| (x) I) V phi = |a> (x) sum_k <b|A_k|phi> e_k``, the rank is
+    d_out times the rank of the (d_env, d_out*d_in) matrix M of stacked
+    ``vec(A_k)``; the full span matrix has M's singular values, each d_out
+    times, so ``rel_tol`` is relative to M's largest one.
     """
-    eye_env = np.eye(v.d_env)
-    cols = []
-    for i in range(v.d_out):
-        for j in range(v.d_out):
-            unit = np.zeros((v.d_out, v.d_out), dtype=np.complex128)
-            unit[i, j] = 1.0
-            cols.append(tensor(unit, eye_env) @ v.v)
-    stacked = np.hstack(cols)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals > rel_tol * svals[0]))
+    m = kraus_from_isometry(v).stack.reshape(v.d_env, -1)
+    svals = np.linalg.svd(m, compute_uv=False)
+    return v.d_out * int(np.sum(svals > rel_tol * svals[0]))
 
 
 def complementary_kraus(v: StinespringIsometry) -> KrausChannel:
@@ -142,8 +137,7 @@ def complementary_kraus(v: StinespringIsometry) -> KrausChannel:
     Kraus operators are the output-basis slices ``(<b| (x) I_env) V``, one
     per output basis vector.
     """
-    blocks = v.v.reshape(v.d_out, v.d_env, v.d_in)
-    return KrausChannel(tuple(blocks[b, :, :] for b in range(v.d_out)))
+    return KrausChannel(v.v.reshape(v.d_out, v.d_env, v.d_in))
 
 
 def pad_environment(v: StinespringIsometry, d_env: int) -> StinespringIsometry:
@@ -226,14 +220,9 @@ def purify(sigma: DensityOperator, cutoff: float = PURIFY_CUTOFF) -> np.ndarray:
     families whose eigendecompositions converge.
     """
     vals, vecs = ordered_eigh(sigma.matrix)
-    keep = [k for k in range(len(vals)) if vals[k] > cutoff]
-    rank = len(keep)
-    out = np.zeros(sigma.dim * rank, dtype=np.complex128)
-    for pos, k in enumerate(keep):
-        e = np.zeros(rank, dtype=np.complex128)
-        e[pos] = 1.0
-        out += np.sqrt(vals[k]) * np.kron(vecs[:, k], e)
-    return _fix_phase(out)
+    keep = vals > cutoff
+    # Row-major ravel of the (dim, rank) amplitudes: entry (a, k) is sqrt(p_k) v_k[a].
+    return _fix_phase((np.sqrt(vals[keep]) * vecs[:, keep]).ravel())
 
 
 def complete_unitary(w: PartialIsometry) -> UnitaryOp:

@@ -80,8 +80,7 @@ def random_kraus_channel(
             f"dim {d_out}*{n_ops} environment cannot dilate an input of dim {d_in}"
         )
     v = random_isometry(d_in, d_out * n_ops, rng)
-    blocks = v.reshape(d_out, n_ops, d_in)
-    return KrausChannel(tuple(blocks[:, e, :] for e in range(n_ops)))
+    return KrausChannel(v.reshape(d_out, n_ops, d_in).transpose(1, 0, 2))
 
 
 def random_observable(dim: int, rng: np.random.Generator, unit_norm: bool = False) -> Observable:

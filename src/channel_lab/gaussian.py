@@ -21,6 +21,7 @@ parameter triples; no Fock-space matrices are built.  Conventions:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -281,6 +282,8 @@ def attenuator_output_distance(k: float, k_prime: float, eta: complex) -> float:
     for name, val in (("k", k), ("k_prime", k_prime)):
         if not 0.0 < val <= 1.0:
             raise ValidationError(f"transmissivity {name} must lie in (0, 1], got {val}")
+    if not cmath.isfinite(eta):
+        raise ValidationError(f"coherent amplitude eta must be finite, got {eta}")
     gap = (k - k_prime) ** 2 * abs(complex(eta)) ** 2
     return float(2.0 * np.sqrt(1.0 - np.exp(-gap)))
 

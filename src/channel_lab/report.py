@@ -187,8 +187,8 @@ class Report:
             raise ValidationError("a report needs at least one row, got an empty index list")
         if (eps is not None) != (kind in EPS_KINDS):
             raise ValidationError(f"eps={eps!r} does not fit a {kind}")
-        if eps is not None and not _ACCEPTS[float](eps):
-            raise ValidationError(f"malformed {kind}: eps must be a real number, got {eps!r}")
+        if eps is not None and not (_ACCEPTS[float](eps) and math.isfinite(eps)):
+            raise ValidationError(f"malformed {kind}: eps must be a finite real number, got {eps!r}")
         if set(columns) != set(COLUMNS[kind]):
             raise ValidationError(f"a {kind} has columns {list(COLUMNS[kind])}, got {list(columns)}")
         self.columns = {}

@@ -243,26 +243,23 @@ def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> Cha
         raise ValidationError(f"ranks must be nondecreasing, got {ranks}")
 
     vals, vecs = ordered_eigh(sigma.matrix)
-    kept = [(vals[k], vecs[:, k]) for k in range(len(vals)) if vals[k] > 1e-12]
+    keep = vals > 1e-12
+    roots, kept = np.sqrt(vals[keep]), vecs[:, keep].T
 
     @lru_cache(maxsize=None)
     def term(n: int) -> KrausChannel:
         if n > len(ranks):
             raise ValidationError(f"term {n} beyond the configured {len(ranks)} ranks")
         r = ranks[n - 1]
-        proj = np.zeros((ch.d_out, ch.d_out), dtype=np.complex128)
-        proj[:r, :r] = np.eye(r)
-        lost = np.eye(ch.d_out) - proj
-        ops = [proj @ a for a in ch.kraus_ops]
-        for p, v in kept:
-            root = np.sqrt(p)
-            for a in ch.kraus_ops:
-                rows = lost @ a
-                for m in range(ch.d_out):
-                    if np.linalg.norm(rows[m, :]) < 1e-14:
-                        continue
-                    ops.append(root * np.outer(v, rows[m, :]))
-        return KrausChannel(tuple(ops))
+        head = ch.stack.copy()
+        head[:, r:] = 0
+        # One replacement operator sqrt(p) v (x) row per kept eigenpair (p, v) of
+        # sigma and per nonzero row m >= r of each A_k, eigenpair-major.
+        rows = ch.stack[:, r:].reshape(-1, ch.d_in)
+        rows = rows[np.linalg.norm(rows, axis=1) >= 1e-14]
+        outers = kept[:, None, :, None] * rows[None, :, None, :]
+        branch = roots[:, None, None, None] * outers
+        return KrausChannel(np.concatenate([head, branch.reshape(-1, ch.d_out, ch.d_in)]))
 
     return ChannelSequence(ch, term)
 

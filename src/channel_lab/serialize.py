@@ -68,7 +68,7 @@ _ENCODERS = {
     KrausChannel: ("kraus", lambda x: {
         "d_in": x.d_in,
         "d_out": x.d_out,
-        "kraus": _pairs(np.stack(x.kraus_ops)),
+        "kraus": _pairs(x.stack),
     }),
     StinespringIsometry: ("stinespring", lambda x: {
         "d_in": x.d_in,

@@ -3,10 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from channel_lab import serialize
+from channel_lab import ensembles, serialize
 from channel_lab.cli import main
 from channel_lab.core import amplitude_damping_channel, dephasing_channel, identity_channel
-from channel_lab.dilation import isometry_from_kraus, unitary_from_isometry
+from channel_lab.dilation import (
+    isometry_from_kraus,
+    pad_environment,
+    stinespring_from_unitary,
+    unitary_from_isometry,
+)
 from channel_lab.gaussian import GaussianState, attenuator
 
 
@@ -39,6 +44,22 @@ def test_convert_to_unitary_dilation_and_minimal(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "stinespring"
     assert doc["d_env"] == 2
+
+
+def test_convert_keeps_the_isometry_of_non_kraus_sources(tmp_path, rng):
+    ch = ensembles.random_kraus_channel(3, 2, 2, rng)
+    padded = pad_environment(isometry_from_kraus(ch), 5)
+    dilation = unitary_from_isometry(isometry_from_kraus(ch))
+    for source, iso in ((padded, padded), (dilation, stinespring_from_unitary(dilation))):
+        src = tmp_path / "src.json"
+        serialize.dump(source, src)
+        out = tmp_path / "v.json"
+        assert run("convert", "--in", str(src), "--to", "stinespring", "--out", str(out)) == 0
+        written = serialize.load(out)
+        assert written.d_env == iso.d_env
+        assert np.array_equal(written.v, iso.v)
+        assert run("convert", "--in", str(src), "--to", "unitary-dilation", "--out", str(out)) == 0
+        assert np.array_equal(serialize.load(out).u.u, unitary_from_isometry(iso).u.u)
 
 
 def test_sequence_swap_csv_columns(tmp_path):
@@ -107,6 +128,53 @@ def test_report_reemits_identical_csv(tmp_path):
 def test_gaussian_distance_anchor(capsys):
     assert run("gaussian", "distance", "--k", "0.6", "--kprime", "0.5", "--eta", "100") == 0
     assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "nan+1j", "1+infj"])
+def test_gaussian_distance_rejects_non_finite_amplitudes(eta, capsys):
+    assert run("gaussian", "distance", "--k", "0.6", "--kprime", "0.5", f"--eta={eta}") == 2
+    captured = capsys.readouterr()
+    assert "eta must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaussian", "converge", "--tol", "nan"],
+        ["gaussian", "converge", "--tol", "inf"],
+        ["gaussian", "converge", "--tol=-inf"],
+        ["sequence", "gaussian", "--tol", "nan"],
+        ["sequence", "gaussian", "--tol", "inf"],
+    ],
+)
+def test_non_finite_tolerances_never_reach_a_report(argv, tmp_path, capsys):
+    prefix = tmp_path / "sweep"
+    assert run(*argv, "--ns", "5", "--out", str(prefix)) == 2
+    assert "eps must be a finite real number" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "sequence"])
+@pytest.mark.parametrize("grid", ["-5", "0"])
+def test_grid_below_one_is_a_validation_error(command, grid, tmp_path, capsys):
+    argv = ["gaussian", "converge"] if command == "converge" else ["sequence", "gaussian"]
+    prefix = tmp_path / "sweep"
+    assert run(*argv, "--ns", "5", "--grid", grid, "--out", str(prefix)) == 2
+    assert f"--grid must be at least 1, got {grid}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
+def test_grid_takes_a_lexicographic_prefix_of_the_5x5_grid(tmp_path):
+    def sweep(grid):
+        prefix = tmp_path / f"g{grid}"
+        assert run("gaussian", "converge", "--ns", "5", "--grid", grid, "--out", str(prefix)) == 0
+        return (tmp_path / f"g{grid}.json").read_bytes()
+
+    # grid**2 points are taken from the 25 points of {-2..2}^2, so 7 adds nothing
+    assert sweep("7") == sweep("5")
+    assert sweep("3") != sweep("5")
 
 
 def test_gaussian_validate_exit_codes(tmp_path, capsys):

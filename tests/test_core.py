@@ -80,6 +80,29 @@ def test_partial_trace_rejects_bad_inputs():
         partial_trace(np.eye(6), "X", 2, 3)
 
 
+def _loop_channel_action(ch, x):
+    out = np.zeros((ch.d_out, ch.d_out), dtype=np.complex128)
+    for a in ch.kraus_ops:
+        out += a @ x @ dagger(a)
+    return out
+
+
+def _loop_dual_action(ch, b):
+    out = np.zeros((ch.d_in, ch.d_in), dtype=np.complex128)
+    for a in ch.kraus_ops:
+        out += dagger(a) @ b @ a
+    return out
+
+
+@pytest.mark.parametrize("d_in,d_out,n_ops", [(2, 2, 1), (3, 3, 4), (2, 5, 3), (6, 2, 5)])
+def test_actions_match_the_kraus_loops(d_in, d_out, n_ops, rng):
+    ch = ensembles.random_kraus_channel(d_in, d_out, n_ops, rng)
+    x = ensembles.crandn((d_in, d_in), rng)
+    b = ensembles.crandn((d_out, d_out), rng)
+    assert np.abs(channel_action(ch, x) - _loop_channel_action(ch, x)).max() <= 1e-12
+    assert np.abs(dual_action(ch, b) - _loop_dual_action(ch, b)).max() <= 1e-12
+
+
 def test_duality_identity_on_random_triples(rng):
     """Tr Phi(rho) B must equal Tr rho Phi*(B) to numerical precision."""
     for dim in (2, 3, 4, 6):
@@ -132,6 +155,39 @@ def test_kraus_channel_validation():
         KrausChannel((np.zeros((3, 2)), np.zeros((2, 2))))
     with pytest.raises(ValidationError, match="at least one"):
         KrausChannel(())
+    with pytest.raises(ValidationError, match="at least one"):
+        KrausChannel(np.zeros((0, 2, 2)))
+    with pytest.raises(ValidationError, match=r"must be matrices, got shape \(2,\)"):
+        KrausChannel((np.ones(2),))
+    with pytest.raises(ValidationError, match=r"must be matrices, got shape \(0, 2\)"):
+        KrausChannel(np.zeros((1, 0, 2)))
+    with pytest.raises(ValidationError, match="Kraus operator contains non-finite"):
+        KrausChannel((np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+    with pytest.raises(ValidationError, match="trace preserving"):
+        KrausChannel(np.stack([np.eye(2), np.eye(2)]))
+
+
+def test_kraus_family_is_one_read_only_stack(rng):
+    ch = ensembles.random_kraus_channel(3, 2, 4, rng)
+    from_array = KrausChannel(np.array(ch.kraus_ops))
+    from_list = KrausChannel([np.array(a) for a in ch.kraus_ops])
+    for got in (ch, from_array, from_list):
+        assert got.stack.shape == (4, 2, 3)
+        assert got.stack.dtype == np.complex128
+        assert np.array_equal(got.stack, ch.stack)
+        assert not got.stack.flags.writeable
+        assert len(got.kraus_ops) == 4
+        for k, a in enumerate(got.kraus_ops):
+            assert not a.flags.writeable
+            assert np.shares_memory(a, got.stack)
+            assert np.array_equal(a, got.stack[k])
+        with pytest.raises(ValueError):
+            got.kraus_ops[0][0, 0] = 1.0
+    # the channel keeps its own copy of an array argument
+    source = np.array(ch.stack)
+    kept = KrausChannel(source)
+    source[0, 0, 0] += 1.0
+    assert np.array_equal(kept.stack, ch.stack)
 
 
 def test_unitary_and_partial_isometry_validation():
@@ -173,10 +229,28 @@ def test_amplitude_damping_action():
         amplitude_damping_channel(-0.1)
 
 
+def _loop_replacement_ops(sigma, d_in):
+    vals, vecs = ordered_eigh(sigma.matrix)
+    ops = []
+    for k in range(len(vals)):
+        if vals[k] <= 1e-12:
+            continue
+        for m in range(d_in):
+            a = np.zeros((sigma.dim, d_in), dtype=np.complex128)
+            a[:, m] = np.sqrt(vals[k]) * vecs[:, k]
+            ops.append(a)
+    return np.array(ops)
+
+
 def test_replacement_channel_is_constant(rng):
     sigma = ensembles.random_density(3, rng)
-    ch = replacement_channel(sigma, 2)
     rho = ensembles.random_density(2, rng)
+    for state, d_in in ((sigma, 2), (ensembles.random_density(4, rng, rank=2), 3), (sigma, 1)):
+        ch = replacement_channel(state, d_in)
+        want = _loop_replacement_ops(state, d_in)
+        assert ch.stack.shape == want.shape
+        assert np.abs(ch.stack - want).max() <= 1e-12
+    ch = replacement_channel(sigma, 2)
     assert np.allclose(channel_action(ch, rho.matrix), sigma.matrix, atol=1e-12)
 
 

@@ -9,15 +9,18 @@ from channel_lab.core import (
     UnitaryOp,
     ValidationError,
     channel_action,
+    choi_matrix,
     dagger,
     dephasing_channel,
     identity_channel,
     depolarizing_qubit_channel,
     max_action_deviation,
     opnorm,
+    ordered_eigh,
     partial_trace,
     replacement_channel,
     tensor,
+    _fix_phase,
 )
 from channel_lab.dilation import (
     UnitaryDilation,
@@ -58,12 +61,30 @@ def test_kraus_isometry_round_trip_is_exact(rng):
         assert np.array_equal(a, b)
 
 
-def test_minimal_stinespring_environment_equals_choi_rank():
-    cases = [(identity_channel(2), 1), (dephasing_channel(0.0), 2), (depolarizing_qubit_channel(), 4)]
+def _loop_minimal_stinespring(ch, cutoff=1e-10):
+    vals, vecs = ordered_eigh(choi_matrix(ch))
+    ops = []
+    for k in range(len(vals)):
+        if vals[k] > cutoff:
+            ops.append(np.sqrt(vals[k]) * vecs[:, k].reshape(ch.d_out, ch.d_in))
+    return isometry_from_kraus(KrausChannel(tuple(ops)))
+
+
+def test_minimal_stinespring_environment_equals_choi_rank(rng):
+    cases = [
+        (identity_channel(2), 1),
+        (dephasing_channel(0.0), 2),
+        (dephasing_channel(0.3), 2),
+        (depolarizing_qubit_channel(), 4),
+        (ensembles.random_kraus_channel(3, 2, 4, rng), 4),
+        (ensembles.random_kraus_channel(2, 4, 2, rng), 2),
+    ]
     for ch, rank in cases:
         v = minimal_stinespring(ch)
         assert v.d_env == rank
         assert max_action_deviation(ch, kraus_from_isometry(v)) < 1e-12
+        # the same elementwise products as the eigenvector-by-eigenvector loop
+        assert np.array_equal(v.v, _loop_minimal_stinespring(ch).v)
 
 
 def test_minimal_stinespring_compresses_redundant_families(rng):
@@ -82,6 +103,30 @@ def test_span_rank_detects_minimality():
     v_fat = isometry_from_kraus(dup)
     assert stinespring_span_rank(v_min) == v_min.d_out * v_min.d_env
     assert stinespring_span_rank(v_fat) == 2 < v_fat.d_out * v_fat.d_env
+    assert stinespring_span_rank(v_fat) == _kronecker_span_rank(v_fat)
+
+
+def _kronecker_span_rank(v, rel_tol=1e-8):
+    """The span rank from its definition: all (|i><j| (x) I) V stacked side by side."""
+    cols = []
+    for i in range(v.d_out):
+        for j in range(v.d_out):
+            unit = np.zeros((v.d_out, v.d_out), dtype=np.complex128)
+            unit[i, j] = 1.0
+            cols.append(tensor(unit, np.eye(v.d_env)) @ v.v)
+    svals = np.linalg.svd(np.hstack(cols), compute_uv=False)
+    return int(np.sum(svals > rel_tol * svals[0]))
+
+
+@pytest.mark.parametrize("d_in,d_out,n_ops,pad", [(2, 2, 3, 0), (3, 2, 2, 3), (2, 3, 4, 2), (4, 1, 5, 1)])
+def test_span_rank_matches_the_kronecker_construction(d_in, d_out, n_ops, pad, rng):
+    ch = ensembles.random_kraus_channel(d_in, d_out, n_ops, rng)
+    v = pad_environment(isometry_from_kraus(ch), n_ops + pad)
+    v_min = minimal_stinespring(ch)
+    for iso in (v, v_min):
+        assert stinespring_span_rank(iso) == _kronecker_span_rank(iso)
+    assert stinespring_span_rank(v_min) == v_min.d_out * v_min.d_env
+    assert stinespring_span_rank(v) <= d_out * n_ops
 
 
 def test_pad_environment_preserves_action_and_rejects_shrinking(rng):
@@ -168,6 +213,30 @@ def test_unitary_from_isometry_dimension_flexibility(rng):
     tau = np.array([0.6, 0.8], dtype=np.complex128)
     custom = unitary_from_isometry(v, d_anc=2, d_extra=2, tau0=tau)
     assert np.allclose(custom.tau0, tau)
+
+
+def _loop_purify(sigma, cutoff=1e-12):
+    vals, vecs = ordered_eigh(sigma.matrix)
+    keep = [k for k in range(len(vals)) if vals[k] > cutoff]
+    out = np.zeros(sigma.dim * len(keep), dtype=np.complex128)
+    for pos, k in enumerate(keep):
+        e = np.zeros(len(keep), dtype=np.complex128)
+        e[pos] = 1.0
+        out += np.sqrt(vals[k]) * np.kron(vecs[:, k], e)
+    return _fix_phase(out)
+
+
+def test_purify_matches_the_eigenvector_loop(rng):
+    states = [
+        ensembles.random_density(4, rng),
+        ensembles.random_density(5, rng, rank=2),
+        ensembles.random_pure_density(3, rng),
+        DensityOperator(np.diag([0.5, 0.0, 0.5])),
+    ]
+    for sigma in states:
+        got, want = purify(sigma), _loop_purify(sigma)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_purify_known_mixture():

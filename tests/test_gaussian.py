@@ -204,6 +204,12 @@ def test_attenuator_output_distance_against_fock_trace_norm():
         attenuator_output_distance(0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), complex(0.0, float("-inf")), complex(float("nan"), 1.0)])
+def test_attenuator_output_distance_rejects_non_finite_amplitudes(eta):
+    with pytest.raises(ValidationError, match="eta must be finite"):
+        attenuator_output_distance(0.6, 0.5, eta)
+
+
 def test_z_grid_matches_the_lexicographic_product():
     for modes in (1, 2, 3):
         for half_width, step in ((2.0, 1.0), (1.0, 0.5), (0.0, 1.0)):

@@ -45,6 +45,20 @@ def test_reader_rejects_wrong_eps_and_witness_types():
         from_json_dict({**doc, "strong_witness": [3]})
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+def test_non_finite_eps_is_rejected(eps):
+    doc = _gaussian_doc()
+    cols = {name: doc[name] for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev", "within_eps")}
+    message = "malformed gaussian-convergence-report: eps must be a finite real number"
+    with pytest.raises(ValidationError, match=message):
+        Report("gaussian-convergence-report", doc["indices"], eps=eps, **cols)
+    with pytest.raises(ValidationError, match=message):
+        from_json_dict({**doc, "eps": eps})
+    # the JSON spelling of a non-finite eps is rejected on reading too
+    with pytest.raises(ValidationError, match=message):
+        from_json_dict(json.loads(json.dumps({**doc, "eps": float(eps)})))
+
+
 def test_numpy_scalars_are_accepted_and_stored_as_python_values():
     rep = Report(
         "gaussian-convergence-report",

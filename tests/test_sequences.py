@@ -14,6 +14,7 @@ from channel_lab.core import (
     channel_action,
     dual_action,
     identity_channel,
+    ordered_eigh,
     trace_norm,
 )
 from channel_lab.report import Report, from_json_dict
@@ -134,6 +135,44 @@ def test_compression_matches_projector_formula(rng):
         want = p @ mid @ p + np.trace((np.eye(8) - p) @ mid) * sigma.matrix
         got = channel_action(seq.term(n), rho.matrix)
         assert np.allclose(got, want, atol=1e-12)
+
+
+def _loop_compression_ops(ch, sigma, r):
+    """The compression term's Kraus family built one operator and one row at a time."""
+    vals, vecs = ordered_eigh(sigma.matrix)
+    kept = [(vals[k], vecs[:, k]) for k in range(len(vals)) if vals[k] > 1e-12]
+    proj = np.zeros((ch.d_out, ch.d_out), dtype=np.complex128)
+    proj[:r, :r] = np.eye(r)
+    lost = np.eye(ch.d_out) - proj
+    ops = [proj @ a for a in ch.kraus_ops]
+    for p, v in kept:
+        root = np.sqrt(p)
+        for a in ch.kraus_ops:
+            rows = lost @ a
+            for m in range(ch.d_out):
+                if np.linalg.norm(rows[m, :]) < 1e-14:
+                    continue
+                ops.append(root * np.outer(v, rows[m, :]))
+    return np.array(ops)
+
+
+def test_compression_terms_match_the_operator_loop(rng):
+    sparse = np.zeros((2, 4, 3), dtype=np.complex128)
+    sparse[0, :3, :] = np.eye(3) / np.sqrt(2.0)
+    sparse[1, 1:, :] = np.eye(3) / np.sqrt(2.0)
+    cases = [
+        (identity_channel(5), _mixed(5)),
+        (ensembles.random_kraus_channel(3, 4, 2, rng), ensembles.random_density(4, rng)),
+        (ensembles.random_kraus_channel(2, 5, 3, rng), ensembles.random_density(5, rng, rank=2)),
+        (KrausChannel(sparse), ensembles.random_pure_density(4, rng)),
+    ]
+    for base, sigma in cases:
+        ranks = list(range(base.d_out + 1))
+        seq = compression_sequence(base, sigma, ranks)
+        for n, r in enumerate(ranks, start=1):
+            got, want = seq.term(n).stack, _loop_compression_ops(base, sigma, r)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_compression_identity_strong_defect_closed_form():
