@@ -32,6 +32,7 @@ from .dilation import (
     minimal_stinespring,
     purify,
     stinespring_from_unitary,
+    to_kraus,
     tracked_basis_extension,
     tracked_complete_unitary,
     unitary_from_isometry,

@@ -21,39 +21,27 @@ import numpy as np
 from . import ensembles, gaussian, sequences, serialize
 from .core import (
     DensityOperator,
-    KrausChannel,
     StinespringIsometry,
     ValidationError,
     identity_channel,
     max_action_deviation,
 )
 from .dilation import (
-    UnitaryDilation,
     isometry_from_kraus,
-    kraus_from_isometry,
     minimal_stinespring,
-    stinespring_from_unitary,
+    to_kraus,
     unitary_from_isometry,
 )
 from .report import Report, dump_json
 
 ACTION_TOL = 1e-8
+ETA_HELP = "coherent amplitude, complex literal (distance); a negative real part needs --eta=-1+2j"
 GRID_HELP = "probe the first GRID^2 points, in lexicographic order, of the 5x5 grid {-2..2}^2"
-
-
-def _as_kraus(obj) -> KrausChannel:
-    if isinstance(obj, KrausChannel):
-        return obj
-    if isinstance(obj, StinespringIsometry):
-        return kraus_from_isometry(obj)
-    if isinstance(obj, UnitaryDilation):
-        return kraus_from_isometry(stinespring_from_unitary(obj))
-    raise ValidationError(f"object of type {type(obj).__name__} is not a channel representation")
 
 
 def cmd_convert(args) -> int:
     source = serialize.load(args.infile)
-    kraus = _as_kraus(source)
+    kraus = to_kraus(source)
     if args.to == "kraus":
         target = kraus
     elif args.to == "stinespring":
@@ -65,7 +53,7 @@ def cmd_convert(args) -> int:
     else:
         raise ValidationError(f"unknown target representation {args.to!r}")
 
-    deviation = max_action_deviation(kraus, _as_kraus(target))
+    deviation = max_action_deviation(kraus, to_kraus(target))
     metadata = {
         "source_kind": serialize.kind_of(source),
         "max_action_deviation": deviation,
@@ -119,7 +107,7 @@ def cmd_sequence(args) -> int:
         args.dim = {"compress": 8, "swap": 16, "partial-trace-form": 4}.get(args.kind, 8)
     if args.kind == "compress":
         if args.infile:
-            base = _as_kraus(serialize.load(args.infile))
+            base = to_kraus(serialize.load(args.infile))
         else:
             base = identity_channel(args.dim)
         ranks = _parse_int_list(args.ranks) if args.ranks else list(range(1, base.d_out + 1))
@@ -311,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (apply) or prefix (converge)")
     p.add_argument("--k", type=float, default=0.5, help="attenuator transmissivity")
     p.add_argument("--kprime", type=float, default=0.5, help="second transmissivity (distance)")
-    p.add_argument("--eta", default="1", help="coherent amplitude, complex literal (distance)")
+    p.add_argument("--eta", default="1", help=ETA_HELP)
     p.add_argument("--ns", type=int, default=100, help="largest sweep index (converge)")
     p.add_argument("--grid", type=int, default=5, help=GRID_HELP)
     p.add_argument("--tol", type=float, default=1e-6, help="co-vanishing threshold (converge)")

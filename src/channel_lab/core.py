@@ -55,8 +55,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def opnorm(m: np.ndarray) -> float:
-    """Operator norm (largest singular value)."""
-    return float(np.linalg.norm(m, 2))
+    """Operator norm (largest singular value); of a stack of matrices, the largest one."""
+    return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
 
 
 def trace_norm(x: np.ndarray) -> float:
@@ -94,16 +94,17 @@ def partial_trace(x: np.ndarray, which: str, d_left: int, d_right: int) -> np.nd
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first significant entry is real positive."""
-    mags = np.abs(v)
-    top = mags.max(initial=0.0)
-    if top == 0.0:
-        return v
-    idx = int(np.argmax(mags > 1e-12 * top))
-    pivot = v[idx]
-    if pivot == 0:
-        return v
-    return v * (pivot.conjugate() / abs(pivot))
+    """Rotate a vector, or each column of a matrix, so its first significant entry is real positive.
+
+    Zero columns stay unchanged.  The pivot modulus is ``np.hypot``, since numpy's
+    array ``abs`` of complex entries can round differently from scalar ``abs``."""
+    cols = v.reshape(len(v), -1)
+    mags = np.abs(cols)
+    top = mags.max(axis=0, initial=0.0)
+    pivot = cols[np.argmax(mags > 1e-12 * top, axis=0), np.arange(cols.shape[1])]
+    mod = np.hypot(pivot.real, pivot.imag)
+    phase = np.divide(pivot.conj(), mod, out=np.ones_like(pivot), where=mod > 0)
+    return (cols * phase).reshape(v.shape)
 
 
 def ordered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +118,7 @@ def ordered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
     if not len(w):
         return w, v
-    vecs = np.column_stack([_fix_phase(v[:, k]) for k in range(v.shape[1])])
+    vecs = _fix_phase(v)
     # np.lexsort sorts by its last key first: the eigenvalue, then entry 0, 1, ...;
     # complex keys compare by real part, then imaginary part.
     order = np.lexsort(np.vstack([vecs[::-1], w]))
@@ -262,21 +263,24 @@ class PartialIsometry:
     """A matrix W whose restriction to (ker W)^perp is isometric.
 
     Equivalently W*W is a projector, checked as ``||(W*W)^2 - W*W|| <=
-    TOL_VALID`` in operator norm.  Rectangular shapes are allowed.
+    TOL_VALID`` in operator norm, and kept read-only as ``initial_projector``.
+    Rectangular shapes are allowed.
     """
 
     w: np.ndarray
+    initial_projector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _cmat(self.w)
         if m.ndim != 2 or 0 in m.shape:
             raise ValidationError(f"partial isometry must be a matrix, got shape {m.shape}")
         _require_finite(m, "partial isometry")
-        p = dagger(m) @ m
+        p = _cmat(dagger(m) @ m)
         defect = opnorm(p @ p - p)
         if defect > TOL_VALID:
             raise ValidationError(f"W*W is not a projector (defect {defect:.3e})")
         object.__setattr__(self, "w", m)
+        object.__setattr__(self, "initial_projector", p)
 
     @property
     def d_in(self) -> int:
@@ -285,11 +289,6 @@ class PartialIsometry:
     @property
     def d_out(self) -> int:
         return self.w.shape[0]
-
-    @property
-    def initial_projector(self) -> np.ndarray:
-        """The projector W*W onto the initial subspace."""
-        return dagger(self.w) @ self.w
 
     @property
     def range_projector(self) -> np.ndarray:
@@ -412,18 +411,21 @@ def max_action_deviation(a: KrausChannel, b: KrausChannel) -> float:
 
 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Tensor product channel with the pairwise Kraus family {A_i (x) B_j}."""
-    return KrausChannel(tuple(tensor(x, y) for x in a.kraus_ops for y in b.kraus_ops))
+    """Tensor product channel with the pairwise Kraus family {A_i (x) B_j} at i*len(B)+j."""
+    # The broadcast product is np.kron bit for bit; einsum can round differently.
+    prod = a.stack[:, None, :, None, :, None] * b.stack[None, :, None, :, None, :]
+    return KrausChannel(prod.reshape(-1, a.d_out * b.d_out, a.d_in * b.d_in))
 
 
 def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
-    """Composition (apply ``first``, then ``then``) with Kraus family {B_j A_i}."""
+    """Composition (apply ``first``, then ``then``) with Kraus family {B_j A_i} at i*len(B)+j."""
     if first.d_out != then.d_in:
         raise ValidationError(
             f"cannot compose: first channel outputs dim {first.d_out}, "
             f"second expects dim {then.d_in}"
         )
-    return KrausChannel(tuple(y @ x for x in first.kraus_ops for y in then.kraus_ops))
+    prod = then.stack[None] @ first.stack[:, None]
+    return KrausChannel(prod.reshape(-1, then.d_out, first.d_in))
 
 
 def identity_channel(dim: int) -> KrausChannel:

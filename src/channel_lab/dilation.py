@@ -157,6 +157,17 @@ def stinespring_from_unitary(dil: UnitaryDilation) -> StinespringIsometry:
     return StinespringIsometry(dil.u.u @ embed, dil.d_out, dil.d_env)
 
 
+def to_kraus(obj) -> KrausChannel:
+    """The Kraus family of a Kraus, Stinespring or unitary-dilation object; others are rejected."""
+    if isinstance(obj, UnitaryDilation):
+        obj = stinespring_from_unitary(obj)
+    if isinstance(obj, StinespringIsometry):
+        return kraus_from_isometry(obj)
+    if isinstance(obj, KrausChannel):
+        return obj
+    raise ValidationError(f"object of type {type(obj).__name__} is not a channel representation")
+
+
 def unitary_from_isometry(
     v: StinespringIsometry,
     d_anc: int | None = None,
@@ -258,7 +269,10 @@ def _kernel_basis(projector: np.ndarray) -> np.ndarray:
 class TrackedBasisExtension:
     """Per-term orthonormal complement bases tracked against a reference.
 
-    ``extensions[n][j]`` extends the range of the n-th partial isometry; it
+    Read-only arrays, one vector per row: ``reference_basis`` (m, d),
+    ``extensions`` (T, m, d) and ``range_projectors`` (T, d, d) for T terms
+    on dim d with an m-dimensional kernel (m = 0 for unitary terms).
+    ``extensions[n, j]`` extends the range of the n-th partial isometry; it
     is built from reference vector ``reference_basis[j]`` by projecting out
     the current range and renormalizing, so whenever the ranges converge to
     the reference range vector by vector, the extensions converge too.
@@ -266,33 +280,32 @@ class TrackedBasisExtension:
     within ``TOL_VALID``.
     """
 
-    reference_basis: tuple
-    extensions: tuple
-    range_projectors: tuple
+    reference_basis: np.ndarray
+    extensions: np.ndarray
+    range_projectors: np.ndarray
 
     def __post_init__(self):
-        ref = tuple(_cmat(x) for x in self.reference_basis)
-        exts = tuple(tuple(_cmat(x) for x in ext) for ext in self.extensions)
-        projs = tuple(_cmat(p) for p in self.range_projectors)
+        ref = _cmat(self.reference_basis)
+        exts = _cmat(self.extensions)
+        projs = _cmat(self.range_projectors)
         if len(exts) != len(projs):
             raise ValidationError(
                 f"{len(exts)} extensions but {len(projs)} range projectors"
             )
-        for ext, proj in zip(exts, projs):
-            if len(ext) != len(ref):
+        if exts.shape[1:] != ref.shape:
+            raise ValidationError(
+                f"extension of size {exts.shape[1:]} does not match reference size {ref.shape}"
+            )
+        if exts.size:
+            cols = exts.transpose(0, 2, 1)
+            gram = opnorm(exts.conj() @ cols - np.eye(len(ref)))
+            if gram > TOL_VALID:
+                raise ValidationError(f"extension is not orthonormal (defect {gram:.3e})")
+            overlap = opnorm(projs @ cols)
+            if overlap > TOL_VALID:
                 raise ValidationError(
-                    f"extension of size {len(ext)} does not match reference size {len(ref)}"
+                    f"extension is not orthogonal to its range (defect {overlap:.3e})"
                 )
-            if ext:
-                mat = np.column_stack(ext)
-                gram = opnorm(dagger(mat) @ mat - np.eye(len(ext)))
-                if gram > TOL_VALID:
-                    raise ValidationError(f"extension is not orthonormal (defect {gram:.3e})")
-                overlap = opnorm(proj @ mat)
-                if overlap > TOL_VALID:
-                    raise ValidationError(
-                        f"extension is not orthogonal to its range (defect {overlap:.3e})"
-                    )
         object.__setattr__(self, "reference_basis", ref)
         object.__setattr__(self, "extensions", exts)
         object.__setattr__(self, "range_projectors", projs)
@@ -314,6 +327,13 @@ def tracked_basis_extension(
     step that can break convergence of the resulting unitaries even when
     the isometries themselves converge in the strong operator sense.
     """
+    return _tracked_extension(w_seq, reference, degenerate_tol)[1]
+
+
+def _tracked_extension(
+    w_seq: list[PartialIsometry], reference: UnitaryOp, degenerate_tol: float
+) -> tuple[np.ndarray, TrackedBasisExtension]:
+    """The kernel basis of the shared initial projector and the tracked extension."""
     if not w_seq:
         raise ValidationError("need at least one partial isometry to track")
     p = w_seq[0].initial_projector
@@ -336,28 +356,21 @@ def tracked_basis_extension(
         )
 
     kernel = _kernel_basis(p)
-    ref_basis = tuple(reference.u @ kernel[:, j] for j in range(kernel.shape[1]))
-    extensions = []
-    projectors = []
-    for w in w_seq:
-        grown = w.range_projector.copy()
-        ext = []
-        for target in ref_basis:
+    ref_basis = (reference.u @ kernel).T
+    projectors = np.stack([w.range_projector for w in w_seq])
+    extensions = np.empty((len(w_seq),) + ref_basis.shape, dtype=np.complex128)
+    # Sequential Gram-Schmidt: each vector is orthogonal to the range grown so far.
+    for ext, proj in zip(extensions, projectors):
+        grown = proj.copy()
+        for j, target in enumerate(ref_basis):
             candidate = target - grown @ target
             norm = np.linalg.norm(candidate)
             if norm > degenerate_tol:
-                vec = candidate / norm
+                ext[j] = candidate / norm
             else:
-                vec = _kernel_basis(grown)[:, 0]
-            ext.append(vec)
-            grown = grown + np.outer(vec, vec.conj())
-        extensions.append(tuple(ext))
-        projectors.append(w.range_projector)
-    return TrackedBasisExtension(
-        reference_basis=ref_basis,
-        extensions=tuple(extensions),
-        range_projectors=tuple(projectors),
-    )
+                ext[j] = _kernel_basis(grown)[:, 0]
+            grown += ext[j][:, None] * ext[j].conj()
+    return kernel, TrackedBasisExtension(ref_basis, extensions, projectors)
 
 
 def tracked_complete_unitary(
@@ -369,14 +382,8 @@ def tracked_complete_unitary(
 
     Completions reuse the tracked basis extension, so a constant family
     reproduces the reference exactly and families whose ranges converge
-    vector by vector yield convergent unitaries.
+    vector by vector yield convergent unitaries.  Term n's unitary is
+    ``W_n + sum_j extensions[n, j] kernel_j*``.
     """
-    tracked = tracked_basis_extension(w_seq, reference, degenerate_tol)
-    kernel = _kernel_basis(w_seq[0].initial_projector)
-    out = []
-    for w, ext in zip(w_seq, tracked.extensions):
-        u = w.w.astype(np.complex128).copy()
-        for j, vec in enumerate(ext):
-            u += np.outer(vec, kernel[:, j].conj())
-        out.append(UnitaryOp(u))
-    return out
+    kernel, tracked = _tracked_extension(w_seq, reference, degenerate_tol)
+    return [UnitaryOp(w.w + ext.T @ dagger(kernel)) for w, ext in zip(w_seq, tracked.extensions)]

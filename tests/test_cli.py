@@ -130,6 +130,15 @@ def test_gaussian_distance_anchor(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-9)
 
 
+def test_gaussian_distance_takes_a_negative_real_part_after_an_equals_sign(capsys):
+    argv = ["gaussian", "distance", "--k", "0.6", "--kprime", "0.5"]
+    assert run(*argv, "--eta=-1+2j") == 0
+    negative = capsys.readouterr().out
+    assert run(*argv, "--eta=1-2j") == 0
+    assert negative == capsys.readouterr().out
+    assert float(negative) > 0.1
+
+
 @pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "nan+1j", "1+infj"])
 def test_gaussian_distance_rejects_non_finite_amplitudes(eta, capsys):
     assert run("gaussian", "distance", "--k", "0.6", "--kprime", "0.5", f"--eta={eta}") == 2
@@ -217,6 +226,13 @@ def test_exit_code_two_for_invalid_values(tmp_path, capsys):
     assert run("convert", "--in", str(path), "--to", "kraus") == 2
     assert "validation error" in capsys.readouterr().err
     assert run("convert", "--in", str(tmp_path / "missing.json"), "--to", "kraus") == 2
+
+
+def test_convert_rejects_documents_that_are_not_channels(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    serialize.dump(GaussianState(np.zeros(2), np.eye(2)), path)
+    assert run("convert", "--in", str(path), "--to", "kraus") == 2
+    assert "GaussianState is not a channel representation" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -199,6 +199,16 @@ def test_unitary_and_partial_isometry_validation():
     PartialIsometry(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
+def test_partial_isometry_keeps_its_read_only_initial_projector(rng):
+    for w in (ensembles.random_partial_isometry(5, 3, rng), PartialIsometry(np.eye(3, 2))):
+        assert np.array_equal(w.initial_projector, dagger(w.w) @ w.w)
+        assert not w.initial_projector.flags.writeable
+        with pytest.raises(ValueError):
+            w.initial_projector[0, 0] = 2.0
+        assert "initial_projector" not in repr(w)
+        assert np.array_equal(w.range_projector, w.w @ dagger(w.w))
+
+
 def test_dephasing_channel_scales_off_diagonals(rng):
     ch = dephasing_channel(0.5)
     x = ensembles.crandn((2, 2), rng)
@@ -306,6 +316,15 @@ def test_tensor_and_compose_channels(rng):
     with pytest.raises(ValidationError, match="cannot compose"):
         compose_channels(a, b)
 
+    # the stacked families equal the per-pair loops, index i*len(B)+j, bit for bit
+    for x, y in ((a, b), (b, a), (a, a)):
+        want = np.array([tensor(p, q) for p in x.kraus_ops for q in y.kraus_ops])
+        assert np.array_equal(tensor_channels(x, y).stack, want)
+    c = ensembles.random_kraus_channel(3, 4, 3, rng)
+    for x, y in ((b, a), (a, c), (b, b)):
+        want = np.array([q @ p for p in x.kraus_ops for q in y.kraus_ops])
+        assert np.array_equal(compose_channels(x, y).stack, want)
+
 
 def test_ordered_eigh_is_deterministic(rng):
     g = ensembles.crandn((5, 5), rng)
@@ -338,7 +357,8 @@ def test_ordered_eigh_handles_degenerate_spectra():
 
 
 def _sorted_key_eigh(h):
-    """The tie-break before np.lexsort: Python sort on (eigenvalue, re/im entries) tuples."""
+    """The tie-break before np.lexsort: Python sort on (eigenvalue, re/im entries) tuples,
+    with each column phase-fixed on its own."""
     w, v = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
     cols = [_fix_phase(v[:, k]) for k in range(v.shape[1])]
     order = sorted(
@@ -366,6 +386,36 @@ def test_ordered_eigh_matches_sorted_key_tie_break(rng):
         want_vals, want_vecs = _sorted_key_eigh(h)
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(vecs, want_vecs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 216])
+def test_ordered_eigh_matches_the_per_column_phase_loop(n, rng):
+    """The one-pass phase fix equals _fix_phase column by column, bit for bit."""
+    frame = ensembles.random_isometry(max(1, n // 2), n, rng)
+    cases = [frame @ dagger(frame)]
+    for _ in range(3):
+        g = ensembles.crandn((n, n), rng)
+        cases.append(g + dagger(g))
+    for h in cases:
+        vals, vecs = ordered_eigh(h)
+        want_vals, want_vecs = _sorted_key_eigh(h)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+
+
+def test_fix_phase_takes_vectors_and_leaves_zero_columns_alone(rng):
+    m = ensembles.crandn((4, 3), rng)
+    m[:, 1] = 0.0
+    m[0, 2] = 0.0
+    fixed = _fix_phase(m)
+    assert np.array_equal(fixed[:, 1], np.zeros(4))
+    assert np.all(np.isfinite(fixed))
+    for k in (0, 2):
+        assert np.array_equal(fixed[:, k], _fix_phase(m[:, k]))
+    for pivot in (fixed[0, 0], fixed[1, 2]):
+        assert pivot.imag == pytest.approx(0.0, abs=1e-15)
+        assert pivot.real > 0.0
+    assert np.array_equal(_fix_phase(np.zeros(3, dtype=np.complex128)), np.zeros(3))
 
 
 def test_ordered_eigh_breaks_ties_on_imaginary_parts(monkeypatch):
@@ -404,3 +454,5 @@ def test_max_action_deviation_matches_loop_oracle(d_in, d_out, rng):
 
 def test_opnorm_is_largest_singular_value():
     assert opnorm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
+    # of a stack, the largest over its matrices
+    assert opnorm(np.stack([np.diag([3.0, -4.0]), np.diag([1.0, 5.0])])) == pytest.approx(5.0)

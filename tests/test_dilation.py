@@ -23,6 +23,7 @@ from channel_lab.core import (
     _fix_phase,
 )
 from channel_lab.dilation import (
+    TrackedBasisExtension,
     UnitaryDilation,
     complementary_kraus,
     complete_unitary,
@@ -33,6 +34,7 @@ from channel_lab.dilation import (
     purify,
     stinespring_from_unitary,
     stinespring_span_rank,
+    to_kraus,
     tracked_basis_extension,
     tracked_complete_unitary,
     unitary_from_isometry,
@@ -339,3 +341,89 @@ def test_tracked_extension_structure(rng):
     tracked = tracked_basis_extension(w_seq, complete_unitary(w_seq[0]))
     assert len(tracked.extensions) == 3
     assert len(tracked.reference_basis) == 2
+    assert tracked.reference_basis.shape == (2, 5)
+    assert tracked.extensions.shape == (3, 2, 5)
+    assert tracked.range_projectors.shape == (3, 5, 5)
+    for field in (tracked.reference_basis, tracked.extensions, tracked.range_projectors):
+        assert isinstance(field, np.ndarray) and not field.flags.writeable
+    for w, proj in zip(w_seq, tracked.range_projectors):
+        assert np.array_equal(proj, w.range_projector)
+
+
+def test_tracked_extension_rejects_inconsistent_arrays():
+    ref = np.eye(4, dtype=np.complex128)[2:]
+    proj = np.diag([1.0, 1.0, 0.0, 0.0])
+    ok = TrackedBasisExtension(ref, ref[None], proj[None])
+    assert np.array_equal(ok.extensions[0], ref)
+    with pytest.raises(ValidationError, match="2 extensions but 1 range projectors"):
+        TrackedBasisExtension(ref, np.stack([ref, ref]), proj[None])
+    with pytest.raises(ValidationError, match="does not match reference size"):
+        TrackedBasisExtension(ref, ref[None, :1], proj[None])
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        TrackedBasisExtension(ref, np.stack([ref, ref[[0, 0]]]), np.stack([proj, proj]))
+    with pytest.raises(ValidationError, match="not orthogonal to its range"):
+        TrackedBasisExtension(ref, np.stack([ref, ref]), np.stack([proj, np.eye(4)]))
+
+
+def _loop_tracked_unitaries(w_seq, reference, degenerate_tol=1e-8):
+    """Tracked completions with per-vector tuples and np.outer sums, as before arrays."""
+
+    def kernel_basis(projector):
+        vals, vecs = ordered_eigh(projector)
+        return vecs[:, vals < 0.5]
+
+    kernel = kernel_basis(w_seq[0].initial_projector)
+    ref_basis = [reference.u @ kernel[:, j] for j in range(kernel.shape[1])]
+    out = []
+    for w in w_seq:
+        grown = w.range_projector.copy()
+        u = w.w.copy()
+        for j, target in enumerate(ref_basis):
+            candidate = target - grown @ target
+            norm = np.linalg.norm(candidate)
+            vec = candidate / norm if norm > degenerate_tol else kernel_basis(grown)[:, 0]
+            grown = grown + np.outer(vec, vec.conj())
+            u += np.outer(vec, kernel[:, j].conj())
+        out.append(u)
+    return out
+
+
+def test_tracked_completion_matches_the_outer_product_loop(rng):
+    from channel_lab.sequences import swap_counterexample
+
+    families = [swap_counterexample(7)[0]]
+    for dim, rank in ((4, 1), (6, 3), (8, 5)):
+        w0 = ensembles.random_partial_isometry(dim, rank, rng)
+        moved = [PartialIsometry(ensembles.random_unitary(dim, rng) @ w0.w) for _ in range(4)]
+        families.append([w0] + moved)
+    for w_seq in families:
+        ref = complete_unitary(w_seq[0])
+        got = tracked_complete_unitary(w_seq, ref)
+        want = _loop_tracked_unitaries(w_seq, ref)
+        assert len(got) == len(want)
+        for u, v in zip(got, want):
+            assert np.abs(u.u - v).max() <= 1e-12
+
+
+def test_tracked_completion_of_unitaries_is_the_family_itself(rng):
+    w_seq = [PartialIsometry(ensembles.random_unitary(4, rng)) for _ in range(3)]
+    ref = UnitaryOp(w_seq[0].w)
+    tracked = tracked_basis_extension(w_seq, ref)
+    assert tracked.reference_basis.shape == (0, 4)
+    assert tracked.extensions.shape == (3, 0, 4)
+    for u, w in zip(tracked_complete_unitary(w_seq, ref), w_seq):
+        assert np.array_equal(u.u, w.w)
+
+
+def test_to_kraus_reads_every_channel_representation(rng):
+    from channel_lab.gaussian import vacuum
+
+    ch = ensembles.random_kraus_channel(2, 3, 2, rng)
+    iso = isometry_from_kraus(ch)
+    dil = unitary_from_isometry(iso)
+    assert to_kraus(ch) is ch
+    assert np.array_equal(to_kraus(iso).stack, ch.stack)
+    assert np.array_equal(to_kraus(dil).stack, kraus_from_isometry(stinespring_from_unitary(dil)).stack)
+    assert max_action_deviation(to_kraus(dil), ch) < 1e-12
+    with pytest.raises(ValidationError, match="GaussianState is not a channel representation"):
+        to_kraus(vacuum(1))
