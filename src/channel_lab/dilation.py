@@ -34,9 +34,9 @@ from .core import (
     ValidationError,
     choi_matrix,
     dagger,
-    opnorm,
     ordered_eigh,
     _cmat,
+    _defect,
     _fix_phase,
 )
 
@@ -298,10 +298,10 @@ class TrackedBasisExtension:
             )
         if exts.size:
             cols = exts.transpose(0, 2, 1)
-            gram = opnorm(exts.conj() @ cols - np.eye(len(ref)))
+            gram = _defect(exts.conj() @ cols - np.eye(len(ref)), TOL_VALID)
             if gram > TOL_VALID:
                 raise ValidationError(f"extension is not orthonormal (defect {gram:.3e})")
-            overlap = opnorm(projs @ cols)
+            overlap = _defect(projs @ cols, TOL_VALID)
             if overlap > TOL_VALID:
                 raise ValidationError(
                     f"extension is not orthogonal to its range (defect {overlap:.3e})"
@@ -338,7 +338,7 @@ def _tracked_extension(
         raise ValidationError("need at least one partial isometry to track")
     p = w_seq[0].initial_projector
     for k, w in enumerate(w_seq):
-        drift = opnorm(w.initial_projector - p)
+        drift = _defect(w.initial_projector - p, TOL_VALID)
         if drift > TOL_VALID:
             raise ValidationError(
                 f"term {k} has a different initial projector (deviation {drift:.3e})"
@@ -349,7 +349,7 @@ def _tracked_extension(
         raise ValidationError(
             f"reference of dim {reference.dim} does not act on dim {w_seq[0].d_in}"
         )
-    mismatch = opnorm(reference.u @ p - w_seq[0].w)
+    mismatch = _defect(reference.u @ p - w_seq[0].w, TOL_VALID)
     if mismatch > TOL_VALID:
         raise ValidationError(
             f"reference does not complete the first term (deviation {mismatch:.3e})"

@@ -36,6 +36,7 @@ import numpy as np
 
 from ._parallel import pmap
 from .core import (
+    TOL_VALID,
     DensityOperator,
     KrausChannel,
     Observable,
@@ -45,9 +46,9 @@ from .core import (
     choi_matrix,
     compose_channels,
     dagger,
-    opnorm,
     ordered_eigh,
     tensor_channels,
+    _defect,
 )
 from .dilation import (
     complementary_kraus,
@@ -314,8 +315,8 @@ class PartialTraceForm:
         if n == 0:
             return self.v0
         w = self.w_fn(n)
-        drift = opnorm(w.initial_projector - self.range0)
-        if drift > 1e-10:
+        drift = _defect(w.initial_projector - self.range0, TOL_VALID)
+        if drift > TOL_VALID:
             raise ValidationError(
                 f"term {n}: initial projector deviates from the embedding range "
                 f"by {drift:.3e}"
