@@ -11,9 +11,7 @@ from .core import (
     UnitaryOp,
     ValidationError,
     apply_kraus,
-    apply_stinespring,
     choi_matrix,
-    complementary,
     compose_channels,
     dual_apply,
     max_action_deviation,

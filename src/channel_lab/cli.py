@@ -34,8 +34,12 @@ from .dilation import (
 )
 from .report import Report, dump_json
 
+#: ``convert`` marks its output verified when the largest action deviation is within this.
 ACTION_TOL = 1e-8
+#: Default ``--tol`` of the Gaussian sweeps: the co-vanishing threshold ``eps``.
+GAUSSIAN_TOL = 1e-6
 ETA_HELP = "coherent amplitude, complex literal (distance); a negative real part needs --eta=-1+2j"
+NS_HELP = "indices to sweep, e.g. 1:100 or 1,10,100; gaussian sweeps every valid index up to the largest"
 GRID_HELP = "probe the first GRID^2 points, in lexicographic order, of the 5x5 grid {-2..2}^2"
 
 
@@ -83,22 +87,21 @@ def _write_report(report, prefix: str) -> None:
 
 def _gaussian_sweep(k: float, n_max: int, eps: float, grid: int) -> Report:
     # Transmissivities k + 1/n are only valid parameters once they drop to 1,
-    # so the sweep starts at the first usable index.  With n_max < 1 there
-    # are no indices at all, which the report rejects.
+    # so the sweep takes the indices from the first usable one on (k + 1/n
+    # falls with n).  With n_max < 1 there are no indices at all, which the
+    # report rejects.
     if not 0.0 < k < 1.0:
         raise ValidationError(f"limit transmissivity must lie in (0, 1), got {k}")
     if grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {grid}")
-    start = 1
-    while k + 1.0 / start > 1.0:
-        start += 1
-    if start > n_max >= 1:
+    ns = [n for n in range(1, n_max + 1) if k + 1.0 / n <= 1.0]
+    if not ns and n_max >= 1:
         raise ValidationError(
             f"no valid sweep indices: k + 1/n stays above 1 up to n = {n_max}"
         )
     seq = gaussian.attenuator_sequence(lambda n: k + 1.0 / n, k)
     points = gaussian.z_grid(1, max_points=grid * grid)
-    return gaussian.param_convergence_check(seq, range(start, n_max + 1), eps, grid=points)
+    return gaussian.param_convergence_check(seq, ns, eps, grid=points)
 
 
 def cmd_sequence(args) -> int:
@@ -177,9 +180,8 @@ def _rotation_report(args, rng) -> Report:
     v0 = StinespringIsometry(np.eye(total, d_in), d_out, d_env)
     form = sequences.rotation_partial_trace_form(v0, (total - 1, 0), lambda n: 1.0 / n)
     ns = _parse_int_list(args.ns) if args.ns else [1, 10, 100, 1000]
-    seq = sequences.channels_from_partial_isometries(form, ns=ns[:1])
     return sequences.convergence_report(
-        seq,
+        sequences.channels_from_partial_isometries(form),
         ns,
         ensembles.default_test_states(d_in, rng),
         ensembles.matrix_unit_observables(d_out),
@@ -284,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-out", type=int, default=2, help="output dim (partial-trace-form)")
     p.add_argument("--dim-env", type=int, default=3, help="environment dim (partial-trace-form)")
     p.add_argument("--ranks", help="compression ranks, e.g. 1:8 or 1,2,4,8")
-    p.add_argument("--ns", help="indices to sweep, e.g. 1:100 or 1,10,100")
+    p.add_argument("--ns", help=NS_HELP)
     p.add_argument("--probe", type=int, default=1, help="tracked frame index (swap)")
     p.add_argument("--k", type=float, default=0.5, help="limit transmissivity (gaussian)")
     p.add_argument("--grid", type=int, default=5, help=GRID_HELP)
     p.add_argument("--seed", type=int, default=7, help="seed for the random test family")
-    p.add_argument("--tol", type=float, default=1e-6, help="co-vanishing threshold (gaussian)")
+    p.add_argument("--tol", type=float, default=GAUSSIAN_TOL, help="co-vanishing threshold (gaussian)")
     p.set_defaults(fn=cmd_sequence)
 
     p = sub.add_parser("gaussian", help="parameter-level Gaussian calculus")
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="1", help=ETA_HELP)
     p.add_argument("--ns", type=int, default=100, help="largest sweep index (converge)")
     p.add_argument("--grid", type=int, default=5, help=GRID_HELP)
-    p.add_argument("--tol", type=float, default=1e-6, help="co-vanishing threshold (converge)")
+    p.add_argument("--tol", type=float, default=GAUSSIAN_TOL, help="co-vanishing threshold (converge)")
     p.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("report", help="summarize or re-emit a saved report")
@@ -320,10 +322,8 @@ def main(argv=None) -> int:
     except (serialize.SchemaError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, FileNotFoundError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ValidationError is a ValueError; SchemaError and JSONDecodeError are caught above.
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

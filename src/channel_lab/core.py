@@ -12,14 +12,31 @@ Conventions, fixed once and used by every module:
   imaginary part), and every eigenvector's first significant component
   rotated to be real positive.
 
-Tolerances are module-level configuration.  Operations assume their inputs
-passed construction-time validation and are free to rely on the invariants.
-An invariant held "within ``TOL_VALID`` in operator norm" is accepted
-without an SVD when the Frobenius norm of its defect is already within the
-tolerance, since the operator norm never exceeds the Frobenius norm; only
-otherwise is the exact operator norm computed.  So every verdict is the
-operator-norm verdict, and a rejection message prints the exact operator
-norm.
+Tolerances are module-level constants, one name per decision, and no call
+overrides them:
+
+* ``TOL_VALID``: an invariant (trace preservation, isometry, projector,
+  unitarity, trace one) holds within it in operator norm.
+* ``TOL_HERM``: entrywise self-adjointness (Hermitian states, symmetric
+  Gaussian covariance and noise matrices).
+* ``TOL_EIG``: how far below zero a positive-semidefinite eigenvalue may
+  slip (states here, Gaussian validity in :mod:`channel_lab.gaussian`).
+* ``STATE_RANK_CUTOFF``: eigenvalues of a state at or below it are dropped
+  when the state is written as a sum of pure parts.
+* ``PHASE_PIVOT_RTOL``: the first entry of an eigenvector above this
+  fraction of its largest modulus is the one rotated real positive.
+
+The other modules keep their own decisions the same way (for example
+``dilation.CHOI_RANK_CUTOFF``); the README's "Tolerances" table lists them
+all.
+
+Operations assume their inputs passed construction-time validation and are
+free to rely on the invariants.  An invariant held "within ``TOL_VALID`` in
+operator norm" is accepted without an SVD when the Frobenius norm of its
+defect is already within the tolerance, since the operator norm never
+exceeds the Frobenius norm; only otherwise is the exact operator norm
+computed.  So every verdict is the operator-norm verdict, and a rejection
+message prints the exact operator norm.
 """
 
 from __future__ import annotations
@@ -31,14 +48,14 @@ import numpy as np
 
 #: Constructor-time invariant checks (trace preservation, isometry, ...).
 TOL_VALID = 1e-10
-#: Entrywise hermiticity tolerance.
+#: Entrywise self-adjointness tolerance.
 TOL_HERM = 1e-12
-#: Arithmetic identities (duality, trace consistency).
-TOL_EXACT = 1e-12
-#: Spectral comparisons between alternative constructions of one object.
-TOL_SPECTRAL = 1e-8
-#: How far below zero a "nonnegative" eigenvalue may slip.
+#: How far below zero a positive-semidefinite eigenvalue may slip.
 TOL_EIG = 1e-10
+#: Eigenvalues of a state at or below this are dropped from its pure parts.
+STATE_RANK_CUTOFF = 1e-12
+#: An eigenvector entry counts as significant above this fraction of its largest modulus.
+PHASE_PIVOT_RTOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -119,7 +136,7 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     cols = v.reshape(len(v), -1)
     mags = np.abs(cols)
     top = mags.max(axis=0, initial=0.0)
-    pivot = cols[np.argmax(mags > 1e-12 * top, axis=0), np.arange(cols.shape[1])]
+    pivot = cols[np.argmax(mags > PHASE_PIVOT_RTOL * top, axis=0), np.arange(cols.shape[1])]
     mod = np.hypot(pivot.real, pivot.imag)
     phase = np.divide(pivot.conj(), mod, out=np.ones_like(pivot), where=mod > 0)
     return (cols * phase).reshape(v.shape)
@@ -376,22 +393,6 @@ def dual_apply(ch: KrausChannel, b: Observable) -> Observable:
     return Observable(dual_action(ch, b.matrix))
 
 
-def apply_stinespring(v: StinespringIsometry, rho: DensityOperator) -> DensityOperator:
-    """Apply ``rho -> Tr_env V rho V*``."""
-    if rho.dim != v.d_in:
-        raise ValidationError(f"isometry input dim {v.d_in} != state dim {rho.dim}")
-    big = v.v @ rho.matrix @ dagger(v.v)
-    return DensityOperator(partial_trace(big, "E", v.d_out, v.d_env))
-
-
-def complementary(v: StinespringIsometry, rho: DensityOperator) -> DensityOperator:
-    """Apply the complementary channel ``rho -> Tr_out V rho V*``."""
-    if rho.dim != v.d_in:
-        raise ValidationError(f"isometry input dim {v.d_in} != state dim {rho.dim}")
-    big = v.v @ rho.matrix @ dagger(v.v)
-    return DensityOperator(partial_trace(big, "B", v.d_out, v.d_env))
-
-
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
     """The Choi matrix ``sum_ij ch(E_ij) (tensor) E_ij`` on output (x) input.
 
@@ -480,7 +481,7 @@ def amplitude_damping_channel(gamma: float) -> KrausChannel:
 def replacement_channel(sigma: DensityOperator, d_in: int) -> KrausChannel:
     """The constant channel ``rho -> Tr(rho) sigma``."""
     vals, vecs = ordered_eigh(sigma.matrix)
-    keep = vals > 1e-12
+    keep = vals > STATE_RANK_CUTOFF
     # Operator (k, m) writes sqrt(p_k) v_k into column m.
     cols = (np.sqrt(vals[keep]) * vecs[:, keep]).T
     ops = cols[:, None, :, None] * np.eye(d_in)[None, :, None, :]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    STATE_RANK_CUTOFF,
     TOL_VALID,
     DensityOperator,
     KrausChannel,
@@ -42,10 +43,13 @@ from .core import (
 
 #: Pruning threshold for Choi eigenvalues when extracting a minimal dilation.
 CHOI_RANK_CUTOFF = 1e-10
-#: Eigenvalue cutoff for the purification of a mixed state.
-PURIFY_CUTOFF = 1e-12
+#: Singular values of the stacked Kraus vectors above this fraction of the
+#: largest one count toward the Stinespring span rank.
+SPAN_RANK_RTOL = 1e-8
 #: Below this norm a projected tracking candidate counts as degenerate.
 TRACKING_DEGENERACY = 1e-8
+#: How far from 1 the norm of the ancilla vector tau_0 may be.
+UNIT_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +68,6 @@ class UnitaryDilation:
     d_env: int
 
     def __post_init__(self):
-        t = _cmat(self.tau0)
         dims = (self.d_in, self.d_anc, self.d_out, self.d_env)
         if any(d < 1 for d in dims):
             raise ValidationError(f"dimensions must be positive, got {dims}")
@@ -78,14 +81,7 @@ class UnitaryDilation:
                 f"unitary of dim {self.u.dim} does not act on a "
                 f"{self.d_in}*{self.d_anc} space"
             )
-        if t.shape != (self.d_anc,):
-            raise ValidationError(
-                f"ancilla vector of shape {t.shape} does not live in dim {self.d_anc}"
-            )
-        norm = np.linalg.norm(t)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(f"ancilla vector has norm {norm:.12g}, expected 1")
-        object.__setattr__(self, "tau0", t)
+        object.__setattr__(self, "tau0", _ancilla_vector(self.tau0, self.d_anc))
 
 
 def kraus_from_isometry(v: StinespringIsometry) -> KrausChannel:
@@ -103,32 +99,33 @@ def isometry_from_kraus(ch: KrausChannel) -> StinespringIsometry:
     return StinespringIsometry(ch.stack.transpose(1, 0, 2).reshape(d_out * k, d_in), d_out, k)
 
 
-def minimal_stinespring(ch: KrausChannel, cutoff: float = CHOI_RANK_CUTOFF) -> StinespringIsometry:
+def minimal_stinespring(ch: KrausChannel) -> StinespringIsometry:
     """A Stinespring isometry whose environment dimension is the Choi rank.
 
     Kraus operators are read off the eigendecomposition of the Choi matrix
-    (eigenvalues above ``cutoff`` kept, deterministic ordering), then stacked.
+    (eigenvalues above ``CHOI_RANK_CUTOFF`` kept, deterministic ordering),
+    then stacked.
     """
     vals, vecs = ordered_eigh(choi_matrix(ch))
-    keep = vals > cutoff
+    keep = vals > CHOI_RANK_CUTOFF
     if not keep.any():
         raise ValidationError("channel has numerically vanishing Choi matrix")
     ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, ch.d_out, ch.d_in)
     return isometry_from_kraus(KrausChannel(ops))
 
 
-def stinespring_span_rank(v: StinespringIsometry, rel_tol: float = 1e-8) -> int:
+def stinespring_span_rank(v: StinespringIsometry) -> int:
     """Rank of span{(B (x) I) V phi} over matrix units B and basis vectors phi.
 
     Equals d_out * d_env exactly when the isometry is minimal.  Since
     ``(|a><b| (x) I) V phi = |a> (x) sum_k <b|A_k|phi> e_k``, the rank is
     d_out times the rank of the (d_env, d_out*d_in) matrix M of stacked
     ``vec(A_k)``; the full span matrix has M's singular values, each d_out
-    times, so ``rel_tol`` is relative to M's largest one.
+    times, so ``SPAN_RANK_RTOL`` is relative to M's largest one.
     """
     m = kraus_from_isometry(v).stack.reshape(v.d_env, -1)
     svals = np.linalg.svd(m, compute_uv=False)
-    return v.d_out * int(np.sum(svals > rel_tol * svals[0]))
+    return v.d_out * int(np.sum(svals > SPAN_RANK_RTOL * svals[0]))
 
 
 def complementary_kraus(v: StinespringIsometry) -> KrausChannel:
@@ -173,13 +170,13 @@ def unitary_from_isometry(
     d_anc: int | None = None,
     d_extra: int | None = None,
     tau0: np.ndarray | None = None,
-    chi0: np.ndarray | None = None,
 ) -> UnitaryDilation:
     """Extend an isometry to a unitary dilation.
 
     The unitary acts on input (x) ancilla (dim ``d_anc``) and satisfies
-    ``U (phi (x) tau_0) = (V phi) (x) chi_0`` with ``chi0`` a fixed unit
-    vector in an extra dim ``d_extra`` factor appended to the environment.
+    ``U (phi (x) tau_0) = (V phi) (x) chi_0`` with ``chi_0 = e_0`` in an
+    extra dim ``d_extra`` factor appended to the environment; ``tau0``
+    defaults to ``e_0`` too.
     Defaults ``d_anc = d_out * d_env`` and ``d_extra = d_in`` always make
     the dimension products match; other choices must satisfy
     ``d_in * d_anc = d_out * d_env * d_extra`` exactly.
@@ -191,11 +188,10 @@ def unitary_from_isometry(
             f"dimension products disagree: {v.d_in}*{d_anc} != "
             f"{v.d_out}*{v.d_env}*{d_extra}"
         )
-    tau0 = _unit_vector(tau0, d_anc, "ancilla")
-    chi0 = _unit_vector(chi0, d_extra, "extra environment")
+    tau0 = _e0(d_anc) if tau0 is None else _ancilla_vector(tau0, d_anc)
 
     # Partial isometry matching phi (x) tau_0 to (V phi) (x) chi_0.
-    lift = np.kron(v.v, chi0.reshape(-1, 1))
+    lift = np.kron(v.v, _e0(d_extra).reshape(-1, 1))
     embed = np.kron(np.eye(v.d_in), tau0.reshape(-1, 1))
     u = complete_unitary(PartialIsometry(lift @ dagger(embed)))
     return UnitaryDilation(
@@ -208,30 +204,34 @@ def unitary_from_isometry(
     )
 
 
-def _unit_vector(vec, dim: int, what: str) -> np.ndarray:
-    if vec is None:
-        out = np.zeros(dim, dtype=np.complex128)
-        out[0] = 1.0
-        return out
-    out = np.asarray(vec, dtype=np.complex128)
-    if out.shape != (dim,):
-        raise ValidationError(f"{what} vector of shape {out.shape} does not live in dim {dim}")
-    norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValidationError(f"{what} vector has norm {norm:.12g}, expected 1")
+def _e0(dim: int) -> np.ndarray:
+    out = np.zeros(dim, dtype=np.complex128)
+    out[0] = 1.0
     return out
 
 
-def purify(sigma: DensityOperator, cutoff: float = PURIFY_CUTOFF) -> np.ndarray:
+def _ancilla_vector(vec, dim: int) -> np.ndarray:
+    """``vec`` as a read-only complex array, checked to be a unit vector in dim ``dim``."""
+    out = _cmat(vec)
+    if out.shape != (dim,):
+        raise ValidationError(f"ancilla vector of shape {out.shape} does not live in dim {dim}")
+    norm = np.linalg.norm(out)
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise ValidationError(f"ancilla vector has norm {norm:.12g}, expected 1")
+    return out
+
+
+def purify(sigma: DensityOperator) -> np.ndarray:
     """A purification ``sum_k sqrt(p_k) v_k (x) e_k`` of rank(sigma) ancilla dim.
 
-    Eigenvalues below ``cutoff`` are dropped.  The eigendecomposition is the
-    deterministic one, and the returned vector's first nonzero amplitude is
-    rotated to be real positive, so the construction is continuous along
-    families whose eigendecompositions converge.
+    Eigenvalues at or below ``STATE_RANK_CUTOFF`` are dropped.  The
+    eigendecomposition is the deterministic one, and the returned vector's
+    first nonzero amplitude is rotated to be real positive, so the
+    construction is continuous along families whose eigendecompositions
+    converge.
     """
     vals, vecs = ordered_eigh(sigma.matrix)
-    keep = vals > cutoff
+    keep = vals > STATE_RANK_CUTOFF
     # Row-major ravel of the (dim, rank) amplitudes: entry (a, k) is sqrt(p_k) v_k[a].
     return _fix_phase((np.sqrt(vals[keep]) * vecs[:, keep]).ravel())
 
@@ -312,9 +312,7 @@ class TrackedBasisExtension:
 
 
 def tracked_basis_extension(
-    w_seq: list[PartialIsometry],
-    reference: UnitaryOp,
-    degenerate_tol: float = TRACKING_DEGENERACY,
+    w_seq: list[PartialIsometry], reference: UnitaryOp
 ) -> TrackedBasisExtension:
     """Extend each term's range basis, tracking the reference completion.
 
@@ -322,16 +320,16 @@ def tracked_basis_extension(
     complete the first term.  The reference's images of the deterministic
     kernel basis of P are projected onto the orthocomplement of the current
     (sequentially grown) range and renormalized; when a projection is
-    numerically degenerate (norm below ``degenerate_tol``) the first
+    numerically degenerate (norm at most ``TRACKING_DEGENERACY``) the first
     deterministic complement vector is substituted instead, which is the
     step that can break convergence of the resulting unitaries even when
     the isometries themselves converge in the strong operator sense.
     """
-    return _tracked_extension(w_seq, reference, degenerate_tol)[1]
+    return _tracked_extension(w_seq, reference)[1]
 
 
 def _tracked_extension(
-    w_seq: list[PartialIsometry], reference: UnitaryOp, degenerate_tol: float
+    w_seq: list[PartialIsometry], reference: UnitaryOp
 ) -> tuple[np.ndarray, TrackedBasisExtension]:
     """The kernel basis of the shared initial projector and the tracked extension."""
     if not w_seq:
@@ -365,7 +363,7 @@ def _tracked_extension(
         for j, target in enumerate(ref_basis):
             candidate = target - grown @ target
             norm = np.linalg.norm(candidate)
-            if norm > degenerate_tol:
+            if norm > TRACKING_DEGENERACY:
                 ext[j] = candidate / norm
             else:
                 ext[j] = _kernel_basis(grown)[:, 0]
@@ -373,11 +371,7 @@ def _tracked_extension(
     return kernel, TrackedBasisExtension(ref_basis, extensions, projectors)
 
 
-def tracked_complete_unitary(
-    w_seq: list[PartialIsometry],
-    reference: UnitaryOp,
-    degenerate_tol: float = TRACKING_DEGENERACY,
-) -> list[UnitaryOp]:
+def tracked_complete_unitary(w_seq: list[PartialIsometry], reference: UnitaryOp) -> list[UnitaryOp]:
     """Complete every term of a shared-initial-projector family to a unitary.
 
     Completions reuse the tracked basis extension, so a constant family
@@ -385,5 +379,5 @@ def tracked_complete_unitary(
     vector by vector yield convergent unitaries.  Term n's unitary is
     ``W_n + sum_j extensions[n, j] kernel_j*``.
     """
-    kernel, tracked = _tracked_extension(w_seq, reference, degenerate_tol)
+    kernel, tracked = _tracked_extension(w_seq, reference)
     return [UnitaryOp(w.w + ext.T @ dagger(kernel)) for w, ext in zip(w_seq, tracked.extensions)]

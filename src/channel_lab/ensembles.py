@@ -83,11 +83,8 @@ def random_kraus_channel(
     return KrausChannel(v.reshape(d_out, n_ops, d_in).transpose(1, 0, 2))
 
 
-def random_observable(dim: int, rng: np.random.Generator, unit_norm: bool = False) -> Observable:
-    m = crandn((dim, dim), rng)
-    if unit_norm:
-        m = m / np.linalg.norm(m, 2)
-    return Observable(m)
+def random_observable(dim: int, rng: np.random.Generator) -> Observable:
+    return Observable(crandn((dim, dim), rng))
 
 
 def basis_vector(dim: int, i: int) -> np.ndarray:
@@ -117,25 +114,15 @@ def state_basis(dim: int) -> list[DensityOperator]:
 
 
 def matrix_unit_observables(dim: int) -> list[Observable]:
-    """All dim^2 matrix units |i><j|, each of unit operator norm."""
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            m = np.zeros((dim, dim), dtype=np.complex128)
-            m[i, j] = 1.0
-            out.append(Observable(m))
-    return out
+    """All dim^2 matrix units |i><j|, each of unit operator norm, in row-major (i, j) order."""
+    return [Observable(m) for m in np.eye(dim * dim).reshape(-1, dim, dim)]
 
 
-def default_test_states(
-    dim: int, rng: np.random.Generator, n_haar: int = 4
-) -> list[DensityOperator]:
-    """Basis states plus a few seeded Haar-random pure states."""
-    return basis_states(dim) + [random_pure_density(dim, rng) for _ in range(n_haar)]
+def default_test_states(dim: int, rng: np.random.Generator) -> list[DensityOperator]:
+    """Basis states plus four seeded Haar-random pure states."""
+    return basis_states(dim) + [random_pure_density(dim, rng) for _ in range(4)]
 
 
-def default_test_vectors(dim: int, rng: np.random.Generator, n_haar: int = 2) -> list[np.ndarray]:
-    """Basis vectors plus a few seeded Haar-random unit vectors."""
-    return [basis_vector(dim, i) for i in range(dim)] + [
-        haar_vector(dim, rng) for _ in range(n_haar)
-    ]
+def default_test_vectors(dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Basis vectors plus two seeded Haar-random unit vectors."""
+    return [basis_vector(dim, i) for i in range(dim)] + [haar_vector(dim, rng) for _ in range(2)]

@@ -28,14 +28,9 @@ from typing import Callable
 import numpy as np
 
 from ._parallel import pmap
-from .core import ValidationError
+from .core import TOL_EIG, TOL_HERM, ValidationError
 from .report import Report
 from .sequences import ChannelSequence
-
-#: Symmetry tolerance for covariance and noise matrices.
-TOL_SYM = 1e-12
-#: How far below zero a validity eigenvalue may slip.
-TOL_PSD = 1e-10
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -73,7 +68,7 @@ class GaussianState:
             raise ValidationError(f"mean vector must have even length >= 2, got shape {m.shape}")
         if c.shape != (len(m), len(m)):
             raise ValidationError(f"covariance of shape {c.shape} does not match mean length {len(m)}")
-        if np.max(np.abs(c - c.T)) > TOL_SYM:
+        if np.max(np.abs(c - c.T)) > TOL_HERM:
             raise ValidationError("covariance is not symmetric")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", c)
@@ -107,7 +102,7 @@ class GaussianChannel:
             raise ValidationError(f"shift of shape {l.shape} does not match output dim {k.shape[1]}")
         if a.shape != (k.shape[1], k.shape[1]):
             raise ValidationError(f"noise of shape {a.shape} does not match output dim {k.shape[1]}")
-        if np.max(np.abs(a - a.T)) > TOL_SYM:
+        if np.max(np.abs(a - a.T)) > TOL_HERM:
             raise ValidationError("noise matrix is not symmetric")
         object.__setattr__(self, "scale", k)
         object.__setattr__(self, "shift", l)
@@ -139,25 +134,26 @@ class PsdCheck:
         return self.ok
 
 
-def validate_state(st: GaussianState, tol: float = TOL_PSD) -> PsdCheck:
-    """Check the uncertainty condition ``sigma +/- i Delta >= 0``."""
+def validate_state(st: GaussianState) -> PsdCheck:
+    """Check the uncertainty condition ``sigma +/- i Delta >= 0`` down to ``-TOL_EIG``."""
     delta = symplectic_form(st.modes)
     plus = float(np.linalg.eigvalsh(st.cov + 1j * delta).min())
     minus = float(np.linalg.eigvalsh(st.cov - 1j * delta).min())
-    return PsdCheck(ok=min(plus, minus) >= -tol, min_eig_plus=plus, min_eig_minus=minus)
+    return PsdCheck(ok=min(plus, minus) >= -TOL_EIG, min_eig_plus=plus, min_eig_minus=minus)
 
 
-def validate_channel(ch: GaussianChannel, tol: float = TOL_PSD) -> PsdCheck:
+def validate_channel(ch: GaussianChannel) -> PsdCheck:
     """Check complete positivity: ``noise +/- i (Delta_out - K^T Delta_in K) >= 0``.
 
-    The factor matches the state convention ``sigma +/- i Delta >= 0`` (vacuum
-    covariance I); it makes validity propagate through apply_gaussian and puts
-    the quantum-limited attenuator exactly on the boundary.
+    Eigenvalues down to ``-TOL_EIG`` pass, as for states.  The factor matches
+    the state convention ``sigma +/- i Delta >= 0`` (vacuum covariance I); it
+    makes validity propagate through apply_gaussian and puts the
+    quantum-limited attenuator exactly on the boundary.
     """
     bracket = symplectic_form(ch.modes_out) - ch.scale.T @ symplectic_form(ch.modes_in) @ ch.scale
     plus = float(np.linalg.eigvalsh(ch.noise + 1j * bracket).min())
     minus = float(np.linalg.eigvalsh(ch.noise - 1j * bracket).min())
-    return PsdCheck(ok=min(plus, minus) >= -tol, min_eig_plus=plus, min_eig_minus=minus)
+    return PsdCheck(ok=min(plus, minus) >= -TOL_EIG, min_eig_plus=plus, min_eig_minus=minus)
 
 
 def _require(check: PsdCheck, problem: str) -> None:

@@ -39,6 +39,8 @@ COLUMNS = {
         "within_eps": bool,
     },
 }
+#: ``choi_dominates_strong`` holds where the Choi defect is at least the strong one minus this.
+DOMINANCE_SLACK = 1e-12
 #: The report kinds that carry the flag threshold ``eps``.
 EPS_KINDS = frozenset({"gaussian-convergence-report"})
 _NOT_NUMBERS = (bool, np.bool_)
@@ -171,8 +173,9 @@ class Report:
 
     For ``convergence-report`` tables, ``choi_dominates_strong`` records per
     index whether the Choi lower bound weakly dominates the strong defect seen
-    on the test family.  It is a diagnostic: the true completely bounded
-    distance always dominates, the lower bound need not.
+    on the test family, within ``DOMINANCE_SLACK``.  It is a diagnostic: the
+    true completely bounded distance always dominates, the lower bound need
+    not.
     """
 
     def __init__(self, kind: str, indices, *, eps: float | None = None, test_family: str = "", **columns):
@@ -223,7 +226,7 @@ class Report:
 
     @property
     def choi_dominates_strong(self) -> tuple:
-        return tuple(c >= s - 1e-12 for c, s in zip(self.choi, self.strong))
+        return tuple(c >= s - DOMINANCE_SLACK for c, s in zip(self.choi, self.strong))
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -29,17 +29,16 @@ Choi matrix and the stacked test families once per report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from ._parallel import pmap
 from .core import (
+    STATE_RANK_CUTOFF,
     TOL_VALID,
     DensityOperator,
     KrausChannel,
-    Observable,
     PartialIsometry,
     StinespringIsometry,
     ValidationError,
@@ -57,6 +56,9 @@ from .dilation import (
     pad_environment,
 )
 from .report import Report
+
+#: A compression term adds no replacement operator for a Kraus row below this norm.
+ZERO_ROW_NORM = 1e-14
 
 #: Older name of :class:`~channel_lab.report.Report`; the benchmark harness in
 #: ``bench/`` still looks it up here.
@@ -244,10 +246,9 @@ def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> Cha
         raise ValidationError(f"ranks must be nondecreasing, got {ranks}")
 
     vals, vecs = ordered_eigh(sigma.matrix)
-    keep = vals > 1e-12
+    keep = vals > STATE_RANK_CUTOFF
     roots, kept = np.sqrt(vals[keep]), vecs[:, keep].T
 
-    @lru_cache(maxsize=None)
     def term(n: int) -> KrausChannel:
         if n > len(ranks):
             raise ValidationError(f"term {n} beyond the configured {len(ranks)} ranks")
@@ -257,7 +258,7 @@ def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> Cha
         # One replacement operator sqrt(p) v (x) row per kept eigenpair (p, v) of
         # sigma and per nonzero row m >= r of each A_k, eigenpair-major.
         rows = ch.stack[:, r:].reshape(-1, ch.d_in)
-        rows = rows[np.linalg.norm(rows, axis=1) >= 1e-14]
+        rows = rows[np.linalg.norm(rows, axis=1) >= ZERO_ROW_NORM]
         outers = kept[:, None, :, None] * rows[None, :, None, :]
         branch = roots[:, None, None, None] * outers
         return KrausChannel(np.concatenate([head, branch.reshape(-1, ch.d_out, ch.d_in)]))
@@ -281,14 +282,13 @@ def swap_counterexample(d: int) -> tuple[list[PartialIsometry], np.ndarray]:
         raise ValidationError(f"the swap family needs dimension >= 3, got {d}")
     psi = np.zeros(d, dtype=np.complex128)
     psi[d - 1] = 1.0
-    terms = []
-    for n in range(1, d):
-        w = np.zeros((d, d), dtype=np.complex128)
-        for i in range(1, d):
-            row = d - 1 if i == n else i - 1
-            w[row, i - 1] = 1.0
-        terms.append(PartialIsometry(w))
-    return terms, psi
+    # ws[n - 1] maps e_(i-1) to e_(i-1) for i != n and e_(n-1) to psi, i = 1..d-1.
+    ws = np.zeros((d - 1, d, d), dtype=np.complex128)
+    frame = np.arange(d - 1)
+    ws[:, frame, frame] = 1.0
+    ws[frame, frame, frame] = 0.0
+    ws[frame, d - 1, frame] = 1.0
+    return [PartialIsometry(w) for w in ws], psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,14 +324,12 @@ class PartialTraceForm:
         return StinespringIsometry(w.w @ self.v0.v, self.v0.d_out, self.v0.d_env)
 
 
-def channels_from_partial_isometries(form: PartialTraceForm, ns=()) -> ChannelSequence:
+def channels_from_partial_isometries(form: PartialTraceForm) -> ChannelSequence:
     """The channel sequence of a partial-trace form.
 
-    ``ns`` lists indices to validate eagerly (the compatibility of W(n) with
-    the embedding); all terms are validated again lazily on access.
+    Each term's compatibility of W(n) with the embedding is checked when the
+    term is accessed.
     """
-    for n in ns:
-        form.isometry(int(n))
     return ChannelSequence(
         kraus_from_isometry(form.v0),
         lambda n: kraus_from_isometry(form.isometry(n)),

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import channel_lab
 from channel_lab import ensembles, serialize
 from channel_lab.cli import main
 from channel_lab.core import amplitude_damping_channel, dephasing_channel, identity_channel
@@ -320,3 +325,121 @@ def test_convert_stdout_matches_the_written_file(tmp_path, capsys):
         capsys.readouterr()
         assert run("convert", "--in", str(src), "--to", to) == 0
         assert capsys.readouterr().out == out.read_text()
+
+
+def test_plain_value_errors_are_validation_errors(tmp_path, capsys):
+    assert run("sequence", "compress", "--ranks", "1,x", "--out", str(tmp_path / "r")) == 2
+    assert "validation error: invalid literal for int()" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_gaussian_sweep_with_k_near_one_fails_fast(tmp_path):
+    # k + 1/n stays above 1 for n up to about 1e12: the index search must not walk there.
+    src = str(Path(channel_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["gaussian", "converge", "--k", "0.999999999999", "--ns", "3", "--out", "unused"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "channel_lab.cli", *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "no valid sweep indices: k + 1/n stays above 1 up to n = 3" in proc.stderr
+
+
+def test_gaussian_sweep_starts_at_the_first_valid_index(tmp_path):
+    prefix = tmp_path / "sweep"
+    assert run("gaussian", "converge", "--k", "0.75", "--ns", "10", "--out", str(prefix)) == 0
+    indices = json.loads((tmp_path / "sweep.json").read_text())["indices"]
+    assert indices == list(range(4, 11))
+
+
+def _pairs(m):
+    return serialize.complex_to_json(np.asarray(m, dtype=np.complex128))
+
+
+_STINESPRING = serialize.to_json_obj(pad_environment(isometry_from_kraus(dephasing_channel(0.5)), 3))
+_DILATION = {
+    "schema_version": 1,
+    "kind": "unitary-dilation",
+    "d_in": 2,
+    "d_anc": 3,
+    "d_out": 2,
+    "d_env": 3,
+    "U": _pairs(np.eye(6)),
+    "tau0": _pairs([1.0, 0.0, 0.0]),
+}
+_ATTENUATOR = serialize.to_json_obj(attenuator(0.5))
+_STATE = serialize.to_json_obj(GaussianState(mean=np.zeros(2), cov=np.eye(2)))
+_CONVERT = ["convert", "--to", "kraus"]
+_VALIDATE = ["gaussian", "validate"]
+
+
+@pytest.mark.parametrize(
+    "doc, argv, code, message",
+    [
+        ({**_STINESPRING, "d_out": 0}, _CONVERT, 2, "dimensions must be positive"),
+        (
+            {**_STINESPRING, "V": _STINESPRING["V"][:5]},
+            _CONVERT,
+            2,
+            "isometry of shape (5, 2) does not match d_out*d_env = 2*3",
+        ),
+        ({**_DILATION, "d_env": 2}, _CONVERT, 2, "dimension products disagree: 2*3 != 2*2"),
+        (
+            {**_DILATION, "U": _pairs(np.eye(4))},
+            _CONVERT,
+            2,
+            "unitary of dim 4 does not act on a 2*3 space",
+        ),
+        ({**_DILATION, "d_anc": 0}, _CONVERT, 2, "dimensions must be positive"),
+        (
+            {**_ATTENUATOR, "K": np.ones((3, 2)).tolist()},
+            _VALIDATE,
+            2,
+            "scale matrix must be 2s_in x 2s_out, got shape (3, 2)",
+        ),
+        ({**_ATTENUATOR, "ell": [0.0, 0.0, 0.0]}, _VALIDATE, 2, "shift of shape (3,)"),
+        ({**_ATTENUATOR, "alpha": np.eye(3).tolist()}, _VALIDATE, 2, "noise of shape (3, 3)"),
+        (
+            {**_ATTENUATOR, "alpha": [[1.0, 0.5], [0.0, 1.0]]},
+            _VALIDATE,
+            2,
+            "noise matrix is not symmetric",
+        ),
+        (
+            {**_ATTENUATOR, "K": [[float("nan"), 0.0], [0.0, 0.5]]},
+            _VALIDATE,
+            2,
+            "scale matrix contains non-finite entries",
+        ),
+        ({**_STATE, "m": "abc"}, _VALIDATE, 3, "not a numeric array"),
+        ({**_STATE, "sigma": [1.0, 1.0]}, _VALIDATE, 3, "expected a rank-2 real array"),
+    ],
+    ids=[
+        "stinespring-zero-dim",
+        "stinespring-shape",
+        "dilation-products",
+        "dilation-unitary-dim",
+        "dilation-zero-dim",
+        "gaussian-channel-scale",
+        "gaussian-channel-shift",
+        "gaussian-channel-noise-shape",
+        "gaussian-channel-asymmetric",
+        "gaussian-channel-nan",
+        "gaussian-state-non-numeric",
+        "gaussian-state-rank",
+    ],
+)
+def test_document_rejections(doc, argv, code, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(*argv, "--in", str(path)) == code
+    captured = capsys.readouterr()
+    prefix = "validation error: " if code == 2 else "parse error: "
+    assert captured.err.startswith(prefix)
+    assert message in captured.err
+    assert captured.out == ""

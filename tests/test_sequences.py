@@ -263,7 +263,7 @@ def test_partial_trace_form_checks_embedding_compatibility():
     with pytest.raises(ValidationError, match="deviates from the embedding range"):
         bad.isometry(1)
     with pytest.raises(ValidationError, match="deviates"):
-        channels_from_partial_isometries(bad, ns=[1])
+        channels_from_partial_isometries(bad).term(1)
 
 
 def test_rotation_family_defects_vanish(rng):
