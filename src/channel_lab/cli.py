@@ -7,7 +7,9 @@ parameter-level calculus, and ``report`` to re-emit saved reports.
 Exit codes: 0 on success, 2 when a value fails validation (including
 command-line usage errors), 3 when an input file cannot be parsed.
 All outputs are deterministic for a fixed invocation and seed.  The
-CHANNEL_LAB_THREADS environment variable caps sweep parallelism.
+CHANNEL_LAB_THREADS environment variable caps the parallelism of the
+channel sweeps (``sequence`` on Kraus families); the Gaussian sweeps do not
+use it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,8 +356,28 @@ def _bench_style_sequence():
     return ChannelSequence(channel(None), channel)
 
 
-@pytest.mark.parametrize("case", ["bench-style", "attenuator", "rect-2-to-1", "rect-1-to-3", "custom-states"])
-def test_param_convergence_check_matches_the_naive_loop(case, rng):
+def _block_size(states, grid):
+    return max(1, gaussian.SWEEP_BLOCK_ENTRIES // (len(states) * len(grid)))
+
+
+#: How many indices a sweep covers, in blocks of ``block`` indices.
+INDEX_COUNTS = {
+    "one-index": lambda block: 1,
+    "one-block": lambda block: block,
+    "one-block-plus-one": lambda block: block + 1,
+    "several-blocks": lambda block: 2 * block + 1,
+}
+
+
+_NAIVE_CASES = ["bench-style", "attenuator", "rect-2-to-1", "rect-1-to-3", "custom-states",
+                "half-step-grid", "block-of-one"]
+
+
+@pytest.mark.parametrize("case, count", [pytest.param(case, None, id=case) for case in _NAIVE_CASES] + [
+    pytest.param(case, count, id=f"{case}-{count}") for case in _NAIVE_CASES for count in sorted(INDEX_COUNTS)
+])
+def test_param_convergence_check_matches_the_naive_loop(case, count, rng):
+    """``count`` None sweeps indices 2..8; otherwise the sweep covers one of INDEX_COUNTS."""
     states, grid = None, None
     if case == "bench-style":
         seq, grid = _bench_style_sequence(), z_grid(2, max_points=81)
@@ -366,35 +387,137 @@ def test_param_convergence_check_matches_the_naive_loop(case, rng):
         seq = _recipe_sequence(2, 1, rng)
     elif case == "rect-1-to-3":
         seq, grid = _recipe_sequence(1, 3, rng), z_grid(3, half_width=1.0, max_points=200)
+    elif case == "half-step-grid":
+        # Off-integer points with dense covariances: the GEMM quadratic form rounds on its own.
+        seq, grid = _recipe_sequence(2, 1, rng), z_grid(1, step=0.5)
+    elif case == "block-of-one":
+        # More values per index than one block holds: every block is a single index.
+        seq = attenuator_sequence(lambda n: 0.3 + 0.5 / n, 0.3)
+        grid = z_grid(1, half_width=3.0, step=0.1, max_points=4000)
     else:
         seq = attenuator_sequence(lambda n: 0.3 + 0.5 / n, 0.3)
         states = [_random_valid_state(1, rng) for _ in range(4)] + [coherent_state(1.5 - 0.5j)]
-    ns = range(2, 9)
+    swept_states = states or gaussian.default_gaussian_test_states(seq.limit.modes_in)
+    swept_grid = grid if grid is not None else z_grid(seq.limit.modes_out)
+    block = _block_size(swept_states, swept_grid)
+    assert (block == 1) == (case == "block-of-one")
+    ns = range(2, 9) if count is None else range(2, 2 + INDEX_COUNTS[count](block))
     rep = param_convergence_check(seq, ns, eps=1e-6, test_states=states, grid=grid)
-    states = states if states is not None else gaussian.default_gaussian_test_states(seq.limit.modes_in)
-    grid = grid if grid is not None else z_grid(seq.limit.modes_out)
-    want = _naive_char_devs(seq, ns, states, grid)
+    want = _naive_char_devs(seq, ns, swept_states, swept_grid)
     assert max(want) > 1e-3
     assert np.allclose(rep.char_dev, want, rtol=0, atol=1e-12)
-    assert rep.test_family == f"{len(states)} states x {len(grid)} grid points"
-    for n, k_dev in zip(ns, rep.scale_dev):
-        assert k_dev == float(np.max(np.abs(seq.term(n).scale - seq.limit.scale)))
+    assert rep.test_family == f"{len(swept_states)} states x {len(swept_grid)} grid points"
+    terms = [seq.term(n) for n in ns]
+    for name, field in (("scale_dev", "scale"), ("shift_dev", "shift"), ("noise_dev", "noise")):
+        want = [float(np.max(np.abs(getattr(ch, field) - getattr(seq.limit, field)))) for ch in terms]
+        assert list(getattr(rep, name)) == want, name
+
+
+def _cp_message(ch):
+    """The error apply_gaussian raises for a channel that violates complete positivity."""
+    with pytest.raises(ValidationError) as info:
+        apply_gaussian(ch, vacuum(ch.modes_in))
+    assert str(info.value).startswith("channel parameters violate complete positivity (min eigenvalue ")
+    return str(info.value)
 
 
 def test_param_convergence_check_rejects_invalid_terms_like_apply_gaussian():
     bad = GaussianChannel(scale=2.0 * np.eye(2), shift=np.zeros(2), noise=np.zeros((2, 2)))
-    with pytest.raises(ValidationError) as direct:
-        apply_gaussian(bad, vacuum())
-    assert str(direct.value).startswith("channel parameters violate complete positivity (min eigenvalue ")
-
     seq = ChannelSequence(attenuator(0.5), lambda n: bad if n == 3 else attenuator(0.5))
     with pytest.raises(ValidationError) as swept:
         param_convergence_check(seq, [1, 2, 3], eps=1e-9)
-    assert str(swept.value) == str(direct.value)
+    assert str(swept.value) == _cp_message(bad)
 
     with pytest.raises(ValidationError) as limit:
         param_convergence_check(ChannelSequence(bad, lambda n: attenuator(0.5)), [1], eps=1e-9)
-    assert str(limit.value) == str(direct.value)
+    assert str(limit.value) == _cp_message(bad)
+
+
+def _bad_bench_term(n):
+    """A 2-mode term violating complete positivity by an n-dependent margin, so the message names n."""
+    return GaussianChannel(scale=(1.5 + n / 10) * np.eye(4), shift=np.zeros(4), noise=np.zeros((4, 4)))
+
+
+def _sweep_with_bad_terms(bad):
+    good = _bench_style_sequence()
+    return ChannelSequence(good.limit, lambda n: _bad_bench_term(n) if n in bad else good.term(n))
+
+
+@pytest.mark.parametrize("where", ["first-of-block", "middle-of-block", "last-of-block",
+                                   "across-a-boundary", "twice-in-a-block"])
+def test_param_convergence_check_reports_the_first_invalid_term_of_a_block(where):
+    states = gaussian.default_gaussian_test_states(2)
+    block = _block_size(states, z_grid(2))
+    assert block >= 3
+    ns = range(1, 4 * block + 1)
+    # Block b holds indices b*block + 1 ... (b + 1)*block; put the bad terms in block 1.
+    first, last = block + 1, 2 * block
+    bad = {
+        "first-of-block": {first},
+        "middle-of-block": {first + 1},
+        "last-of-block": {last},
+        "across-a-boundary": {last, last + 1},
+        "twice-in-a-block": {first + 1, last},
+    }[where]
+    with pytest.raises(ValidationError) as swept:
+        param_convergence_check(_sweep_with_bad_terms(bad), ns, eps=1e-6)
+    assert str(swept.value) == _cp_message(_bad_bench_term(min(bad)))
+
+
+def test_param_convergence_check_keeps_its_other_errors_and_their_order():
+    states = gaussian.default_gaussian_test_states(2)
+    block = _block_size(states, z_grid(2))
+    ns = range(1, 3 * block + 1)
+
+    def unbuildable(n):
+        raise ValidationError(f"term {n} cannot be built")
+
+    # An invalid limit fails before any term is built.
+    bad_limit = ChannelSequence(_bad_bench_term(0), unbuildable)
+    with pytest.raises(ValidationError) as limit:
+        param_convergence_check(bad_limit, ns, eps=1e-6)
+    assert str(limit.value) == _cp_message(_bad_bench_term(0))
+
+    with pytest.raises(ValidationError, match="a report needs at least one row"):
+        param_convergence_check(_bench_style_sequence(), [], eps=1e-6)
+
+    # A signature mismatch comes from ChannelSequence.term, unchanged.
+    good = _bench_style_sequence()
+    mismatched = ChannelSequence(good.limit, lambda n: attenuator(0.5) if n == block + 2 else good.term(n))
+    with pytest.raises(ValidationError) as direct:
+        mismatched.term(block + 2)
+    with pytest.raises(ValidationError) as swept:
+        param_convergence_check(mismatched, ns, eps=1e-6)
+    assert str(swept.value) == str(direct.value)
+
+    # In different blocks, the earlier complete-positivity failure wins ...
+    def cp_then_build(build_at):
+        return ChannelSequence(
+            good.limit,
+            lambda n: _bad_bench_term(n) if n == 2 else unbuildable(n) if n == build_at else good.term(n),
+        )
+
+    with pytest.raises(ValidationError) as across:
+        param_convergence_check(cp_then_build(block + 1), ns, eps=1e-6)
+    assert str(across.value) == _cp_message(_bad_bench_term(2))
+    # ... but within one block every term is built before any is checked, so the build error wins.
+    with pytest.raises(ValidationError, match=f"term {block} cannot be built"):
+        param_convergence_check(cp_then_build(block), ns, eps=1e-6)
+
+
+def test_param_convergence_check_memory_does_not_grow_with_the_index_count():
+    seq, grid = _bench_style_sequence(), z_grid(2)
+    states = gaussian.default_gaussian_test_states(2)
+    ns = range(1, 2001)
+    assert len(ns) * len(states) * len(grid) * 16 >= 60e6  # what one unblocked array would take
+    tracemalloc.start()
+    try:
+        rep = param_convergence_check(seq, ns, eps=1e-6, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.indices) == 2000
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_param_convergence_check_rejects_empty_or_misshapen_probe_families():

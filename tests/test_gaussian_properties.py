@@ -1,4 +1,5 @@
-"""Property test: batched characteristic functions and the dual chain identity."""
+"""Property tests: batched characteristic functions, the dual chain identity, and the
+batched complete-positivity check at the validity boundary."""
 
 import numpy as np
 import pytest
@@ -7,17 +8,23 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from channel_lab import gaussian  # noqa: E402
+from channel_lab.core import TOL_EIG, ValidationError  # noqa: E402
 from channel_lab.gaussian import (  # noqa: E402
     GaussianChannel,
     GaussianState,
     apply_gaussian,
+    attenuator,
     char_fn,
     dual_weyl_symbol,
+    param_convergence_check,
     symplectic_form,
+    vacuum,
     validate_channel,
     validate_state,
     z_grid,
 )
+from channel_lab.sequences import ChannelSequence  # noqa: E402
 
 _ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -57,3 +64,51 @@ def test_batched_char_fn_and_chain_identity_on_valid_pairs(pair):
     for z, value in zip(grid, batched):
         point, factor = dual_weyl_symbol(ch, z)
         assert abs(value - char_fn(state, point) * factor) <= 1e-12
+
+
+@st.composite
+def boundary_channels(draw):
+    """A one-mode channel on or just off the complete-positivity boundary.
+
+    Quantum-limited attenuators (k = 1 included, where the noise vanishes),
+    optionally with their noise shrunk by a factor near ``TOL_EIG``, and
+    channels with rank-deficient noise, valid only when ``det K = 1``.
+    """
+    if draw(st.booleans()):
+        k = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+        shrink = draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1e-6]))
+        noise = (1.0 - k * k) * (1.0 - shrink) * np.eye(2)
+        return GaussianChannel(scale=k * np.eye(2), shift=np.zeros(2), noise=noise)
+    a = draw(st.floats(0.25, 4.0))
+    det = draw(st.sampled_from([1.0, 1.0 - 1e-11, 1.0 - 1e-9, 0.5]))
+    theta = draw(st.floats(0.0, np.pi))
+    v = np.array([np.cos(theta), np.sin(theta)])
+    noise = draw(st.sampled_from([0.0, 0.3, 2.0])) * np.outer(v, v)
+    return GaussianChannel(scale=np.diag([a, det / a]), shift=np.zeros(2), noise=noise)
+
+
+def _bits(check):
+    return check.ok, check.min_eig_plus.hex(), check.min_eig_minus.hex()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(boundary_channels(), min_size=1, max_size=6))
+def test_batched_cp_check_equals_validate_channel_at_the_boundary(chans):
+    scales, noises = np.stack([ch.scale for ch in chans]), np.stack([ch.noise for ch in chans])
+    batched = gaussian._cp_checks(scales, noises)
+    singles = [validate_channel(ch) for ch in chans]
+    assert [_bits(c) for c in batched] == [_bits(c) for c in singles]
+    assert [c.ok for c in singles] == [min(c.min_eig_plus, c.min_eig_minus) >= -TOL_EIG for c in singles]
+
+    # The sweep checks these terms as one block and fails on the first invalid
+    # one with apply_gaussian's message.
+    seq = ChannelSequence(attenuator(1.0), lambda n: chans[n - 1])
+    invalid = [ch for ch, c in zip(chans, singles) if not c.ok]
+    if not invalid:
+        param_convergence_check(seq, range(1, len(chans) + 1), eps=1.0)
+        return
+    with pytest.raises(ValidationError) as direct:
+        apply_gaussian(invalid[0], vacuum())
+    with pytest.raises(ValidationError) as swept:
+        param_convergence_check(seq, range(1, len(chans) + 1), eps=1.0)
+    assert str(swept.value) == str(direct.value)
