@@ -153,11 +153,25 @@ def ordered_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
     if not len(w):
         return w, v
-    vecs = _fix_phase(v)
-    # np.lexsort sorts by its last key first: the eigenvalue, then entry 0, 1, ...;
-    # complex keys compare by real part, then imaginary part.
-    order = np.lexsort(np.vstack([vecs[::-1], w]))
+    vecs, order = _eigen_order(w, v)
     return w[order], vecs[:, order]
+
+
+def _eigen_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reproducible convention for eigenpairs ``(w[k], v[:, k])``.
+
+    Returns the phase-fixed columns of ``v`` and the permutation that sorts
+    the pairs: eigenvalues ascending, exact ties by the phase-fixed entries.
+    """
+    vecs = _fix_phase(v)
+    order = np.argsort(w)
+    ascending = w[order]
+    if np.any(ascending[1:] == ascending[:-1]):
+        # np.lexsort sorts by its last key first: the eigenvalue, then entry 0, 1, ...;
+        # complex keys compare by real part, then imaginary part.  It costs a few kB
+        # per key, so it only runs when there is a tie to break.
+        order = np.lexsort(np.vstack([vecs[::-1], w]))
+    return vecs, order
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,13 +407,18 @@ def dual_apply(ch: KrausChannel, b: Observable) -> Observable:
     return Observable(dual_action(ch, b.matrix))
 
 
+def _kraus_matrix(ch: KrausChannel) -> np.ndarray:
+    """The (K, d_out*d_in) matrix M whose rows are the row-major ``vec(A_k)``."""
+    return ch.stack.reshape(len(ch.stack), -1)
+
+
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
     """The Choi matrix ``sum_ij ch(E_ij) (tensor) E_ij`` on output (x) input.
 
     One GEMM: with M the (K, d_out*d_in) stack of row-major ``vec(A_k)``,
     ``J = M^T conj(M)``.
     """
-    m = ch.stack.reshape(len(ch.stack), -1)
+    m = _kraus_matrix(ch)
     return m.T @ m.conj()
 
 

@@ -9,13 +9,18 @@ them:
   read two ways: V reshaped to (d_out, d_env, d_in) is the (K, d_out, d_in)
   Kraus stack with its first two axes swapped, so converting is a
   transpose-and-reshape.
+* Kraus family  ->  minimal isometry, whose environment dimension is the
+  Choi rank.  The Choi matrix is ``M^T conj(M)`` for the (K, d_out*d_in)
+  matrix M of stacked ``vec(A_k)``, so its eigenpairs come from a thin SVD
+  of M, whose cost grows with K rather than with the (d_out*d_in)^2 Choi
+  matrix, which is never formed.
 * Stinespring isometry V  ->  unitary U on input (x) ancilla with
   ``U (phi (x) tau_0) = (V phi) (x) chi_0``, built by completing the
   partial isometry that matches those two subspaces.
 
-Completions are deterministic: orthonormal complement bases come from the
-reproducible eigendecomposition in :mod:`channel_lab.core`, so the same
-input always yields the same unitary.
+Results are deterministic: orthonormal complement bases and the minimal
+dilation's Kraus operators follow the reproducible eigenpair convention of
+:mod:`channel_lab.core`, so the same input always yields the same output.
 """
 
 from __future__ import annotations
@@ -33,15 +38,17 @@ from .core import (
     StinespringIsometry,
     UnitaryOp,
     ValidationError,
-    choi_matrix,
     dagger,
     ordered_eigh,
     _cmat,
     _defect,
+    _eigen_order,
     _fix_phase,
+    _kraus_matrix,
 )
 
-#: Pruning threshold for Choi eigenvalues when extracting a minimal dilation.
+#: Pruning threshold for Choi eigenvalues (squared singular values of the
+#: stacked Kraus matrix) when extracting a minimal dilation.
 CHOI_RANK_CUTOFF = 1e-10
 #: Singular values of the stacked Kraus vectors above this fraction of the
 #: largest one count toward the Stinespring span rank.
@@ -102,15 +109,21 @@ def isometry_from_kraus(ch: KrausChannel) -> StinespringIsometry:
 def minimal_stinespring(ch: KrausChannel) -> StinespringIsometry:
     """A Stinespring isometry whose environment dimension is the Choi rank.
 
-    Kraus operators are read off the eigendecomposition of the Choi matrix
-    (eigenvalues above ``CHOI_RANK_CUTOFF`` kept, deterministic ordering),
-    then stacked.
+    With M the (K, d_out*d_in) matrix of stacked ``vec(A_k)`` and its thin
+    SVD ``M = U diag(s) Vh``, the Choi matrix is ``J = M^T conj(M) =
+    Vh^T diag(s^2) conj(Vh)``: its nonzero eigenvalues are ``s^2`` with the
+    rows of ``Vh`` as eigenvectors, so J itself is never formed.  Pairs with
+    ``s^2`` above ``CHOI_RANK_CUTOFF`` are kept, in the order and with the
+    phases :func:`~channel_lab.core.ordered_eigh` would give them, and the
+    Kraus operators ``s_k Vh[k]`` are stacked.
     """
-    vals, vecs = ordered_eigh(choi_matrix(ch))
-    keep = vals > CHOI_RANK_CUTOFF
-    if not keep.any():
+    _, s, vh = np.linalg.svd(_kraus_matrix(ch), full_matrices=False)
+    vals = s * s
+    vecs, order = _eigen_order(vals, vh.T)
+    order = order[vals[order] > CHOI_RANK_CUTOFF]
+    if not len(order):
         raise ValidationError("channel has numerically vanishing Choi matrix")
-    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, ch.d_out, ch.d_in)
+    ops = (s[order] * vecs[:, order]).T.reshape(-1, ch.d_out, ch.d_in)
     return isometry_from_kraus(KrausChannel(ops))
 
 
@@ -123,7 +136,7 @@ def stinespring_span_rank(v: StinespringIsometry) -> int:
     ``vec(A_k)``; the full span matrix has M's singular values, each d_out
     times, so ``SPAN_RANK_RTOL`` is relative to M's largest one.
     """
-    m = kraus_from_isometry(v).stack.reshape(v.d_env, -1)
+    m = _kraus_matrix(kraus_from_isometry(v))
     svals = np.linalg.svd(m, compute_uv=False)
     return v.d_out * int(np.sum(svals > SPAN_RANK_RTOL * svals[0]))
 

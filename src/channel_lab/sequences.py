@@ -24,6 +24,14 @@ so every channel and dual difference over a whole test family is one matrix
 product.  Trace norms of the Hermitian differences are sums of |eigenvalues|.
 :func:`convergence_report` builds each term once per index and the limit's
 Choi matrix and the stacked test families once per report.
+
+The Choi column never diagonalizes the (d_out*d_in)-square difference while
+it has low rank.  With M the (K, d_out*d_in) matrix of stacked
+``vec(A_k)``, ``J = M^T conj(M)``, so ``J_n - J_0 = A diag(I, -I) A^H`` for
+``A = [M_n^T, M_0^T]``.  While ``K_n + K_0 < d_out*d_in`` its nonzero
+eigenvalues are those of ``R diag(I, -I) R^H``, where R is A's
+(K_n + K_0)-square QR factor; :func:`choi_defect` then builds no Choi
+matrix at all.  Larger families diagonalize the dense difference.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .core import (
     ordered_eigh,
     tensor_channels,
     _defect,
+    _kraus_matrix,
 )
 from .dilation import (
     complementary_kraus,
@@ -129,10 +138,32 @@ def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
 
 
-def _delta(seq: ChannelSequence, n: int, limit_choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``J_n - J_0`` and ``S_n - S_0`` for term n; builds the term once."""
-    dj = choi_matrix(seq.term(n)) - limit_choi
-    return dj, _superoperator(dj, seq.limit.d_out, seq.limit.d_in)
+def _choi_gap(m_n: np.ndarray, m_0: np.ndarray, dj: np.ndarray | None = None) -> float:
+    """``trace_norm(J_n - J_0)`` from the stacked Kraus matrices of two channels.
+
+    ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.  When A has
+    fewer columns than rows (``K_n + K_0 < d_out*d_in``), the difference's
+    nonzero eigenvalues are those of ``R diag(I, -I) R^H`` for the QR factor
+    R of A, a (K_n + K_0)-square matrix, and no Choi matrix is formed.
+    Otherwise the dense difference (``dj`` when the caller has it) is
+    diagonalized.  Equal families give exactly 0.
+    """
+    if np.array_equal(m_n, m_0):
+        return 0.0
+    k_n, k_0 = len(m_n), len(m_0)
+    if k_n + k_0 < m_n.shape[1]:
+        r = np.linalg.qr(np.concatenate([m_n, m_0]).T, mode="r")
+        signs = np.repeat([1.0, -1.0], [k_n, k_0])
+        return float(_hermitian_trace_norm((r * signs) @ dagger(r)))
+    if dj is None:
+        dj = m_n.T @ m_n.conj() - m_0.T @ m_0.conj()
+    return float(_hermitian_trace_norm(dj))
+
+
+def _delta(term: KrausChannel, limit_choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``J_n - J_0`` and ``S_n - S_0`` for a built term."""
+    dj = choi_matrix(term) - limit_choi
+    return dj, _superoperator(dj, term.d_out, term.d_in)
 
 
 def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
@@ -149,7 +180,7 @@ def _strongstar_values(ds: np.ndarray, obs: np.ndarray, vecs: np.ndarray, d_in: 
 def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
     states = _columns(test_states, "test state")
-    _, ds = _delta(seq, n, choi_matrix(seq.limit))
+    _, ds = _delta(seq.term(n), choi_matrix(seq.limit))
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
@@ -157,7 +188,7 @@ def weak_defect(seq: ChannelSequence, n: int, test_states, test_obs) -> float:
     """Largest expectation gap ``|Tr B (term - limit)(rho)|`` over the test grid."""
     states = _columns(test_states, "test state")
     _require_nonempty(test_obs, "test observable")
-    _, ds = _delta(seq, n, choi_matrix(seq.limit))
+    _, ds = _delta(seq.term(n), choi_matrix(seq.limit))
     diffs = _output_diffs(ds, states, seq.limit.d_out)
     obs = np.stack([b.matrix for b in test_obs])
     return float(np.abs(np.einsum("nab,sba->ns", obs, diffs)).max())
@@ -167,14 +198,19 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
     obs = _columns(test_obs, "test observable")
     vecs = _columns(test_vectors, "test vector")
-    _, ds = _delta(seq, n, choi_matrix(seq.limit))
+    _, ds = _delta(seq.term(n), choi_matrix(seq.limit))
     return float(_strongstar_values(ds, obs, vecs, seq.limit.d_in).max())
 
 
 def choi_defect(seq: ChannelSequence, n: int) -> float:
-    """``trace_norm(J(term) - J(limit)) / d_in``, a diamond-distance lower bound."""
-    dj = choi_matrix(seq.term(n)) - choi_matrix(seq.limit)
-    return float(_hermitian_trace_norm(dj)) / seq.limit.d_in
+    """``trace_norm(J(term) - J(limit)) / d_in``, a diamond-distance lower bound.
+
+    Computed from the two stacked Kraus matrices: while the term and the
+    limit together have fewer Kraus operators than ``d_out * d_in``, from a
+    QR factor of their size and without any Choi matrix; otherwise from the
+    dense difference.  Equal families give exactly 0.
+    """
+    return _choi_gap(_kraus_matrix(seq.term(n)), _kraus_matrix(seq.limit)) / seq.limit.d_in
 
 
 def convergence_report(
@@ -192,7 +228,9 @@ def convergence_report(
     GEMM) minus the limit's, reshuffled, is ``S_n - S_0``: one product with
     the stacked states gives every output difference, one with the stacked
     observables every dual difference.  Trace norms are sums of |eigenvalues|
-    of the Hermitian differences.  Witnesses are first maximizers: in state
+    of the Hermitian differences; the Choi column takes them from the small
+    QR core described in the module docstring whenever the two Kraus
+    families are small enough.  Witnesses are first maximizers: in state
     order for strong, observable-major then vector order for strong*.
 
     The sweep is parallel over indices when CHANNEL_LAB_THREADS allows it;
@@ -204,9 +242,11 @@ def convergence_report(
     obs = _columns(test_obs, "test observable")
     vecs = _columns(test_vectors, "test vector")
     limit_choi = choi_matrix(seq.limit)
+    limit_kraus = _kraus_matrix(seq.limit)
 
     def evaluate(n):
-        dj, ds = _delta(seq, n, limit_choi)
+        term = seq.term(n)
+        dj, ds = _delta(term, limit_choi)
         strong = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
         star = _strongstar_values(ds, obs, vecs, d_in)
         s_arg = int(np.argmax(strong))
@@ -214,7 +254,7 @@ def convergence_report(
         return (
             float(strong[s_arg]),
             float(star[b_arg, v_arg]),
-            float(_hermitian_trace_norm(dj)) / d_in,
+            _choi_gap(_kraus_matrix(term), limit_kraus, dj) / d_in,
             f"state[{s_arg}]",
             f"obs[{b_arg}]|vec[{v_arg}]",
         )

@@ -160,8 +160,8 @@ def from_json_obj(obj, report: bool = False):
         raw = _field(obj, "kraus")
         if not isinstance(raw, list) or not raw:
             raise SchemaError("field 'kraus' must be a nonempty list")
-        ops = tuple(complex_from_json(a, 2) for a in raw)
-        ch = KrausChannel(ops)
+        # One (K, d_out, d_in) array: a ragged family is a structural error.
+        ch = KrausChannel(complex_from_json(raw, 3))
         _check_dims(obj, {"d_in": ch.d_in, "d_out": ch.d_out})
         return ch
     if kind == "stinespring":

@@ -361,6 +361,7 @@ def _pairs(m):
     return serialize.complex_to_json(np.asarray(m, dtype=np.complex128))
 
 
+_KRAUS = serialize.to_json_obj(dephasing_channel(0.5))
 _STINESPRING = serialize.to_json_obj(pad_environment(isometry_from_kraus(dephasing_channel(0.5)), 3))
 _DILATION = {
     "schema_version": 1,
@@ -417,6 +418,12 @@ _VALIDATE = ["gaussian", "validate"]
             "scale matrix contains non-finite entries",
         ),
         ({**_STATE, "m": "abc"}, _VALIDATE, 3, "not a numeric array"),
+        (
+            {**_KRAUS, "kraus": [_pairs(np.eye(2)), _pairs(np.zeros((2, 3)))]},
+            _CONVERT,
+            3,
+            "not a numeric array",
+        ),
         ({**_STATE, "sigma": [1.0, 1.0]}, _VALIDATE, 3, "expected a rank-2 real array"),
     ],
     ids=[
@@ -431,6 +438,7 @@ _VALIDATE = ["gaussian", "validate"]
         "gaussian-channel-asymmetric",
         "gaussian-channel-nan",
         "gaussian-state-non-numeric",
+        "kraus-ragged",
         "gaussian-state-rank",
     ],
 )

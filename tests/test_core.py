@@ -28,6 +28,7 @@ from channel_lab.core import (
     tensor,
     tensor_channels,
     trace_norm,
+    _eigen_order,
     _fix_phase,
 )
 
@@ -401,6 +402,15 @@ def test_ordered_eigh_matches_the_per_column_phase_loop(n, rng):
         want_vals, want_vecs = _sorted_key_eigh(h)
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(vecs, want_vecs)
+
+
+def test_eigen_order_breaks_exact_ties_by_the_phase_fixed_entries(rng):
+    w = np.array([2.0, 0.0, 2.0, -0.0, 1.0, 2.0])
+    vecs, order = _eigen_order(w, ensembles.random_unitary(6, rng))
+    key = lambda k: (w[k],) + tuple(x for z in vecs[:, k] for x in (z.real, z.imag))  # noqa: E731
+    assert order.tolist() == sorted(range(6), key=key)
+    distinct = np.array([3.0, -1.0, 0.5])
+    assert _eigen_order(distinct, np.eye(3))[1].tolist() == [1, 2, 0]
 
 
 def test_fix_phase_takes_vectors_and_leaves_zero_columns_alone(rng):

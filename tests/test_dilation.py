@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from channel_lab.core import (
     PartialIsometry,
     UnitaryOp,
     ValidationError,
+    amplitude_damping_channel,
     channel_action,
     choi_matrix,
     dagger,
@@ -23,6 +26,7 @@ from channel_lab.core import (
     _fix_phase,
 )
 from channel_lab.dilation import (
+    CHOI_RANK_CUTOFF,
     TrackedBasisExtension,
     UnitaryDilation,
     complementary_kraus,
@@ -63,30 +67,86 @@ def test_kraus_isometry_round_trip_is_exact(rng):
         assert np.array_equal(a, b)
 
 
-def _loop_minimal_stinespring(ch, cutoff=1e-10):
+def _choi_minimal_stinespring(ch):
+    """The oracle: Kraus operators read off the Choi matrix's eigenpairs, one by one."""
     vals, vecs = ordered_eigh(choi_matrix(ch))
     ops = []
     for k in range(len(vals)):
-        if vals[k] > cutoff:
+        if vals[k] > CHOI_RANK_CUTOFF:
             ops.append(np.sqrt(vals[k]) * vecs[:, k].reshape(ch.d_out, ch.d_in))
     return isometry_from_kraus(KrausChannel(tuple(ops)))
 
 
+def _kept_span(v):
+    """The projector onto the span of an isometry's Kraus vectors ``vec(A_k)``."""
+    m = kraus_from_isometry(v).stack.reshape(v.d_env, -1)
+    q, _ = np.linalg.qr(m.T)
+    return q @ dagger(q)
+
+
 def test_minimal_stinespring_environment_equals_choi_rank(rng):
+    # every kept Choi eigenvalue is simple, so the Kraus operators are unique up to
+    # phase, and the phase and order conventions make them agree with the oracle
     cases = [
         (identity_channel(2), 1),
-        (dephasing_channel(0.0), 2),
         (dephasing_channel(0.3), 2),
-        (depolarizing_qubit_channel(), 4),
+        (amplitude_damping_channel(0.4), 2),
         (ensembles.random_kraus_channel(3, 2, 4, rng), 4),
         (ensembles.random_kraus_channel(2, 4, 2, rng), 2),
+        (ensembles.random_kraus_channel(2, 2, 7, rng), 4),  # K > d_out * d_in
     ]
     for ch, rank in cases:
         v = minimal_stinespring(ch)
-        assert v.d_env == rank
+        oracle = _choi_minimal_stinespring(ch)
+        assert v.d_env == oracle.d_env == rank
         assert max_action_deviation(ch, kraus_from_isometry(v)) < 1e-12
-        # the same elementwise products as the eigenvector-by-eigenvector loop
-        assert np.array_equal(v.v, _loop_minimal_stinespring(ch).v)
+        assert np.abs(v.v - oracle.v).max() < 1e-12
+
+
+def _tied_channel(rng):
+    """Weights (0.4, 0.4, 0.2) on three Hilbert-Schmidt orthogonal qutrit unitaries,
+    rotated on both sides: Choi eigenvalues 1.2, 1.2 and 0.6 in a generic basis."""
+    shift = np.roll(np.eye(3), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    left, right = ensembles.random_unitary(3, rng), ensembles.random_unitary(3, rng)
+    ops = [np.sqrt(p) * left @ u @ right for p, u in [(0.4, shift), (0.4, clock), (0.2, np.eye(3))]]
+    return KrausChannel(tuple(ops))
+
+
+def test_minimal_stinespring_on_tied_spectra_keeps_the_choi_matrix_and_span(rng):
+    # Tied eigenvalues leave the basis of their eigenspace open, so only the Choi
+    # matrix, the kept span and the environment dimension are compared, and the
+    # output must still be reproducible.  identity_channel(3) ties only in the
+    # discarded, 8-fold zero eigenvalue.
+    cases = [
+        (depolarizing_qubit_channel(), 4),
+        (dephasing_channel(0.0), 2),
+        (identity_channel(3), 1),
+        (_tied_channel(rng), 3),
+    ]
+    vals = np.linalg.eigvalsh(choi_matrix(cases[-1][0]))
+    assert np.allclose(vals[-3:], [0.6, 1.2, 1.2], atol=1e-12)
+    for ch, rank in cases:
+        v = minimal_stinespring(ch)
+        oracle = _choi_minimal_stinespring(ch)
+        assert v.d_env == oracle.d_env == rank
+        assert np.abs(choi_matrix(kraus_from_isometry(v)) - choi_matrix(ch)).max() < 1e-12
+        assert np.abs(_kept_span(v) - _kept_span(oracle)).max() < 1e-12
+        assert minimal_stinespring(ch).v.tobytes() == v.v.tobytes()
+        assert minimal_stinespring(KrausChannel(ch.stack.copy())).v.tobytes() == v.v.tobytes()
+
+
+def test_minimal_stinespring_never_builds_the_choi_matrix(rng):
+    ch = ensembles.random_kraus_channel(32, 32, 4, rng)
+    assert (ch.d_out * ch.d_in) ** 2 * 16 > 16e6  # bytes of the Choi matrix alone
+    tracemalloc.start()
+    try:
+        v = minimal_stinespring(ch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.d_env == 4
+    assert peak < 1e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_minimal_stinespring_compresses_redundant_families(rng):

@@ -82,6 +82,12 @@ def test_structural_errors_raise_schema_error():
         from_json_obj({"kind": "kraus"})
     with pytest.raises(SchemaError, match="nonempty list"):
         from_json_obj({"kind": "kraus", "kraus": []})
+    # a ragged family is structural, like a ragged V or U
+    ragged = [complex_to_json(np.eye(2)), complex_to_json(np.eye(3))]
+    with pytest.raises(SchemaError, match="not a numeric array"):
+        from_json_obj({"kind": "kraus", "kraus": ragged})
+    with pytest.raises(SchemaError, match="expected a rank-3 complex array"):
+        from_json_obj({"kind": "kraus", "kraus": [[[1.0, 0.0]]]})
     with pytest.raises(SchemaError, match="expected a JSON object"):
         from_json_obj([1, 2, 3])
 
