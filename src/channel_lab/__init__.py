@@ -47,12 +47,14 @@ from .gaussian import (
     validate_channel,
     validate_state,
 )
+from . import _parallel  # noqa: F401  (unused here; the benchmark harness in bench/ still reads it)
 from .report import Report
 from .sequences import (
     ChannelSequence,
     PartialTraceForm,
     channels_from_partial_isometries,
     choi_defect,
+    choi_defects,
     complementary_sequence,
     compose_sequence,
     compression_sequence,

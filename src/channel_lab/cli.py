@@ -6,10 +6,8 @@ parameter-level calculus, and ``report`` to re-emit saved reports.
 
 Exit codes: 0 on success, 2 when a value fails validation (including
 command-line usage errors), 3 when an input file cannot be parsed.
-All outputs are deterministic for a fixed invocation and seed.  The
-CHANNEL_LAB_THREADS environment variable caps the parallelism of the
-channel sweeps (``sequence`` on Kraus families); the Gaussian sweeps do not
-use it.
+All outputs are deterministic for a fixed invocation and seed.  Every
+sweep runs in one thread, as blocked array code.
 """
 
 from __future__ import annotations
@@ -154,15 +152,16 @@ def _swap_report(d: int, probe: int) -> Report:
     form = sequences.PartialTraceForm(v0, lambda n: terms[n - 1])
     channel_seq = sequences.channels_from_partial_isometries(form)
 
+    choi = sequences.choi_defects(channel_seq, range(1, d))
     rows = [
         (
             float(np.linalg.norm((w.w - limit) @ tau)),
             float(np.linalg.norm((w.w.conj().T - limit) @ psi)),
-            sequences.choi_defect(channel_seq, n),
+            float(gap),
             f"tau[{probe}]",
             "psi",
         )
-        for n, w in enumerate(terms, start=1)
+        for w, gap in zip(terms, choi)
     ]
     return Report.from_rows(
         "convergence-report",

@@ -236,17 +236,23 @@ class KrausChannel:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = [np.asarray(a, dtype=np.complex128) for a in self.kraus_ops]
-        if not ops:
+        # An array is checked in place as the one (K, d_out, d_in) stack it is;
+        # only the members of a sequence can disagree in shape.
+        ops = self.kraus_ops
+        listed = not isinstance(ops, np.ndarray)
+        if listed:
+            ops = [np.asarray(a, dtype=np.complex128) for a in ops]
+        if len(ops) == 0:
             raise ValidationError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError(f"Kraus operators must be matrices, got shape {shape}")
-        for a in ops:
-            if a.shape != shape:
-                raise ValidationError(
-                    f"Kraus operators disagree in shape: {a.shape} vs {shape}"
-                )
+        if listed:
+            for a in ops:
+                if a.shape != shape:
+                    raise ValidationError(
+                        f"Kraus operators disagree in shape: {a.shape} vs {shape}"
+                    )
         stack = _cmat(ops)
         _require_finite(stack, "Kraus operator")
         flat = stack.reshape(-1, shape[1])

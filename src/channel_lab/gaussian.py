@@ -29,12 +29,7 @@ import numpy as np
 
 from .core import TOL_EIG, TOL_HERM, ValidationError
 from .report import Report
-from .sequences import ChannelSequence
-
-
-#: At most this many complex characteristic values (indices x states x points)
-#: are held at once by one block of :func:`param_convergence_check`.
-SWEEP_BLOCK_ENTRIES = 8192
+from .sequences import SWEEP_BLOCK_ENTRIES, ChannelSequence
 
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -383,9 +378,9 @@ def param_convergence_check(
     does not grow with ``len(ns)``.  Each block builds its terms in index
     order, checks their complete positivity with one batched eigenvalue
     call, and evaluates all their output characteristic values as one
-    array; ``CHANNEL_LAB_THREADS`` plays no part.  Errors surface in index
-    order, with one exception: a term that fails to build is reported even
-    when an earlier term of the same block violates complete positivity.
+    array.  Errors surface in index order, with one exception: a term that
+    fails to build is reported even when an earlier term of the same block
+    violates complete positivity.
     """
     ns = [int(n) for n in ns]
     limit = seq.limit

@@ -17,21 +17,25 @@ against the limit over finite test families:
   undershoot a strong defect measured at a well-chosen state; reports carry
   the comparison as a diagnostic rather than an invariant.
 
-All four come from one batched kernel.  A term's Choi matrix is one GEMM
-over its stacked Kraus vectors, and reshuffling ``J(term) - J(limit)``
-gives the superoperator difference ``S_n - S_0`` (``vec(ch(X)) = S vec(X)``),
-so every channel and dual difference over a whole test family is one matrix
-product.  Trace norms of the Hermitian differences are sums of |eigenvalues|.
-:func:`convergence_report` builds each term once per index and the limit's
-Choi matrix and the stacked test families once per report.
+All four come from one block kernel, which takes a block of built terms at
+once; a single defect is a block of one.  A term's Choi matrix is one GEMM
+over its stacked Kraus vectors, and reshuffling the stacked
+``J(term) - J(limit)`` gives the superoperator differences ``S_n - S_0``
+(``vec(ch(X)) = S vec(X)``), so every channel and dual difference of a
+block over a whole test family is one matrix product.  Trace norms of the
+Hermitian differences are sums of |eigenvalues|, one batched ``eigvalsh``
+per block.  :func:`convergence_report` builds each term once per index and
+the limit's Choi matrix and the stacked test families once per report; a
+block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
 
 The Choi column never diagonalizes the (d_out*d_in)-square difference while
 it has low rank.  With M the (K, d_out*d_in) matrix of stacked
 ``vec(A_k)``, ``J = M^T conj(M)``, so ``J_n - J_0 = A diag(I, -I) A^H`` for
 ``A = [M_n^T, M_0^T]``.  While ``K_n + K_0 < d_out*d_in`` its nonzero
 eigenvalues are those of ``R diag(I, -I) R^H``, where R is A's
-(K_n + K_0)-square QR factor; :func:`choi_defect` then builds no Choi
-matrix at all.  Larger families diagonalize the dense difference.
+(K_n + K_0)-square QR factor, one batched QR for the terms of a block with
+the same Kraus count; :func:`choi_defect` then builds no Choi matrix at
+all.  Larger families diagonalize the dense difference.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import pmap
 from .core import (
     STATE_RANK_CUTOFF,
     TOL_VALID,
@@ -68,6 +71,11 @@ from .report import Report
 
 #: A compression term adds no replacement operator for a Kraus row below this norm.
 ZERO_ROW_NORM = 1e-14
+#: At most this many complex entries are stacked at once by one block of a
+#: sweep: Choi-matrix entries (indices x (d_out*d_in)^2) in
+#: :func:`convergence_report` and :func:`choi_defects`, characteristic values
+#: (indices x states x points) in ``gaussian.param_convergence_check``.
+SWEEP_BLOCK_ENTRIES = 8192
 
 #: Older name of :class:`~channel_lab.report.Report`; the benchmark harness in
 #: ``bench/`` still looks it up here.
@@ -119,14 +127,52 @@ def _columns(family, what: str) -> np.ndarray:
     return np.stack([np.ravel(getattr(x, "matrix", x)) for x in family], axis=1)
 
 
-def _superoperator(j: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    """Reshuffle a Choi matrix into the natural (superoperator) representation.
+def _term_blocks(seq: ChannelSequence, ns: list):
+    """The built terms of ``ns`` in index order, a block at a time, each with its row slice.
 
-    ``S[(a,b),(i,j)] = J[(a,i),(b,j)]``, so that with row-major ``vec``
-    ``vec(ch(X)) = S vec(X)`` and ``vec(ch*(B)) = S^H vec(B)``.  The map is
-    linear, so the reshuffle of ``J_n - J_0`` is ``S_n - S_0``.
+    A block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries (at
+    least one term), so the stacks a block builds do not grow with ``len(ns)``.
     """
-    return j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3).reshape(d_out**2, d_in**2)
+    block = max(1, SWEEP_BLOCK_ENTRIES // (seq.limit.d_out * seq.limit.d_in) ** 2)
+    for start in range(0, len(ns), block):
+        yield slice(start, start + block), [seq.term(n) for n in ns[start:start + block]]
+
+
+def _deltas(terms, limit_choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``J_n - J_0`` and ``S_n - S_0`` stacked over a block of built terms.
+
+    ``S[(a,b),(i,j)] = J[(a,i),(b,j)]`` reshuffles a Choi matrix into the
+    superoperator, so that with row-major ``vec`` ``vec(ch(X)) = S vec(X)``
+    and ``vec(ch*(B)) = S^H vec(B)``.  The map is linear, so the reshuffle of
+    ``J_n - J_0`` is ``S_n - S_0``.
+    """
+    d_out, d_in = terms[0].d_out, terms[0].d_in
+    dj = np.stack([choi_matrix(t) for t in terms])
+    dj -= limit_choi
+    ds = dj.reshape(-1, d_out, d_in, d_out, d_in).transpose(0, 1, 3, 2, 4).reshape(-1, d_out**2, d_in**2)
+    return dj, ds
+
+
+def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
+    """``(term - limit)(rho)`` for every term and stacked state, as a (B, S, d_out, d_out) array.
+
+    One GEMM of the stacked ``S_n - S_0`` with the stacked states.
+    """
+    out = ds.reshape(-1, ds.shape[2]) @ states
+    return out.reshape(len(ds), d_out * d_out, -1).transpose(0, 2, 1).reshape(len(ds), -1, d_out, d_out)
+
+
+def _dual_norms(ds: np.ndarray, obs: np.ndarray, vecs: np.ndarray, d_in: int) -> np.ndarray:
+    """``||(term* - limit*)(B) phi||_2`` for every term, observable and vector, as a (B, obs, vec) array.
+
+    One GEMM of the stacked ``(S_n - S_0)^H`` with the stacked observables
+    gives every dual difference, a second one applies them all to the vectors.
+    """
+    n_obs = obs.shape[1]
+    adjoints = np.conjugate(ds.transpose(0, 2, 1), order="C").reshape(-1, ds.shape[1])
+    duals = (adjoints @ obs).reshape(len(ds), d_in, d_in, n_obs).transpose(0, 3, 1, 2)
+    images = duals.reshape(-1, d_in) @ vecs
+    return np.linalg.norm(images.reshape(len(ds), n_obs, d_in, -1), axis=2)
 
 
 def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
@@ -138,49 +184,47 @@ def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
 
 
-def _choi_gap(m_n: np.ndarray, m_0: np.ndarray, dj: np.ndarray | None = None) -> float:
-    """``trace_norm(J_n - J_0)`` from the stacked Kraus matrices of two channels.
+def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None) -> np.ndarray:
+    """``trace_norm(J_n - J_0)`` for a block of built terms.
 
-    ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.  When A has
-    fewer columns than rows (``K_n + K_0 < d_out*d_in``), the difference's
+    ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.  While A
+    has fewer columns than rows (``K_n + K_0 < d_out*d_in``), the difference's
     nonzero eigenvalues are those of ``R diag(I, -I) R^H`` for the QR factor
-    R of A, a (K_n + K_0)-square matrix, and no Choi matrix is formed.
-    Otherwise the dense difference (``dj`` when the caller has it) is
-    diagonalized.  Equal families give exactly 0.
+    R of A, a (K_n + K_0)-square matrix; the terms with one Kraus count share
+    one batched QR.  The other terms diagonalize their dense difference,
+    taken from ``dj`` when the caller has stacked it and built here
+    otherwise.  Equal families give exactly 0.
     """
-    if np.array_equal(m_n, m_0):
-        return 0.0
-    k_n, k_0 = len(m_n), len(m_0)
-    if k_n + k_0 < m_n.shape[1]:
-        r = np.linalg.qr(np.concatenate([m_n, m_0]).T, mode="r")
+    m_0 = _kraus_matrix(limit)
+    k_0, size = m_0.shape
+    gaps = np.zeros(len(terms))
+    by_count, dense = {}, []
+    for i, term in enumerate(terms):
+        m_n = _kraus_matrix(term)
+        if np.array_equal(m_n, m_0):
+            continue
+        if len(m_n) + k_0 < size:
+            by_count.setdefault(len(m_n), []).append(i)
+        else:
+            dense.append(i)
+    for k_n, rows in by_count.items():
+        pairs = np.stack([np.concatenate([_kraus_matrix(terms[i]), m_0]) for i in rows])
+        r = np.linalg.qr(pairs.transpose(0, 2, 1), mode="r")
         signs = np.repeat([1.0, -1.0], [k_n, k_0])
-        return float(_hermitian_trace_norm((r * signs) @ dagger(r)))
-    if dj is None:
-        dj = m_n.T @ m_n.conj() - m_0.T @ m_0.conj()
-    return float(_hermitian_trace_norm(dj))
-
-
-def _delta(term: KrausChannel, limit_choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``J_n - J_0`` and ``S_n - S_0`` for a built term."""
-    dj = choi_matrix(term) - limit_choi
-    return dj, _superoperator(dj, term.d_out, term.d_in)
-
-
-def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
-    """``(term - limit)(rho)`` for every stacked state, as a (S, d_out, d_out) array."""
-    return (ds @ states).T.reshape(-1, d_out, d_out)
-
-
-def _strongstar_values(ds: np.ndarray, obs: np.ndarray, vecs: np.ndarray, d_in: int) -> np.ndarray:
-    """``||(term* - limit*)(B) phi||_2`` as an (observable, vector) array."""
-    duals = (ds.conj().T @ obs).T.reshape(-1, d_in, d_in)
-    return np.linalg.norm(duals @ vecs, axis=1)
+        gaps[rows] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
+    if dense:
+        if dj is None:
+            dj = np.stack([choi_matrix(terms[i]) for i in dense]) - choi_matrix(limit)
+        else:
+            dj = dj[dense]
+        gaps[dense] = _hermitian_trace_norm(dj)
+    return gaps
 
 
 def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
     states = _columns(test_states, "test state")
-    _, ds = _delta(seq.term(n), choi_matrix(seq.limit))
+    _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
@@ -188,8 +232,8 @@ def weak_defect(seq: ChannelSequence, n: int, test_states, test_obs) -> float:
     """Largest expectation gap ``|Tr B (term - limit)(rho)|`` over the test grid."""
     states = _columns(test_states, "test state")
     _require_nonempty(test_obs, "test observable")
-    _, ds = _delta(seq.term(n), choi_matrix(seq.limit))
-    diffs = _output_diffs(ds, states, seq.limit.d_out)
+    _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
+    diffs = _output_diffs(ds, states, seq.limit.d_out)[0]
     obs = np.stack([b.matrix for b in test_obs])
     return float(np.abs(np.einsum("nab,sba->ns", obs, diffs)).max())
 
@@ -198,8 +242,17 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
     obs = _columns(test_obs, "test observable")
     vecs = _columns(test_vectors, "test vector")
-    _, ds = _delta(seq.term(n), choi_matrix(seq.limit))
-    return float(_strongstar_values(ds, obs, vecs, seq.limit.d_in).max())
+    _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
+    return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
+
+
+def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
+    """:func:`choi_defect` at every index of ``ns``, in order, swept in blocks."""
+    ns = [int(n) for n in ns]
+    gaps = np.empty(len(ns))
+    for rows, terms in _term_blocks(seq, ns):
+        gaps[rows] = _choi_gaps(terms, seq.limit, None)
+    return gaps / seq.limit.d_in
 
 
 def choi_defect(seq: ChannelSequence, n: int) -> float:
@@ -210,7 +263,7 @@ def choi_defect(seq: ChannelSequence, n: int) -> float:
     QR factor of their size and without any Choi matrix; otherwise from the
     dense difference.  Equal families give exactly 0.
     """
-    return _choi_gap(_kraus_matrix(seq.term(n)), _kraus_matrix(seq.limit)) / seq.limit.d_in
+    return float(choi_defects(seq, [n])[0])
 
 
 def convergence_report(
@@ -224,17 +277,19 @@ def convergence_report(
     """Sweep all three defect kinds over the given indices.
 
     The test families are stacked and the limit's Choi matrix is built once
-    per report; each term is built once per index.  Its Choi matrix (one
-    GEMM) minus the limit's, reshuffled, is ``S_n - S_0``: one product with
-    the stacked states gives every output difference, one with the stacked
-    observables every dual difference.  Trace norms are sums of |eigenvalues|
-    of the Hermitian differences; the Choi column takes them from the small
-    QR core described in the module docstring whenever the two Kraus
-    families are small enough.  Witnesses are first maximizers: in state
-    order for strong, observable-major then vector order for strong*.
-
-    The sweep is parallel over indices when CHANNEL_LAB_THREADS allows it;
-    results are assembled in index order either way.
+    per report.  The indices are swept in blocks of at most
+    ``SWEEP_BLOCK_ENTRIES // (d_out*d_in)^2`` (at least one), so memory does
+    not grow with ``len(ns)``.  Each block builds its terms in index order,
+    once per index, and stacks their Choi matrices (one GEMM each) minus the
+    limit's; reshuffled, the stack is every ``S_n - S_0``.  One product with
+    the stacked states gives every output difference of the block, one with
+    the stacked observables every dual difference.  Trace norms are sums of
+    |eigenvalues| of the Hermitian differences, one batched ``eigvalsh`` per
+    block; the Choi column takes them from the small QR core described in
+    the module docstring whenever the two Kraus families are small enough.
+    Witnesses are first maximizers: in state order for strong,
+    observable-major then vector order for strong*.  Errors surface in
+    index order.
     """
     ns = [int(n) for n in ns]
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
@@ -242,24 +297,26 @@ def convergence_report(
     obs = _columns(test_obs, "test observable")
     vecs = _columns(test_vectors, "test vector")
     limit_choi = choi_matrix(seq.limit)
-    limit_kraus = _kraus_matrix(seq.limit)
-
-    def evaluate(n):
-        term = seq.term(n)
-        dj, ds = _delta(term, limit_choi)
-        strong = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
-        star = _strongstar_values(ds, obs, vecs, d_in)
-        s_arg = int(np.argmax(strong))
-        b_arg, v_arg = divmod(int(np.argmax(star)), star.shape[1])
-        return (
-            float(strong[s_arg]),
-            float(star[b_arg, v_arg]),
-            _choi_gap(_kraus_matrix(term), limit_kraus, dj) / d_in,
-            f"state[{s_arg}]",
-            f"obs[{b_arg}]|vec[{v_arg}]",
-        )
-
-    return Report.from_rows("convergence-report", ns, pmap(evaluate, ns), test_family=test_family)
+    strong, star, choi = np.empty((3, len(ns)))
+    strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)
+    for rows, terms in _term_blocks(seq, ns):
+        dj, ds = _deltas(terms, limit_choi)
+        gaps = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
+        duals = _dual_norms(ds, obs, vecs, d_in).reshape(len(terms), -1)
+        strong[rows], strong_args[rows] = gaps.max(axis=1), gaps.argmax(axis=1)
+        star[rows], star_args[rows] = duals.max(axis=1), duals.argmax(axis=1)
+        choi[rows] = _choi_gaps(terms, seq.limit, dj)
+    obs_args, vec_args = np.divmod(star_args, vecs.shape[1])
+    return Report(
+        "convergence-report",
+        ns,
+        strong=strong,
+        strongstar=star,
+        choi=choi / d_in,
+        strong_witness=[f"state[{k}]" for k in strong_args],
+        strongstar_witness=[f"obs[{b}]|vec[{v}]" for b, v in zip(obs_args, vec_args)],
+        test_family=test_family,
+    )
 
 
 def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> ChannelSequence:

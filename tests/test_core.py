@@ -162,8 +162,16 @@ def test_kraus_channel_validation():
         KrausChannel((np.ones(2),))
     with pytest.raises(ValidationError, match=r"must be matrices, got shape \(0, 2\)"):
         KrausChannel(np.zeros((1, 0, 2)))
+    # An array is checked as a whole: a matrix is a family of row vectors,
+    # a rank-4 array a family of rank-3 operators.
+    with pytest.raises(ValidationError, match=r"must be matrices, got shape \(2,\)"):
+        KrausChannel(np.eye(2))
+    with pytest.raises(ValidationError, match=r"must be matrices, got shape \(1, 2, 2\)"):
+        KrausChannel(np.eye(2).reshape(1, 1, 2, 2))
     with pytest.raises(ValidationError, match="Kraus operator contains non-finite"):
         KrausChannel((np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+    with pytest.raises(ValidationError, match="Kraus operator contains non-finite"):
+        KrausChannel(np.array([[[np.inf, 0.0], [0.0, 1.0]]]))
     with pytest.raises(ValidationError, match="trace preserving"):
         KrausChannel(np.stack([np.eye(2), np.eye(2)]))
 

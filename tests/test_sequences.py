@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from channel_lab import ensembles, sequences
 from channel_lab.core import (
     DensityOperator,
     KrausChannel,
+    PartialIsometry,
     StinespringIsometry,
     UnitaryOp,
     Observable,
@@ -23,6 +25,7 @@ from channel_lab.sequences import (
     PartialTraceForm,
     channels_from_partial_isometries,
     choi_defect,
+    choi_defects,
     complementary_sequence,
     compose_sequence,
     compression_sequence,
@@ -369,6 +372,90 @@ def test_convergence_report_parallel_matches_sequential(rng, monkeypatch):
     monkeypatch.setenv("CHANNEL_LAB_THREADS", "4")
     threaded = build()
     assert base.to_json_dict() == threaded.to_json_dict()
+
+
+def _rotation_sequence(d_in, d_out, d_env):
+    v0 = StinespringIsometry(np.eye(d_out * d_env, d_in), d_out, d_env)
+    form = rotation_partial_trace_form(v0, (d_out * d_env - 1, 0), lambda n: 1.0 / n)
+    return channels_from_partial_isometries(form)
+
+
+def _sweep_case(case, rng):
+    """A sequence, its indices and its test families, for the block-size tests."""
+    if case == "partial-trace-form":
+        # 8 indices to a default block: 20 indices span three blocks.
+        seq, ns = _rotation_sequence(8, 4, 8), range(1, 21)
+    elif case == "compress-mixed":
+        # Kraus counts 4, 10, 2, 8, 4, 6 against the limit's 2 with d_out*d_in = 8:
+        # one QR group of two terms, three dense differences and an exact zero,
+        # interleaved in one block.
+        base = ensembles.random_kraus_channel(2, 4, 2, rng)
+        seq = compression_sequence(base, ensembles.random_pure_density(4, rng), [0, 1, 2, 3, 3, 4])
+        ns = [4, 1, 6, 2, 5, 3]
+        assert [len(seq.term(n).kraus_ops) for n in ns] == [4, 10, 2, 8, 4, 6]
+    else:
+        seq, ns = constant_sequence(ensembles.random_kraus_channel(3, 2, 4, rng)), [1, 2, 3]
+    d_in, d_out = seq.limit.d_in, seq.limit.d_out
+    families = (
+        ensembles.default_test_states(d_in, rng),
+        ensembles.matrix_unit_observables(d_out),
+        ensembles.default_test_vectors(d_in, rng),
+    )
+    return seq, list(ns), families
+
+
+@pytest.mark.parametrize("case", ["partial-trace-form", "compress-mixed", "constant"])
+def test_convergence_report_does_not_depend_on_the_block_size(case, rng, monkeypatch):
+    seq, ns, families = _sweep_case(case, rng)
+
+    def sweep():
+        return convergence_report(seq, ns, *families).to_json_dict(), choi_defects(seq, ns).tolist()
+
+    default = sweep()
+    if case == "partial-trace-form":
+        assert sequences.SWEEP_BLOCK_ENTRIES // (seq.limit.d_out * seq.limit.d_in) ** 2 < len(ns)
+    if case == "compress-mixed":
+        # Index 6 has full rank: the term is the limit, through the QR branch's size.
+        assert default[0]["choi"][ns.index(6)] == 0.0
+    if case == "constant":
+        assert default[0]["strong"] == default[0]["strongstar"] == default[0]["choi"] == [0.0] * 3
+    assert default[1] == [choi_defect(seq, n) for n in ns]
+    for entries in (1, 10**9):
+        monkeypatch.setattr(sequences, "SWEEP_BLOCK_ENTRIES", entries)
+        assert sweep() == default
+
+
+def test_convergence_report_memory_does_not_grow_with_the_index_count(rng):
+    seq = _rotation_sequence(8, 4, 8)
+    families = (
+        ensembles.default_test_states(8, rng),
+        ensembles.matrix_unit_observables(4),
+        ensembles.default_test_vectors(8, rng),
+    )
+    peaks = []
+    for n_max in (60, 240):
+        tracemalloc.start()
+        try:
+            convergence_report(seq, range(1, n_max + 1), *families)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], f"peaks {peaks[0] / 1e6:.2f} and {peaks[1] / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("bad", [{5}, {5, 7}, {8, 9}])
+def test_convergence_report_raises_for_the_first_invalid_term(bad, rng):
+    """Terms 1..8 share a block; the first invalid term is reported, as in an index loop."""
+    good = _rotation_sequence(8, 4, 8)
+    seq = ChannelSequence(good.limit, lambda n: identity_channel(8) if n in bad else good.term(n))
+    _, ns, families = _sweep_case("partial-trace-form", rng)
+    with pytest.raises(ValidationError, match=rf"term {min(bad)} acts between dims \(8,8\)"):
+        convergence_report(seq, ns, *families)
+    v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
+    form = rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n)
+    stray = PartialTraceForm(v0, lambda n: PartialIsometry(np.eye(32)) if n in bad else form.w_fn(n))
+    with pytest.raises(ValidationError, match=rf"term {min(bad)}: initial projector deviates"):
+        convergence_report(channels_from_partial_isometries(stray), ns, *families)
 
 
 def test_report_validation_and_round_trip(tmp_path):
