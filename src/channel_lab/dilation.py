@@ -15,8 +15,11 @@ them:
   of M, whose cost grows with K rather than with the (d_out*d_in)^2 Choi
   matrix, which is never formed.
 * Stinespring isometry V  ->  unitary U on input (x) ancilla with
-  ``U (phi (x) tau_0) = (V phi) (x) chi_0``, built by completing the
-  partial isometry that matches those two subspaces.
+  ``U (phi (x) tau_0) = (V phi) (x) chi_0``, built factor by factor: off
+  that subspace U pairs ``e_i (x) T`` (T the kernel basis of
+  ``tau_0 tau_0*``) with the output-side kernel ``[I (x) e_x for x != 0,
+  C (x) chi_0]`` (C the kernel basis of ``V V*``), so no eigensolve is
+  larger than the ancilla or the output (x) environment space.
 
 Results are deterministic: orthonormal complement bases and the minimal
 dilation's Kraus operators follow the reproducible eigenpair convention of
@@ -193,6 +196,15 @@ def unitary_from_isometry(
     Defaults ``d_anc = d_out * d_env`` and ``d_extra = d_in`` always make
     the dimension products match; other choices must satisfy
     ``d_in * d_anc = d_out * d_env * d_extra`` exactly.
+
+    U is built from the tensor factors, ``U = [lift | R] [embed | L]*``.
+    ``embed = I (x) tau_0`` and ``lift = V (x) chi_0``; the input-side kernel
+    is ``L = I_{d_in} (x) T`` with T the kernel basis of ``tau_0 tau_0*``;
+    the output-side kernel is ``R = [I_D (x) (e_1 ... e_{d_extra-1}),
+    C (x) chi_0]`` with D = d_out * d_env and C the kernel basis of
+    ``V V*``.  Columns of L and R pair up in order, so the largest
+    eigensolve is of size max(d_anc, D), and most entries of U are exact
+    zeros.
     """
     d_anc = d_anc if d_anc is not None else v.d_out * v.d_env
     d_extra = d_extra if d_extra is not None else v.d_in
@@ -203,12 +215,28 @@ def unitary_from_isometry(
         )
     tau0 = _e0(d_anc) if tau0 is None else _ancilla_vector(tau0, d_anc)
 
-    # Partial isometry matching phi (x) tau_0 to (V phi) (x) chi_0.
-    lift = np.kron(v.v, _e0(d_extra).reshape(-1, 1))
-    embed = np.kron(np.eye(v.d_in), tau0.reshape(-1, 1))
-    u = complete_unitary(PartialIsometry(lift @ dagger(embed)))
+    d_big = v.d_out * v.d_env
+    ker_anc = _kernel_basis(np.outer(tau0, tau0.conj()))
+    ker_range = _kernel_basis(v.v @ dagger(v.v))
+    n_spare = d_big * (d_extra - 1)
+    n_left, n_right = v.d_in * ker_anc.shape[1], n_spare + ker_range.shape[1]
+    if n_left != n_right:
+        raise ValidationError(f"numerical kernel dimensions disagree: {n_left} vs {n_right}")
+
+    # Output-side columns as (output (x) environment, extra, input, ancilla): the one
+    # paired with e_i (x) [tau_0 | T][:, a] is lift's column i for a = 0, else R's
+    # column i * (d_anc - 1) + a - 1.
+    right = np.zeros((d_big, d_extra, n_right), dtype=np.complex128)
+    right[:, 1:, :n_spare] = np.eye(n_spare).reshape(d_big, d_extra - 1, n_spare)
+    right[:, 0, n_spare:] = ker_range
+    cols = np.zeros((d_big, d_extra, v.d_in, d_anc), dtype=np.complex128)
+    cols[:, 0, :, 0] = v.v
+    cols[..., 1:] = right.reshape(d_big, d_extra, v.d_in, d_anc - 1)
+    # Right-multiplying by [embed | L]* = I (x) [tau_0 | T]* acts on the ancilla axis only.
+    n = v.d_in * d_anc
+    u = cols.reshape(n, v.d_in, d_anc) @ dagger(np.column_stack([tau0, ker_anc]))
     return UnitaryDilation(
-        u=u,
+        u=UnitaryOp(u.reshape(n, n)),
         tau0=tau0,
         d_in=v.d_in,
         d_anc=d_anc,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -131,15 +130,18 @@ def _write_value(x, level: int, write) -> None:
 def _write_float_array(a: np.ndarray, level: int, write) -> None:
     """Write a nonempty float array of rank >= 2 as json lays out its ``tolist()``.
 
-    Each slice of the outermost axis is formatted in one pass: its entries'
-    reprs interleaved with the separators, which depend only on the shape.
+    Each slice of the outermost axis is formatted in one pass by one ``%r``
+    template: its entries' reprs interleaved with the separators, which depend
+    only on the shape.  Neither finite reprs nor separators contain ``inf`` or
+    ``nan``, so renaming those afterwards spells json's non-finite literals.
     """
     head, seps = _block_layout(a.shape[1:], level + 1)
+    template = head + "".join("%r" + sep for sep in seps)
     inner = "\n" + _INDENT * (level + 1)
     write("[")
     for i, block in enumerate(a):
-        entries = map(_float_text, block.ravel().tolist())
-        write(("," + inner if i else inner) + head + "".join(chain.from_iterable(zip(entries, seps))))
+        text = (template % tuple(block.ravel().tolist())).replace("inf", "Infinity").replace("nan", "NaN")
+        write(("," + inner if i else inner) + text)
     write("\n" + _INDENT * level + "]")
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from channel_lab import ensembles
+from channel_lab import dilation, ensembles
 from channel_lab.core import (
     DensityOperator,
     KrausChannel,
@@ -275,6 +275,35 @@ def test_unitary_from_isometry_dimension_flexibility(rng):
     tau = np.array([0.6, 0.8], dtype=np.complex128)
     custom = unitary_from_isometry(v, d_anc=2, d_extra=2, tau0=tau)
     assert np.allclose(custom.tau0, tau)
+
+
+def test_unitary_from_isometry_eigensolves_only_the_factors(monkeypatch, rng):
+    # The completion diagonalizes tau_0 tau_0* and V V*, never a projector on the
+    # d_in * d_anc dilation space.
+    sizes = []
+
+    def spy(h):
+        sizes.append(len(h))
+        return ordered_eigh(h)
+
+    monkeypatch.setattr(dilation, "ordered_eigh", spy)
+    tau = ensembles.haar_vector(4, rng)
+    cases = [
+        (isometry_from_kraus(ensembles.random_kraus_channel(3, 2, 2, rng)), {}),
+        (isometry_from_kraus(ensembles.random_kraus_channel(2, 2, 2, rng)), {"d_anc": 4, "d_extra": 2, "tau0": tau}),
+        (isometry_from_kraus(ensembles.random_kraus_channel(4, 3, 2, rng)), {"d_anc": 6, "d_extra": 4}),
+    ]
+    for v, kwargs in cases:
+        sizes.clear()
+        dil = unitary_from_isometry(v, **kwargs)
+        assert sizes and max(sizes) <= max(dil.d_anc, v.d_out * v.d_env)
+
+    # A scaled case: d = 8 with 8 Kraus operators completes on dimension 512.
+    sizes.clear()
+    v = isometry_from_kraus(ensembles.random_kraus_channel(8, 8, 8, rng))
+    u = unitary_from_isometry(v).u.u
+    assert u.shape == (512, 512) and max(sizes) == 64
+    assert opnorm(dagger(u) @ u - np.eye(512)) <= 1e-10
 
 
 def _loop_purify(sigma, cutoff=1e-12):

@@ -15,10 +15,11 @@ from channel_lab.report import dump_json  # noqa: E402
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
 _floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
 _leaves = st.none() | st.booleans() | st.integers() | _floats | st.text()
-_arrays = hnp.arrays(
-    np.float64,
-    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
-    elements=_floats,
+_EDGE_FLOATS32 = [-0.0, 0.0, 1e-45, -1e-45, 3.4028234663852886e38, float("nan"), float("inf"), float("-inf")]
+_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+# float32 arrays take the same path as float64 ones: their tolist() holds Python floats.
+_arrays = hnp.arrays(np.float64, _shapes, elements=_floats) | hnp.arrays(
+    np.float32, _shapes, elements=st.floats(width=32) | st.sampled_from(_EDGE_FLOATS32)
 )
 _docs = st.recursive(
     _leaves | _arrays,

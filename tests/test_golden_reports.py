@@ -13,17 +13,24 @@ line endings and non-float cells, and floats within 1e-12.
 
 ``convert_unitary_dilation_d2.json`` was written by ``channel-lab convert
 --to unitary-dilation`` while documents still went through the stdlib JSON
-encoder; the array-native writer must reproduce it byte for byte.
+encoder and U was the generic completion of the partial isometry
+``(V (x) chi_0)(I (x) tau_0)*``.  U is now built factor by factor and differs
+from it off the embedded subspace, so against that file every field but
+``U`` must be equal and ``U (I (x) tau_0)`` must agree within 1e-12.
+``convert_unitary_dilation_d2_factored.json`` was written by the factored
+construction after that check and is compared byte for byte; its bytes are
+also the stdlib encoder's.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from channel_lab import serialize
 from channel_lab.cli import main
-from channel_lab.core import amplitude_damping_channel
+from channel_lab.core import amplitude_damping_channel, opnorm
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,4 +114,16 @@ def test_convert_matches_golden_file(tmp_path):
     serialize.dump(amplitude_damping_channel(0.3), src)
     out = tmp_path / "dilation.json"
     assert main(["convert", "--in", str(src), "--to", "unitary-dilation", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "convert_unitary_dilation_d2.json").read_bytes()
+    got_bytes = out.read_bytes()
+    want_bytes = (DATA / "convert_unitary_dilation_d2_factored.json").read_bytes()
+    assert got_bytes == want_bytes
+    assert want_bytes.decode() == json.dumps(json.loads(want_bytes), indent=2, sort_keys=True) + "\n"
+
+    got = json.loads(got_bytes)
+    old = json.loads((DATA / "convert_unitary_dilation_d2.json").read_text())
+    assert sorted(got) == sorted(old)
+    for key in sorted(set(old) - {"U"}):
+        assert got[key] == old[key], key
+    embed = np.kron(np.eye(old["d_in"]), serialize.complex_from_json(old["tau0"], 1).reshape(-1, 1))
+    gap = (serialize.complex_from_json(got["U"], 2) - serialize.complex_from_json(old["U"], 2)) @ embed
+    assert opnorm(gap) <= 1e-12

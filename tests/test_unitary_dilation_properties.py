@@ -1,0 +1,70 @@
+"""Property tests: the factored unitary dilation is unitary, extends the
+isometry on the embedded subspace, models the channel, and survives a JSON
+round trip, for default and custom ancilla and extra dimensions."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from channel_lab import ensembles, serialize  # noqa: E402
+from channel_lab.core import dagger, max_action_deviation, opnorm  # noqa: E402
+from channel_lab.dilation import isometry_from_kraus, to_kraus, unitary_from_isometry  # noqa: E402
+
+
+@st.composite
+def dilation_cases(draw):
+    """A channel with d_in, d_out <= 3 and 1-4 Kraus operators, and the keyword
+    arguments of its dilation.  ``default`` leaves d_anc, d_extra and tau0 unset;
+    ``custom`` picks a multiple of the smallest (d_anc, d_extra) that balances
+    d_in * d_anc = d_out * K * d_extra and maybe a random tau0; ``unitary`` has
+    one Kraus operator, so V is unitary (D = d_in) and d_anc can be 1."""
+    mode = draw(st.sampled_from(["default", "custom", "unitary"]))
+    d_in = draw(st.integers(1, 3))
+    if mode == "unitary":
+        d_out, n_ops = d_in, 1
+    else:
+        d_out = draw(st.integers(1, 3))
+        n_ops = draw(st.integers(max(1, -(-d_in // d_out)), 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ch = ensembles.random_kraus_channel(d_in, d_out, n_ops, rng)
+    kwargs = {}
+    if mode != "default":
+        big = d_out * n_ops
+        scale = draw(st.integers(1, 2))
+        g = math.gcd(d_in, big)
+        kwargs = {"d_anc": scale * big // g, "d_extra": scale * d_in // g}
+        if draw(st.booleans()):
+            kwargs["tau0"] = ensembles.haar_vector(kwargs["d_anc"], rng)
+    return ch, kwargs
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(dilation_cases())
+def test_unitary_dilation_round_trips(case):
+    ch, kwargs = case
+    v = isometry_from_kraus(ch)
+    dil = unitary_from_isometry(v, **kwargs)
+    u = dil.u.u
+    d_extra = dil.d_env // v.d_env
+    assert opnorm(dagger(u) @ u - np.eye(dil.u.dim)) <= 1e-12
+
+    embed = np.kron(np.eye(v.d_in), dil.tau0.reshape(-1, 1))
+    chi0 = np.eye(d_extra)[:, :1]
+    assert opnorm(u @ embed - np.kron(v.v, chi0)) <= 1e-12
+    assert max_action_deviation(ch, to_kraus(dil)) <= 1e-10
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dilation.json"
+        serialize.dump(dil, path)
+        loaded = serialize.load(path)
+    assert np.array_equal(loaded.u.u, u)
+    assert np.array_equal(loaded.tau0, dil.tau0)
+    assert (loaded.d_in, loaded.d_anc, loaded.d_out, loaded.d_env) == (
+        dil.d_in, dil.d_anc, dil.d_out, dil.d_env,
+    )
