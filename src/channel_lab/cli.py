@@ -13,6 +13,7 @@ sweep runs in one thread, as blocked array code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -258,7 +259,9 @@ def _summary_lines(report) -> list[str]:
     return lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="channel-lab",
         description="Quantum channel representations and convergence diagnostics.",

@@ -353,7 +353,12 @@ class PartialIsometry:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOp:
-    """A square unitary, both ``U*U`` and ``UU*`` within ``TOL_VALID`` of I."""
+    """A square unitary, both ``U*U`` and ``UU*`` within ``TOL_VALID`` of I.
+
+    For a square U the two defects ``U*U - I`` and ``UU* - I`` have the same
+    singular values ``|s^2 - 1|`` over the singular values s of U, so only
+    the first is checked; the second is formed only to word a rejection.
+    """
 
     u: np.ndarray
 
@@ -363,9 +368,9 @@ class UnitaryOp:
             raise ValidationError(f"unitary must be square, got shape {m.shape}")
         _require_finite(m, "unitary")
         eye = np.eye(m.shape[0])
-        gaps = (dagger(m) @ m - eye, m @ dagger(m) - eye)
-        if any(_defect(g, TOL_VALID) > TOL_VALID for g in gaps):
-            left, right = (opnorm(g) for g in gaps)
+        gap = dagger(m) @ m - eye
+        if _defect(gap, TOL_VALID) > TOL_VALID:
+            left, right = opnorm(gap), opnorm(m @ dagger(m) - eye)
             raise ValidationError(
                 f"matrix is not unitary: ||U*U-I||={left:.3e}, ||UU*-I||={right:.3e}"
             )

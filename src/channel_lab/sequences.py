@@ -22,11 +22,15 @@ once; a single defect is a block of one.  A term's Choi matrix is one GEMM
 over its stacked Kraus vectors, and reshuffling the stacked
 ``J(term) - J(limit)`` gives the superoperator differences ``S_n - S_0``
 (``vec(ch(X)) = S vec(X)``), so every channel and dual difference of a
-block over a whole test family is one matrix product.  Trace norms of the
-Hermitian differences are sums of |eigenvalues|, one batched ``eigvalsh``
-per block.  :func:`convergence_report` builds each term once per index and
-the limit's Choi matrix and the stacked test families once per report; a
-block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
+block over a whole test family is one matrix product.  The matrix-unit
+observables stack to the identity, so their dual differences are the
+conjugated rows of ``S_n - S_0`` themselves (``vec(ch*(B)) = S^H vec(B)``)
+and cost no observable product, only the one applying them to the test
+vectors.  Trace norms of the Hermitian differences are sums of
+|eigenvalues|, one batched ``eigvalsh`` per block.
+:func:`convergence_report` builds each term once per index and the
+limit's Choi matrix and the stacked test families once per report; a block
+holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
 
 The Choi column never diagonalizes the (d_out*d_in)-square difference while
 it has low rank.  With M the (K, d_out*d_in) matrix of stacked
@@ -162,16 +166,35 @@ def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
     return out.reshape(len(ds), d_out * d_out, -1).transpose(0, 2, 1).reshape(len(ds), -1, d_out, d_out)
 
 
-def _dual_norms(ds: np.ndarray, obs: np.ndarray, vecs: np.ndarray, d_in: int) -> np.ndarray:
+def _observable_columns(test_obs) -> np.ndarray | None:
+    """The stacked observables, or ``None`` when they stack to exactly the identity.
+
+    The matrix units in row-major order do; for them :func:`_dual_norms`
+    needs no product with the observables.
+    """
+    obs = _columns(test_obs, "test observable")
+    return None if np.array_equal(obs, np.eye(obs.shape[1])) else obs
+
+
+def _dual_norms(ds: np.ndarray, obs: np.ndarray | None, vecs: np.ndarray, d_in: int) -> np.ndarray:
     """``||(term* - limit*)(B) phi||_2`` for every term, observable and vector, as a (B, obs, vec) array.
 
     One GEMM of the stacked ``(S_n - S_0)^H`` with the stacked observables
     gives every dual difference, a second one applies them all to the vectors.
+    With ``obs`` None (the stack is the identity, see
+    :func:`_observable_columns`) the dual difference of the o-th matrix unit
+    is the conjugated row o of ``S_n - S_0``, read as a d_in-square matrix,
+    so its images are the conjugates of ``ds.reshape(-1, d_in) @ conj(vecs)``
+    and have the same norms: one GEMM in all.
     """
-    n_obs = obs.shape[1]
-    adjoints = np.conjugate(ds.transpose(0, 2, 1), order="C").reshape(-1, ds.shape[1])
-    duals = (adjoints @ obs).reshape(len(ds), d_in, d_in, n_obs).transpose(0, 3, 1, 2)
-    images = duals.reshape(-1, d_in) @ vecs
+    if obs is None:
+        n_obs = ds.shape[1]
+        images = ds.reshape(-1, d_in) @ vecs.conj()
+    else:
+        n_obs = obs.shape[1]
+        adjoints = np.conjugate(ds.transpose(0, 2, 1), order="C").reshape(-1, ds.shape[1])
+        duals = (adjoints @ obs).reshape(len(ds), d_in, d_in, n_obs).transpose(0, 3, 1, 2)
+        images = duals.reshape(-1, d_in) @ vecs
     return np.linalg.norm(images.reshape(len(ds), n_obs, d_in, -1), axis=2)
 
 
@@ -240,7 +263,7 @@ def weak_defect(seq: ChannelSequence, n: int, test_states, test_obs) -> float:
 
 def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> float:
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
-    obs = _columns(test_obs, "test observable")
+    obs = _observable_columns(test_obs)
     vecs = _columns(test_vectors, "test vector")
     _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
@@ -283,7 +306,10 @@ def convergence_report(
     once per index, and stacks their Choi matrices (one GEMM each) minus the
     limit's; reshuffled, the stack is every ``S_n - S_0``.  One product with
     the stacked states gives every output difference of the block, one with
-    the stacked observables every dual difference.  Trace norms are sums of
+    the stacked observables every dual difference; when the observables are
+    the matrix units in order (their stack is exactly the identity, checked
+    once per report) that product is skipped and the rows of the stack are
+    the dual differences.  Trace norms are sums of
     |eigenvalues| of the Hermitian differences, one batched ``eigvalsh`` per
     block; the Choi column takes them from the small QR core described in
     the module docstring whenever the two Kraus families are small enough.
@@ -294,7 +320,7 @@ def convergence_report(
     ns = [int(n) for n in ns]
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
     states = _columns(test_states, "test state")
-    obs = _columns(test_obs, "test observable")
+    obs = _observable_columns(test_obs)
     vecs = _columns(test_vectors, "test vector")
     limit_choi = choi_matrix(seq.limit)
     strong, star, choi = np.empty((3, len(ns)))
@@ -411,6 +437,10 @@ class PartialTraceForm:
             raise ValidationError(f"sequence index must be >= 0, got {n}")
         if n == 0:
             return self.v0
+        return StinespringIsometry(self._product(n), self.v0.d_out, self.v0.d_env)
+
+    def _product(self, n: int) -> np.ndarray:
+        """``W(n) V0`` for n >= 1, once W(n) is checked against the embedding range."""
         w = self.w_fn(n)
         drift = _defect(w.initial_projector - self.range0, TOL_VALID)
         if drift > TOL_VALID:
@@ -418,19 +448,24 @@ class PartialTraceForm:
                 f"term {n}: initial projector deviates from the embedding range "
                 f"by {drift:.3e}"
             )
-        return StinespringIsometry(w.w @ self.v0.v, self.v0.d_out, self.v0.d_env)
+        return w.w @ self.v0.v
 
 
 def channels_from_partial_isometries(form: PartialTraceForm) -> ChannelSequence:
     """The channel sequence of a partial-trace form.
 
     Each term's compatibility of W(n) with the embedding is checked when the
-    term is accessed.
+    term is accessed.  The product ``W(n) V0`` is sliced straight into its
+    Kraus family, whose trace-preservation check is the isometry check
+    (``sum A*A`` is ``V*V`` summed in another order), so it runs once.
     """
-    return ChannelSequence(
-        kraus_from_isometry(form.v0),
-        lambda n: kraus_from_isometry(form.isometry(n)),
-    )
+    v0 = form.v0
+
+    def term(n: int) -> KrausChannel:
+        w_v0 = form._product(n)
+        return KrausChannel(w_v0.reshape(v0.d_out, v0.d_env, v0.d_in).transpose(1, 0, 2))
+
+    return ChannelSequence(kraus_from_isometry(v0), term)
 
 
 def givens_rotation(dim: int, i: int, j: int, theta: float) -> np.ndarray:

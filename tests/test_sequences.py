@@ -14,6 +14,7 @@ from channel_lab.core import (
     Observable,
     ValidationError,
     channel_action,
+    choi_matrix,
     dual_action,
     identity_channel,
     ordered_eigh,
@@ -441,6 +442,29 @@ def test_convergence_report_memory_does_not_grow_with_the_index_count(rng):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], f"peaks {peaks[0] / 1e6:.2f} and {peaks[1] / 1e6:.2f} MB"
+
+
+def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
+    """Matrix units stack to I, so the strong* kernel keeps only the vector images
+    (1.17x ``ds`` here) and ``np.linalg.norm``'s conjugate: about 2.4x ``ds``.
+    The general path also holds the adjoint copy, its product with the
+    observables and the transposed duals, about 4.4x."""
+    d = 12
+    seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
+    _, ds = sequences._deltas([seq.term(d // 2)], choi_matrix(seq.limit))
+    units = ensembles.matrix_unit_observables(d)
+    obs = sequences._observable_columns(units)
+    vecs = sequences._columns(ensembles.default_test_vectors(d, rng), "test vector")
+    assert obs is None
+    tracemalloc.start()
+    try:
+        norms = sequences._dual_norms(ds, obs, vecs, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ds.nbytes, f"peak {peak / ds.nbytes:.2f}x ds"
+    general = sequences._dual_norms(ds, sequences._columns(units, "test observable"), vecs, d)
+    assert np.array_equal(norms, general)
 
 
 @pytest.mark.parametrize("bad", [{5}, {5, 7}, {8, 9}])
