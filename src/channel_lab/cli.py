@@ -44,20 +44,19 @@ NS_HELP = "indices to sweep, e.g. 1:100 or 1,10,100; gaussian sweeps every valid
 GRID_HELP = "probe the first GRID^2 points, in lexicographic order, of the 5x5 grid {-2..2}^2"
 
 
+#: The ``convert --to`` targets, each built from the source's Kraus family.
+TARGETS = {
+    "kraus": lambda kraus: kraus,
+    "stinespring": isometry_from_kraus,
+    "minimal-stinespring": minimal_stinespring,
+    "unitary-dilation": lambda kraus: unitary_from_isometry(isometry_from_kraus(kraus)),
+}
+
+
 def cmd_convert(args) -> int:
     source = serialize.load(args.infile)
     kraus = to_kraus(source)
-    if args.to == "kraus":
-        target = kraus
-    elif args.to == "stinespring":
-        target = isometry_from_kraus(kraus)
-    elif args.to == "minimal-stinespring":
-        target = minimal_stinespring(kraus)
-    elif args.to == "unitary-dilation":
-        target = unitary_from_isometry(isometry_from_kraus(kraus))
-    else:
-        raise ValidationError(f"unknown target representation {args.to!r}")
-
+    target = TARGETS[args.to](kraus)
     deviation = max_action_deviation(kraus, to_kraus(target))
     metadata = {
         "source_kind": serialize.kind_of(source),
@@ -153,21 +152,14 @@ def _swap_report(d: int, probe: int) -> Report:
     form = sequences.PartialTraceForm(v0, lambda n: terms[n - 1])
     channel_seq = sequences.channels_from_partial_isometries(form)
 
-    choi = sequences.choi_defects(channel_seq, range(1, d))
-    rows = [
-        (
-            float(np.linalg.norm((w.w - limit) @ tau)),
-            float(np.linalg.norm((w.w.conj().T - limit) @ psi)),
-            float(gap),
-            f"tau[{probe}]",
-            "psi",
-        )
-        for w, gap in zip(terms, choi)
-    ]
-    return Report.from_rows(
+    return Report(
         "convergence-report",
         range(1, d),
-        rows,
+        strong=[np.linalg.norm((w.w - limit) @ tau) for w in terms],
+        strongstar=[np.linalg.norm((w.w.conj().T - limit) @ psi) for w in terms],
+        choi=sequences.choi_defects(channel_seq, range(1, d)),
+        strong_witness=[f"tau[{probe}]"] * len(terms),
+        strongstar_witness=["psi"] * len(terms),
         test_family=f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding",
     )
 
@@ -270,11 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between channel representations")
     p.add_argument("--in", dest="infile", required=True, help="input representation JSON")
-    p.add_argument(
-        "--to",
-        required=True,
-        choices=["kraus", "stinespring", "minimal-stinespring", "unitary-dilation"],
-    )
+    p.add_argument("--to", required=True, choices=TARGETS)
     p.add_argument("--out", help="output JSON path (default: print to stdout)")
     p.set_defaults(fn=cmd_convert)
 

@@ -1,4 +1,4 @@
-"""Sweep reports: one column table per kind, and the JSON layout of every file.
+"""Sweep reports: one column table per kind, and the one JSON writer of every file.
 
 A :class:`Report` is a table with one row per sequence index.  Its ``kind``
 fixes the columns, in CSV order, and the type of their cells (:data:`COLUMNS`).
@@ -6,14 +6,17 @@ The channel sweep (``sequences.convergence_report``) writes
 ``convergence-report`` tables; the Gaussian sweep
 (``gaussian.param_convergence_check``) writes ``gaussian-convergence-report``
 tables, which also carry their flag threshold ``eps``.
+
+:func:`dump_json` writes every document: the standard library's own text for
+values that hold no numpy array, a per-slice template for float arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -56,45 +59,28 @@ def dump_json(doc, fh) -> None:
 
     The bytes are exactly ``json.dump(doc, fh, indent=2, sort_keys=True)``
     plus ``"\\n"``.  ``doc`` may also hold numpy arrays, written as their
-    ``tolist()``; float arrays are formatted without the stdlib's per-element
-    encoder, one slice of the outermost axis at a time, so a large document
-    is never held as one string.
+    ``tolist()``.  Every value that holds no array is the stdlib's own text,
+    re-indented to its level; only the dicts, lists and tuples around an
+    array are walked here.  Nonempty float arrays of rank >= 2 are formatted
+    by one template per slice of the outermost axis, so a large document is
+    never held as one string.
     """
     _write_value(doc, 0, fh.write)
     fh.write("\n")
 
 
 _INDENT = "  "
+_NESTED = (np.ndarray, dict, list, tuple)
 
 
-def _float_text(x: float) -> str:
-    # json's spelling: non-finite values as JavaScript literals, the rest as float.__repr__.
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _scalar_text(x) -> str:
-    # The same type tests, in the same order, as json's encoder.
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float_text(x)
-    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if isinstance(key, (str, int, float)) or key is None:
-        return encode_basestring_ascii(key if isinstance(key, str) else _scalar_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+def _holds_array(x) -> bool:
+    """Whether a numpy array sits anywhere in the dicts, lists and tuples of ``x``."""
+    if isinstance(x, dict):
+        x = x.values()
+    elif not isinstance(x, (list, tuple)):
+        return False
+    # Scalar cells are skipped without a call: a report holds thousands of them.
+    return any(isinstance(v, np.ndarray) or _holds_array(v) for v in x if isinstance(v, _NESTED))
 
 
 def _write_value(x, level: int, write) -> None:
@@ -103,28 +89,23 @@ def _write_value(x, level: int, write) -> None:
             _write_float_array(x, level, write)
         else:
             _write_value(x.tolist(), level, write)
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            write("[]")
-            return
-        inner = "\n" + _INDENT * (level + 1)
-        write("[")
-        for i, item in enumerate(x):
-            write(("," + inner) if i else inner)
-            _write_value(item, level + 1, write)
-        write("\n" + _INDENT * level + "]")
-    elif isinstance(x, dict):
-        if not x:
-            write("{}")
-            return
-        inner = "\n" + _INDENT * (level + 1)
-        write("{")
-        for i, (key, value) in enumerate(sorted(x.items())):
-            write(("," + inner if i else inner) + _key_text(key) + ": ")
-            _write_value(value, level + 1, write)
-        write("\n" + _INDENT * level + "}")
+    elif not _holds_array(x):
+        write(json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + _INDENT * level))
     else:
-        write(_scalar_text(x))
+        # A nonempty dict, list or tuple with an array inside.
+        if isinstance(x, dict):
+            # Each key as json spells it: the text between the braces of ``{key: 0}``.
+            entries = ((json.dumps({key: 0})[1:-4] + ": ", value) for key, value in sorted(x.items()))
+            brackets = "{}"
+        else:
+            entries = (("", item) for item in x)
+            brackets = "[]"
+        inner = "\n" + _INDENT * (level + 1)
+        write(brackets[0])
+        for i, (head, value) in enumerate(entries):
+            write(("," + inner if i else inner) + head)
+            _write_value(value, level + 1, write)
+        write("\n" + _INDENT * level + brackets[1])
 
 
 def _write_float_array(a: np.ndarray, level: int, write) -> None:
@@ -215,11 +196,6 @@ class Report:
         self.eps = None if eps is None else float(eps)
         self.test_family = test_family
 
-    @classmethod
-    def from_rows(cls, kind: str, indices, rows, **fields) -> Report:
-        """Build a report from one row per index, cells in :data:`COLUMNS` order."""
-        return cls(kind, indices, **dict(zip(COLUMNS[kind], zip(*rows))), **fields)
-
     def __getattr__(self, name):
         try:
             return self.__dict__["columns"][name]
@@ -256,15 +232,15 @@ class Report:
                 writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
-def from_json_dict(doc: dict, kind: str | None = None) -> Report:
+def from_json_dict(doc: dict) -> Report:
     """Rebuild a report from its JSON form, dispatching on its ``kind``.
 
-    Any kind outside :data:`COLUMNS`, or other than ``kind`` when that is
-    given, is rejected; so are missing fields and columns that are not lists.
+    Any kind outside :data:`COLUMNS` is rejected; so are missing fields and
+    columns that are not lists.
     """
     got = doc.get("kind")
-    if not isinstance(got, str) or got not in COLUMNS or kind not in (None, got):
-        raise ValidationError(f"not a {kind or 'report'} (kind={got!r})")
+    if not isinstance(got, str) or got not in COLUMNS:
+        raise ValidationError(f"not a report (kind={got!r})")
     try:
         return Report(
             got,

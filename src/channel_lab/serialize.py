@@ -35,11 +35,15 @@ def _pairs(m) -> np.ndarray:
     return a.reshape(-1).view(np.float64).reshape(a.shape + (2,))
 
 
-def complex_from_json(obj, ndim: int) -> np.ndarray:
+def _float_array(obj) -> np.ndarray:
     try:
-        a = np.asarray(obj, dtype=np.float64)
+        return np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"not a numeric array: {exc}") from exc
+
+
+def complex_from_json(obj, ndim: int) -> np.ndarray:
+    a = _float_array(obj)
     if a.ndim != ndim + 1 or a.shape[-1] != 2:
         raise SchemaError(
             f"expected a rank-{ndim} complex array of [re, im] pairs, got shape {a.shape}"
@@ -47,15 +51,8 @@ def complex_from_json(obj, ndim: int) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def _reals(m) -> np.ndarray:
-    return np.asarray(m, dtype=np.float64)
-
-
 def real_from_json(obj, ndim: int) -> np.ndarray:
-    try:
-        a = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"not a numeric array: {exc}") from exc
+    a = _float_array(obj)
     if a.ndim != ndim:
         raise SchemaError(f"expected a rank-{ndim} real array, got shape {a.shape}")
     return a
@@ -86,15 +83,15 @@ _ENCODERS = {
     }),
     GaussianState: ("gaussian-state", lambda x: {
         "s": x.modes,
-        "m": _reals(x.mean),
-        "sigma": _reals(x.cov),
+        "m": x.mean,
+        "sigma": x.cov,
     }),
     GaussianChannel: ("gaussian-channel", lambda x: {
         "s_in": x.modes_in,
         "s_out": x.modes_out,
-        "K": _reals(x.scale),
-        "ell": _reals(x.shift),
-        "alpha": _reals(x.noise),
+        "K": x.scale,
+        "ell": x.shift,
+        "alpha": x.noise,
     }),
 }
 

@@ -29,7 +29,6 @@ DEFAULTED = [
     "gaussian.z_grid(step)",
     "report.Report(eps)",
     "report.Report(test_family)",
-    "report.from_json_dict(kind)",
     "sequences.convergence_report(test_family)",
     "serialize.document(metadata)",
     "serialize.dump(metadata)",

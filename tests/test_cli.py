@@ -9,7 +9,7 @@ import pytest
 
 import channel_lab
 from channel_lab import ensembles, serialize
-from channel_lab.cli import main
+from channel_lab.cli import TARGETS, main
 from channel_lab.core import amplitude_damping_channel, dephasing_channel, identity_channel
 from channel_lab.dilation import (
     isometry_from_kraus,
@@ -325,6 +325,49 @@ def test_convert_stdout_matches_the_written_file(tmp_path, capsys):
         capsys.readouterr()
         assert run("convert", "--in", str(src), "--to", to) == 0
         assert capsys.readouterr().out == out.read_text()
+
+
+def _assert_stdlib_layout(text: str) -> None:
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("to", sorted(TARGETS))
+def test_convert_documents_have_the_stdlib_layout(to, tmp_path, capsys, rng):
+    src = tmp_path / "ch.json"
+    serialize.dump(ensembles.random_kraus_channel(3, 2, 2, rng), src)
+    out = tmp_path / "out.json"
+    assert run("convert", "--in", str(src), "--to", to, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("convert", "--in", str(src), "--to", to) == 0
+    for text in (src.read_text(), out.read_text(), capsys.readouterr().out):
+        _assert_stdlib_layout(text)
+
+
+def test_gaussian_apply_documents_have_the_stdlib_layout(tmp_path, capsys):
+    state, channel, out = tmp_path / "state.json", tmp_path / "channel.json", tmp_path / "out.json"
+    serialize.dump(GaussianState(mean=[0.3, -1.25], cov=[[2.0, 0.1], [0.1, 1.5]]), state)
+    serialize.dump(attenuator(0.37), channel)
+    argv = ("gaussian", "apply", "--in", str(state), "--channel", str(channel))
+    assert run(*argv, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run(*argv) == 0
+    for text in (out.read_text(), capsys.readouterr().out):
+        _assert_stdlib_layout(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sequence", "swap", "--dim", "6"),
+        ("sequence", "compress", "--dim", "3"),
+        ("gaussian", "converge", "--ns", "12"),
+    ],
+    ids=["swap", "compress", "gaussian"],
+)
+def test_report_documents_have_the_stdlib_layout(argv, tmp_path):
+    prefix = tmp_path / "rep"
+    assert run(*argv, "--out", str(prefix)) == 0
+    _assert_stdlib_layout((tmp_path / "rep.json").read_text())
 
 
 def test_plain_value_errors_are_validation_errors(tmp_path, capsys):

@@ -21,11 +21,20 @@ _shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
 _arrays = hnp.arrays(np.float64, _shapes, elements=_floats) | hnp.arrays(
     np.float32, _shapes, elements=st.floats(width=32) | st.sampled_from(_EDGE_FLOATS32)
 )
-_docs = st.recursive(
-    _leaves | _arrays,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=24,
-)
+# json sorts the keys before it spells them, so each dict draws keys of one type.
+_key_types = [st.text(max_size=8), st.integers(), _floats, st.booleans(), st.none()]
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=4)
+    return st.one_of(
+        lists,
+        lists.map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in _key_types),
+    )
+
+
+_docs = st.recursive(_leaves | _arrays, _containers, max_leaves=24)
 
 
 def _plain(x):
@@ -33,7 +42,7 @@ def _plain(x):
         return x.tolist()
     if isinstance(x, dict):
         return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, list):
+    if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
     return x
 
