@@ -434,29 +434,44 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
 
 
 def max_action_deviation(a: KrausChannel, b: KrausChannel) -> float:
-    """Largest trace-norm disagreement of two channels over the matrix-unit basis."""
+    """Largest trace-norm disagreement of two channels over the matrix-unit basis.
+
+    Equal Kraus stacks give exactly 0.0.  Otherwise it takes one singular-value
+    decomposition per matrix unit E_ij, d_in^2 in all, with temporaries of
+    O(d_in * d_out^2) entries.  The difference at E_ij is ``X_i eta X_j*``,
+    with ``X_i = [A_k e_i | B_l e_i]`` the (d_out, K_a + K_b) matrix of input
+    column i and ``eta = diag(I_{K_a}, -I_{K_b})``.  When
+    ``K_a + K_b < d_out``, one batched QR ``X_i = Q_i R_i`` reduces each
+    decomposition to the (K_a + K_b)-square core ``R_i eta R_j*``, which has
+    the same singular values; otherwise each is of a d_out-square difference.
+    """
     if (a.d_in, a.d_out) != (b.d_in, b.d_out):
         raise ValidationError(
             f"channels act between different spaces: "
             f"({a.d_in},{a.d_out}) vs ({b.d_in},{b.d_out})"
         )
-    # Phi(E_ij)[p, q] = sum_k A_k[p, i] conj(A_k[q, j]): one GEMM gives every unit
-    # of a row i, so the temporaries stay O(d_in * d_out^2).  Each channel is
-    # summed on its own, so equal families differ by exactly 0.
-    d_in, d_out = a.d_in, a.d_out
-
-    def row_outputs(s: np.ndarray, s_bar: np.ndarray, i: int) -> np.ndarray:
-        # [j, p, q] = Phi(E_ij)[p, q]
-        prod = s[:, :, i].T @ s_bar.reshape(len(s), -1)
-        return prod.reshape(d_out, d_out, d_in).transpose(2, 0, 1)
-
     sa, sb = a.stack, b.stack
-    sa_bar, sb_bar = sa.conj(), sb.conj()
-    worst = 0.0
-    for i in range(d_in):
-        diffs = row_outputs(sa, sa_bar, i) - row_outputs(sb, sb_bar, i)
-        worst = max(worst, float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max()))
-    return worst
+    if sa.shape == sb.shape and np.array_equal(sa, sb):
+        return 0.0
+    d_in, d_out = a.d_in, a.d_out
+    if len(sa) + len(sb) < d_out:
+        # Q_i has orthonormal columns, so X_i eta X_j* = Q_i (R_i eta R_j*) Q_j* keeps
+        # the core's singular values; each row i is a (d_in, K, K) stack of cores.
+        r = np.linalg.qr(np.concatenate([sa.T, sb.T], axis=2), mode="r")
+        eta = np.repeat([1.0, -1.0], [len(sa), len(sb)])
+        r_h = r.conj().swapaxes(1, 2)
+        rows = ((r_i * eta) @ r_h for r_i in r)
+    else:
+        # Phi(E_ij)[p, q] = sum_k A_k[p, i] conj(A_k[q, j]): one GEMM gives every unit
+        # of a row i, so the temporaries stay O(d_in * d_out^2).
+        def row_outputs(s: np.ndarray, s_bar: np.ndarray, i: int) -> np.ndarray:
+            # [j, p, q] = Phi(E_ij)[p, q]
+            prod = s[:, :, i].T @ s_bar.reshape(len(s), -1)
+            return prod.reshape(d_out, d_out, d_in).transpose(2, 0, 1)
+
+        sa_bar, sb_bar = sa.conj(), sb.conj()
+        rows = (row_outputs(sa, sa_bar, i) - row_outputs(sb, sb_bar, i) for i in range(d_in))
+    return max(float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max()) for diffs in rows)
 
 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:

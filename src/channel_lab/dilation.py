@@ -42,6 +42,7 @@ from .core import (
     UnitaryOp,
     ValidationError,
     dagger,
+    opnorm,
     ordered_eigh,
     _cmat,
     _defect,
@@ -301,9 +302,16 @@ def complete_unitary(w: PartialIsometry) -> UnitaryOp:
 
 
 def _kernel_basis(projector: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the kernel of a projector."""
-    vals, vecs = ordered_eigh(projector)
-    return vecs[:, vals < 0.5]
+    """Deterministic orthonormal basis of the kernel of a projector.
+
+    The columns of :func:`~channel_lab.core.ordered_eigh` with eigenvalue
+    below 1/2.  Those eigenvalues sort first and their ties are broken by the
+    same keys, so only their eigenpairs are phase-fixed and ordered.
+    """
+    w, v = np.linalg.eigh(np.asarray(projector, dtype=np.complex128))
+    low = w < 0.5
+    vecs, order = _eigen_order(w[low], v[:, low])
+    return vecs[:, order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,6 +373,13 @@ def tracked_basis_extension(
     deterministic complement vector is substituted instead, which is the
     step that can break convergence of the resulting unitaries even when
     the isometries themselves converge in the strong operator sense.
+
+    Each reference vector is one array step over all T terms: the T
+    projections and their norms come from one batched product, and only the
+    degenerate terms take an eigensolve of their grown range.  A term whose
+    initial projector differs from P by more than ``TOL_VALID`` in operator
+    norm is rejected, the first such term by its index; only terms above the
+    tolerance in Frobenius norm pay an SVD for that check.
     """
     return _tracked_extension(w_seq, reference)[1]
 
@@ -376,14 +391,17 @@ def _tracked_extension(
     if not w_seq:
         raise ValidationError("need at least one partial isometry to track")
     p = w_seq[0].initial_projector
-    for k, w in enumerate(w_seq):
-        drift = _defect(w.initial_projector - p, TOL_VALID)
+    if any(w.w.shape != p.shape for w in w_seq):
+        raise ValidationError("tracked completion needs square partial isometries of one dimension")
+    drifts = np.stack([w.initial_projector for w in w_seq]) - p
+    # The Frobenius norm bounds the operator norm, so only terms above the
+    # tolerance in it need an SVD; the first one that fails is reported.
+    for k in np.flatnonzero(np.linalg.norm(drifts.reshape(len(w_seq), -1), axis=1) > TOL_VALID):
+        drift = opnorm(drifts[k])
         if drift > TOL_VALID:
             raise ValidationError(
                 f"term {k} has a different initial projector (deviation {drift:.3e})"
             )
-        if w.d_in != w.d_out:
-            raise ValidationError("tracked completion needs square partial isometries")
     if reference.dim != w_seq[0].d_in:
         raise ValidationError(
             f"reference of dim {reference.dim} does not act on dim {w_seq[0].d_in}"
@@ -398,17 +416,18 @@ def _tracked_extension(
     ref_basis = (reference.u @ kernel).T
     projectors = np.stack([w.range_projector for w in w_seq])
     extensions = np.empty((len(w_seq),) + ref_basis.shape, dtype=np.complex128)
-    # Sequential Gram-Schmidt: each vector is orthogonal to the range grown so far.
-    for ext, proj in zip(extensions, projectors):
-        grown = proj.copy()
-        for j, target in enumerate(ref_basis):
-            candidate = target - grown @ target
-            norm = np.linalg.norm(candidate)
-            if norm > TRACKING_DEGENERACY:
-                ext[j] = candidate / norm
-            else:
-                ext[j] = _kernel_basis(grown)[:, 0]
-            grown += ext[j][:, None] * ext[j].conj()
+    # Sequential Gram-Schmidt, one step for all terms: each vector is orthogonal
+    # to its term's range grown so far.
+    grown = projectors.copy()
+    for j, target in enumerate(ref_basis):
+        candidates = target - grown @ target
+        norms = np.linalg.norm(candidates, axis=1)
+        tracked = norms > TRACKING_DEGENERACY
+        ext = extensions[:, j]
+        ext[tracked] = candidates[tracked] / norms[tracked, None]
+        for n in np.flatnonzero(~tracked):
+            ext[n] = _kernel_basis(grown[n])[:, 0]
+        grown += ext[:, :, None] * ext[:, None, :].conj()
     return kernel, TrackedBasisExtension(ref_basis, extensions, projectors)
 
 
@@ -418,7 +437,8 @@ def tracked_complete_unitary(w_seq: list[PartialIsometry], reference: UnitaryOp)
     Completions reuse the tracked basis extension, so a constant family
     reproduces the reference exactly and families whose ranges converge
     vector by vector yield convergent unitaries.  Term n's unitary is
-    ``W_n + sum_j extensions[n, j] kernel_j*``.
+    ``W_n + sum_j extensions[n, j] kernel_j*``, with the extensions and the
+    checks of :func:`tracked_basis_extension`.
     """
     kernel, tracked = _tracked_extension(w_seq, reference)
     return [UnitaryOp(w.w + ext.T @ dagger(kernel)) for w, ext in zip(w_seq, tracked.extensions)]

@@ -114,14 +114,19 @@ def _write_float_array(a: np.ndarray, level: int, write) -> None:
     Each slice of the outermost axis is formatted in one pass by one ``%r``
     template: its entries' reprs interleaved with the separators, which depend
     only on the shape.  Neither finite reprs nor separators contain ``inf`` or
-    ``nan``, so renaming those afterwards spells json's non-finite literals.
+    ``nan``, so when the array holds a non-finite entry, renaming those in
+    every slice spells json's non-finite literals; an all-finite array is
+    written without that scan.
     """
     head, seps = _block_layout(a.shape[1:], level + 1)
     template = head + "".join("%r" + sep for sep in seps)
     inner = "\n" + _INDENT * (level + 1)
+    finite = bool(np.isfinite(a).all())
     write("[")
     for i, block in enumerate(a):
-        text = (template % tuple(block.ravel().tolist())).replace("inf", "Infinity").replace("nan", "NaN")
+        text = template % tuple(block.ravel().tolist())
+        if not finite:
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
         write(("," + inner if i else inner) + text)
     write("\n" + _INDENT * level + "]")
 

@@ -458,7 +458,8 @@ def _loop_action_deviation(a, b):
     return worst
 
 
-@pytest.mark.parametrize("d_in,d_out", [(3, 3), (2, 5), (4, 3)])
+# With d_out = 8, every pair has K_a + K_b < d_out and takes the QR-core path.
+@pytest.mark.parametrize("d_in,d_out", [(3, 3), (2, 5), (4, 3), (3, 8), (2, 8)])
 def test_max_action_deviation_matches_loop_oracle(d_in, d_out, rng):
     a = ensembles.random_kraus_channel(d_in, d_out, 2, rng)
     b = ensembles.random_kraus_channel(d_in, d_out, 3, rng)
@@ -468,6 +469,7 @@ def test_max_action_deviation_matches_loop_oracle(d_in, d_out, rng):
         assert got == pytest.approx(_loop_action_deviation(x, y), rel=0, abs=1e-12)
     assert max_action_deviation(a, b) > 0.1
     assert max_action_deviation(a, same) < 1e-12
+    assert max_action_deviation(b, b) == 0.0
 
 
 def test_opnorm_is_largest_singular_value():

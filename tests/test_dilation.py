@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from channel_lab import dilation, ensembles
+from channel_lab import ensembles
 from channel_lab.core import (
     DensityOperator,
     KrausChannel,
@@ -281,12 +281,13 @@ def test_unitary_from_isometry_eigensolves_only_the_factors(monkeypatch, rng):
     # The completion diagonalizes tau_0 tau_0* and V V*, never a projector on the
     # d_in * d_anc dilation space.
     sizes = []
+    eigh = np.linalg.eigh
 
     def spy(h):
         sizes.append(len(h))
-        return ordered_eigh(h)
+        return eigh(h)
 
-    monkeypatch.setattr(dilation, "ordered_eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     tau = ensembles.haar_vector(4, rng)
     cases = [
         (isometry_from_kraus(ensembles.random_kraus_channel(3, 2, 2, rng)), {}),
@@ -412,6 +413,11 @@ def test_tracked_completion_validates_inputs():
     other = PartialIsometry(np.diag([0.0, 1.0]))
     with pytest.raises(ValidationError, match="different initial projector"):
         tracked_basis_extension([w, other], complete_unitary(w))
+    # Only the second of three terms drifts, and the message names it.
+    with pytest.raises(ValidationError, match="term 1 has a different initial projector"):
+        tracked_basis_extension([w, other, w], complete_unitary(w))
+    with pytest.raises(ValidationError, match="square partial isometries of one dimension"):
+        tracked_basis_extension([w, PartialIsometry(np.eye(3))], complete_unitary(w))
     wrong_ref = UnitaryOp(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValidationError, match="does not complete"):
         tracked_basis_extension([w], wrong_ref)
@@ -480,7 +486,15 @@ def _loop_tracked_unitaries(w_seq, reference, degenerate_tol=1e-8):
 def test_tracked_completion_matches_the_outer_product_loop(rng):
     from channel_lab.sequences import swap_counterexample
 
-    families = [swap_counterexample(7)[0]]
+    # Both exact families fall back to a kernel vector of the grown range for some
+    # terms and not for others of the same batch.  In the 4-dim one the reference
+    # vectors are e_3, e_2, e_1: the e_1-range term falls back once, the e_3-range
+    # term three times in a row, and the terms around them never.
+    e = np.eye(4)
+    families = [
+        swap_counterexample(7)[0],
+        [PartialIsometry(np.outer(x, e[0])) for x in (e[0], e[1], e[3], (e[0] + e[2]) / np.sqrt(2))],
+    ]
     for dim, rank in ((4, 1), (6, 3), (8, 5)):
         w0 = ensembles.random_partial_isometry(dim, rank, rng)
         moved = [PartialIsometry(ensembles.random_unitary(dim, rng) @ w0.w) for _ in range(4)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from channel_lab.report import dump_json  # noqa: E402
@@ -37,6 +37,13 @@ def _containers(children):
 _docs = st.recursive(_leaves | _arrays, _containers, max_leaves=24)
 
 
+def _late_non_finite(dtype, value) -> np.ndarray:
+    """Finite entries, except the last one of the last outer slice."""
+    a = np.linspace(-2.5, 7.0, 12, dtype=dtype).reshape(3, 2, 2)
+    a[-1, -1, -1] = value
+    return a
+
+
 def _plain(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
@@ -49,6 +56,8 @@ def _plain(x):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_docs)
+@example(_late_non_finite(np.float64, float("nan")))
+@example({"a": _late_non_finite(np.float32, float("-inf")), "b": [_late_non_finite(np.float64, float("inf"))]})
 def test_dump_json_matches_the_stdlib_layout(doc):
     want = io.StringIO()
     json.dump(_plain(doc), want, indent=2, sort_keys=True)

@@ -1,6 +1,7 @@
 """Property tests: the factored unitary dilation is unitary, extends the
 isometry on the embedded subspace, models the channel, and survives a JSON
-round trip, for default and custom ancilla and extra dimensions."""
+round trip, for default and custom ancilla and extra dimensions; the kernel
+bases it is built from are exactly the kernel columns of ``ordered_eigh``."""
 
 import math
 import tempfile
@@ -13,8 +14,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from channel_lab import ensembles, serialize  # noqa: E402
-from channel_lab.core import dagger, max_action_deviation, opnorm  # noqa: E402
-from channel_lab.dilation import isometry_from_kraus, to_kraus, unitary_from_isometry  # noqa: E402
+from channel_lab.core import dagger, max_action_deviation, opnorm, ordered_eigh  # noqa: E402
+from channel_lab.dilation import (  # noqa: E402
+    _kernel_basis,
+    isometry_from_kraus,
+    to_kraus,
+    unitary_from_isometry,
+)
 
 
 @st.composite
@@ -68,3 +74,25 @@ def test_unitary_dilation_round_trips(case):
     assert (loaded.d_in, loaded.d_anc, loaded.d_out, loaded.d_env) == (
         dil.d_in, dil.d_anc, dil.d_out, dil.d_env,
     )
+
+
+@st.composite
+def projectors(draw):
+    """A projector of dim 1-8 and rank 0..dim: diagonal 0/1 with the ones first
+    or permuted (exact eigenvalue ties), or onto a Haar-random range."""
+    dim = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, dim))
+    mode = draw(st.sampled_from(["diagonal", "permuted", "haar"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if mode == "haar":
+        frame = ensembles.random_unitary(dim, rng)[:, :rank]
+        return frame @ dagger(frame)
+    ones = np.arange(dim) < rank
+    return np.diag(rng.permutation(ones) if mode == "permuted" else ones).astype(np.complex128)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(projectors())
+def test_kernel_basis_is_the_kernel_half_of_ordered_eigh(p):
+    vals, vecs = ordered_eigh(p)
+    assert np.array_equal(_kernel_basis(p), vecs[:, vals < 0.5])
