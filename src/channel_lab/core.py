@@ -32,17 +32,19 @@ all.
 
 Operations assume their inputs passed construction-time validation and are
 free to rely on the invariants.  An invariant held "within ``TOL_VALID`` in
-operator norm" is accepted without an SVD when the Frobenius norm of its
-defect is already within the tolerance, since the operator norm never
-exceeds the Frobenius norm; only otherwise is the exact operator norm
-computed.  So every verdict is the operator-norm verdict, and a rejection
-message prints the exact operator norm.
+operator norm" is checked by one helper, ``_require_within``: the defect
+is accepted without an SVD when its Frobenius norm is already within the
+tolerance, since the operator norm never exceeds the Frobenius norm; only
+otherwise is the exact operator norm computed.  So every verdict is the
+operator-norm verdict, and a rejection message prints the exact operator
+norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -73,6 +75,15 @@ def _require_finite(m: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} contains non-finite entries")
 
 
+def _square(m, what: str) -> np.ndarray:
+    """``m`` as a read-only complex array, checked to be a finite nonempty square matrix."""
+    a = _cmat(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValidationError(f"{what} must be square, got shape {a.shape}")
+    _require_finite(a, what)
+    return a
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
@@ -83,15 +94,16 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
 
 
-def _defect(m: np.ndarray, tol: float) -> float:
-    """``opnorm(m)`` wherever it exceeds ``tol``; otherwise some value within ``tol``.
+def _require_within(m: np.ndarray, message: Callable[[float], str]) -> None:
+    """Raise ``ValidationError(message(opnorm(m)))`` when ``opnorm(m)`` exceeds ``TOL_VALID``.
 
     The Frobenius norm of the whole array bounds the operator norm of each of
-    its matrices from above, so when it is within ``tol`` it is returned and
-    the SVD is skipped.
+    its matrices from above, so when it is within ``TOL_VALID`` no SVD runs.
     """
-    fro = math.sqrt(np.vdot(m, m).real)
-    return fro if fro <= tol else opnorm(m)
+    if math.sqrt(np.vdot(m, m).real) > TOL_VALID:
+        norm = opnorm(m)
+        if norm > TOL_VALID:
+            raise ValidationError(message(norm))
 
 
 def trace_norm(x: np.ndarray) -> float:
@@ -181,10 +193,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _cmat(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValidationError(f"density operator must be square, got shape {m.shape}")
-        _require_finite(m, "density operator")
+        m = _square(self.matrix, "density operator")
         herm = np.max(np.abs(m - dagger(m)))
         if herm > TOL_HERM:
             raise ValidationError(f"density operator is not Hermitian (deviation {herm:.3e})")
@@ -208,11 +217,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _cmat(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValidationError(f"observable must be square, got shape {m.shape}")
-        _require_finite(m, "observable")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _square(self.matrix, "observable"))
 
     @property
     def dim(self) -> int:
@@ -256,11 +261,10 @@ class KrausChannel:
         stack = _cmat(ops)
         _require_finite(stack, "Kraus operator")
         flat = stack.reshape(-1, shape[1])
-        defect = _defect(dagger(flat) @ flat - np.eye(shape[1]), TOL_VALID)
-        if defect > TOL_VALID:
-            raise ValidationError(
-                f"Kraus family is not trace preserving: ||sum A*A - I|| = {defect:.3e}"
-            )
+        _require_within(
+            dagger(flat) @ flat - np.eye(shape[1]),
+            lambda norm: f"Kraus family is not trace preserving: ||sum A*A - I|| = {norm:.3e}",
+        )
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus_ops", tuple(stack))
 
@@ -303,9 +307,9 @@ class StinespringIsometry:
                 f"{self.d_out}*{self.d_env}"
             )
         _require_finite(m, "isometry")
-        defect = _defect(dagger(m) @ m - np.eye(m.shape[1]), TOL_VALID)
-        if defect > TOL_VALID:
-            raise ValidationError(f"V*V deviates from identity by {defect:.3e}")
+        _require_within(
+            dagger(m) @ m - np.eye(m.shape[1]), lambda norm: f"V*V deviates from identity by {norm:.3e}"
+        )
         object.__setattr__(self, "v", m)
 
     @property
@@ -331,9 +335,7 @@ class PartialIsometry:
             raise ValidationError(f"partial isometry must be a matrix, got shape {m.shape}")
         _require_finite(m, "partial isometry")
         p = _cmat(dagger(m) @ m)
-        defect = _defect(p @ p - p, TOL_VALID)
-        if defect > TOL_VALID:
-            raise ValidationError(f"W*W is not a projector (defect {defect:.3e})")
+        _require_within(p @ p - p, lambda norm: f"W*W is not a projector (defect {norm:.3e})")
         object.__setattr__(self, "w", m)
         object.__setattr__(self, "initial_projector", p)
 
@@ -363,17 +365,13 @@ class UnitaryOp:
     u: np.ndarray
 
     def __post_init__(self):
-        m = _cmat(self.u)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValidationError(f"unitary must be square, got shape {m.shape}")
-        _require_finite(m, "unitary")
+        m = _square(self.u, "unitary")
         eye = np.eye(m.shape[0])
-        gap = dagger(m) @ m - eye
-        if _defect(gap, TOL_VALID) > TOL_VALID:
-            left, right = opnorm(gap), opnorm(m @ dagger(m) - eye)
-            raise ValidationError(
-                f"matrix is not unitary: ||U*U-I||={left:.3e}, ||UU*-I||={right:.3e}"
-            )
+        _require_within(
+            dagger(m) @ m - eye,
+            lambda norm: f"matrix is not unitary: ||U*U-I||={norm:.3e}, "
+            f"||UU*-I||={opnorm(m @ dagger(m) - eye):.3e}",
+        )
         object.__setattr__(self, "u", m)
 
     @property

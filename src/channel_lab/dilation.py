@@ -34,7 +34,6 @@ import numpy as np
 
 from .core import (
     STATE_RANK_CUTOFF,
-    TOL_VALID,
     DensityOperator,
     KrausChannel,
     PartialIsometry,
@@ -42,13 +41,12 @@ from .core import (
     UnitaryOp,
     ValidationError,
     dagger,
-    opnorm,
     ordered_eigh,
     _cmat,
-    _defect,
     _eigen_order,
     _fix_phase,
     _kraus_matrix,
+    _require_within,
 )
 
 #: Pruning threshold for Choi eigenvalues (squared singular values of the
@@ -347,14 +345,13 @@ class TrackedBasisExtension:
             )
         if exts.size:
             cols = exts.transpose(0, 2, 1)
-            gram = _defect(exts.conj() @ cols - np.eye(len(ref)), TOL_VALID)
-            if gram > TOL_VALID:
-                raise ValidationError(f"extension is not orthonormal (defect {gram:.3e})")
-            overlap = _defect(projs @ cols, TOL_VALID)
-            if overlap > TOL_VALID:
-                raise ValidationError(
-                    f"extension is not orthogonal to its range (defect {overlap:.3e})"
-                )
+            _require_within(
+                exts.conj() @ cols - np.eye(len(ref)),
+                lambda norm: f"extension is not orthonormal (defect {norm:.3e})",
+            )
+            _require_within(
+                projs @ cols, lambda norm: f"extension is not orthogonal to its range (defect {norm:.3e})"
+            )
         object.__setattr__(self, "reference_basis", ref)
         object.__setattr__(self, "extensions", exts)
         object.__setattr__(self, "range_projectors", projs)
@@ -393,24 +390,19 @@ def _tracked_extension(
     p = w_seq[0].initial_projector
     if any(w.w.shape != p.shape for w in w_seq):
         raise ValidationError("tracked completion needs square partial isometries of one dimension")
-    drifts = np.stack([w.initial_projector for w in w_seq]) - p
-    # The Frobenius norm bounds the operator norm, so only terms above the
-    # tolerance in it need an SVD; the first one that fails is reported.
-    for k in np.flatnonzero(np.linalg.norm(drifts.reshape(len(w_seq), -1), axis=1) > TOL_VALID):
-        drift = opnorm(drifts[k])
-        if drift > TOL_VALID:
-            raise ValidationError(
-                f"term {k} has a different initial projector (deviation {drift:.3e})"
-            )
+    for k, w in enumerate(w_seq):
+        _require_within(
+            w.initial_projector - p,
+            lambda norm: f"term {k} has a different initial projector (deviation {norm:.3e})",
+        )
     if reference.dim != w_seq[0].d_in:
         raise ValidationError(
             f"reference of dim {reference.dim} does not act on dim {w_seq[0].d_in}"
         )
-    mismatch = _defect(reference.u @ p - w_seq[0].w, TOL_VALID)
-    if mismatch > TOL_VALID:
-        raise ValidationError(
-            f"reference does not complete the first term (deviation {mismatch:.3e})"
-        )
+    _require_within(
+        reference.u @ p - w_seq[0].w,
+        lambda norm: f"reference does not complete the first term (deviation {norm:.3e})",
+    )
 
     kernel = _kernel_basis(p)
     ref_basis = (reference.u @ kernel).T

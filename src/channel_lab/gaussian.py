@@ -13,7 +13,11 @@ parameter triples; no Fock-space matrices are built.  Conventions:
   ``m -> m K + l`` and ``sigma -> alpha + K^T sigma K``; on the dual side a
   plane-wave symbol at z maps to the symbol at ``K z`` times
   ``exp(i l.z - z.alpha.z / 2)``.  Validity is
-  ``alpha +/- (i/2)(Delta_out - K^T Delta_in K) >= 0``.
+  ``alpha +/- i (Delta_out - K^T Delta_in K) >= 0``.
+* Both validity conditions are ``sym +/- i skew >= 0`` for a real symmetric
+  ``sym`` and a real antisymmetric ``skew``.  The two signs give complex
+  conjugate Hermitian matrices, which share their spectrum, so one
+  eigensolve of ``sym + i skew`` (:func:`_psd_checks`) serves both.
 * A coherent state of amplitude ``a`` is the displaced vacuum with mean
   ``(2 Re a, 2 Im a)``; this is the scaling that reproduces the squared
   overlap ``exp(-|a - b|^2)``.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .core import TOL_EIG, TOL_HERM, ValidationError
 from .report import Report
-from .sequences import SWEEP_BLOCK_ENTRIES, ChannelSequence
+from .sequences import ChannelSequence, _term_blocks
 
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -137,19 +141,32 @@ class PsdCheck:
         return self.ok
 
 
+def _psd_checks(sym: np.ndarray, skew: np.ndarray) -> list[PsdCheck]:
+    """The checks ``sym +/- i skew >= 0`` down to ``-TOL_EIG`` of a stack, with one batched eigvalsh.
+
+    ``sym`` is a (B, n, n) stack of real symmetric matrices and ``skew``
+    broadcasts against it with real antisymmetric matrices.  ``sym - i skew``
+    is the complex conjugate of the Hermitian ``sym + i skew`` and has the
+    same eigenvalues, so one eigensolve fills both fields of each check.
+    """
+    lows = np.linalg.eigvalsh(sym + 1j * skew).min(axis=-1).tolist()
+    return [PsdCheck(ok=low >= -TOL_EIG, min_eig_plus=low, min_eig_minus=low) for low in lows]
+
+
 def validate_state(st: GaussianState) -> PsdCheck:
-    """Check the uncertainty condition ``sigma +/- i Delta >= 0`` down to ``-TOL_EIG``."""
-    delta = symplectic_form(st.modes)
-    plus = float(np.linalg.eigvalsh(st.cov + 1j * delta).min())
-    minus = float(np.linalg.eigvalsh(st.cov - 1j * delta).min())
-    return PsdCheck(ok=min(plus, minus) >= -TOL_EIG, min_eig_plus=plus, min_eig_minus=minus)
+    """Check the uncertainty condition ``sigma +/- i Delta >= 0`` down to ``-TOL_EIG``.
+
+    One eigensolve serves both signs (see :func:`_psd_checks`).
+    """
+    return _psd_checks(st.cov[None], symplectic_form(st.modes))[0]
 
 
 def validate_channel(ch: GaussianChannel) -> PsdCheck:
     """Check complete positivity: ``noise +/- i (Delta_out - K^T Delta_in K) >= 0``.
 
-    Eigenvalues down to ``-TOL_EIG`` pass, as for states.  The factor matches
-    the state convention ``sigma +/- i Delta >= 0`` (vacuum covariance I); it
+    Eigenvalues down to ``-TOL_EIG`` pass, as for states, and one eigensolve
+    serves both signs (see :func:`_psd_checks`).  The factor matches the
+    state convention ``sigma +/- i Delta >= 0`` (vacuum covariance I); it
     makes validity propagate through apply_gaussian and puts the
     quantum-limited attenuator exactly on the boundary.
     """
@@ -157,17 +174,13 @@ def validate_channel(ch: GaussianChannel) -> PsdCheck:
 
 
 def _cp_checks(scales: np.ndarray, noises: np.ndarray) -> list[PsdCheck]:
-    """:func:`validate_channel` of a stack of channels, with one batched eigvalsh pair.
+    """:func:`validate_channel` of a stack of channels, with one batched eigvalsh.
 
     ``scales`` is (B, 2s_in, 2s_out) and ``noises`` is (B, 2s_out, 2s_out).
     """
     delta_in = symplectic_form(scales.shape[1] // 2)
     bracket = symplectic_form(scales.shape[2] // 2) - scales.transpose(0, 2, 1) @ delta_in @ scales
-    plus = np.linalg.eigvalsh(noises + 1j * bracket).min(axis=-1).tolist()
-    minus = np.linalg.eigvalsh(noises - 1j * bracket).min(axis=-1).tolist()
-    return [
-        PsdCheck(ok=min(p, m) >= -TOL_EIG, min_eig_plus=p, min_eig_minus=m) for p, m in zip(plus, minus)
-    ]
+    return _psd_checks(noises, bracket)
 
 
 def _require(check: PsdCheck, problem: str) -> None:
@@ -373,14 +386,16 @@ def param_convergence_check(
     must co-vanish; the report exists to exhibit that numerically.
 
     An empty state list or a grid that is not a nonempty (P, 2 s_out) stack
-    raises ValidationError.  The indices are swept in blocks of at most
-    ``SWEEP_BLOCK_ENTRIES // (states x points)`` (at least one), so memory
-    does not grow with ``len(ns)``.  Each block builds its terms in index
-    order, checks their complete positivity with one batched eigenvalue
-    call, and evaluates all their output characteristic values as one
-    array.  Errors surface in index order, with one exception: a term that
-    fails to build is reported even when an earlier term of the same block
-    violates complete positivity.
+    raises ValidationError; the test states are checked with one batched
+    eigenvalue call.  The indices are swept in blocks of at most
+    ``sequences.SWEEP_BLOCK_ENTRIES // (states x points)`` (at least one),
+    by the block rule of the Kraus sweeps, so memory does not grow with
+    ``len(ns)``.  Each block builds its terms in index order, checks their
+    complete positivity with one batched eigenvalue call, and evaluates all
+    their output characteristic values as one array.  Errors surface in
+    index order, with one exception: a term that fails to build is reported
+    even when an earlier term of the same block violates complete
+    positivity.
     """
     ns = [int(n) for n in ns]
     limit = seq.limit
@@ -392,13 +407,14 @@ def param_convergence_check(
             raise ValidationError(
                 f"test state has {st.modes} modes, channel expects {limit.modes_in}"
             )
-        _require(validate_state(st), "test state violates the uncertainty condition")
+    means = np.stack([st.mean for st in states])
+    covs = np.stack([st.cov for st in states])
+    for check in _psd_checks(covs, symplectic_form(limit.modes_in)):
+        _require(check, "test state violates the uncertainty condition")
     pts = np.asarray(grid if grid is not None else z_grid(limit.modes_out), dtype=np.float64)
     if pts.ndim != 2 or len(pts) == 0 or pts.shape[1] != 2 * limit.modes_out:
         raise ValidationError(f"grid of shape {pts.shape} is not a nonempty (P, {2 * limit.modes_out}) stack")
     outer = _point_outer(pts)
-    means = np.stack([st.mean for st in states])
-    covs = np.stack([st.cov for st in states])
 
     def output_chars(chs):
         """The stacked (scale, shift, noise) of ``chs`` and their (B, states, points) output values."""
@@ -412,11 +428,9 @@ def param_convergence_check(
         return (scales, shifts, noises), _char_values(out_means, out_covs, pts, outer)
 
     limit_params, base = output_chars([limit])
-    block = max(1, SWEEP_BLOCK_ENTRIES // base.size)
     devs = np.empty((4, len(ns)))
-    for start in range(0, len(ns), block):
-        rows = slice(start, start + block)
-        params, chars = output_chars([seq.term(n) for n in ns[rows]])
+    for rows, terms in _term_blocks(seq, ns, base.size):
+        params, chars = output_chars(terms)
         for dev, got, ref in zip(devs, params, limit_params):
             dev[rows] = np.abs(got - ref).reshape(len(got), -1).max(axis=1)
         chars -= base

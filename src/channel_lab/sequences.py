@@ -51,7 +51,6 @@ import numpy as np
 
 from .core import (
     STATE_RANK_CUTOFF,
-    TOL_VALID,
     DensityOperator,
     KrausChannel,
     PartialIsometry,
@@ -62,8 +61,8 @@ from .core import (
     dagger,
     ordered_eigh,
     tensor_channels,
-    _defect,
     _kraus_matrix,
+    _require_within,
 )
 from .dilation import (
     complementary_kraus,
@@ -131,13 +130,14 @@ def _columns(family, what: str) -> np.ndarray:
     return np.stack([np.ravel(getattr(x, "matrix", x)) for x in family], axis=1)
 
 
-def _term_blocks(seq: ChannelSequence, ns: list):
+def _term_blocks(seq: ChannelSequence, ns: list, entries_per_term: int):
     """The built terms of ``ns`` in index order, a block at a time, each with its row slice.
 
-    A block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries (at
-    least one term), so the stacks a block builds do not grow with ``len(ns)``.
+    A block holds at most ``SWEEP_BLOCK_ENTRIES`` entries at
+    ``entries_per_term`` per term (at least one term), so the stacks a block
+    builds do not grow with ``len(ns)``.
     """
-    block = max(1, SWEEP_BLOCK_ENTRIES // (seq.limit.d_out * seq.limit.d_in) ** 2)
+    block = max(1, SWEEP_BLOCK_ENTRIES // entries_per_term)
     for start in range(0, len(ns), block):
         yield slice(start, start + block), [seq.term(n) for n in ns[start:start + block]]
 
@@ -179,23 +179,17 @@ def _observable_columns(test_obs) -> np.ndarray | None:
 def _dual_norms(ds: np.ndarray, obs: np.ndarray | None, vecs: np.ndarray, d_in: int) -> np.ndarray:
     """``||(term* - limit*)(B) phi||_2`` for every term, observable and vector, as a (B, obs, vec) array.
 
-    One GEMM of the stacked ``(S_n - S_0)^H`` with the stacked observables
-    gives every dual difference, a second one applies them all to the vectors.
-    With ``obs`` None (the stack is the identity, see
-    :func:`_observable_columns`) the dual difference of the o-th matrix unit
-    is the conjugated row o of ``S_n - S_0``, read as a d_in-square matrix,
-    so its images are the conjugates of ``ds.reshape(-1, d_in) @ conj(vecs)``
-    and have the same norms: one GEMM in all.
+    The dual difference of observable b is ``(S_n - S_0)^H vec(B)``, so row o
+    of ``obs^H (S_n - S_0)``, read as a d_in-square matrix, is its conjugate,
+    and the conjugates of its images are that matrix times ``conj(vecs)``,
+    with the same norms: one product with the observables and one GEMM with
+    the vectors.  With ``obs`` None (the stack is the identity, see
+    :func:`_observable_columns`) the rows are those of ``S_n - S_0`` itself
+    and the product with the observables is skipped.
     """
-    if obs is None:
-        n_obs = ds.shape[1]
-        images = ds.reshape(-1, d_in) @ vecs.conj()
-    else:
-        n_obs = obs.shape[1]
-        adjoints = np.conjugate(ds.transpose(0, 2, 1), order="C").reshape(-1, ds.shape[1])
-        duals = (adjoints @ obs).reshape(len(ds), d_in, d_in, n_obs).transpose(0, 3, 1, 2)
-        images = duals.reshape(-1, d_in) @ vecs
-    return np.linalg.norm(images.reshape(len(ds), n_obs, d_in, -1), axis=2)
+    rows = ds if obs is None else obs.conj().T @ ds
+    images = rows.reshape(-1, d_in) @ vecs.conj()
+    return np.linalg.norm(images.reshape(len(ds), rows.shape[1], d_in, -1), axis=2)
 
 
 def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
@@ -273,7 +267,7 @@ def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
     """:func:`choi_defect` at every index of ``ns``, in order, swept in blocks."""
     ns = [int(n) for n in ns]
     gaps = np.empty(len(ns))
-    for rows, terms in _term_blocks(seq, ns):
+    for rows, terms in _term_blocks(seq, ns, (seq.limit.d_out * seq.limit.d_in) ** 2):
         gaps[rows] = _choi_gaps(terms, seq.limit, None)
     return gaps / seq.limit.d_in
 
@@ -325,7 +319,7 @@ def convergence_report(
     limit_choi = choi_matrix(seq.limit)
     strong, star, choi = np.empty((3, len(ns)))
     strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)
-    for rows, terms in _term_blocks(seq, ns):
+    for rows, terms in _term_blocks(seq, ns, limit_choi.size):
         dj, ds = _deltas(terms, limit_choi)
         gaps = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
         duals = _dual_norms(ds, obs, vecs, d_in).reshape(len(terms), -1)
@@ -442,12 +436,10 @@ class PartialTraceForm:
     def _product(self, n: int) -> np.ndarray:
         """``W(n) V0`` for n >= 1, once W(n) is checked against the embedding range."""
         w = self.w_fn(n)
-        drift = _defect(w.initial_projector - self.range0, TOL_VALID)
-        if drift > TOL_VALID:
-            raise ValidationError(
-                f"term {n}: initial projector deviates from the embedding range "
-                f"by {drift:.3e}"
-            )
+        _require_within(
+            w.initial_projector - self.range0,
+            lambda norm: f"term {n}: initial projector deviates from the embedding range by {norm:.3e}",
+        )
         return w.w @ self.v0.v
 
 

@@ -24,11 +24,6 @@ class SchemaError(ValueError):
     """Raised when a document cannot be parsed into a domain object."""
 
 
-def complex_to_json(m) -> list:
-    """Encode a complex array (any depth) as nested [re, im] pairs."""
-    return _pairs(m).tolist()
-
-
 def _pairs(m) -> np.ndarray:
     """A complex array as a real array with a trailing [re, im] axis (a view when it can be)."""
     a = np.asarray(m, dtype=np.complex128, order="C")
@@ -115,11 +110,6 @@ def document(x, metadata: dict | None = None) -> dict:
     if metadata:
         doc["metadata"] = metadata
     return doc
-
-
-def to_json_obj(x) -> dict:
-    """Encode a supported domain object as a JSON-ready dict of plain lists."""
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in document(x).items()}
 
 
 def _field(obj: dict, key: str):

@@ -24,6 +24,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def _plain_document(x) -> dict:
+    """``serialize.document(x)`` with its arrays as plain lists, as a JSON file holds them."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in serialize.document(x).items()}
+
+
 def test_convert_kraus_to_stinespring_and_back(tmp_path):
     src = tmp_path / "ch.json"
     serialize.dump(amplitude_damping_channel(0.3), src)
@@ -224,7 +229,7 @@ def test_exit_code_three_for_parse_problems(tmp_path, capsys):
 
 
 def test_exit_code_two_for_invalid_values(tmp_path, capsys):
-    doc = serialize.to_json_obj(amplitude_damping_channel(0.2))
+    doc = _plain_document(amplitude_damping_channel(0.2))
     doc["kraus"][0][0][0] = [9.0, 0.0]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -298,7 +303,7 @@ _DOCUMENTS = {
 @pytest.mark.parametrize("bad", ["two", True, 2.5, None])
 def test_non_integer_dimensions_are_parse_errors(kind, bad, tmp_path, capsys):
     make, argv, field = _DOCUMENTS[kind]
-    doc = serialize.to_json_obj(make())
+    doc = _plain_document(make())
     assert doc["kind"] == kind
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -310,7 +315,7 @@ def test_non_integer_dimensions_are_parse_errors(kind, bad, tmp_path, capsys):
 
 
 def test_integral_float_dimensions_still_load(tmp_path):
-    doc = serialize.to_json_obj(isometry_from_kraus(dephasing_channel(0.5)))
+    doc = _plain_document(isometry_from_kraus(dephasing_channel(0.5)))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**doc, "d_out": 2.0, "d_in": 2.0}))
     assert run("convert", "--in", str(path), "--to", "kraus") == 0
@@ -401,11 +406,12 @@ def test_gaussian_sweep_starts_at_the_first_valid_index(tmp_path):
 
 
 def _pairs(m):
-    return serialize.complex_to_json(np.asarray(m, dtype=np.complex128))
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-_KRAUS = serialize.to_json_obj(dephasing_channel(0.5))
-_STINESPRING = serialize.to_json_obj(pad_environment(isometry_from_kraus(dephasing_channel(0.5)), 3))
+_KRAUS = _plain_document(dephasing_channel(0.5))
+_STINESPRING = _plain_document(pad_environment(isometry_from_kraus(dephasing_channel(0.5)), 3))
 _DILATION = {
     "schema_version": 1,
     "kind": "unitary-dilation",
@@ -416,8 +422,8 @@ _DILATION = {
     "U": _pairs(np.eye(6)),
     "tau0": _pairs([1.0, 0.0, 0.0]),
 }
-_ATTENUATOR = serialize.to_json_obj(attenuator(0.5))
-_STATE = serialize.to_json_obj(GaussianState(mean=np.zeros(2), cov=np.eye(2)))
+_ATTENUATOR = _plain_document(attenuator(0.5))
+_STATE = _plain_document(GaussianState(mean=np.zeros(2), cov=np.eye(2)))
 _CONVERT = ["convert", "--to", "kraus"]
 _VALIDATE = ["gaussian", "validate"]
 

@@ -1,4 +1,4 @@
-"""Property test: the Frobenius-gated defect keeps the operator-norm verdict."""
+"""Property test: the Frobenius-gated invariant check keeps the operator-norm verdict."""
 
 import numpy as np
 import pytest
@@ -6,23 +6,27 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from channel_lab.core import TOL_VALID, _defect, opnorm  # noqa: E402
+from channel_lab import core  # noqa: E402
+from channel_lab.core import TOL_VALID, ValidationError, _require_within, opnorm  # noqa: E402
 
 _SHAPES = st.tuples(st.sampled_from([(), (1,), (3,)]), st.integers(1, 12))
-# opnorm / tol, kept 1% away from 1 on either side
+# opnorm / TOL_VALID, kept 1% away from 1 on either side
 _RATIOS = st.one_of(st.floats(1e-3, 0.99), st.floats(1.01, 1e3))
+
+
+def _unexpected(norm: float) -> str:
+    raise AssertionError(f"an accepted defect formed its rejection message ({norm:.3e})")
 
 
 @st.composite
 def scaled_arrays(draw):
-    """A matrix or a stack whose operator norm is a drawn multiple of a drawn tol.
+    """A matrix or a stack whose operator norm is a drawn multiple of TOL_VALID.
 
     ``flat`` singular values make the Frobenius norm sqrt(n) times the
     operator norm, so ratios in (1/sqrt(n), 1) put the Frobenius norm above
-    tol while the operator norm stays below it.
+    TOL_VALID while the operator norm stays below it.
     """
     (stack, n), ratio = draw(_SHAPES), draw(_RATIOS)
-    tol = draw(st.sampled_from([TOL_VALID, 1e-3, 1.0]))
     kind = draw(st.sampled_from(["random", "flat", "rank one"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = stack + (n, n)
@@ -31,22 +35,26 @@ def scaled_arrays(draw):
         u, _, vh = np.linalg.svd(m)
         svals = np.ones(n) if kind == "flat" else np.eye(1, n)[0]
         m = (u * svals) @ vh
-    return m * (ratio * tol / opnorm(m)), tol
+    return m * (ratio * TOL_VALID / opnorm(m))
 
 
 @settings(max_examples=300, deadline=None)
 @given(scaled_arrays())
-def test_defect_keeps_the_operator_norm_verdict(case):
-    m, tol = case
-    got = _defect(m, tol)
-    assert (got > tol) == (opnorm(m) > tol)
-    if got > tol:
-        assert got == opnorm(m)
+def test_defect_keeps_the_operator_norm_verdict(m):
+    if opnorm(m) <= TOL_VALID:
+        _require_within(m, _unexpected)
+        return
+    with pytest.raises(ValidationError) as err:
+        _require_within(m, lambda norm: f"defect {norm!r}")
+    assert str(err.value) == f"defect {opnorm(m)!r}"
 
 
-def test_defect_takes_the_gate_for_frobenius_norms_within_tol():
-    # within tol the Frobenius norm is returned, no SVD needed
-    small = 0.1 * TOL_VALID * np.eye(4)
-    assert _defect(small, TOL_VALID) == pytest.approx(0.2 * TOL_VALID, rel=1e-15)
-    flat = 0.9 * TOL_VALID * np.eye(16)
-    assert _defect(flat, TOL_VALID) == opnorm(flat)
+def test_defect_takes_the_gate_for_frobenius_norms_within_tol(monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "opnorm", lambda m: calls.append(m) or opnorm(m))
+    # Frobenius norm 0.2 TOL_VALID: accepted at the gate
+    _require_within(0.1 * TOL_VALID * np.eye(4), _unexpected)
+    assert calls == []
+    # Frobenius norm 3.6 TOL_VALID, operator norm 0.9 TOL_VALID: one SVD, then accepted
+    _require_within(0.9 * TOL_VALID * np.eye(16), _unexpected)
+    assert len(calls) == 1

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from channel_lab import gaussian
+from channel_lab import gaussian, sequences
 from channel_lab.core import ValidationError, trace_norm
 from channel_lab.gaussian import (
     GaussianChannel,
@@ -357,7 +357,7 @@ def _bench_style_sequence():
 
 
 def _block_size(states, grid):
-    return max(1, gaussian.SWEEP_BLOCK_ENTRIES // (len(states) * len(grid)))
+    return max(1, sequences.SWEEP_BLOCK_ENTRIES // (len(states) * len(grid)))
 
 
 #: How many indices a sweep covers, in blocks of ``block`` indices.
@@ -503,6 +503,23 @@ def test_param_convergence_check_keeps_its_other_errors_and_their_order():
     # ... but within one block every term is built before any is checked, so the build error wins.
     with pytest.raises(ValidationError, match=f"term {block} cannot be built"):
         param_convergence_check(cp_then_build(block), ns, eps=1e-6)
+
+
+def test_param_convergence_report_does_not_depend_on_the_block_size(monkeypatch):
+    """The Kraus sweeps' block rule drives the Gaussian sweep: blocks of 1, 3 and all indices agree."""
+    seq, grid = _bench_style_sequence(), z_grid(2, max_points=81)
+    states = gaussian.default_gaussian_test_states(2)
+    ns = list(range(1, 11))
+
+    def sweep(indices_per_block):
+        monkeypatch.setattr(sequences, "SWEEP_BLOCK_ENTRIES", indices_per_block * len(states) * len(grid))
+        assert _block_size(states, grid) == indices_per_block
+        return param_convergence_check(seq, ns, eps=1e-3, grid=grid).to_json_dict()
+
+    default = sweep(len(ns))
+    assert max(default["char_dev"]) > 1e-3
+    assert sweep(1) == default
+    assert sweep(3) == default
 
 
 def test_param_convergence_check_memory_does_not_grow_with_the_index_count():

@@ -1,5 +1,6 @@
-"""Property tests: batched characteristic functions, the dual chain identity, and the
-batched complete-positivity check at the validity boundary."""
+"""Property tests: batched characteristic functions, the dual chain identity, the
+batched complete-positivity check at the validity boundary, and the one eigensolve
+that serves both signs of a validity check."""
 
 import numpy as np
 import pytest
@@ -112,3 +113,43 @@ def test_batched_cp_check_equals_validate_channel_at_the_boundary(chans):
     with pytest.raises(ValidationError) as swept:
         param_convergence_check(seq, range(1, len(chans) + 1), eps=1.0)
     assert str(swept.value) == str(direct.value)
+
+
+@st.composite
+def psd_problems(draw):
+    """A stack of real symmetric ``sym`` and antisymmetric ``skew``, skew shared or per matrix.
+
+    Random pairs, and attenuator brackets (``sym = (1 - k^2) I - offset I``,
+    ``skew = (1 - k^2) Delta``): on the boundary at offset 0, and valid or
+    invalid by a margin far above rounding at the other offsets.
+    """
+    modes, size = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    n, delta = 2 * modes, symplectic_form(modes)
+    syms, skews = [], []
+    for _ in range(size):
+        if draw(st.booleans()):
+            k = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+            offset = draw(st.sampled_from([0.0, 1e-12, 0.5 * TOL_EIG, 2 * TOL_EIG, 1e-6]))
+            syms.append((1.0 - k * k - offset) * np.eye(n))
+            skews.append((1.0 - k * k) * delta)
+        else:
+            a, b = (draw(arrays(np.float64, (n, n), elements=_ENTRIES)) for _ in range(2))
+            syms.append(a + a.T + draw(st.floats(0.0, 4.0)) * np.eye(n))
+            skews.append(b - b.T)
+    shared = draw(st.booleans())
+    return np.stack(syms), skews[0] if shared else np.stack(skews)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(psd_problems())
+def test_one_eigensolve_gives_the_two_sign_verdict(problem):
+    sym, skew = problem
+    checks = gaussian._psd_checks(sym, skew)
+    plus = np.linalg.eigvalsh(sym + 1j * skew).min(axis=-1)
+    minus = np.linalg.eigvalsh(sym - 1j * skew).min(axis=-1)
+    assert len(checks) == len(sym)
+    for check, s, k, p, m in zip(checks, sym, np.broadcast_to(skew, sym.shape), plus, minus):
+        tol = 1e-12 * (1.0 + np.linalg.norm(s, 2) + np.linalg.norm(k, 2))
+        assert check.ok == (min(p, m) >= -TOL_EIG)
+        assert abs(check.min_eig_plus - p) <= tol
+        assert abs(check.min_eig_minus - m) <= tol

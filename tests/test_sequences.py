@@ -447,8 +447,8 @@ def test_convergence_report_memory_does_not_grow_with_the_index_count(rng):
 def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     """Matrix units stack to I, so the strong* kernel keeps only the vector images
     (1.17x ``ds`` here) and ``np.linalg.norm``'s conjugate: about 2.4x ``ds``.
-    The general path also holds the adjoint copy, its product with the
-    observables and the transposed duals, about 4.4x."""
+    The general path also holds the product of the observables with ``ds``,
+    about 3.4x."""
     d = 12
     seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
     _, ds = sequences._deltas([seq.term(d // 2)], choi_matrix(seq.limit))

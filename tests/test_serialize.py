@@ -10,18 +10,27 @@ from channel_lab.gaussian import attenuator, coherent_state
 from channel_lab.serialize import (
     SchemaError,
     complex_from_json,
-    complex_to_json,
     dump,
     from_json_obj,
     load,
-    to_json_obj,
 )
+
+
+def _pairs(m) -> list:
+    """A complex array as nested [re, im] pairs, as a JSON file holds it."""
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def _plain_document(x) -> dict:
+    """``serialize.document(x)`` with its arrays as plain lists, as a JSON file holds them."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in serialize.document(x).items()}
 
 
 def test_complex_array_round_trip(rng):
     for shape, ndim in (((4,), 1), ((3, 2), 2)):
         arr = ensembles.crandn(shape, rng)
-        back = complex_from_json(complex_to_json(arr), ndim)
+        back = complex_from_json(_pairs(arr), ndim)
         assert np.array_equal(arr, back)
     with pytest.raises(SchemaError, match="rank-2"):
         complex_from_json([[1.0, 2.0]], 2)
@@ -69,7 +78,7 @@ def test_gaussian_round_trips(tmp_path):
 
 
 def test_declared_dimensions_are_cross_checked():
-    doc = to_json_obj(dephasing_channel(0.0))
+    doc = _plain_document(dephasing_channel(0.0))
     doc["d_in"] = 3
     with pytest.raises(SchemaError, match="declared d_in=3"):
         from_json_obj(doc)
@@ -83,7 +92,7 @@ def test_structural_errors_raise_schema_error():
     with pytest.raises(SchemaError, match="nonempty list"):
         from_json_obj({"kind": "kraus", "kraus": []})
     # a ragged family is structural, like a ragged V or U
-    ragged = [complex_to_json(np.eye(2)), complex_to_json(np.eye(3))]
+    ragged = [_pairs(np.eye(2)), _pairs(np.eye(3))]
     with pytest.raises(SchemaError, match="not a numeric array"):
         from_json_obj({"kind": "kraus", "kraus": ragged})
     with pytest.raises(SchemaError, match="expected a rank-3 complex array"):
@@ -93,7 +102,7 @@ def test_structural_errors_raise_schema_error():
 
 
 def test_invariant_violations_raise_validation_error():
-    doc = to_json_obj(dephasing_channel(0.0))
+    doc = _plain_document(dephasing_channel(0.0))
     doc["kraus"][0][0][0] = [3.0, 0.0]
     with pytest.raises(ValidationError, match="trace preserving"):
         from_json_obj(doc)
