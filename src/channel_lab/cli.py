@@ -116,23 +116,15 @@ def cmd_sequence(args) -> int:
         ranks = _parse_int_list(args.ranks) if args.ranks else list(range(1, base.d_out + 1))
         sigma = DensityOperator(np.eye(base.d_out) / base.d_out)
         seq = sequences.compression_sequence(base, sigma, ranks)
-        report = sequences.convergence_report(
-            seq,
-            range(1, len(ranks) + 1),
-            ensembles.default_test_states(base.d_in, rng),
-            ensembles.matrix_unit_observables(base.d_out),
-            ensembles.default_test_vectors(base.d_in, rng),
-            test_family=f"basis+haar states, matrix-unit obs, basis+haar vectors, seed={args.seed}",
-        )
+        family = f"basis+haar states, matrix-unit obs, basis+haar vectors, seed={args.seed}"
+        report = _kraus_report(seq, range(1, len(ranks) + 1), rng, family)
     elif args.kind == "swap":
         report = _swap_report(args.dim, args.probe)
     elif args.kind == "partial-trace-form":
         report = _rotation_report(args, rng)
-    elif args.kind == "gaussian":
+    else:
         ns = _parse_int_list(args.ns) if args.ns else list(range(1, 101))
         report = _gaussian_sweep(args.k, max(ns, default=0), args.tol, args.grid)
-    else:
-        raise ValidationError(f"unknown sequence kind {args.kind!r}")
     _write_report(report, args.out)
     return 0
 
@@ -173,14 +165,21 @@ def _rotation_report(args, rng) -> Report:
         )
     v0 = StinespringIsometry(np.eye(total, d_in), d_out, d_env)
     form = sequences.rotation_partial_trace_form(v0, (total - 1, 0), lambda n: 1.0 / n)
+    seq = sequences.channels_from_partial_isometries(form)
     ns = _parse_int_list(args.ns) if args.ns else [1, 10, 100, 1000]
+    return _kraus_report(seq, ns, rng, f"rotation angles 1/n in plane ({total - 1}, 0), seed={args.seed}")
+
+
+def _kraus_report(seq, ns, rng, test_family: str) -> Report:
+    """The report of a Kraus sequence on the default probes, test states drawn before test vectors."""
+    d_in, d_out = seq.limit.d_in, seq.limit.d_out
     return sequences.convergence_report(
-        sequences.channels_from_partial_isometries(form),
+        seq,
         ns,
         ensembles.default_test_states(d_in, rng),
         ensembles.matrix_unit_observables(d_out),
         ensembles.default_test_vectors(d_in, rng),
-        test_family=f"rotation angles 1/n in plane ({total - 1}, 0), seed={args.seed}",
+        test_family=test_family,
     )
 
 
@@ -223,11 +222,9 @@ def cmd_gaussian(args) -> int:
         else:
             dump_json(doc, sys.stdout)
         return 0
-    if args.action == "converge":
-        report = _gaussian_sweep(args.k, args.ns, args.tol, args.grid)
-        _write_report(report, args.out)
-        return 0
-    raise ValidationError(f"unknown gaussian action {args.action!r}")
+    report = _gaussian_sweep(args.k, args.ns, args.tol, args.grid)
+    _write_report(report, args.out)
+    return 0
 
 
 def cmd_report(args) -> int:

@@ -2,8 +2,12 @@
 
 Complex matrices and vectors are nested arrays of ``[re, im]`` pairs; real
 Gaussian parameters are plain numbers.  Every object carries a ``kind`` tag
-and ``schema_version``; loading reconstructs the domain object, which
-re-runs its invariants.  Sweep reports (:mod:`channel_lab.report`) are
+and ``schema_version``; a document of another version is rejected, one
+without the field is read as the current version.  Each kind is one entry
+of one table: its type, the builder of its fields and its decoder.  Loading
+reconstructs the domain object, which re-runs its invariants, then checks
+the dimensions the input declares against the integer fields the encoder
+writes for the result.  Sweep reports (:mod:`channel_lab.report`) are
 decoded on request.  Structural problems raise :class:`SchemaError`,
 invariant violations propagate as :class:`channel_lab.core.ValidationError`.
 """
@@ -53,65 +57,6 @@ def real_from_json(obj, ndim: int) -> np.ndarray:
     return a
 
 
-#: Each encodable type with its document kind and the builder of its other
-#: fields.  Arrays are left as ndarrays, complex ones with a trailing
-#: [re, im] axis; :func:`~channel_lab.report.dump_json` writes them directly.
-_ENCODERS = {
-    KrausChannel: ("kraus", lambda x: {
-        "d_in": x.d_in,
-        "d_out": x.d_out,
-        "kraus": _pairs(x.stack),
-    }),
-    StinespringIsometry: ("stinespring", lambda x: {
-        "d_in": x.d_in,
-        "d_out": x.d_out,
-        "d_env": x.d_env,
-        "V": _pairs(x.v),
-    }),
-    UnitaryDilation: ("unitary-dilation", lambda x: {
-        "d_in": x.d_in,
-        "d_anc": x.d_anc,
-        "d_out": x.d_out,
-        "d_env": x.d_env,
-        "U": _pairs(x.u.u),
-        "tau0": _pairs(x.tau0),
-    }),
-    GaussianState: ("gaussian-state", lambda x: {
-        "s": x.modes,
-        "m": x.mean,
-        "sigma": x.cov,
-    }),
-    GaussianChannel: ("gaussian-channel", lambda x: {
-        "s_in": x.modes_in,
-        "s_out": x.modes_out,
-        "K": x.scale,
-        "ell": x.shift,
-        "alpha": x.noise,
-    }),
-}
-
-
-def _encoder(x):
-    for cls, entry in _ENCODERS.items():
-        if isinstance(x, cls):
-            return entry
-    raise SchemaError(f"no JSON encoding for objects of type {type(x).__name__}")
-
-
-def kind_of(x) -> str:
-    """The document ``kind`` a supported domain object is written as."""
-    return _encoder(x)[0]
-
-
-def document(x, metadata: dict | None = None) -> dict:
-    """The document of a supported domain object, arrays as ndarrays, for :func:`dump_json`."""
-    kind, fields = _encoder(x)
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields(x)}
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
-
-
 def _field(obj: dict, key: str):
     try:
         return obj[key]
@@ -120,7 +65,7 @@ def _field(obj: dict, key: str):
 
 
 def _dim(obj: dict, key: str) -> int:
-    """A declared dimension: an integer, or a float with an integral value, but not a bool."""
+    """A declared integer: an int, or a float with an integral value, but not a bool."""
     value = _field(obj, key)
     if not (
         isinstance(value, int) and not isinstance(value, bool)
@@ -130,63 +75,117 @@ def _dim(obj: dict, key: str) -> int:
     return int(value)
 
 
+def _kraus_from_json(obj: dict) -> KrausChannel:
+    raw = _field(obj, "kraus")
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError("field 'kraus' must be a nonempty list")
+    # One (K, d_out, d_in) array: a ragged family is a structural error.
+    return KrausChannel(complex_from_json(raw, 3))
+
+
+#: Each document kind with its type, the builder of its other fields and its
+#: decoder.  Arrays are left as ndarrays, complex ones with a trailing
+#: [re, im] axis; :func:`~channel_lab.report.dump_json` writes them directly.
+#: The integer fields a kind writes are the dimensions its decoder checks.
+_KINDS = {
+    "kraus": (KrausChannel, lambda x: {
+        "d_in": x.d_in,
+        "d_out": x.d_out,
+        "kraus": _pairs(x.stack),
+    }, _kraus_from_json),
+    "stinespring": (StinespringIsometry, lambda x: {
+        "d_in": x.d_in,
+        "d_out": x.d_out,
+        "d_env": x.d_env,
+        "V": _pairs(x.v),
+    }, lambda obj: StinespringIsometry(
+        complex_from_json(_field(obj, "V"), 2), _dim(obj, "d_out"), _dim(obj, "d_env")
+    )),
+    "unitary-dilation": (UnitaryDilation, lambda x: {
+        "d_in": x.d_in,
+        "d_anc": x.d_anc,
+        "d_out": x.d_out,
+        "d_env": x.d_env,
+        "U": _pairs(x.u.u),
+        "tau0": _pairs(x.tau0),
+    }, lambda obj: UnitaryDilation(
+        u=UnitaryOp(complex_from_json(_field(obj, "U"), 2)),
+        tau0=complex_from_json(_field(obj, "tau0"), 1),
+        d_in=_dim(obj, "d_in"),
+        d_anc=_dim(obj, "d_anc"),
+        d_out=_dim(obj, "d_out"),
+        d_env=_dim(obj, "d_env"),
+    )),
+    "gaussian-state": (GaussianState, lambda x: {
+        "s": x.modes,
+        "m": x.mean,
+        "sigma": x.cov,
+    }, lambda obj: GaussianState(
+        mean=real_from_json(_field(obj, "m"), 1),
+        cov=real_from_json(_field(obj, "sigma"), 2),
+    )),
+    "gaussian-channel": (GaussianChannel, lambda x: {
+        "s_in": x.modes_in,
+        "s_out": x.modes_out,
+        "K": x.scale,
+        "ell": x.shift,
+        "alpha": x.noise,
+    }, lambda obj: GaussianChannel(
+        scale=real_from_json(_field(obj, "K"), 2),
+        shift=real_from_json(_field(obj, "ell"), 1),
+        noise=real_from_json(_field(obj, "alpha"), 2),
+    )),
+}
+
+
+def _kind_and_fields(x):
+    for kind, (cls, fields, _) in _KINDS.items():
+        if isinstance(x, cls):
+            return kind, fields
+    raise SchemaError(f"no JSON encoding for objects of type {type(x).__name__}")
+
+
+def kind_of(x) -> str:
+    """The document ``kind`` a supported domain object is written as."""
+    return _kind_and_fields(x)[0]
+
+
+def document(x, metadata: dict | None = None) -> dict:
+    """The document of a supported domain object, arrays as ndarrays, for :func:`dump_json`."""
+    kind, fields = _kind_and_fields(x)
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields(x)}
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
+
+
 def from_json_obj(obj, report: bool = False):
     """Decode a JSON object into the domain object its ``kind`` names.
 
     With ``report`` set, only the report kinds are decoded, into a
     :class:`~channel_lab.report.Report`; without it they are unknown kinds.
+    Every integer field the decoded object's own document holds must equal
+    the input's value of that field, where the input declares one.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
+    if "schema_version" in obj and _dim(obj, "schema_version") != SCHEMA_VERSION:
+        raise SchemaError(
+            f"unsupported schema_version {obj['schema_version']!r} (expected {SCHEMA_VERSION})"
+        )
     kind = _field(obj, "kind")
     if report:
         if not isinstance(kind, str) or kind not in COLUMNS:
             raise SchemaError(f"not a report document (kind={kind!r})")
         return from_json_dict(obj)
-    if kind == "kraus":
-        raw = _field(obj, "kraus")
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError("field 'kraus' must be a nonempty list")
-        # One (K, d_out, d_in) array: a ragged family is a structural error.
-        ch = KrausChannel(complex_from_json(raw, 3))
-        _check_dims(obj, {"d_in": ch.d_in, "d_out": ch.d_out})
-        return ch
-    if kind == "stinespring":
-        v = complex_from_json(_field(obj, "V"), 2)
-        iso = StinespringIsometry(v, _dim(obj, "d_out"), _dim(obj, "d_env"))
-        _check_dims(obj, {"d_in": iso.d_in})
-        return iso
-    if kind == "unitary-dilation":
-        return UnitaryDilation(
-            u=UnitaryOp(complex_from_json(_field(obj, "U"), 2)),
-            tau0=complex_from_json(_field(obj, "tau0"), 1),
-            d_in=_dim(obj, "d_in"),
-            d_anc=_dim(obj, "d_anc"),
-            d_out=_dim(obj, "d_out"),
-            d_env=_dim(obj, "d_env"),
-        )
-    if kind == "gaussian-state":
-        st = GaussianState(
-            mean=real_from_json(_field(obj, "m"), 1),
-            cov=real_from_json(_field(obj, "sigma"), 2),
-        )
-        _check_dims(obj, {"s": st.modes})
-        return st
-    if kind == "gaussian-channel":
-        ch = GaussianChannel(
-            scale=real_from_json(_field(obj, "K"), 2),
-            shift=real_from_json(_field(obj, "ell"), 1),
-            noise=real_from_json(_field(obj, "alpha"), 2),
-        )
-        _check_dims(obj, {"s_in": ch.modes_in, "s_out": ch.modes_out})
-        return ch
-    raise SchemaError(f"unknown kind {kind!r}")
-
-
-def _check_dims(obj: dict, expected: dict) -> None:
-    for key, want in expected.items():
-        if key in obj and _dim(obj, key) != want:
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaError(f"unknown kind {kind!r}")
+    _, fields, decode = _KINDS[kind]
+    x = decode(obj)
+    for key, want in fields(x).items():
+        if isinstance(want, int) and key in obj and _dim(obj, key) != want:
             raise SchemaError(f"declared {key}={obj[key]} but the data implies {key}={want}")
+    return x
 
 
 def dump(x, path, metadata: dict | None = None) -> None:

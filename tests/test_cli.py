@@ -227,6 +227,18 @@ def test_exit_code_three_for_parse_problems(tmp_path, capsys):
     assert run("convert", "--in", str(bad), "--to", "kraus") == 3
     assert "parse error" in capsys.readouterr().err
 
+    # a document of another schema version is detected, not misread
+    bad.write_text(json.dumps({**_plain_document(identity_channel(2)), "schema_version": 2}))
+    assert run("convert", "--in", str(bad), "--to", "kraus") == 3
+    assert "parse error: unsupported schema_version 2" in capsys.readouterr().err
+    prefix = tmp_path / "sweep"
+    assert run("gaussian", "converge", "--ns", "5", "--out", str(prefix)) == 0
+    report = json.loads((tmp_path / "sweep.json").read_text())
+    bad.write_text(json.dumps({**report, "schema_version": 2}))
+    capsys.readouterr()
+    assert run("report", "--in", str(bad)) == 3
+    assert "parse error: unsupported schema_version 2" in capsys.readouterr().err
+
 
 def test_exit_code_two_for_invalid_values(tmp_path, capsys):
     doc = _plain_document(amplitude_damping_channel(0.2))
@@ -246,9 +258,14 @@ def test_convert_rejects_documents_that_are_not_channels(tmp_path, capsys):
 
 
 def test_usage_errors_exit_two(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run("convert", "--in", "x.json", "--to", "nonsense")
-    assert err.value.code == 2
+    for argv in (
+        ("convert", "--in", "x.json", "--to", "nonsense"),
+        ("sequence", "bogus", "--out", str(tmp_path / "x")),
+        ("gaussian", "bogus"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(*argv)
+        assert err.value.code == 2
 
 
 @pytest.mark.parametrize("kind", ["partial-trace-form", "gaussian"])

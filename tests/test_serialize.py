@@ -77,16 +77,70 @@ def test_gaussian_round_trips(tmp_path):
     assert np.array_equal(cback.noise, ch.noise)
 
 
-def test_declared_dimensions_are_cross_checked():
-    doc = _plain_document(dephasing_channel(0.0))
-    doc["d_in"] = 3
-    with pytest.raises(SchemaError, match="declared d_in=3"):
+_SAMPLES = {
+    "kraus": lambda: dephasing_channel(0.0),
+    "stinespring": lambda: isometry_from_kraus(dephasing_channel(0.5)),
+    "unitary-dilation": lambda: unitary_from_isometry(isometry_from_kraus(dephasing_channel(0.5))),
+    "gaussian-state": lambda: coherent_state(1.0 + 0.5j),
+    "gaussian-channel": lambda: attenuator(0.7),
+}
+
+#: Every integer field of every kind's document, with the error a value one
+#: too high raises.  A field the decoder does not consume is cross-checked
+#: against the data; one it passes to the constructor is rejected there.
+_DECLARED = [
+    ("kraus", "d_in", SchemaError, "declared d_in=3"),
+    ("kraus", "d_out", SchemaError, "declared d_out=3"),
+    ("stinespring", "d_in", SchemaError, "declared d_in=3"),
+    ("stinespring", "d_out", ValidationError, "does not match d_out"),
+    ("stinespring", "d_env", ValidationError, "does not match d_out"),
+    ("unitary-dilation", "d_in", ValidationError, "dimension products disagree"),
+    ("unitary-dilation", "d_anc", ValidationError, "dimension products disagree"),
+    ("unitary-dilation", "d_out", ValidationError, "dimension products disagree"),
+    ("unitary-dilation", "d_env", ValidationError, "dimension products disagree"),
+    ("gaussian-state", "s", SchemaError, "declared s=2"),
+    ("gaussian-channel", "s_in", SchemaError, "declared s_in=2"),
+    ("gaussian-channel", "s_out", SchemaError, "declared s_out=2"),
+]
+
+
+def test_declared_dimension_cases_cover_every_integer_field():
+    fields = {
+        (kind, key)
+        for kind, make in _SAMPLES.items()
+        for key, value in serialize.document(make()).items()
+        if isinstance(value, int) and key != "schema_version"
+    }
+    assert fields == {(kind, key) for kind, key, _, _ in _DECLARED}
+
+
+@pytest.mark.parametrize(
+    "kind, key, error, message", _DECLARED, ids=[f"{kind}-{key}" for kind, key, _, _ in _DECLARED]
+)
+def test_declared_dimensions_are_cross_checked(kind, key, error, message):
+    doc = _plain_document(_SAMPLES[kind]())
+    doc[key] += 1
+    with pytest.raises(error, match=message):
         from_json_obj(doc)
 
 
+def test_other_schema_versions_are_rejected():
+    doc = _plain_document(dephasing_channel(0.5))
+    for version in (0, 2, "1", True, 1.5):
+        with pytest.raises(SchemaError, match="schema_version"):
+            from_json_obj({**doc, "schema_version": version})
+        with pytest.raises(SchemaError, match="schema_version"):
+            from_json_obj({**doc, "schema_version": version}, report=True)
+    # an integral float is the current version, and a document without the field reads as it
+    assert from_json_obj({**doc, "schema_version": 1.0}).d_in == 2
+    del doc["schema_version"]
+    assert from_json_obj(doc).d_in == 2
+
+
 def test_structural_errors_raise_schema_error():
-    with pytest.raises(SchemaError, match="unknown kind"):
-        from_json_obj({"kind": "mystery"})
+    for kind in ("mystery", [1], None):
+        with pytest.raises(SchemaError, match="unknown kind"):
+            from_json_obj({"kind": kind})
     with pytest.raises(SchemaError, match="missing field"):
         from_json_obj({"kind": "kraus"})
     with pytest.raises(SchemaError, match="nonempty list"):
