@@ -1,31 +1,17 @@
-"""Thread-pool mapping for embarrassingly parallel sweeps.
+"""The three names the benchmark harness in ``bench/`` reads, and nothing else.
 
-The worker count is capped by the CHANNEL_LAB_THREADS environment variable
-(default 1, i.e. plain sequential evaluation).  Results always come back in
-input order, so sweeps are deterministic regardless of the cap.
+Every sweep runs in one thread as blocked array code and the library reads
+no environment variable, so ``thread_cap()`` is always 1 and ``pmap`` is a
+plain ordered map.  ``bench/`` records ``THREADS_ENV`` and ``thread_cap()``
+and times ``pmap``; no library code calls either function.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 THREADS_ENV = "CHANNEL_LAB_THREADS"
 
 
 def thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    return 1
 
 
 def pmap(fn, items):
-    items = list(items)
-    cap = thread_cap()
-    if cap == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

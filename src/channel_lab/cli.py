@@ -5,7 +5,9 @@ sweep convergence defects over built-in families, ``gaussian`` for the
 parameter-level calculus, and ``report`` to re-emit saved reports.
 
 Exit codes: 0 on success, 2 when a value fails validation (including
-command-line usage errors), 3 when an input file cannot be parsed.
+command-line usage errors) or a path cannot be read or written, 3 when an
+input file cannot be parsed (it is not UTF-8, not JSON, or not a known
+document).
 All outputs are deterministic for a fixed invocation and seed.  Every
 sweep runs in one thread, as blocked array code.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -308,11 +309,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (serialize.SchemaError, json.JSONDecodeError) as exc:
+    except serialize.SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
-        # ValidationError is a ValueError; SchemaError and JSONDecodeError are caught above.
+    except (ValueError, OSError) as exc:
+        # ValidationError is a ValueError, SchemaError is caught above; an OSError is
+        # a path that cannot be read or written.
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,9 +122,9 @@ def minimal_stinespring(ch: KrausChannel) -> StinespringIsometry:
     _, s, vh = np.linalg.svd(_kraus_matrix(ch), full_matrices=False)
     vals = s * s
     vecs, order = _eigen_order(vals, vh.T)
+    # Trace preservation makes sum(vals) = ||M||_F^2 about d_in, so the largest is
+    # at least about 1/d_out and one pair always survives the cutoff.
     order = order[vals[order] > CHOI_RANK_CUTOFF]
-    if not len(order):
-        raise ValidationError("channel has numerically vanishing Choi matrix")
     ops = (s[order] * vecs[:, order]).T.reshape(-1, ch.d_out, ch.d_in)
     return isometry_from_kraus(KrausChannel(ops))
 
@@ -218,9 +218,9 @@ def unitary_from_isometry(
     ker_anc = _kernel_basis(np.outer(tau0, tau0.conj()))
     ker_range = _kernel_basis(v.v @ dagger(v.v))
     n_spare = d_big * (d_extra - 1)
-    n_left, n_right = v.d_in * ker_anc.shape[1], n_spare + ker_range.shape[1]
-    if n_left != n_right:
-        raise ValidationError(f"numerical kernel dimensions disagree: {n_left} vs {n_right}")
+    # D - d_in kernel columns: R then pairs with L's d_in * (d_anc - 1) exactly when
+    # the dimension products agree, as checked above.
+    n_right = n_spare + ker_range.shape[1]
 
     # Output-side columns as (output (x) environment, extra, input, ancilla): the one
     # paired with e_i (x) [tau_0 | T][:, a] is lift's column i for a = 0, else R's
@@ -281,8 +281,9 @@ def complete_unitary(w: PartialIsometry) -> UnitaryOp:
 
     U agrees with W on the initial subspace and maps the deterministic
     orthonormal basis of ker(W*W) onto the one of ker(WW*).  Requires a
-    square W; raises if the two kernels disagree in numerical dimension,
-    which cannot happen for an exact partial isometry.
+    square W; both kernels then have ``d - rank`` columns, since W*W and WW*
+    are projectors with the same nonzero spectrum, and ``UnitaryOp`` checks
+    the result.
     """
     if w.d_in != w.d_out:
         raise ValidationError(
@@ -291,11 +292,6 @@ def complete_unitary(w: PartialIsometry) -> UnitaryOp:
         )
     ker_initial = _kernel_basis(w.initial_projector)
     ker_range = _kernel_basis(w.range_projector)
-    if ker_initial.shape[1] != ker_range.shape[1]:
-        raise ValidationError(
-            f"numerical kernel dimensions disagree: {ker_initial.shape[1]} vs "
-            f"{ker_range.shape[1]}"
-        )
     return UnitaryOp(w.w + ker_range @ dagger(ker_initial))
 
 

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .core import TOL_EIG, TOL_HERM, ValidationError
-from .report import Report
+from .report import Report, _integer_indices
 from .sequences import ChannelSequence, _term_blocks
 
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -385,8 +385,9 @@ def param_convergence_check(
     pointwise convergence of the outputs are equivalent, so the two sides
     must co-vanish; the report exists to exhibit that numerically.
 
-    An empty state list or a grid that is not a nonempty (P, 2 s_out) stack
-    raises ValidationError; the test states are checked with one batched
+    An index that is not an integer (a bool is not), an empty state list or
+    a grid that is not a nonempty (P, 2 s_out) stack raises ValidationError
+    before any term is built; the test states are checked with one batched
     eigenvalue call.  The indices are swept in blocks of at most
     ``sequences.SWEEP_BLOCK_ENTRIES // (states x points)`` (at least one),
     by the block rule of the Kraus sweeps, so memory does not grow with
@@ -397,7 +398,7 @@ def param_convergence_check(
     even when an earlier term of the same block violates complete
     positivity.
     """
-    ns = [int(n) for n in ns]
+    ns = _integer_indices(ns, "param_convergence_check")
     limit = seq.limit
     states = test_states if test_states is not None else default_gaussian_test_states(limit.modes_in)
     if not states:

@@ -149,6 +149,18 @@ def _block_layout(shape: tuple, level: int) -> tuple[str, list]:
     return "[" + opens(1), seps + [closes(0)]
 
 
+def _integer_indices(indices, what: str) -> tuple:
+    """``indices`` as a tuple of plain ints; any other value raises a ValidationError led by ``what``.
+
+    Integers of every type count, numpy's included; bools do not.  The sweeps
+    check their indices with it before building a term, the report on construction.
+    """
+    indices = tuple(indices)
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in indices):
+        raise ValidationError(f"{what}: indices must be integers, got {list(indices)!r}")
+    return tuple(int(n) for n in indices)
+
+
 class Report:
     """Per-index results of a convergence sweep, one column per measured quantity.
 
@@ -170,10 +182,7 @@ class Report:
         if kind not in COLUMNS:
             raise ValidationError(f"unknown report kind {kind!r}")
         self.kind = kind
-        indices = tuple(indices)
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in indices):
-            raise ValidationError(f"malformed {kind}: indices must be integers, got {list(indices)!r}")
-        self.indices = tuple(int(n) for n in indices)
+        self.indices = _integer_indices(indices, f"malformed {kind}")
         if not self.indices:
             raise ValidationError("a report needs at least one row, got an empty index list")
         if (eps is not None) != (kind in EPS_KINDS):

@@ -70,7 +70,7 @@ from .dilation import (
     minimal_stinespring,
     pad_environment,
 )
-from .report import Report
+from .report import Report, _integer_indices
 
 #: A compression term adds no replacement operator for a Kraus row below this norm.
 ZERO_ROW_NORM = 1e-14
@@ -265,7 +265,7 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
 
 def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
     """:func:`choi_defect` at every index of ``ns``, in order, swept in blocks."""
-    ns = [int(n) for n in ns]
+    ns = _integer_indices(ns, "choi_defects")
     gaps = np.empty(len(ns))
     for rows, terms in _term_blocks(seq, ns, (seq.limit.d_out * seq.limit.d_in) ** 2):
         gaps[rows] = _choi_gaps(terms, seq.limit, None)
@@ -308,10 +308,11 @@ def convergence_report(
     block; the Choi column takes them from the small QR core described in
     the module docstring whenever the two Kraus families are small enough.
     Witnesses are first maximizers: in state order for strong,
-    observable-major then vector order for strong*.  Errors surface in
-    index order.
+    observable-major then vector order for strong*.  An index that is not
+    an integer (a bool is not) is rejected before any term is built; other
+    errors surface in index order.
     """
-    ns = [int(n) for n in ns]
+    ns = _integer_indices(ns, "convergence_report")
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
     states = _columns(test_states, "test state")
     obs = _observable_columns(test_obs)
@@ -530,11 +531,6 @@ def complementary_sequence(source) -> ChannelSequence:
     d_env = source.limit.d_in * source.limit.d_out
 
     def comp(ch: KrausChannel) -> KrausChannel:
-        v = minimal_stinespring(ch)
-        if v.d_env > d_env:
-            raise ValidationError(
-                f"minimal environment dim {v.d_env} exceeds the common dim {d_env}"
-            )
-        return complementary_kraus(pad_environment(v, d_env))
+        return complementary_kraus(pad_environment(minimal_stinespring(ch), d_env))
 
     return ChannelSequence(comp(source.limit), lambda n: comp(source.term(n)))

@@ -196,9 +196,9 @@ def dump(x, path, metadata: dict | None = None) -> None:
 
 def load(path, report: bool = False):
     """Read a JSON file back into a domain object, or into a report with ``report`` set."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return from_json_obj(doc, report)

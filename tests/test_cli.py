@@ -517,3 +517,76 @@ def test_document_rejections(doc, argv, code, message, tmp_path, capsys):
     assert captured.err.startswith(prefix)
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gaussian", "converge", "--k", "1.0"], "limit transmissivity must lie in (0, 1), got 1.0"),
+        (
+            ["gaussian", "converge", "--k", "0.95", "--ns", "10"],
+            "no valid sweep indices: k + 1/n stays above 1 up to n = 10",
+        ),
+        (["sequence", "swap", "--dim", "8", "--probe", "8"], "probe index must lie in 1..7, got 8"),
+        (
+            ["sequence", "partial-trace-form", "--dim", "6", "--dim-out", "2", "--dim-env", "3"],
+            "embedding needs d_in < d_out*d_env, got 6 >= 6",
+        ),
+    ],
+    ids=["k-outside-interval", "no-valid-index", "probe-out-of-range", "embedding-too-small"],
+)
+def test_sweep_parameter_errors_exit_two(argv, message, tmp_path, capsys):
+    prefix = tmp_path / "sweep"
+    assert run(*argv, "--out", str(prefix)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gaussian", "validate", "--in", "{kraus}"], "cannot validate objects of type KrausChannel"),
+        (["gaussian", "apply", "--channel", "{state}"], "the --channel file must hold a gaussian-channel"),
+        (["gaussian", "apply", "--in", "{channel}"], "the --in file must hold a gaussian-state"),
+    ],
+    ids=["validate-kraus", "apply-state-as-channel", "apply-channel-as-state"],
+)
+def test_gaussian_commands_reject_documents_of_the_wrong_kind(argv, message, tmp_path, capsys):
+    paths = {"kraus": tmp_path / "kraus.json", "state": tmp_path / "state.json", "channel": tmp_path / "ch.json"}
+    serialize.dump(identity_channel(2), paths["kraus"])
+    serialize.dump(GaussianState(mean=np.zeros(2), cov=np.eye(2)), paths["state"])
+    serialize.dump(attenuator(0.5), paths["channel"])
+    assert run(*[arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {message}\n"
+    assert captured.out == ""
+
+
+def test_paths_that_cannot_be_read_or_written_exit_two(tmp_path, capsys):
+    # A directory stands for any path open() refuses; permissions do not bind every user.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    report = tmp_path / "sweep"
+    assert run("gaussian", "converge", "--ns", "5", "--out", str(report)) == 0
+    capsys.readouterr()
+    for argv in (
+        ("convert", "--in", str(folder), "--to", "kraus"),
+        ("gaussian", "apply", "--out", str(folder)),
+        ("report", "--in", f"{report}.json", "--out", str(folder)),
+    ):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"validation error: [Errno 21] Is a directory: {str(folder)!r}\n"
+        assert captured.out == ""
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "café"}'.encode("latin-1"))
+    for argv in (("convert", "--to", "kraus"), ("gaussian", "validate"), ("report",)):
+        assert run(*argv, "--in", str(path)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parse error: invalid JSON in {path}: 'utf-8' codec can't decode")
+        assert captured.out == ""

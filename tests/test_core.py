@@ -476,3 +476,22 @@ def test_opnorm_is_largest_singular_value():
     assert opnorm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
     # of a stack, the largest over its matrices
     assert opnorm(np.stack([np.diag([3.0, -4.0]), np.diag([1.0, 5.0])])) == pytest.approx(5.0)
+
+
+def test_ordered_eigh_of_an_empty_matrix():
+    w, v = ordered_eigh(np.zeros((0, 0)))
+    assert w.shape == (0,)
+    assert v.shape == (0, 0)
+
+
+def test_partial_isometry_must_be_a_matrix():
+    with pytest.raises(ValidationError, match=r"partial isometry must be a matrix, got shape \(3,\)"):
+        PartialIsometry(np.ones(3))
+
+
+def test_actions_reject_operands_of_the_wrong_shape():
+    ch = KrausChannel((np.eye(3, 2),))
+    with pytest.raises(ValidationError, match=r"channel expects a 2x2 input, got shape \(3, 3\)"):
+        channel_action(ch, np.eye(3))
+    with pytest.raises(ValidationError, match=r"dual action expects a 3x3 operator, got shape \(2, 2\)"):
+        dual_action(ch, np.eye(2))

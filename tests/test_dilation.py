@@ -530,3 +530,15 @@ def test_to_kraus_reads_every_channel_representation(rng):
     assert max_action_deviation(to_kraus(dil), ch) < 1e-12
     with pytest.raises(ValidationError, match="GaussianState is not a channel representation"):
         to_kraus(vacuum(1))
+
+
+def test_ancilla_vector_of_the_wrong_shape_is_rejected():
+    iso = isometry_from_kraus(amplitude_damping_channel(0.3))
+    with pytest.raises(ValidationError, match=r"ancilla vector of shape \(2,\) does not live in dim 4"):
+        unitary_from_isometry(iso, tau0=np.array([1.0, 0.0]))
+
+
+def test_tracked_completion_rejects_a_reference_of_another_dimension():
+    w = PartialIsometry(np.diag([1.0, 0.0]))
+    with pytest.raises(ValidationError, match="reference of dim 3 does not act on dim 2"):
+        tracked_complete_unitary([w, w], UnitaryOp(np.eye(3)))

@@ -581,3 +581,13 @@ def test_gaussian_report_rejects_non_finite_deviations(bad):
         cols[name] = (bad,)
         with pytest.raises(ValidationError, match=f"{name} has non-finite"):
             Report("gaussian-convergence-report", indices=(1,), eps=1e-6, within_eps=(False,), **cols)
+
+
+def test_dual_weyl_symbol_rejects_a_point_of_the_wrong_shape():
+    with pytest.raises(ValidationError, match=r"argument of shape \(3,\) does not match 1 output modes"):
+        dual_weyl_symbol(attenuator(0.5), np.zeros(3))
+
+
+def test_z_grid_needs_a_mode():
+    with pytest.raises(ValidationError, match="mode count must be positive, got 0"):
+        z_grid(0)

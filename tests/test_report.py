@@ -75,3 +75,30 @@ def test_numpy_scalars_are_accepted_and_stored_as_python_values():
     assert rep.shift_dev == (0.0, 1.0) and type(rep.shift_dev[1]) is float
     assert rep.within_eps == (True, False) and type(rep.within_eps[0]) is bool
     assert type(rep.eps) is float
+
+
+def _convergence_columns() -> dict:
+    return dict(strong=[0.1], strongstar=[0.2], choi=[0.3], strong_witness=["a"], strongstar_witness=["b"])
+
+
+def test_eps_belongs_to_the_gaussian_kind_only():
+    with pytest.raises(ValidationError, match=r"eps=1e-06 does not fit a convergence-report"):
+        Report("convergence-report", [1], eps=1e-6, **_convergence_columns())
+    doc = _gaussian_doc()
+    columns = {name: doc[name] for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev", "within_eps")}
+    with pytest.raises(ValidationError, match="eps=None does not fit a gaussian-convergence-report"):
+        Report("gaussian-convergence-report", doc["indices"], **columns)
+
+
+def test_a_report_has_exactly_its_kinds_columns():
+    columns = _convergence_columns()
+    del columns["choi"]
+    with pytest.raises(ValidationError, match=r"a convergence-report has columns \['strong', 'strongstar', 'choi'"):
+        Report("convergence-report", [1], **columns)
+
+
+def test_unknown_report_attributes_raise_attribute_error():
+    rep = Report("convergence-report", [1], **_convergence_columns())
+    assert rep.strong == (0.1,)
+    with pytest.raises(AttributeError, match="nonexistent"):
+        rep.nonexistent

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from channel_lab.core import (
     ordered_eigh,
     trace_norm,
 )
+from channel_lab.gaussian import attenuator, param_convergence_check
 from channel_lab.report import Report, from_json_dict
 from channel_lab.sequences import (
     ChannelSequence,
@@ -683,3 +685,45 @@ def test_report_reader_rejects_unknown_kinds():
             from_json_dict({**doc, "kind": kind})
     with pytest.raises(ValidationError, match="unknown report kind"):
         Report("kraus", (1,), strong=(0.5,))
+
+
+def test_partial_trace_form_rejects_negative_indices():
+    form = rotation_partial_trace_form(StinespringIsometry(np.eye(6, 4), 2, 3), (5, 0), lambda n: 1.0 / n)
+    with pytest.raises(ValidationError, match="sequence index must be >= 0, got -1"):
+        form.isometry(-1)
+
+
+#: Each sweep with a limit it can take, called on a sequence and its indices.
+_SWEEPS = {
+    "convergence_report": (identity_channel(2), lambda seq, ns: convergence_report(
+        seq,
+        ns,
+        ensembles.basis_states(2),
+        ensembles.matrix_unit_observables(2),
+        [ensembles.basis_vector(2, 0)],
+    )),
+    "choi_defects": (identity_channel(2), choi_defects),
+    "param_convergence_check": (attenuator(0.5), lambda seq, ns: param_convergence_check(seq, ns, 1e-6)),
+}
+
+
+def _plain(result):
+    return result.tolist() if isinstance(result, np.ndarray) else result.to_json_dict()
+
+
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+@pytest.mark.parametrize("ns", [[1.7, 2.2], [1, True], [np.float64(1.0)], ["1"]], ids=repr)
+def test_sweeps_reject_indices_that_are_not_integers(sweep, ns):
+    limit, run_sweep = _SWEEPS[sweep]
+    built = []
+    seq = ChannelSequence(limit, lambda n: built.append(n) or limit)
+    with pytest.raises(ValidationError, match=re.escape(f"{sweep}: indices must be integers, got {ns!r}")):
+        run_sweep(seq, ns)
+    assert built == []
+
+
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+def test_sweeps_take_integers_of_every_type(sweep):
+    limit, run_sweep = _SWEEPS[sweep]
+    seq = ChannelSequence(limit, lambda n: limit)
+    assert _plain(run_sweep(seq, np.array([1, 3]))) == _plain(run_sweep(seq, range(1, 4, 2)))

@@ -178,3 +178,8 @@ def test_load_reports_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError, match="invalid JSON"):
         load(path)
+
+
+def test_objects_without_an_encoding_are_rejected():
+    with pytest.raises(SchemaError, match="no JSON encoding for objects of type object"):
+        serialize.document(object())
