@@ -8,7 +8,8 @@ The channel sweep (``sequences.convergence_report``) writes
 tables, which also carry their flag threshold ``eps``.
 
 :func:`dump_json` writes every document: the standard library's own text for
-values that hold no numpy array, a per-slice template for float arrays.
+values that hold no numpy array, a per-slice template for float arrays, whose
++0.0 cells all share one string.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def dump_json(doc, fh) -> None:
     re-indented to its level; only the dicts, lists and tuples around an
     array are walked here.  Nonempty float arrays of rank >= 2 are formatted
     by one template per slice of the outermost axis, so a large document is
-    never held as one string.
+    never held as one string, and every +0.0 cell is one shared ``"0.0"``
+    rather than a repr of its own.
     """
     _write_value(doc, 0, fh.write)
     fh.write("\n")
@@ -111,20 +113,26 @@ def _write_value(x, level: int, write) -> None:
 def _write_float_array(a: np.ndarray, level: int, write) -> None:
     """Write a nonempty float array of rank >= 2 as json lays out its ``tolist()``.
 
-    Each slice of the outermost axis is formatted in one pass by one ``%r``
+    Each slice of the outermost axis is formatted in one pass by one ``%s``
     template: its entries' reprs interleaved with the separators, which depend
-    only on the shape.  Neither finite reprs nor separators contain ``inf`` or
-    ``nan``, so when the array holds a non-finite entry, renaming those in
-    every slice spells json's non-finite literals; an all-finite array is
-    written without that scan.
+    only on the shape.  The slice's cells are Python floats (``str`` of a
+    float is its repr), except that every +0.0 cell is the one string
+    ``"0.0"``, so the zeros that dominate a factored unitary dilation are not
+    formatted one by one; -0.0 keeps its own repr.  Neither finite reprs nor
+    separators contain ``inf`` or ``nan``, so when the array holds a
+    non-finite entry, renaming those in every slice spells json's non-finite
+    literals; an all-finite array is written without that scan.
     """
     head, seps = _block_layout(a.shape[1:], level + 1)
-    template = head + "".join("%r" + sep for sep in seps)
+    template = head + "".join("%s" + sep for sep in seps)
     inner = "\n" + _INDENT * (level + 1)
     finite = bool(np.isfinite(a).all())
+    zero = (a == 0) & ~np.signbit(a)
     write("[")
     for i, block in enumerate(a):
-        text = template % tuple(block.ravel().tolist())
+        cells = block.astype(object)
+        cells[zero[i]] = "0.0"
+        text = template % tuple(cells.ravel().tolist())
         if not finite:
             text = text.replace("inf", "Infinity").replace("nan", "NaN")
         write(("," + inner if i else inner) + text)

@@ -15,6 +15,8 @@ invariant violations propagate as :class:`channel_lab.core.ValidationError`.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -34,10 +36,42 @@ def _pairs(m) -> np.ndarray:
     return a.reshape(-1).view(np.float64).reshape(a.shape + (2,))
 
 
+def _nested(obj, depth: int):
+    """An iterator over the items ``depth`` levels of list nesting below ``obj``."""
+    items = iter((obj,))
+    for _ in range(depth):
+        items = chain.from_iterable(items)
+    return items
+
+
 def _float_array(obj) -> np.ndarray:
+    """A nested list of numbers as a float64 array; anything else is a SchemaError.
+
+    Every level above the entries must be a list, all lists at one depth must
+    have one length, and every entry must be an int or a float (a bool is not
+    a number).  Each check and the fill of the array is one pass over chained
+    iterators, so no flat list of the entries is built.
+    """
+    shape = []
+    x = obj
+    while isinstance(x, list):
+        shape.append(len(x))
+        x = x[0] if x else None
+    for depth in range(1, len(shape)):
+        if {*map(type, _nested(obj, depth))} != {list} or {*map(len, _nested(obj, depth))} != {shape[depth]}:
+            raise SchemaError(
+                f"not a numeric array: not every item at depth {depth} is a list of length {shape[depth]}"
+            )
+    wrong = sorted(
+        t.__name__
+        for t in {*map(type, _nested(obj, len(shape)))}
+        if issubclass(t, bool) or not issubclass(t, (int, float))
+    )
+    if wrong:
+        raise SchemaError(f"not a numeric array: entries must be numbers, got {', '.join(wrong)}")
     try:
-        return np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        return np.fromiter(_nested(obj, len(shape)), np.float64, count=math.prod(shape)).reshape(shape)
+    except OverflowError as exc:
         raise SchemaError(f"not a numeric array: {exc}") from exc
 
 

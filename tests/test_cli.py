@@ -365,6 +365,20 @@ def test_convert_documents_have_the_stdlib_layout(to, tmp_path, capsys, rng):
         _assert_stdlib_layout(text)
 
 
+def test_large_unitary_dilation_has_the_stdlib_layout(tmp_path, capsys, rng):
+    # d=6 with 6 Kraus operators: U is 216 x 216 and almost all of its entries are +0.0.
+    src = tmp_path / "ch.json"
+    serialize.dump(ensembles.random_kraus_channel(6, 6, 6, rng), src)
+    out = tmp_path / "ud.json"
+    assert run("convert", "--in", str(src), "--to", "unitary-dilation", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("convert", "--in", str(src), "--to", "unitary-dilation") == 0
+    text = out.read_text()
+    assert capsys.readouterr().out == text
+    assert np.shape(json.loads(text)["U"]) == (216, 216, 2)
+    _assert_stdlib_layout(text)
+
+
 def test_gaussian_apply_documents_have_the_stdlib_layout(tmp_path, capsys):
     state, channel, out = tmp_path / "state.json", tmp_path / "channel.json", tmp_path / "out.json"
     serialize.dump(GaussianState(mean=[0.3, -1.25], cov=[[2.0, 0.1], [0.1, 1.5]]), state)
@@ -441,6 +455,14 @@ _DILATION = {
 }
 _ATTENUATOR = _plain_document(attenuator(0.5))
 _STATE = _plain_document(GaussianState(mean=np.zeros(2), cov=np.eye(2)))
+_HUGE = 10**400  # json writes it as the integer literal 1 followed by 400 zeros
+
+
+def _kraus_entry(value) -> dict:
+    """``_KRAUS`` with the real part of its first entry replaced by ``value``."""
+    kraus = json.loads(json.dumps(_KRAUS["kraus"]))
+    kraus[0][0][0][0] = value
+    return {**_KRAUS, "kraus": kraus}
 _CONVERT = ["convert", "--to", "kraus"]
 _VALIDATE = ["gaussian", "validate"]
 
@@ -491,6 +513,12 @@ _VALIDATE = ["gaussian", "validate"]
             "not a numeric array",
         ),
         ({**_STATE, "sigma": [1.0, 1.0]}, _VALIDATE, 3, "expected a rank-2 real array"),
+        (_kraus_entry("1"), _CONVERT, 3, "not a numeric array: entries must be numbers, got str"),
+        (_kraus_entry(True), _CONVERT, 3, "not a numeric array: entries must be numbers, got bool"),
+        (_kraus_entry(None), _CONVERT, 3, "not a numeric array: entries must be numbers, got NoneType"),
+        (_kraus_entry(_HUGE), _CONVERT, 3, "not a numeric array: int too large to convert to float"),
+        ({**_STATE, "m": [0, False]}, _VALIDATE, 3, "not a numeric array: entries must be numbers, got bool"),
+        ({**_STATE, "m": [0, _HUGE]}, _VALIDATE, 3, "not a numeric array: int too large to convert to float"),
     ],
     ids=[
         "stinespring-zero-dim",
@@ -506,6 +534,12 @@ _VALIDATE = ["gaussian", "validate"]
         "gaussian-state-non-numeric",
         "kraus-ragged",
         "gaussian-state-rank",
+        "kraus-string-entry",
+        "kraus-bool-entry",
+        "kraus-null-entry",
+        "kraus-huge-int-entry",
+        "gaussian-state-bool-entry",
+        "gaussian-state-huge-int-entry",
     ],
 )
 def test_document_rejections(doc, argv, code, message, tmp_path, capsys):

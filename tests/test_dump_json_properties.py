@@ -64,3 +64,35 @@ def test_dump_json_matches_the_stdlib_layout(doc):
     got = io.StringIO()
     dump_json(doc, got)
     assert got.getvalue() == want.getvalue() + "\n"
+
+
+# Zero-dominated arrays, as a factored unitary dilation is: +0.0 fills every cell
+# not drawn, and the drawn cells favour the values whose text must differ from "0.0".
+def _sparse(dtype):
+    info = np.finfo(dtype)
+    tiny = float(info.smallest_subnormal)
+    specials = st.sampled_from([-0.0, tiny, -tiny, float("nan"), float("inf"), float("-inf")])
+    return hnp.arrays(
+        dtype,
+        hnp.array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=4),
+        elements=specials | st.floats(width=info.bits),
+        fill=st.just(0.0),
+    )
+
+
+_sparse_arrays = st.one_of(*(_sparse(dtype) for dtype in (np.float16, np.float32, np.float64)))
+_sparse_docs = (
+    _sparse_arrays
+    | st.dictionaries(st.text(max_size=4), _sparse_arrays, min_size=1, max_size=3)
+    | st.lists(_sparse_arrays | st.dictionaries(st.text(max_size=4), _sparse_arrays, max_size=2), min_size=1, max_size=3)
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_sparse_docs)
+def test_zero_dominated_arrays_match_the_stdlib_layout(doc):
+    want = io.StringIO()
+    json.dump(_plain(doc), want, indent=2, sort_keys=True)
+    got = io.StringIO()
+    dump_json(doc, got)
+    assert got.getvalue() == want.getvalue() + "\n"

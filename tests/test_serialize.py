@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from channel_lab.serialize import (
     dump,
     from_json_obj,
     load,
+    real_from_json,
 )
 
 
@@ -25,6 +27,35 @@ def _pairs(m) -> list:
 def _plain_document(x) -> dict:
     """``serialize.document(x)`` with its arrays as plain lists, as a JSON file holds them."""
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in serialize.document(x).items()}
+
+
+@pytest.mark.parametrize(
+    "obj, shape",
+    [([[1, 2.5], [-0.0, 3]], (2, 2)), ([[], []], (2, 0)), ([], (0,)), (4, ())],
+    ids=["ints-and-floats", "empty-rows", "empty", "scalar"],
+)
+def test_real_arrays_are_nested_lists_of_numbers(obj, shape):
+    a = real_from_json(obj, len(shape))
+    assert a.dtype == np.float64 and a.shape == shape
+    assert np.array_equal(a, np.asarray(obj, dtype=np.float64))
+    assert np.array_equal(np.signbit(a), np.signbit(np.asarray(obj, dtype=np.float64)))
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([[1.0, [2.0]], [3.0, 4.0]], "entries must be numbers, got list"),
+        ([[1.0, 2.0], (3.0, 4.0)], "not every item at depth 1 is a list of length 2"),
+        ([[1.0, 2.0], [3.0]], "not every item at depth 1 is a list of length 2"),
+        ([[1.0, 2.0], 3.0], "not every item at depth 1 is a list of length 2"),
+        ([{"a": 1.0}], "entries must be numbers, got dict"),
+        ([1.0, "2", None, False], "entries must be numbers, got NoneType, bool, str"),
+    ],
+    ids=["list-entry", "tuple-row", "ragged", "number-row", "dict-entry", "three-kinds"],
+)
+def test_real_arrays_reject_anything_else(obj, message):
+    with pytest.raises(SchemaError, match=f"^not a numeric array: {re.escape(message)}$"):
+        real_from_json(obj, 2)
 
 
 def test_complex_array_round_trip(rng):
