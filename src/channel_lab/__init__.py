@@ -16,12 +16,10 @@ from .core import (
     dual_apply,
     max_action_deviation,
     partial_trace,
-    tensor,
     tensor_channels,
     trace_norm,
 )
 from .dilation import (
-    TrackedBasisExtension,
     UnitaryDilation,
     complete_unitary,
     complementary_kraus,
@@ -31,7 +29,6 @@ from .dilation import (
     purify,
     stinespring_from_unitary,
     to_kraus,
-    tracked_basis_extension,
     tracked_complete_unitary,
     unitary_from_isometry,
 )
@@ -63,7 +60,6 @@ from .sequences import (
     strongstar_defect,
     swap_counterexample,
     tensor_sequence,
-    weak_defect,
 )
 
 __version__ = "0.1.0"

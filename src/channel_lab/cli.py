@@ -5,9 +5,9 @@ sweep convergence defects over built-in families, ``gaussian`` for the
 parameter-level calculus, and ``report`` to re-emit saved reports.
 
 Exit codes: 0 on success, 2 when a value fails validation (including
-command-line usage errors) or a path cannot be read or written, 3 when an
-input file cannot be parsed (it is not UTF-8, not JSON, or not a known
-document).
+command-line usage errors and a document of a known kind the command cannot
+use) or a path cannot be read or written, 3 when an input file cannot be
+parsed (it is not UTF-8, not JSON, or not a known document).
 All outputs are deterministic for a fixed invocation and seed.  Every
 sweep runs in one thread, as blocked array code.
 """
@@ -229,7 +229,9 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = serialize.load(args.infile, report=True)
+    report = serialize.load(args.infile)
+    if not isinstance(report, Report):
+        raise ValidationError("the --in file must hold a report")
     if args.out:
         report.write_csv(args.out)
         print(f"wrote {args.out}")

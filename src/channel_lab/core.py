@@ -114,11 +114,6 @@ def trace_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, "nuc"))
 
 
-def tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker product in the row-major flattening (i, k) -> i*dim(Y)+k."""
-    return np.kron(x, y)
-
-
 def partial_trace(x: np.ndarray, which: str, d_left: int, d_right: int) -> np.ndarray:
     """Trace out one tensor factor of a matrix on a d_left*d_right space.
 

@@ -52,9 +52,6 @@ from .core import (
 #: Pruning threshold for Choi eigenvalues (squared singular values of the
 #: stacked Kraus matrix) when extracting a minimal dilation.
 CHOI_RANK_CUTOFF = 1e-10
-#: Singular values of the stacked Kraus vectors above this fraction of the
-#: largest one count toward the Stinespring span rank.
-SPAN_RANK_RTOL = 1e-8
 #: Below this norm a projected tracking candidate counts as degenerate.
 TRACKING_DEGENERACY = 1e-8
 #: How far from 1 the norm of the ancilla vector tau_0 may be.
@@ -127,20 +124,6 @@ def minimal_stinespring(ch: KrausChannel) -> StinespringIsometry:
     order = order[vals[order] > CHOI_RANK_CUTOFF]
     ops = (s[order] * vecs[:, order]).T.reshape(-1, ch.d_out, ch.d_in)
     return isometry_from_kraus(KrausChannel(ops))
-
-
-def stinespring_span_rank(v: StinespringIsometry) -> int:
-    """Rank of span{(B (x) I) V phi} over matrix units B and basis vectors phi.
-
-    Equals d_out * d_env exactly when the isometry is minimal.  Since
-    ``(|a><b| (x) I) V phi = |a> (x) sum_k <b|A_k|phi> e_k``, the rank is
-    d_out times the rank of the (d_env, d_out*d_in) matrix M of stacked
-    ``vec(A_k)``; the full span matrix has M's singular values, each d_out
-    times, so ``SPAN_RANK_RTOL`` is relative to M's largest one.
-    """
-    m = _kraus_matrix(kraus_from_isometry(v))
-    svals = np.linalg.svd(m, compute_uv=False)
-    return v.d_out * int(np.sum(svals > SPAN_RANK_RTOL * svals[0]))
 
 
 def complementary_kraus(v: StinespringIsometry) -> KrausChannel:
@@ -308,79 +291,10 @@ def _kernel_basis(projector: np.ndarray) -> np.ndarray:
     return vecs[:, order]
 
 
-@dataclass(frozen=True, eq=False)
-class TrackedBasisExtension:
-    """Per-term orthonormal complement bases tracked against a reference.
-
-    Read-only arrays, one vector per row: ``reference_basis`` (m, d),
-    ``extensions`` (T, m, d) and ``range_projectors`` (T, d, d) for T terms
-    on dim d with an m-dimensional kernel (m = 0 for unitary terms).
-    ``extensions[n, j]`` extends the range of the n-th partial isometry; it
-    is built from reference vector ``reference_basis[j]`` by projecting out
-    the current range and renormalizing, so whenever the ranges converge to
-    the reference range vector by vector, the extensions converge too.
-    Each extension is orthonormal and orthogonal to its range projector
-    within ``TOL_VALID``.
-    """
-
-    reference_basis: np.ndarray
-    extensions: np.ndarray
-    range_projectors: np.ndarray
-
-    def __post_init__(self):
-        ref = _cmat(self.reference_basis)
-        exts = _cmat(self.extensions)
-        projs = _cmat(self.range_projectors)
-        if len(exts) != len(projs):
-            raise ValidationError(
-                f"{len(exts)} extensions but {len(projs)} range projectors"
-            )
-        if exts.shape[1:] != ref.shape:
-            raise ValidationError(
-                f"extension of size {exts.shape[1:]} does not match reference size {ref.shape}"
-            )
-        if exts.size:
-            cols = exts.transpose(0, 2, 1)
-            _require_within(
-                exts.conj() @ cols - np.eye(len(ref)),
-                lambda norm: f"extension is not orthonormal (defect {norm:.3e})",
-            )
-            _require_within(
-                projs @ cols, lambda norm: f"extension is not orthogonal to its range (defect {norm:.3e})"
-            )
-        object.__setattr__(self, "reference_basis", ref)
-        object.__setattr__(self, "extensions", exts)
-        object.__setattr__(self, "range_projectors", projs)
-
-
-def tracked_basis_extension(
-    w_seq: list[PartialIsometry], reference: UnitaryOp
-) -> TrackedBasisExtension:
-    """Extend each term's range basis, tracking the reference completion.
-
-    All terms must share one initial projector P, and ``reference`` must
-    complete the first term.  The reference's images of the deterministic
-    kernel basis of P are projected onto the orthocomplement of the current
-    (sequentially grown) range and renormalized; when a projection is
-    numerically degenerate (norm at most ``TRACKING_DEGENERACY``) the first
-    deterministic complement vector is substituted instead, which is the
-    step that can break convergence of the resulting unitaries even when
-    the isometries themselves converge in the strong operator sense.
-
-    Each reference vector is one array step over all T terms: the T
-    projections and their norms come from one batched product, and only the
-    degenerate terms take an eigensolve of their grown range.  A term whose
-    initial projector differs from P by more than ``TOL_VALID`` in operator
-    norm is rejected, the first such term by its index; only terms above the
-    tolerance in Frobenius norm pay an SVD for that check.
-    """
-    return _tracked_extension(w_seq, reference)[1]
-
-
 def _tracked_extension(
     w_seq: list[PartialIsometry], reference: UnitaryOp
-) -> tuple[np.ndarray, TrackedBasisExtension]:
-    """The kernel basis of the shared initial projector and the tracked extension."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel basis (d, m) of the shared initial projector, and the (T, m, d) extensions."""
     if not w_seq:
         raise ValidationError("need at least one partial isometry to track")
     p = w_seq[0].initial_projector
@@ -402,11 +316,10 @@ def _tracked_extension(
 
     kernel = _kernel_basis(p)
     ref_basis = (reference.u @ kernel).T
-    projectors = np.stack([w.range_projector for w in w_seq])
     extensions = np.empty((len(w_seq),) + ref_basis.shape, dtype=np.complex128)
     # Sequential Gram-Schmidt, one step for all terms: each vector is orthogonal
     # to its term's range grown so far.
-    grown = projectors.copy()
+    grown = np.stack([w.range_projector for w in w_seq])
     for j, target in enumerate(ref_basis):
         candidates = target - grown @ target
         norms = np.linalg.norm(candidates, axis=1)
@@ -416,17 +329,35 @@ def _tracked_extension(
         for n in np.flatnonzero(~tracked):
             ext[n] = _kernel_basis(grown[n])[:, 0]
         grown += ext[:, :, None] * ext[:, None, :].conj()
-    return kernel, TrackedBasisExtension(ref_basis, extensions, projectors)
+    return kernel, extensions
 
 
 def tracked_complete_unitary(w_seq: list[PartialIsometry], reference: UnitaryOp) -> list[UnitaryOp]:
     """Complete every term of a shared-initial-projector family to a unitary.
 
-    Completions reuse the tracked basis extension, so a constant family
-    reproduces the reference exactly and families whose ranges converge
-    vector by vector yield convergent unitaries.  Term n's unitary is
-    ``W_n + sum_j extensions[n, j] kernel_j*``, with the extensions and the
-    checks of :func:`tracked_basis_extension`.
+    All terms must share one initial projector P, and ``reference`` must
+    complete the first term.  The reference's images of the deterministic
+    kernel basis of P are projected onto the orthocomplement of each term's
+    range, grown by the vectors already chosen, and renormalized; when a
+    projection is numerically degenerate (norm at most
+    ``TRACKING_DEGENERACY``) the first deterministic complement vector is
+    substituted instead, which is the step that can break convergence of
+    the unitaries even when the isometries themselves converge in the strong
+    operator sense.  Term n's unitary is ``U_n = W_n + E_n K*``, with K the
+    kernel basis as columns and E_n the term's extension vectors as columns,
+    so a constant family reproduces the reference exactly and families whose
+    ranges converge vector by vector yield convergent unitaries.
+
+    Each reference vector is one array step over all T terms: the T
+    projections and their norms come from one batched product, and only the
+    degenerate terms take an eigensolve of their grown range.  A term whose
+    initial projector differs from P by more than ``TOL_VALID`` in operator
+    norm is rejected, the first such term by its index; only terms above the
+    tolerance in Frobenius norm pay an SVD for that check.  The extensions
+    are not checked on their own: ``K*(U*U - I)K = E*E - I`` and
+    ``P(U*U - I)K = W*E``, so the ``UnitaryOp`` check of every U_n already
+    bounds their orthonormality and their overlap with the range by
+    ``TOL_VALID``.
     """
-    kernel, tracked = _tracked_extension(w_seq, reference)
-    return [UnitaryOp(w.w + ext.T @ dagger(kernel)) for w, ext in zip(w_seq, tracked.extensions)]
+    kernel, extensions = _tracked_extension(w_seq, reference)
+    return [UnitaryOp(w.w + ext.T @ dagger(kernel)) for w, ext in zip(w_seq, extensions)]

@@ -98,21 +98,6 @@ def basis_states(dim: int) -> list[DensityOperator]:
     return [pure_density(basis_vector(dim, i)) for i in range(dim)]
 
 
-def state_basis(dim: int) -> list[DensityOperator]:
-    """dim^2 states spanning all dim x dim matrices.
-
-    Diagonal units |i><i| plus the (|i>+|j>)/sqrt2 and (|i>+i|j>)/sqrt2
-    superpositions; every matrix unit is a complex combination of these, so
-    agreement of two channels on this family forces equality of the maps.
-    """
-    states = basis_states(dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            states.append(pure_density(basis_vector(dim, i) + basis_vector(dim, j)))
-            states.append(pure_density(basis_vector(dim, i) + 1j * basis_vector(dim, j)))
-    return states
-
-
 def matrix_unit_observables(dim: int) -> list[Observable]:
     """All dim^2 matrix units |i><j|, each of unit operator norm, in row-major (i, j) order."""
     return [Observable(m) for m in np.eye(dim * dim).reshape(-1, dim, dim)]

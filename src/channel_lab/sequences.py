@@ -5,8 +5,6 @@ terms (index 1 and up; index 0 returns the limit).  Defects compare a term
 against the limit over finite test families:
 
 * ``strong_defect``: worst trace-norm disagreement on test states.
-* ``weak_defect``: worst expectation-value disagreement on states and
-  observables.
 * ``strongstar_defect``: worst Euclidean disagreement of the dual maps on
   observables applied to test vectors.  This is the quantity that also
   controls the duals, hence "strong*": it can stay large while every
@@ -17,7 +15,7 @@ against the limit over finite test families:
   undershoot a strong defect measured at a well-chosen state; reports carry
   the comparison as a diagnostic rather than an invariant.
 
-All four come from one block kernel, which takes a block of built terms at
+All three come from one block kernel, which takes a block of built terms at
 once; a single defect is a block of one.  A term's Choi matrix is one GEMM
 over its stacked Kraus vectors, and reshuffling the stacked
 ``J(term) - J(limit)`` gives the superoperator differences ``S_n - S_0``
@@ -111,22 +109,14 @@ class ChannelSequence:
         return ch
 
 
-def constant_sequence(ch: KrausChannel) -> ChannelSequence:
-    return ChannelSequence(ch, lambda n: ch)
-
-
-def _require_nonempty(family, what: str):
-    if not family:
-        raise ValidationError(f"empty {what} family")
-
-
 def _columns(family, what: str) -> np.ndarray:
     """A test family stacked as the columns of one array.
 
     Matrices (states, observables) enter as their row-major ``vec``, so the
     result is (dim^2, size); vectors give (dim, size).
     """
-    _require_nonempty(family, what)
+    if not family:
+        raise ValidationError(f"empty {what} family")
     return np.stack([np.ravel(getattr(x, "matrix", x)) for x in family], axis=1)
 
 
@@ -243,16 +233,6 @@ def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     states = _columns(test_states, "test state")
     _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
-
-
-def weak_defect(seq: ChannelSequence, n: int, test_states, test_obs) -> float:
-    """Largest expectation gap ``|Tr B (term - limit)(rho)|`` over the test grid."""
-    states = _columns(test_states, "test state")
-    _require_nonempty(test_obs, "test observable")
-    _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
-    diffs = _output_diffs(ds, states, seq.limit.d_out)[0]
-    obs = np.stack([b.matrix for b in test_obs])
-    return float(np.abs(np.einsum("nab,sba->ns", obs, diffs)).max())
 
 
 def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> float:

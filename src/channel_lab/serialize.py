@@ -7,9 +7,10 @@ without the field is read as the current version.  Each kind is one entry
 of one table: its type, the builder of its fields and its decoder.  Loading
 reconstructs the domain object, which re-runs its invariants, then checks
 the dimensions the input declares against the integer fields the encoder
-writes for the result.  Sweep reports (:mod:`channel_lab.report`) are
-decoded on request.  Structural problems raise :class:`SchemaError`,
-invariant violations propagate as :class:`channel_lab.core.ValidationError`.
+writes for the result.  The two sweep report kinds decode through
+:func:`channel_lab.report.from_json_dict`.  Structural problems raise
+:class:`SchemaError`, invariant violations propagate as
+:class:`channel_lab.core.ValidationError`.
 """
 
 from __future__ import annotations
@@ -193,11 +194,10 @@ def document(x, metadata: dict | None = None) -> dict:
     return doc
 
 
-def from_json_obj(obj, report: bool = False):
+def from_json_obj(obj):
     """Decode a JSON object into the domain object its ``kind`` names.
 
-    With ``report`` set, only the report kinds are decoded, into a
-    :class:`~channel_lab.report.Report`; without it they are unknown kinds.
+    The report kinds decode into a :class:`~channel_lab.report.Report`.
     Every integer field the decoded object's own document holds must equal
     the input's value of that field, where the input declares one.
     """
@@ -208,9 +208,7 @@ def from_json_obj(obj, report: bool = False):
             f"unsupported schema_version {obj['schema_version']!r} (expected {SCHEMA_VERSION})"
         )
     kind = _field(obj, "kind")
-    if report:
-        if not isinstance(kind, str) or kind not in COLUMNS:
-            raise SchemaError(f"not a report document (kind={kind!r})")
+    if isinstance(kind, str) and kind in COLUMNS:
         return from_json_dict(obj)
     if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
@@ -228,11 +226,11 @@ def dump(x, path, metadata: dict | None = None) -> None:
         dump_json(document(x, metadata), fh)
 
 
-def load(path, report: bool = False):
-    """Read a JSON file back into a domain object, or into a report with ``report`` set."""
+def load(path):
+    """Read a JSON file back into the domain object or report it holds."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return from_json_obj(doc, report)
+    return from_json_obj(doc)

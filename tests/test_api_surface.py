@@ -32,8 +32,6 @@ DEFAULTED = [
     "sequences.convergence_report(test_family)",
     "serialize.document(metadata)",
     "serialize.dump(metadata)",
-    "serialize.from_json_obj(report)",
-    "serialize.load(report)",
 ]
 
 

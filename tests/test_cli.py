@@ -297,10 +297,6 @@ def test_report_rejects_malformed_documents(tmp_path, capsys):
     assert run("report", "--in", str(broken)) == 2
     assert "missing field 'indices'" in capsys.readouterr().err
 
-    kraus = tmp_path / "kraus.json"
-    serialize.dump(identity_channel(2), kraus)
-    assert run("report", "--in", str(kraus)) == 3
-    assert "not a report document (kind='kraus')" in capsys.readouterr().err
 
 
 _DOCUMENTS = {
@@ -584,14 +580,43 @@ def test_sweep_parameter_errors_exit_two(argv, message, tmp_path, capsys):
         (["gaussian", "validate", "--in", "{kraus}"], "cannot validate objects of type KrausChannel"),
         (["gaussian", "apply", "--channel", "{state}"], "the --channel file must hold a gaussian-channel"),
         (["gaussian", "apply", "--in", "{channel}"], "the --in file must hold a gaussian-state"),
+        (["gaussian", "validate", "--in", "{report}"], "cannot validate objects of type Report"),
+        (["gaussian", "apply", "--in", "{report}"], "the --in file must hold a gaussian-state"),
+        (
+            ["convert", "--in", "{report}", "--to", "kraus"],
+            "object of type Report is not a channel representation",
+        ),
+        (
+            ["sequence", "compress", "--in", "{report}", "--out", "{prefix}"],
+            "object of type Report is not a channel representation",
+        ),
+        (["report", "--in", "{kraus}"], "the --in file must hold a report"),
     ],
-    ids=["validate-kraus", "apply-state-as-channel", "apply-channel-as-state"],
+    ids=[
+        "validate-kraus",
+        "apply-state-as-channel",
+        "apply-channel-as-state",
+        "validate-report",
+        "apply-report-as-state",
+        "convert-report",
+        "compress-report",
+        "report-kraus",
+    ],
 )
-def test_gaussian_commands_reject_documents_of_the_wrong_kind(argv, message, tmp_path, capsys):
-    paths = {"kraus": tmp_path / "kraus.json", "state": tmp_path / "state.json", "channel": tmp_path / "ch.json"}
+def test_commands_reject_documents_of_the_wrong_kind(argv, message, tmp_path, capsys):
+    """A well-formed document of a kind the command cannot use exits 2, on every command."""
+    paths = {
+        "kraus": tmp_path / "kraus.json",
+        "state": tmp_path / "state.json",
+        "channel": tmp_path / "ch.json",
+        "prefix": tmp_path / "sweep",
+        "report": tmp_path / "sweep.json",
+    }
     serialize.dump(identity_channel(2), paths["kraus"])
     serialize.dump(GaussianState(mean=np.zeros(2), cov=np.eye(2)), paths["state"])
     serialize.dump(attenuator(0.5), paths["channel"])
+    assert run("gaussian", "converge", "--ns", "5", "--out", str(paths["prefix"])) == 0
+    capsys.readouterr()
     assert run(*[arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"validation error: {message}\n"

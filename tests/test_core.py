@@ -25,7 +25,6 @@ from channel_lab.core import (
     ordered_eigh,
     partial_trace,
     replacement_channel,
-    tensor,
     tensor_channels,
     trace_norm,
     _eigen_order,
@@ -51,7 +50,7 @@ def test_trace_norm_is_not_the_induced_one_norm():
 def test_tensor_flattening_is_row_major():
     a = np.zeros((2, 2)); a[1, 0] = 1.0
     b = np.zeros((3, 3)); b[0, 1] = 1.0
-    t = tensor(a, b)
+    t = np.kron(a, b)
     # basis label (i, k) maps to i * dim_right + k
     assert t[1 * 3 + 0, 0 * 3 + 1] == 1.0
     assert np.count_nonzero(t) == 1
@@ -69,7 +68,7 @@ def test_partial_trace_of_bell_state():
 def test_partial_trace_of_product_state(rng):
     a = ensembles.random_density(2, rng).matrix
     b = ensembles.random_density(3, rng).matrix
-    big = tensor(a, b)
+    big = np.kron(a, b)
     assert np.allclose(partial_trace(big, "E", 2, 3), a, atol=1e-13)
     assert np.allclose(partial_trace(big, "B", 2, 3), b, atol=1e-13)
 
@@ -281,7 +280,7 @@ def test_choi_matrix_matches_block_construction(rng):
         for j in range(3):
             e = np.zeros((3, 3), dtype=np.complex128)
             e[i, j] = 1.0
-            direct += tensor(channel_action(ch, e), e)
+            direct += np.kron(channel_action(ch, e), e)
     assert np.allclose(choi_matrix(ch), direct, atol=1e-13)
 
 
@@ -316,8 +315,8 @@ def test_tensor_and_compose_channels(rng):
     rho_a = ensembles.random_density(2, rng)
     rho_b = ensembles.random_density(2, rng)
     prod = tensor_channels(a, b)
-    want = tensor(channel_action(a, rho_a.matrix), channel_action(b, rho_b.matrix))
-    assert np.allclose(channel_action(prod, tensor(rho_a.matrix, rho_b.matrix)), want, atol=1e-12)
+    want = np.kron(channel_action(a, rho_a.matrix), channel_action(b, rho_b.matrix))
+    assert np.allclose(channel_action(prod, np.kron(rho_a.matrix, rho_b.matrix)), want, atol=1e-12)
 
     chain = compose_channels(b, a)
     direct = channel_action(a, channel_action(b, rho_b.matrix))
@@ -327,7 +326,7 @@ def test_tensor_and_compose_channels(rng):
 
     # the stacked families equal the per-pair loops, index i*len(B)+j, bit for bit
     for x, y in ((a, b), (b, a), (a, a)):
-        want = np.array([tensor(p, q) for p in x.kraus_ops for q in y.kraus_ops])
+        want = np.array([np.kron(p, q) for p in x.kraus_ops for q in y.kraus_ops])
         assert np.array_equal(tensor_channels(x, y).stack, want)
     c = ensembles.random_kraus_channel(3, 4, 3, rng)
     for x, y in ((b, a), (a, c), (b, b)):

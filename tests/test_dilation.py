@@ -22,12 +22,10 @@ from channel_lab.core import (
     ordered_eigh,
     partial_trace,
     replacement_channel,
-    tensor,
     _fix_phase,
 )
 from channel_lab.dilation import (
     CHOI_RANK_CUTOFF,
-    TrackedBasisExtension,
     UnitaryDilation,
     complementary_kraus,
     complete_unitary,
@@ -37,9 +35,7 @@ from channel_lab.dilation import (
     pad_environment,
     purify,
     stinespring_from_unitary,
-    stinespring_span_rank,
     to_kraus,
-    tracked_basis_extension,
     tracked_complete_unitary,
     unitary_from_isometry,
 )
@@ -158,39 +154,6 @@ def test_minimal_stinespring_compresses_redundant_families(rng):
     assert max_action_deviation(fat, kraus_from_isometry(v)) < 1e-10
 
 
-def test_span_rank_detects_minimality():
-    ident = identity_channel(2)
-    dup = KrausChannel((np.eye(2) / np.sqrt(2.0), np.eye(2) / np.sqrt(2.0)))
-    v_min = minimal_stinespring(ident)
-    v_fat = isometry_from_kraus(dup)
-    assert stinespring_span_rank(v_min) == v_min.d_out * v_min.d_env
-    assert stinespring_span_rank(v_fat) == 2 < v_fat.d_out * v_fat.d_env
-    assert stinespring_span_rank(v_fat) == _kronecker_span_rank(v_fat)
-
-
-def _kronecker_span_rank(v, rel_tol=1e-8):
-    """The span rank from its definition: all (|i><j| (x) I) V stacked side by side."""
-    cols = []
-    for i in range(v.d_out):
-        for j in range(v.d_out):
-            unit = np.zeros((v.d_out, v.d_out), dtype=np.complex128)
-            unit[i, j] = 1.0
-            cols.append(tensor(unit, np.eye(v.d_env)) @ v.v)
-    svals = np.linalg.svd(np.hstack(cols), compute_uv=False)
-    return int(np.sum(svals > rel_tol * svals[0]))
-
-
-@pytest.mark.parametrize("d_in,d_out,n_ops,pad", [(2, 2, 3, 0), (3, 2, 2, 3), (2, 3, 4, 2), (4, 1, 5, 1)])
-def test_span_rank_matches_the_kronecker_construction(d_in, d_out, n_ops, pad, rng):
-    ch = ensembles.random_kraus_channel(d_in, d_out, n_ops, rng)
-    v = pad_environment(isometry_from_kraus(ch), n_ops + pad)
-    v_min = minimal_stinespring(ch)
-    for iso in (v, v_min):
-        assert stinespring_span_rank(iso) == _kronecker_span_rank(iso)
-    assert stinespring_span_rank(v_min) == v_min.d_out * v_min.d_env
-    assert stinespring_span_rank(v) <= d_out * n_ops
-
-
 def test_pad_environment_preserves_action_and_rejects_shrinking(rng):
     ch = ensembles.random_kraus_channel(2, 3, 2, rng)
     v = isometry_from_kraus(ch)
@@ -233,7 +196,7 @@ def test_cnot_dilation_dephases_by_the_ancilla_overlap():
     assert max_action_deviation(ch, dephasing_channel(np.sin(np.pi / 6))) < 1e-12
     # brute-force oracle: conjugate rho (x) tau by the 4x4 unitary, trace the ancilla
     rho = ensembles.random_density(2, np.random.default_rng(5))
-    big = CNOT @ tensor(rho.matrix, np.outer(tau, tau.conj())) @ dagger(CNOT)
+    big = CNOT @ np.kron(rho.matrix, np.outer(tau, tau.conj())) @ dagger(CNOT)
     want = partial_trace(big, "E", 2, 2)
     assert np.allclose(channel_action(ch, rho.matrix), want, atol=1e-13)
 
@@ -412,52 +375,17 @@ def test_tracked_completion_validates_inputs():
     w = PartialIsometry(np.diag([1.0, 0.0]))
     other = PartialIsometry(np.diag([0.0, 1.0]))
     with pytest.raises(ValidationError, match="different initial projector"):
-        tracked_basis_extension([w, other], complete_unitary(w))
+        tracked_complete_unitary([w, other], complete_unitary(w))
     # Only the second of three terms drifts, and the message names it.
     with pytest.raises(ValidationError, match="term 1 has a different initial projector"):
-        tracked_basis_extension([w, other, w], complete_unitary(w))
+        tracked_complete_unitary([w, other, w], complete_unitary(w))
     with pytest.raises(ValidationError, match="square partial isometries of one dimension"):
-        tracked_basis_extension([w, PartialIsometry(np.eye(3))], complete_unitary(w))
+        tracked_complete_unitary([w, PartialIsometry(np.eye(3))], complete_unitary(w))
     wrong_ref = UnitaryOp(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValidationError, match="does not complete"):
-        tracked_basis_extension([w], wrong_ref)
+        tracked_complete_unitary([w], wrong_ref)
     with pytest.raises(ValidationError, match="at least one"):
-        tracked_basis_extension([], complete_unitary(w))
-
-
-def test_tracked_extension_structure(rng):
-    w_seq = [ensembles.random_partial_isometry(5, 3, rng)]
-    p = w_seq[0].initial_projector
-    # build companions sharing the initial projector by rotating the range
-    for theta in (0.3, 0.1):
-        q = np.eye(5, dtype=np.complex128)
-        q[:2, :2] = _rotation(theta)
-        w_seq.append(PartialIsometry(q @ w_seq[0].w))
-    tracked = tracked_basis_extension(w_seq, complete_unitary(w_seq[0]))
-    assert len(tracked.extensions) == 3
-    assert len(tracked.reference_basis) == 2
-    assert tracked.reference_basis.shape == (2, 5)
-    assert tracked.extensions.shape == (3, 2, 5)
-    assert tracked.range_projectors.shape == (3, 5, 5)
-    for field in (tracked.reference_basis, tracked.extensions, tracked.range_projectors):
-        assert isinstance(field, np.ndarray) and not field.flags.writeable
-    for w, proj in zip(w_seq, tracked.range_projectors):
-        assert np.array_equal(proj, w.range_projector)
-
-
-def test_tracked_extension_rejects_inconsistent_arrays():
-    ref = np.eye(4, dtype=np.complex128)[2:]
-    proj = np.diag([1.0, 1.0, 0.0, 0.0])
-    ok = TrackedBasisExtension(ref, ref[None], proj[None])
-    assert np.array_equal(ok.extensions[0], ref)
-    with pytest.raises(ValidationError, match="2 extensions but 1 range projectors"):
-        TrackedBasisExtension(ref, np.stack([ref, ref]), proj[None])
-    with pytest.raises(ValidationError, match="does not match reference size"):
-        TrackedBasisExtension(ref, ref[None, :1], proj[None])
-    with pytest.raises(ValidationError, match="not orthonormal"):
-        TrackedBasisExtension(ref, np.stack([ref, ref[[0, 0]]]), np.stack([proj, proj]))
-    with pytest.raises(ValidationError, match="not orthogonal to its range"):
-        TrackedBasisExtension(ref, np.stack([ref, ref]), np.stack([proj, np.eye(4)]))
+        tracked_complete_unitary([], complete_unitary(w))
 
 
 def _loop_tracked_unitaries(w_seq, reference, degenerate_tol=1e-8):
@@ -511,10 +439,9 @@ def test_tracked_completion_matches_the_outer_product_loop(rng):
 def test_tracked_completion_of_unitaries_is_the_family_itself(rng):
     w_seq = [PartialIsometry(ensembles.random_unitary(4, rng)) for _ in range(3)]
     ref = UnitaryOp(w_seq[0].w)
-    tracked = tracked_basis_extension(w_seq, ref)
-    assert tracked.reference_basis.shape == (0, 4)
-    assert tracked.extensions.shape == (3, 0, 4)
-    for u, w in zip(tracked_complete_unitary(w_seq, ref), w_seq):
+    us = tracked_complete_unitary(w_seq, ref)
+    assert len(us) == 3
+    for u, w in zip(us, w_seq):
         assert np.array_equal(u.u, w.w)
 
 

@@ -44,15 +44,6 @@ def test_random_kraus_channel_has_exact_operator_count(rng):
         ensembles.random_kraus_channel(5, 2, 2, rng)
 
 
-def test_state_basis_spans_all_matrices():
-    for dim in (2, 3):
-        states = ensembles.state_basis(dim)
-        assert len(states) == dim * dim
-        stacked = np.stack([s.matrix.reshape(-1) for s in states])
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        assert int(np.sum(svals > 1e-10)) == dim * dim
-
-
 def test_default_families_sizes(rng):
     assert len(ensembles.default_test_states(3, rng)) == 3 + 4
     assert len(ensembles.default_test_vectors(3, rng)) == 3 + 2

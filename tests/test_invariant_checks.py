@@ -19,7 +19,7 @@ from channel_lab.core import (
     dagger,
     opnorm,
 )
-from channel_lab.dilation import TrackedBasisExtension, tracked_basis_extension
+from channel_lab.dilation import tracked_complete_unitary
 from channel_lab.ensembles import random_isometry, random_unitary
 from channel_lab.sequences import PartialTraceForm
 
@@ -130,47 +130,6 @@ def test_unitary_both_sides(spread, rng):
         )
 
 
-def _orthonormal_rows(rng):
-    """Rows e (12, 24) orthonormal as column vectors, and the projector onto their complement."""
-    e = random_unitary(24, rng)[:12]
-    return e, np.eye(24) - e.T @ e.conj()
-
-
-@pytest.mark.parametrize("spread", [True, False])
-def test_tracked_extension_gram(spread, rng):
-    e, comp = _orthonormal_rows(rng)
-    q = random_unitary(12, rng)
-    deformed = _root(q, _spread_levels(12, rng) if spread else _over_levels(12)) @ e
-    exts = np.stack([deformed, e])
-    projs = np.stack([comp, comp])
-    defect = exts.conj() @ exts.transpose(0, 2, 1) - np.eye(12)
-    if spread:
-        _assert_spread(defect[:1])
-        TrackedBasisExtension(e, exts, projs)
-    else:
-        assert _rejected(lambda: TrackedBasisExtension(e, exts, projs)) == (
-            f"extension is not orthonormal (defect {opnorm(defect):.3e})"
-        )
-
-
-@pytest.mark.parametrize("spread", [True, False])
-def test_tracked_extension_overlap(spread, rng):
-    # (comp + X conj(e)) e^T = X, whose singular values are the levels
-    e, comp = _orthonormal_rows(rng)
-    levels = np.abs(_spread_levels(12, rng)) if spread else _over_levels(12)
-    x = (random_isometry(12, 24, rng) * levels) @ random_unitary(12, rng)
-    exts = np.stack([e, e])
-    projs = np.stack([comp, comp + x @ e.conj()])
-    defect = projs @ exts.transpose(0, 2, 1)
-    if spread:
-        _assert_spread(defect[1:])
-        TrackedBasisExtension(e, exts, projs)
-    else:
-        assert _rejected(lambda: TrackedBasisExtension(e, exts, projs)) == (
-            f"extension is not orthogonal to its range (defect {opnorm(defect):.3e})"
-        )
-
-
 def _embedding_and_rotation(spread, rng):
     """The 8 columns of a projector on dim 16, and a rotation of each of them into the
     complement by 0.9 TOL_VALID (spread) or by the over levels."""
@@ -205,9 +164,9 @@ def test_tracked_completion_drift(spread, rng):
     defect = w_seq[1].initial_projector - w_seq[0].initial_projector
     if spread:
         _assert_spread(defect)
-        tracked_basis_extension(w_seq, reference)
+        tracked_complete_unitary(w_seq, reference)
     else:
-        assert _rejected(lambda: tracked_basis_extension(w_seq, reference)) == (
+        assert _rejected(lambda: tracked_complete_unitary(w_seq, reference)) == (
             f"term 1 has a different initial projector (deviation {opnorm(defect):.3e})"
         )
 
@@ -220,8 +179,8 @@ def test_tracked_completion_reference_mismatch(spread, rng):
     defect = reference.u @ w.initial_projector - w.w
     if spread:
         _assert_spread(defect)
-        tracked_basis_extension([w], reference)
+        tracked_complete_unitary([w], reference)
     else:
-        assert _rejected(lambda: tracked_basis_extension([w], reference)) == (
+        assert _rejected(lambda: tracked_complete_unitary([w], reference)) == (
             f"reference does not complete the first term (deviation {opnorm(defect):.3e})"
         )

@@ -18,6 +18,7 @@ from channel_lab.core import (
     choi_matrix,
     dual_action,
     identity_channel,
+    max_action_deviation,
     ordered_eigh,
     trace_norm,
 )
@@ -32,7 +33,6 @@ from channel_lab.sequences import (
     complementary_sequence,
     compose_sequence,
     compression_sequence,
-    constant_sequence,
     convergence_report,
     givens_rotation,
     rotation_partial_trace_form,
@@ -40,7 +40,6 @@ from channel_lab.sequences import (
     strongstar_defect,
     swap_counterexample,
     tensor_sequence,
-    weak_defect,
 )
 
 
@@ -54,7 +53,8 @@ def _mixed(dim):
 
 
 def test_sequence_term_checks(rng):
-    seq = constant_sequence(identity_channel(2))
+    ch = identity_channel(2)
+    seq = ChannelSequence(ch, lambda n: ch)
     assert seq.term(0) is seq.limit
     with pytest.raises(ValidationError, match=">= 0"):
         seq.term(-1)
@@ -65,33 +65,22 @@ def test_sequence_term_checks(rng):
 
 def test_constant_sequence_has_zero_defects(rng):
     ch = ensembles.random_kraus_channel(2, 3, 2, rng)
-    seq = constant_sequence(ch)
+    seq = ChannelSequence(ch, lambda n: ch)
     states = ensembles.default_test_states(2, rng)
     obs = ensembles.matrix_unit_observables(3)
     vecs = ensembles.default_test_vectors(2, rng)
     assert strong_defect(seq, 3, states) < 1e-14
-    assert weak_defect(seq, 3, states, obs) < 1e-14
     assert strongstar_defect(seq, 3, obs, vecs) < 1e-14
     assert choi_defect(seq, 3) < 1e-14
 
 
 def test_empty_test_families_are_rejected(rng):
-    seq = constant_sequence(identity_channel(2))
+    ch = identity_channel(2)
+    seq = ChannelSequence(ch, lambda n: ch)
     with pytest.raises(ValidationError, match="test state"):
         strong_defect(seq, 1, [])
     with pytest.raises(ValidationError, match="test observable"):
         strongstar_defect(seq, 1, [], ensembles.default_test_vectors(2, rng))
-
-
-def test_weak_defect_is_dominated_by_strong(rng):
-    """|Tr B X| <= ||B||_op ||X||_1 with unit-norm matrix-unit observables."""
-    for _ in range(10):
-        a = ensembles.random_kraus_channel(3, 3, 2, rng)
-        b = ensembles.random_kraus_channel(3, 3, 2, rng)
-        seq = _pair_sequence(a, b)
-        states = ensembles.default_test_states(3, rng)
-        obs = ensembles.matrix_unit_observables(3)
-        assert weak_defect(seq, 1, states, obs) <= strong_defect(seq, 1, states) + 1e-12
 
 
 def test_choi_defect_dominates_strong_at_maximally_mixed(rng):
@@ -125,7 +114,7 @@ def test_compression_hand_expansion_on_identity_qubit():
     assert np.allclose(channel_action(term, e11), np.eye(2) / 2, atol=1e-14)
     assert np.allclose(channel_action(term, e01), np.zeros((2, 2)), atol=1e-14)
     # full rank reproduces the base channel
-    assert strong_defect(seq, 2, ensembles.state_basis(2)) < 1e-14
+    assert max_action_deviation(seq.term(2), seq.limit) < 1e-14
 
 
 def test_compression_matches_projector_formula(rng):
@@ -311,7 +300,7 @@ def test_tensor_and_compose_sequences_propagate_convergence(rng):
     a = compression_sequence(ensembles.random_kraus_channel(2, 4, 2, rng), _mixed(4), [1, 4])
     b = compression_sequence(ensembles.random_kraus_channel(4, 3, 2, rng), _mixed(3), [1, 3])
     chain = compose_sequence(a, b)
-    assert strong_defect(chain, 2, ensembles.state_basis(2)) < 1e-12
+    assert max_action_deviation(chain.term(2), chain.limit) < 1e-12
     with pytest.raises(ValidationError, match="cannot compose"):
         compose_sequence(b, a)
 
@@ -328,16 +317,17 @@ def test_complementary_sequence_of_partial_trace_form(rng):
 
 
 def test_complementary_sequence_of_plain_channel_sequence(rng):
-    seq = constant_sequence(identity_channel(2))
+    ch = identity_channel(2)
+    seq = ChannelSequence(ch, lambda n: ch)
     comp = complementary_sequence(seq)
     # common padded environment dim is d_in * d_out
     assert comp.limit.d_out == 4
-    assert strong_defect(comp, 2, ensembles.state_basis(2)) < 1e-12
+    assert max_action_deviation(comp.term(2), comp.limit) < 1e-12
 
     ranks = [1, 2, 3, 4]
     cseq = compression_sequence(ensembles.random_kraus_channel(2, 4, 2, rng), _mixed(4), ranks)
     ccomp = complementary_sequence(cseq)
-    assert strong_defect(ccomp, 4, ensembles.state_basis(2)) < 1e-10
+    assert max_action_deviation(ccomp.term(4), ccomp.limit) < 1e-10
 
 
 def test_convergence_report_columns_and_witnesses(rng):
@@ -397,7 +387,8 @@ def _sweep_case(case, rng):
         ns = [4, 1, 6, 2, 5, 3]
         assert [len(seq.term(n).kraus_ops) for n in ns] == [4, 10, 2, 8, 4, 6]
     else:
-        seq, ns = constant_sequence(ensembles.random_kraus_channel(3, 2, 4, rng)), [1, 2, 3]
+        ch = ensembles.random_kraus_channel(3, 2, 4, rng)
+        seq, ns = ChannelSequence(ch, lambda n: ch), [1, 2, 3]
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
     families = (
         ensembles.default_test_states(d_in, rng),
@@ -656,7 +647,8 @@ def test_kernel_matches_oracle_on_non_hermitian_observables(rng):
 
 
 def test_kernel_on_constant_sequence_is_zero_with_first_witnesses(rng):
-    seq = constant_sequence(ensembles.random_kraus_channel(3, 2, 4, rng))
+    ch = ensembles.random_kraus_channel(3, 2, 4, rng)
+    seq = ChannelSequence(ch, lambda n: ch)
     rep = _assert_matches_oracle(
         seq,
         [1, 2, 3],

@@ -7,7 +7,13 @@ import pytest
 from channel_lab import ensembles, serialize
 from channel_lab.core import ValidationError, dephasing_channel
 from channel_lab.dilation import isometry_from_kraus, unitary_from_isometry
-from channel_lab.gaussian import attenuator, coherent_state
+from channel_lab.gaussian import (
+    attenuator,
+    attenuator_sequence,
+    coherent_state,
+    param_convergence_check,
+)
+from channel_lab.report import Report
 from channel_lab.serialize import (
     SchemaError,
     complex_from_json,
@@ -155,13 +161,26 @@ def test_declared_dimensions_are_cross_checked(kind, key, error, message):
         from_json_obj(doc)
 
 
+def _report() -> Report:
+    return param_convergence_check(attenuator_sequence(lambda n: 0.5 + 1.0 / n, 0.5), [2, 3], eps=1e-6)
+
+
+def test_reports_load_like_every_other_kind(tmp_path):
+    rep = _report()
+    path = tmp_path / "report.json"
+    rep.write_json(path)
+    loaded = load(path)
+    assert isinstance(loaded, Report)
+    assert loaded.to_json_dict() == rep.to_json_dict()
+
+
 def test_other_schema_versions_are_rejected():
     doc = _plain_document(dephasing_channel(0.5))
+    report = json.loads(json.dumps(_report().to_json_dict()))
     for version in (0, 2, "1", True, 1.5):
-        with pytest.raises(SchemaError, match="schema_version"):
-            from_json_obj({**doc, "schema_version": version})
-        with pytest.raises(SchemaError, match="schema_version"):
-            from_json_obj({**doc, "schema_version": version}, report=True)
+        for x in (doc, report):
+            with pytest.raises(SchemaError, match="schema_version"):
+                from_json_obj({**x, "schema_version": version})
     # an integral float is the current version, and a document without the field reads as it
     assert from_json_obj({**doc, "schema_version": 1.0}).d_in == 2
     del doc["schema_version"]
