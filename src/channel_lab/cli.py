@@ -196,10 +196,7 @@ def cmd_gaussian(args) -> int:
             check = gaussian.validate_channel(obj)
         else:
             raise ValidationError(f"cannot validate objects of type {type(obj).__name__}")
-        print(
-            f"valid={check.ok} min_eig_plus={check.min_eig_plus!r} "
-            f"min_eig_minus={check.min_eig_minus!r}"
-        )
+        print(f"valid={check.ok} min_eig_plus={check.min_eig!r} min_eig_minus={check.min_eig!r}")
         return 0 if check.ok else 2
     if args.action == "apply":
         channel = (

@@ -15,11 +15,12 @@ them:
   of M, whose cost grows with K rather than with the (d_out*d_in)^2 Choi
   matrix, which is never formed.
 * Stinespring isometry V  ->  unitary U on input (x) ancilla with
-  ``U (phi (x) tau_0) = (V phi) (x) chi_0``, built factor by factor: off
-  that subspace U pairs ``e_i (x) T`` (T the kernel basis of
-  ``tau_0 tau_0*``) with the output-side kernel ``[I (x) e_x for x != 0,
-  C (x) chi_0]`` (C the kernel basis of ``V V*``), so no eigensolve is
-  larger than the ancilla or the output (x) environment space.
+  ``U (phi (x) e_0) = (V phi) (x) e_0``, built factor by factor: off that
+  subspace U pairs ``e_i (x) T`` (T = (e_{D-1}, ..., e_1), the kernel basis
+  of ``e_0 e_0*``) with the output-side kernel ``[I (x) e_x for x != 0,
+  C (x) e_0]`` (C the kernel basis of ``V V*``), so the only eigensolve is
+  of ``V V*``.  Loaded unitary-dilation documents may carry any unit
+  ancilla vector tau_0 and any ancilla dimension.
 
 Results are deterministic: orthonormal complement bases and the minimal
 dilation's Kraus operators follow the reproducible eigenpair convention of
@@ -163,74 +164,51 @@ def to_kraus(obj) -> KrausChannel:
     raise ValidationError(f"object of type {type(obj).__name__} is not a channel representation")
 
 
-def unitary_from_isometry(
-    v: StinespringIsometry,
-    d_anc: int | None = None,
-    d_extra: int | None = None,
-    tau0: np.ndarray | None = None,
-) -> UnitaryDilation:
+def unitary_from_isometry(v: StinespringIsometry) -> UnitaryDilation:
     """Extend an isometry to a unitary dilation.
 
-    The unitary acts on input (x) ancilla (dim ``d_anc``) and satisfies
-    ``U (phi (x) tau_0) = (V phi) (x) chi_0`` with ``chi_0 = e_0`` in an
-    extra dim ``d_extra`` factor appended to the environment; ``tau0``
-    defaults to ``e_0`` too.
-    Defaults ``d_anc = d_out * d_env`` and ``d_extra = d_in`` always make
-    the dimension products match; other choices must satisfy
-    ``d_in * d_anc = d_out * d_env * d_extra`` exactly.
+    The unitary acts on input (x) ancilla, with ancilla dim ``d_anc = D =
+    d_out * d_env``, and satisfies ``U (phi (x) e_0) = (V phi) (x) e_0``,
+    the second ``e_0`` in an extra dim ``d_in`` factor appended to the
+    environment; both products are then ``d_in * D``.
 
     U is built from the tensor factors, ``U = [lift | R] [embed | L]*``.
-    ``embed = I (x) tau_0`` and ``lift = V (x) chi_0``; the input-side kernel
-    is ``L = I_{d_in} (x) T`` with T the kernel basis of ``tau_0 tau_0*``;
-    the output-side kernel is ``R = [I_D (x) (e_1 ... e_{d_extra-1}),
-    C (x) chi_0]`` with D = d_out * d_env and C the kernel basis of
-    ``V V*``.  Columns of L and R pair up in order, so the largest
-    eigensolve is of size max(d_anc, D), and most entries of U are exact
-    zeros.
+    ``embed = I (x) e_0`` and ``lift = V (x) e_0``; the input-side kernel is
+    ``L = I_{d_in} (x) T`` with ``T = (e_{D-1}, ..., e_1)``, the deterministic
+    kernel basis of ``e_0 e_0*``; the output-side kernel is ``R = [I_D (x)
+    (e_1 ... e_{d_in-1}), C (x) e_0]`` with C the kernel basis of ``V V*``.
+    Columns of L and R pair up in order, so the only eigensolve is of the
+    D x D ``V V*``, and most entries of U are exact zeros.
     """
-    d_anc = d_anc if d_anc is not None else v.d_out * v.d_env
-    d_extra = d_extra if d_extra is not None else v.d_in
-    if v.d_in * d_anc != v.d_out * v.d_env * d_extra:
-        raise ValidationError(
-            f"dimension products disagree: {v.d_in}*{d_anc} != "
-            f"{v.d_out}*{v.d_env}*{d_extra}"
-        )
-    tau0 = _e0(d_anc) if tau0 is None else _ancilla_vector(tau0, d_anc)
-
     d_big = v.d_out * v.d_env
-    ker_anc = _kernel_basis(np.outer(tau0, tau0.conj()))
     ker_range = _kernel_basis(v.v @ dagger(v.v))
-    n_spare = d_big * (d_extra - 1)
-    # D - d_in kernel columns: R then pairs with L's d_in * (d_anc - 1) exactly when
-    # the dimension products agree, as checked above.
+    n_spare = d_big * (v.d_in - 1)
+    # D - d_in kernel columns: R then pairs with L's d_in * (D - 1).
     n_right = n_spare + ker_range.shape[1]
 
     # Output-side columns as (output (x) environment, extra, input, ancilla): the one
-    # paired with e_i (x) [tau_0 | T][:, a] is lift's column i for a = 0, else R's
-    # column i * (d_anc - 1) + a - 1.
-    right = np.zeros((d_big, d_extra, n_right), dtype=np.complex128)
-    right[:, 1:, :n_spare] = np.eye(n_spare).reshape(d_big, d_extra - 1, n_spare)
+    # paired with e_i (x) [e_0 | T][:, a] is lift's column i for a = 0, else R's
+    # column i * (D - 1) + a - 1.
+    right = np.zeros((d_big, v.d_in, n_right), dtype=np.complex128)
+    right[:, 1:, :n_spare] = np.eye(n_spare).reshape(d_big, v.d_in - 1, n_spare)
     right[:, 0, n_spare:] = ker_range
-    cols = np.zeros((d_big, d_extra, v.d_in, d_anc), dtype=np.complex128)
+    cols = np.zeros((d_big, v.d_in, v.d_in, d_big), dtype=np.complex128)
     cols[:, 0, :, 0] = v.v
-    cols[..., 1:] = right.reshape(d_big, d_extra, v.d_in, d_anc - 1)
-    # Right-multiplying by [embed | L]* = I (x) [tau_0 | T]* acts on the ancilla axis only.
-    n = v.d_in * d_anc
-    u = cols.reshape(n, v.d_in, d_anc) @ dagger(np.column_stack([tau0, ker_anc]))
+    cols[..., 1:] = right.reshape(d_big, v.d_in, v.d_in, d_big - 1)
+    # Right-multiplying by [embed | L]* = I (x) [e_0 | T]* acts on the ancilla axis
+    # only.  [e_0 | T] is a permutation, but the product, not a column shuffle, sets
+    # the signs of U's zeros.
+    anc_basis = np.eye(d_big, dtype=np.complex128)[:, np.r_[0, d_big - 1 : 0 : -1]]
+    n = v.d_in * d_big
+    u = cols.reshape(n, v.d_in, d_big) @ dagger(anc_basis)
     return UnitaryDilation(
         u=UnitaryOp(u.reshape(n, n)),
-        tau0=tau0,
+        tau0=anc_basis[:, 0],
         d_in=v.d_in,
-        d_anc=d_anc,
+        d_anc=d_big,
         d_out=v.d_out,
-        d_env=v.d_env * d_extra,
+        d_env=v.d_env * v.d_in,
     )
-
-
-def _e0(dim: int) -> np.ndarray:
-    out = np.zeros(dim, dtype=np.complex128)
-    out[0] = 1.0
-    return out
 
 
 def _ancilla_vector(vec, dim: int) -> np.ndarray:

@@ -131,11 +131,14 @@ class GaussianChannel:
 
 @dataclass(frozen=True)
 class PsdCheck:
-    """Result of a positivity check, with the offending eigenvalues."""
+    """Result of a positivity check, with the smallest eigenvalue of ``sym + i skew``.
+
+    ``sym - i skew`` is its complex conjugate, so ``min_eig`` is the smallest
+    eigenvalue of both signs.
+    """
 
     ok: bool
-    min_eig_plus: float
-    min_eig_minus: float
+    min_eig: float
 
     def __bool__(self) -> bool:
         return self.ok
@@ -147,10 +150,10 @@ def _psd_checks(sym: np.ndarray, skew: np.ndarray) -> list[PsdCheck]:
     ``sym`` is a (B, n, n) stack of real symmetric matrices and ``skew``
     broadcasts against it with real antisymmetric matrices.  ``sym - i skew``
     is the complex conjugate of the Hermitian ``sym + i skew`` and has the
-    same eigenvalues, so one eigensolve fills both fields of each check.
+    same eigenvalues, so one eigensolve checks both signs.
     """
     lows = np.linalg.eigvalsh(sym + 1j * skew).min(axis=-1).tolist()
-    return [PsdCheck(ok=low >= -TOL_EIG, min_eig_plus=low, min_eig_minus=low) for low in lows]
+    return [PsdCheck(ok=low >= -TOL_EIG, min_eig=low) for low in lows]
 
 
 def validate_state(st: GaussianState) -> PsdCheck:
@@ -186,9 +189,7 @@ def _cp_checks(scales: np.ndarray, noises: np.ndarray) -> list[PsdCheck]:
 def _require(check: PsdCheck, problem: str) -> None:
     """Raise ``problem`` with the worst validity eigenvalue when a check failed."""
     if not check:
-        raise ValidationError(
-            f"{problem} (min eigenvalue {min(check.min_eig_plus, check.min_eig_minus):.3e})"
-        )
+        raise ValidationError(f"{problem} (min eigenvalue {check.min_eig:.3e})")
 
 
 def apply_gaussian(ch: GaussianChannel, st: GaussianState) -> GaussianState:
@@ -325,8 +326,8 @@ def attenuator_output_distance(k: float, k_prime: float, eta: complex) -> float:
     return float(2.0 * np.sqrt(1.0 - np.exp(-gap)))
 
 
-def z_grid(modes: int, half_width: float = 2.0, step: float = 1.0, max_points: int = 625) -> np.ndarray:
-    """Deterministic phase-space grid {-hw, ..., hw}^(2s), truncated.
+def z_grid(modes: int, max_points: int = 625) -> np.ndarray:
+    """Deterministic phase-space grid {-2, -1, 0, 1, 2}^(2s), truncated.
 
     Points come in lexicographic order; only the first ``max_points`` are built.
     """
@@ -334,9 +335,7 @@ def z_grid(modes: int, half_width: float = 2.0, step: float = 1.0, max_points: i
         raise ValidationError(f"mode count must be positive, got {modes}")
     if not max_points >= 1:
         raise ValidationError(f"max_points must be >= 1, got {max_points}")
-    if not (step > 0 and half_width >= 0):
-        raise ValidationError(f"grid needs step > 0 and half_width >= 0, got {step} and {half_width}")
-    axis = np.arange(-half_width, half_width + step / 2, step)
+    axis = np.arange(-2.0, 3.0)
     n, d = len(axis), 2 * modes
     count = min(max_points, n**d)
     # Only the last t coordinates vary over the kept points, and (n,) * d may overflow an index.
@@ -373,22 +372,21 @@ def param_convergence_check(
     seq: ChannelSequence,
     ns,
     eps: float,
-    test_states: list[GaussianState] | None = None,
     grid: np.ndarray | None = None,
 ) -> Report:
     """Probe parameter convergence against characteristic-function convergence.
 
     For each index the report carries the max-entry deviation of each
-    parameter from the limit and the sup over ``grid`` x ``test_states`` of
+    parameter from the limit and the sup over ``grid`` (default
+    ``z_grid(modes_out)``) x ``default_gaussian_test_states(modes_in)`` of
     the output characteristic-function deviation; ``within_eps`` flags
     indices where all four are at most ``eps``.  Parameter convergence and
     pointwise convergence of the outputs are equivalent, so the two sides
     must co-vanish; the report exists to exhibit that numerically.
 
-    An index that is not an integer (a bool is not), an empty state list or
-    a grid that is not a nonempty (P, 2 s_out) stack raises ValidationError
-    before any term is built; the test states are checked with one batched
-    eigenvalue call.  The indices are swept in blocks of at most
+    An index that is not an integer (a bool is not) or a grid that is not a
+    nonempty (P, 2 s_out) stack raises ValidationError before any term is
+    built.  The indices are swept in blocks of at most
     ``sequences.SWEEP_BLOCK_ENTRIES // (states x points)`` (at least one),
     by the block rule of the Kraus sweeps, so memory does not grow with
     ``len(ns)``.  Each block builds its terms in index order, checks their
@@ -400,18 +398,9 @@ def param_convergence_check(
     """
     ns = _integer_indices(ns, "param_convergence_check")
     limit = seq.limit
-    states = test_states if test_states is not None else default_gaussian_test_states(limit.modes_in)
-    if not states:
-        raise ValidationError("the test-state family is empty")
-    for st in states:
-        if st.modes != limit.modes_in:
-            raise ValidationError(
-                f"test state has {st.modes} modes, channel expects {limit.modes_in}"
-            )
+    states = default_gaussian_test_states(limit.modes_in)
     means = np.stack([st.mean for st in states])
     covs = np.stack([st.cov for st in states])
-    for check in _psd_checks(covs, symplectic_form(limit.modes_in)):
-        _require(check, "test state violates the uncertainty condition")
     pts = np.asarray(grid if grid is not None else z_grid(limit.modes_out), dtype=np.float64)
     if pts.ndim != 2 or len(pts) == 0 or pts.shape[1] != 2 * limit.modes_out:
         raise ValidationError(f"grid of shape {pts.shape} is not a nonempty (P, {2 * limit.modes_out}) stack")

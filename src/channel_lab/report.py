@@ -174,10 +174,11 @@ class Report:
 
     Columns are passed by name and read back as attributes (``rep.strong``).
     Construction checks the kind, that there is at least one row, that every
-    column has one cell per index, that indices are integers and every cell
-    has its column's type (numpy scalars included, bools are not numbers),
-    and that float cells are finite and nonnegative (they are all defects or
-    deviations).  Cells are stored as plain Python values.
+    column has one cell per index, that ``test_family`` is a string, that
+    indices are integers and every cell has its column's type (numpy scalars
+    included, bools are not numbers), and that float cells are finite and
+    nonnegative (they are all defects or deviations).  Cells are stored as
+    plain Python values.
 
     For ``convergence-report`` tables, ``choi_dominates_strong`` records per
     index whether the Choi lower bound weakly dominates the strong defect seen
@@ -197,6 +198,8 @@ class Report:
             raise ValidationError(f"eps={eps!r} does not fit a {kind}")
         if eps is not None and not (_ACCEPTS[float](eps) and math.isfinite(eps)):
             raise ValidationError(f"malformed {kind}: eps must be a finite real number, got {eps!r}")
+        if not isinstance(test_family, str):
+            raise ValidationError(f"malformed {kind}: test_family must be a string, got {test_family!r}")
         if set(columns) != set(COLUMNS[kind]):
             raise ValidationError(f"a {kind} has columns {list(COLUMNS[kind])}, got {list(columns)}")
         self.columns = {}
@@ -268,7 +271,7 @@ def from_json_dict(doc: dict) -> Report:
             got,
             doc["indices"],
             eps=doc["eps"] if got in EPS_KINDS else None,
-            test_family=str(doc.get("test_family", "")),
+            test_family=doc.get("test_family", ""),
             **{name: doc[name] for name in COLUMNS[got]},
         )
     except KeyError as exc:

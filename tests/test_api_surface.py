@@ -16,17 +16,11 @@ import channel_lab
 DEFAULTED = [
     "cli.main(argv)",
     "core.dephasing_channel(keep)",
-    "dilation.unitary_from_isometry(d_anc)",
-    "dilation.unitary_from_isometry(d_extra)",
-    "dilation.unitary_from_isometry(tau0)",
     "ensembles.random_density(rank)",
     "gaussian.identity_gaussian(modes)",
     "gaussian.param_convergence_check(grid)",
-    "gaussian.param_convergence_check(test_states)",
     "gaussian.vacuum(modes)",
-    "gaussian.z_grid(half_width)",
     "gaussian.z_grid(max_points)",
-    "gaussian.z_grid(step)",
     "report.Report(eps)",
     "report.Report(test_family)",
     "sequences.convergence_report(test_family)",

@@ -298,6 +298,23 @@ def test_report_rejects_malformed_documents(tmp_path, capsys):
     assert "missing field 'indices'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", [None, 5, ["a"]], ids=["null", "number", "list"])
+def test_report_rejects_a_test_family_that_is_not_a_string(family, tmp_path, capsys):
+    prefix = tmp_path / "sweep"
+    assert run("gaussian", "converge", "--ns", "5", "--out", str(prefix)) == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({**doc, "test_family": family}))
+    capsys.readouterr()
+    assert run("report", "--in", str(broken)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "validation error: malformed gaussian-convergence-report: "
+        f"test_family must be a string, got {family!r}\n"
+    )
+
+
 
 _DOCUMENTS = {
     "kraus": (lambda: amplitude_damping_channel(0.3), ["convert", "--to", "kraus"], "d_in"),

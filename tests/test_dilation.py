@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from channel_lab import ensembles
+from channel_lab import ensembles, serialize
 from channel_lab.core import (
     DensityOperator,
     KrausChannel,
@@ -201,6 +201,20 @@ def test_cnot_dilation_dephases_by_the_ancilla_overlap():
     assert np.allclose(channel_action(ch, rho.matrix), want, atol=1e-13)
 
 
+def test_dilation_with_any_ancilla_vector_round_trips_through_json(tmp_path):
+    # unitary_from_isometry always uses tau_0 = e_0; documents may hold any unit
+    # vector, and the loader builds them with this constructor.
+    tau = np.array([np.cos(np.pi / 12), np.sin(np.pi / 12)], dtype=np.complex128)
+    dil = UnitaryDilation(UnitaryOp(CNOT), tau, d_in=2, d_anc=2, d_out=2, d_env=2)
+    serialize.dump(dil, tmp_path / "cnot.json")
+    back = serialize.load(tmp_path / "cnot.json")
+    assert isinstance(back, UnitaryDilation)
+    assert np.array_equal(back.u.u, dil.u.u)
+    assert np.array_equal(back.tau0, tau)
+    assert (back.d_in, back.d_anc, back.d_out, back.d_env) == (2, 2, 2, 2)
+    assert max_action_deviation(to_kraus(back), dephasing_channel(np.sin(np.pi / 6))) < 1e-12
+
+
 def test_swap_dilation_is_state_replacement():
     e0 = np.array([1.0, 0.0], dtype=np.complex128)
     dil = UnitaryDilation(UnitaryOp(SWAP), e0, d_in=2, d_anc=2, d_out=2, d_env=2)
@@ -228,21 +242,9 @@ def test_unitary_from_isometry_matches_on_the_embedded_subspace(rng):
     assert max_action_deviation(ch, round_trip) < 1e-10
 
 
-def test_unitary_from_isometry_dimension_flexibility(rng):
-    v = isometry_from_kraus(identity_channel(2))
-    # d_in * d_anc must equal d_out * d_env * d_extra
-    dil = unitary_from_isometry(v, d_anc=3, d_extra=3)
-    assert dil.u.dim == 6
-    with pytest.raises(ValidationError, match="products disagree"):
-        unitary_from_isometry(v, d_anc=3, d_extra=2)
-    tau = np.array([0.6, 0.8], dtype=np.complex128)
-    custom = unitary_from_isometry(v, d_anc=2, d_extra=2, tau0=tau)
-    assert np.allclose(custom.tau0, tau)
-
-
 def test_unitary_from_isometry_eigensolves_only_the_factors(monkeypatch, rng):
-    # The completion diagonalizes tau_0 tau_0* and V V*, never a projector on the
-    # d_in * d_anc dilation space.
+    # The completion diagonalizes V V* once and nothing else: the ancilla's kernel
+    # basis is a constant, and no projector on the d_in * d_anc dilation space is formed.
     sizes = []
     eigh = np.linalg.eigh
 
@@ -251,22 +253,17 @@ def test_unitary_from_isometry_eigensolves_only_the_factors(monkeypatch, rng):
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    tau = ensembles.haar_vector(4, rng)
-    cases = [
-        (isometry_from_kraus(ensembles.random_kraus_channel(3, 2, 2, rng)), {}),
-        (isometry_from_kraus(ensembles.random_kraus_channel(2, 2, 2, rng)), {"d_anc": 4, "d_extra": 2, "tau0": tau}),
-        (isometry_from_kraus(ensembles.random_kraus_channel(4, 3, 2, rng)), {"d_anc": 6, "d_extra": 4}),
-    ]
-    for v, kwargs in cases:
+    for d_in, d_out, k in ((3, 2, 2), (2, 2, 2), (4, 3, 2), (1, 1, 1)):
         sizes.clear()
-        dil = unitary_from_isometry(v, **kwargs)
-        assert sizes and max(sizes) <= max(dil.d_anc, v.d_out * v.d_env)
+        v = isometry_from_kraus(ensembles.random_kraus_channel(d_in, d_out, k, rng))
+        unitary_from_isometry(v)
+        assert sizes == [v.d_out * v.d_env]
 
     # A scaled case: d = 8 with 8 Kraus operators completes on dimension 512.
     sizes.clear()
     v = isometry_from_kraus(ensembles.random_kraus_channel(8, 8, 8, rng))
     u = unitary_from_isometry(v).u.u
-    assert u.shape == (512, 512) and max(sizes) == 64
+    assert u.shape == (512, 512) and sizes == [64]
     assert opnorm(dagger(u) @ u - np.eye(512)) <= 1e-10
 
 
@@ -460,9 +457,8 @@ def test_to_kraus_reads_every_channel_representation(rng):
 
 
 def test_ancilla_vector_of_the_wrong_shape_is_rejected():
-    iso = isometry_from_kraus(amplitude_damping_channel(0.3))
     with pytest.raises(ValidationError, match=r"ancilla vector of shape \(2,\) does not live in dim 4"):
-        unitary_from_isometry(iso, tau0=np.array([1.0, 0.0]))
+        UnitaryDilation(UnitaryOp(np.eye(8)), np.array([1.0, 0.0]), d_in=2, d_anc=4, d_out=2, d_env=4)
 
 
 def test_tracked_completion_rejects_a_reference_of_another_dimension():

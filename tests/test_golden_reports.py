@@ -19,7 +19,10 @@ from it off the embedded subspace, so against that file every field but
 ``U`` must be equal and ``U (I (x) tau_0)`` must agree within 1e-12.
 ``convert_unitary_dilation_d2_factored.json`` was written by the factored
 construction after that check and is compared byte for byte; its bytes are
-also the stdlib encoder's.
+also the stdlib encoder's.  ``convert_unitary_dilation_d3_signed_zeros.json``
+was written by the same construction while the ancilla's kernel basis still
+came from an eigensolve; its U holds signed zeros, which the constant basis
+must reproduce byte for byte.
 """
 
 import json
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from channel_lab import serialize
+from channel_lab import ensembles, serialize
 from channel_lab.cli import main
 from channel_lab.core import amplitude_damping_channel, opnorm
 
@@ -127,3 +130,13 @@ def test_convert_matches_golden_file(tmp_path):
     embed = np.kron(np.eye(old["d_in"]), serialize.complex_from_json(old["tau0"], 1).reshape(-1, 1))
     gap = (serialize.complex_from_json(got["U"], 2) - serialize.complex_from_json(old["U"], 2)) @ embed
     assert opnorm(gap) <= 1e-12
+
+
+def test_convert_keeps_the_signed_zeros_of_its_golden_file(tmp_path):
+    src = tmp_path / "ch.json"
+    serialize.dump(ensembles.random_kraus_channel(3, 3, 2, np.random.default_rng(0)), src)
+    out = tmp_path / "dilation.json"
+    assert main(["convert", "--in", str(src), "--to", "unitary-dilation", "--out", str(out)]) == 0
+    got = out.read_bytes()
+    assert got == (DATA / "convert_unitary_dilation_d3_signed_zeros.json").read_bytes()
+    assert b"-0.0" in got

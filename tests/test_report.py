@@ -45,6 +45,26 @@ def test_reader_rejects_wrong_eps_and_witness_types():
         from_json_dict({**doc, "strong_witness": [3]})
 
 
+@pytest.mark.parametrize("family", [None, 5, ["a"], 2.5, {"a": "b"}, b"family"])
+def test_a_test_family_that_is_not_a_string_is_rejected(family):
+    doc = _gaussian_doc()
+    cols = {name: doc[name] for name in ("scale_dev", "shift_dev", "noise_dev", "char_dev", "within_eps")}
+    message = f"malformed gaussian-convergence-report: test_family must be a string, got {family!r}"
+    with pytest.raises(ValidationError) as built:
+        Report("gaussian-convergence-report", doc["indices"], eps=doc["eps"], test_family=family, **cols)
+    assert str(built.value) == message
+    with pytest.raises(ValidationError) as read:
+        from_json_dict({**doc, "test_family": family})
+    assert str(read.value) == message
+
+
+def test_an_absent_test_family_reads_as_empty():
+    doc = _gaussian_doc()
+    assert doc["test_family"] == "3 states x 25 grid points"
+    assert from_json_dict(doc).test_family == doc["test_family"]
+    assert from_json_dict({k: v for k, v in doc.items() if k != "test_family"}).test_family == ""
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
 def test_non_finite_eps_is_rejected(eps):
     doc = _gaussian_doc()

@@ -1,9 +1,8 @@
 """Property tests: the factored unitary dilation is unitary, extends the
 isometry on the embedded subspace, models the channel, and survives a JSON
-round trip, for default and custom ancilla and extra dimensions; the kernel
-bases it is built from are exactly the kernel columns of ``ordered_eigh``."""
+round trip; the kernel bases it is built from are exactly the kernel columns
+of ``ordered_eigh``, the ancilla's one bit for bit."""
 
-import math
 import tempfile
 from pathlib import Path
 
@@ -25,12 +24,9 @@ from channel_lab.dilation import (  # noqa: E402
 
 @st.composite
 def dilation_cases(draw):
-    """A channel with d_in, d_out <= 3 and 1-4 Kraus operators, and the keyword
-    arguments of its dilation.  ``default`` leaves d_anc, d_extra and tau0 unset;
-    ``custom`` picks a multiple of the smallest (d_anc, d_extra) that balances
-    d_in * d_anc = d_out * K * d_extra and maybe a random tau0; ``unitary`` has
+    """A channel with d_in, d_out <= 3 and 1-4 Kraus operators.  ``unitary`` has
     one Kraus operator, so V is unitary (D = d_in) and d_anc can be 1."""
-    mode = draw(st.sampled_from(["default", "custom", "unitary"]))
+    mode = draw(st.sampled_from(["default", "unitary"]))
     d_in = draw(st.integers(1, 3))
     if mode == "unitary":
         d_out, n_ops = d_in, 1
@@ -38,30 +34,22 @@ def dilation_cases(draw):
         d_out = draw(st.integers(1, 3))
         n_ops = draw(st.integers(max(1, -(-d_in // d_out)), 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ch = ensembles.random_kraus_channel(d_in, d_out, n_ops, rng)
-    kwargs = {}
-    if mode != "default":
-        big = d_out * n_ops
-        scale = draw(st.integers(1, 2))
-        g = math.gcd(d_in, big)
-        kwargs = {"d_anc": scale * big // g, "d_extra": scale * d_in // g}
-        if draw(st.booleans()):
-            kwargs["tau0"] = ensembles.haar_vector(kwargs["d_anc"], rng)
-    return ch, kwargs
+    return ensembles.random_kraus_channel(d_in, d_out, n_ops, rng)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(dilation_cases())
-def test_unitary_dilation_round_trips(case):
-    ch, kwargs = case
+def test_unitary_dilation_round_trips(ch):
     v = isometry_from_kraus(ch)
-    dil = unitary_from_isometry(v, **kwargs)
+    dil = unitary_from_isometry(v)
     u = dil.u.u
-    d_extra = dil.d_env // v.d_env
+    big = v.d_out * v.d_env
+    assert (dil.d_in, dil.d_anc, dil.d_out, dil.d_env) == (v.d_in, big, v.d_out, v.d_env * v.d_in)
+    assert np.array_equal(dil.tau0, np.eye(big)[0])
     assert opnorm(dagger(u) @ u - np.eye(dil.u.dim)) <= 1e-12
 
     embed = np.kron(np.eye(v.d_in), dil.tau0.reshape(-1, 1))
-    chi0 = np.eye(d_extra)[:, :1]
+    chi0 = np.eye(v.d_in)[:, :1]
     assert opnorm(u @ embed - np.kron(v.v, chi0)) <= 1e-12
     assert max_action_deviation(ch, to_kraus(dil)) <= 1e-10
 
@@ -96,3 +84,13 @@ def projectors(draw):
 def test_kernel_basis_is_the_kernel_half_of_ordered_eigh(p):
     vals, vecs = ordered_eigh(p)
     assert np.array_equal(_kernel_basis(p), vecs[:, vals < 0.5])
+
+
+def test_ancilla_kernel_basis_is_the_reversed_unit_columns():
+    # unitary_from_isometry uses T = (e_{D-1}, ..., e_1) as the kernel basis of
+    # e_0 e_0*; it is the eigensolve's basis bit for bit, signed zeros included.
+    for dim in range(1, 37):
+        eye = np.eye(dim, dtype=np.complex128)
+        got = _kernel_basis(eye[:, :1] @ eye[:1])
+        want = eye[:, dim - 1 : 0 : -1]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), dim
