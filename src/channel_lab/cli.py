@@ -2,12 +2,15 @@
 
 Subcommands: ``convert`` between channel representations, ``sequence`` to
 sweep convergence defects over built-in families, ``gaussian`` for the
-parameter-level calculus, and ``report`` to re-emit saved reports.
+parameter-level calculus, and ``report`` to re-emit saved reports.  Each
+sequence kind and each Gaussian action has its own parser, which takes only
+the options that command reads.
 
 Exit codes: 0 on success, 2 when a value fails validation (including
-command-line usage errors and a document of a known kind the command cannot
-use) or a path cannot be read or written, 3 when an input file cannot be
-parsed (it is not UTF-8, not JSON, or not a known document).
+command-line usage errors: an option the command does not take, a missing
+required option, and a document of a known kind the command cannot use) or
+a path cannot be read or written, 3 when an input file cannot be parsed (it
+is not UTF-8, not JSON, or not a known document).
 All outputs are deterministic for a fixed invocation and seed.  Every
 sweep runs in one thread, as blocked array code.
 """
@@ -38,11 +41,8 @@ from .report import Report, dump_json
 
 #: ``convert`` marks its output verified when the largest action deviation is within this.
 ACTION_TOL = 1e-8
-#: Default ``--tol`` of the Gaussian sweeps: the co-vanishing threshold ``eps``.
+#: Default ``--tol`` of ``gaussian converge``: the co-vanishing threshold ``eps``.
 GAUSSIAN_TOL = 1e-6
-ETA_HELP = "coherent amplitude, complex literal (distance); a negative real part needs --eta=-1+2j"
-NS_HELP = "indices to sweep, e.g. 1:100 or 1,10,100; gaussian sweeps every valid index up to the largest"
-GRID_HELP = "probe the first GRID^2 points, in lexicographic order, of the 5x5 grid {-2..2}^2"
 
 
 #: The ``convert --to`` targets, each built from the source's Kraus family.
@@ -86,52 +86,19 @@ def _write_report(report, prefix: str) -> None:
     print(f"wrote {prefix}.csv and {prefix}.json")
 
 
-def _gaussian_sweep(k: float, n_max: int, eps: float, grid: int) -> Report:
-    # Transmissivities k + 1/n are only valid parameters once they drop to 1,
-    # so the sweep takes the indices from the first usable one on (k + 1/n
-    # falls with n).  With n_max < 1 there are no indices at all, which the
-    # report rejects.
-    if not 0.0 < k < 1.0:
-        raise ValidationError(f"limit transmissivity must lie in (0, 1), got {k}")
-    if grid < 1:
-        raise ValidationError(f"--grid must be at least 1, got {grid}")
-    ns = [n for n in range(1, n_max + 1) if k + 1.0 / n <= 1.0]
-    if not ns and n_max >= 1:
-        raise ValidationError(
-            f"no valid sweep indices: k + 1/n stays above 1 up to n = {n_max}"
-        )
-    seq = gaussian.attenuator_sequence(lambda n: k + 1.0 / n, k)
-    points = gaussian.z_grid(1, max_points=grid * grid)
-    return gaussian.param_convergence_check(seq, ns, eps, grid=points)
-
-
-def cmd_sequence(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.dim is None:
-        args.dim = {"compress": 8, "swap": 16, "partial-trace-form": 4}.get(args.kind, 8)
-    if args.kind == "compress":
-        if args.infile:
-            base = to_kraus(serialize.load(args.infile))
-        else:
-            base = identity_channel(args.dim)
-        ranks = _parse_int_list(args.ranks) if args.ranks else list(range(1, base.d_out + 1))
-        sigma = DensityOperator(np.eye(base.d_out) / base.d_out)
-        seq = sequences.compression_sequence(base, sigma, ranks)
-        family = f"basis+haar states, matrix-unit obs, basis+haar vectors, seed={args.seed}"
-        report = _kraus_report(seq, range(1, len(ranks) + 1), rng, family)
-    elif args.kind == "swap":
-        report = _swap_report(args.dim, args.probe)
-    elif args.kind == "partial-trace-form":
-        report = _rotation_report(args, rng)
-    else:
-        ns = _parse_int_list(args.ns) if args.ns else list(range(1, 101))
-        report = _gaussian_sweep(args.k, max(ns, default=0), args.tol, args.grid)
-    _write_report(report, args.out)
+def cmd_compress(args) -> int:
+    base = to_kraus(serialize.load(args.infile)) if args.infile else identity_channel(args.dim)
+    ranks = _parse_int_list(args.ranks) if args.ranks else list(range(1, base.d_out + 1))
+    sigma = DensityOperator(np.eye(base.d_out) / base.d_out)
+    seq = sequences.compression_sequence(base, sigma, ranks)
+    family = "basis+haar states, matrix-unit obs, basis+haar vectors"
+    _write_report(_kraus_report(seq, range(1, len(ranks) + 1), args.seed, family), args.out)
     return 0
 
 
-def _swap_report(d: int, probe: int) -> Report:
+def cmd_swap(args) -> int:
     """Vector-level defects of the swap family, with the embedded-channel Choi column."""
+    d, probe = args.dim, args.probe
     if d % 2:
         raise ValidationError(f"the swap report needs an even dimension to embed, got {d}")
     if not 1 <= probe <= d - 1:
@@ -145,7 +112,7 @@ def _swap_report(d: int, probe: int) -> Report:
     form = sequences.PartialTraceForm(v0, lambda n: terms[n - 1])
     channel_seq = sequences.channels_from_partial_isometries(form)
 
-    return Report(
+    report = Report(
         "convergence-report",
         range(1, d),
         strong=[np.linalg.norm((w.w - limit) @ tau) for w in terms],
@@ -155,9 +122,11 @@ def _swap_report(d: int, probe: int) -> Report:
         strongstar_witness=["psi"] * len(terms),
         test_family=f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding",
     )
+    _write_report(report, args.out)
+    return 0
 
 
-def _rotation_report(args, rng) -> Report:
+def cmd_partial_trace_form(args) -> int:
     d_in, d_out, d_env = args.dim, args.dim_out, args.dim_env
     total = d_out * d_env
     if d_in >= total:
@@ -168,60 +137,82 @@ def _rotation_report(args, rng) -> Report:
     form = sequences.rotation_partial_trace_form(v0, (total - 1, 0), lambda n: 1.0 / n)
     seq = sequences.channels_from_partial_isometries(form)
     ns = _parse_int_list(args.ns) if args.ns else [1, 10, 100, 1000]
-    return _kraus_report(seq, ns, rng, f"rotation angles 1/n in plane ({total - 1}, 0), seed={args.seed}")
+    family = f"rotation angles 1/n in plane ({total - 1}, 0)"
+    _write_report(_kraus_report(seq, ns, args.seed, family), args.out)
+    return 0
 
 
-def _kraus_report(seq, ns, rng, test_family: str) -> Report:
+def _kraus_report(seq, ns, seed: int, family: str) -> Report:
     """The report of a Kraus sequence on the default probes, test states drawn before test vectors."""
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
+    rng = np.random.default_rng(seed)
     return sequences.convergence_report(
         seq,
         ns,
         ensembles.default_test_states(d_in, rng),
         ensembles.matrix_unit_observables(d_out),
         ensembles.default_test_vectors(d_in, rng),
-        test_family=test_family,
+        test_family=f"{family}, seed={seed}",
     )
 
 
-def cmd_gaussian(args) -> int:
-    if args.action == "distance":
-        print(repr(gaussian.attenuator_output_distance(args.k, args.kprime, complex(args.eta))))
-        return 0
-    if args.action == "validate":
-        obj = serialize.load(args.infile)
-        if isinstance(obj, gaussian.GaussianState):
-            check = gaussian.validate_state(obj)
-        elif isinstance(obj, gaussian.GaussianChannel):
-            check = gaussian.validate_channel(obj)
-        else:
-            raise ValidationError(f"cannot validate objects of type {type(obj).__name__}")
-        print(f"valid={check.ok} min_eig_plus={check.min_eig!r} min_eig_minus={check.min_eig!r}")
-        return 0 if check.ok else 2
-    if args.action == "apply":
-        channel = (
-            serialize.load(args.channel) if args.channel else gaussian.attenuator(args.k)
+def cmd_distance(args) -> int:
+    print(repr(gaussian.attenuator_output_distance(args.k, args.kprime, complex(args.eta))))
+    return 0
+
+
+def cmd_validate(args) -> int:
+    obj = serialize.load(args.infile)
+    if isinstance(obj, gaussian.GaussianState):
+        check = gaussian.validate_state(obj)
+    elif isinstance(obj, gaussian.GaussianChannel):
+        check = gaussian.validate_channel(obj)
+    else:
+        raise ValidationError(f"cannot validate objects of type {type(obj).__name__}")
+    print(f"valid={check.ok} min_eig_plus={check.min_eig!r} min_eig_minus={check.min_eig!r}")
+    return 0 if check.ok else 2
+
+
+def cmd_apply(args) -> int:
+    channel = serialize.load(args.channel) if args.channel else gaussian.attenuator(args.k)
+    if not isinstance(channel, gaussian.GaussianChannel):
+        raise ValidationError("the --channel file must hold a gaussian-channel")
+    state = serialize.load(args.infile) if args.infile else gaussian.vacuum(channel.modes_in)
+    if not isinstance(state, gaussian.GaussianState):
+        raise ValidationError("the --in file must hold a gaussian-state")
+    out = gaussian.apply_gaussian(channel, state)
+    doc = {
+        "input": serialize.document(state),
+        "channel": serialize.document(channel),
+        "output": serialize.document(out),
+    }
+    if args.out:
+        with open(args.out, "w") as fh:
+            dump_json(doc, fh)
+        print(f"wrote {args.out}")
+    else:
+        dump_json(doc, sys.stdout)
+    return 0
+
+
+def cmd_converge(args) -> int:
+    # Transmissivities k + 1/n are only valid parameters once they drop to 1,
+    # so the sweep takes the indices from the first usable one on (k + 1/n
+    # falls with n).  With --ns below 1 there are no indices at all, which
+    # the report rejects.
+    k = args.k
+    if not 0.0 < k < 1.0:
+        raise ValidationError(f"limit transmissivity must lie in (0, 1), got {k}")
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {args.grid}")
+    ns = [n for n in range(1, args.ns + 1) if k + 1.0 / n <= 1.0]
+    if not ns and args.ns >= 1:
+        raise ValidationError(
+            f"no valid sweep indices: k + 1/n stays above 1 up to n = {args.ns}"
         )
-        if not isinstance(channel, gaussian.GaussianChannel):
-            raise ValidationError("the --channel file must hold a gaussian-channel")
-        state = serialize.load(args.infile) if args.infile else gaussian.vacuum(channel.modes_in)
-        if not isinstance(state, gaussian.GaussianState):
-            raise ValidationError("the --in file must hold a gaussian-state")
-        out = gaussian.apply_gaussian(channel, state)
-        doc = {
-            "input": serialize.document(state),
-            "channel": serialize.document(channel),
-            "output": serialize.document(out),
-        }
-        if args.out:
-            with open(args.out, "w") as fh:
-                dump_json(doc, fh)
-            print(f"wrote {args.out}")
-        else:
-            dump_json(doc, sys.stdout)
-        return 0
-    report = _gaussian_sweep(args.k, args.ns, args.tol, args.grid)
-    _write_report(report, args.out)
+    seq = gaussian.attenuator_sequence(lambda n: k + 1.0 / n, k)
+    points = gaussian.z_grid(1, max_points=args.grid * args.grid)
+    _write_report(gaussian.param_convergence_check(seq, ns, args.tol, grid=points), args.out)
     return 0
 
 
@@ -248,6 +239,13 @@ def _summary_lines(report) -> list[str]:
     return lines
 
 
+def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parser holding one option, for the ``parents=`` of every command that reads it."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*flags, **kwargs)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing never mutates it."""
@@ -263,38 +261,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON path (default: print to stdout)")
     p.set_defaults(fn=cmd_convert)
 
-    p = sub.add_parser("sequence", help="sweep convergence defects over a built-in family")
-    p.add_argument("kind", choices=["compress", "swap", "partial-trace-form", "gaussian"])
-    p.add_argument("--in", dest="infile", help="base channel JSON (compress only)")
-    p.add_argument("--out", required=True, help="output path prefix for .csv and .json")
-    p.add_argument(
-        "--dim",
-        type=int,
-        help="base dimension (defaults: compress 8, swap 16, partial-trace-form 4)",
-    )
-    p.add_argument("--dim-out", type=int, default=2, help="output dim (partial-trace-form)")
-    p.add_argument("--dim-env", type=int, default=3, help="environment dim (partial-trace-form)")
-    p.add_argument("--ranks", help="compression ranks, e.g. 1:8 or 1,2,4,8")
-    p.add_argument("--ns", help=NS_HELP)
-    p.add_argument("--probe", type=int, default=1, help="tracked frame index (swap)")
-    p.add_argument("--k", type=float, default=0.5, help="limit transmissivity (gaussian)")
-    p.add_argument("--grid", type=int, default=5, help=GRID_HELP)
-    p.add_argument("--seed", type=int, default=7, help="seed for the random test family")
-    p.add_argument("--tol", type=float, default=GAUSSIAN_TOL, help="co-vanishing threshold (gaussian)")
-    p.set_defaults(fn=cmd_sequence)
+    out = _parent("--out", required=True, help="output path prefix for .csv and .json")
+    seed = _parent("--seed", type=int, default=7, help="seed for the random test family")
+    k = _parent("--k", type=float, default=0.5, help="attenuator transmissivity")
 
-    p = sub.add_parser("gaussian", help="parameter-level Gaussian calculus")
-    p.add_argument("action", choices=["apply", "validate", "distance", "converge"])
-    p.add_argument("--in", dest="infile", help="gaussian-state or gaussian-channel JSON")
-    p.add_argument("--channel", help="gaussian-channel JSON (apply)")
-    p.add_argument("--out", help="output path (apply) or prefix (converge)")
-    p.add_argument("--k", type=float, default=0.5, help="attenuator transmissivity")
-    p.add_argument("--kprime", type=float, default=0.5, help="second transmissivity (distance)")
-    p.add_argument("--eta", default="1", help=ETA_HELP)
-    p.add_argument("--ns", type=int, default=100, help="largest sweep index (converge)")
-    p.add_argument("--grid", type=int, default=5, help=GRID_HELP)
-    p.add_argument("--tol", type=float, default=GAUSSIAN_TOL, help="co-vanishing threshold (converge)")
-    p.set_defaults(fn=cmd_gaussian)
+    kinds = sub.add_parser("sequence", help="sweep convergence defects over a built-in family")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("compress", parents=[out, seed], help="compressions to growing ranks")
+    p.add_argument("--in", dest="infile", help="base channel JSON (default: the identity)")
+    p.add_argument("--dim", type=int, default=8, help="dimension of the identity base channel")
+    p.add_argument("--ranks", help="compression ranks, e.g. 1:8 or 1,2,4,8")
+    p.set_defaults(fn=cmd_compress)
+    p = kinds.add_parser("swap", parents=[out], help="the swap counterexample")
+    p.add_argument("--dim", type=int, default=16, help="even dimension")
+    p.add_argument("--probe", type=int, default=1, help="tracked frame index")
+    p.set_defaults(fn=cmd_swap)
+    p = kinds.add_parser("partial-trace-form", parents=[out, seed], help="rotated partial-trace forms")
+    p.add_argument("--dim", type=int, default=4, help="input dimension")
+    p.add_argument("--dim-out", type=int, default=2, help="output dimension")
+    p.add_argument("--dim-env", type=int, default=3, help="environment dimension")
+    p.add_argument("--ns", help="indices to sweep, e.g. 1:100 or 1,10,100")
+    p.set_defaults(fn=cmd_partial_trace_form)
+
+    actions = sub.add_parser("gaussian", help="parameter-level Gaussian calculus")
+    actions = actions.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("apply", parents=[k], help="apply a channel to a state")
+    p.add_argument("--in", dest="infile", help="gaussian-state JSON (default: the vacuum)")
+    p.add_argument("--channel", help="gaussian-channel JSON (default: the attenuator --k)")
+    p.add_argument("--out", help="output JSON path (default: print to stdout)")
+    p.set_defaults(fn=cmd_apply)
+    p = actions.add_parser("validate", help="check a state or channel for physical validity")
+    p.add_argument("--in", dest="infile", required=True, help="gaussian-state or -channel JSON")
+    p.set_defaults(fn=cmd_validate)
+    p = actions.add_parser("distance", parents=[k], help="output distance of two attenuators")
+    p.add_argument("--kprime", type=float, default=0.5, help="second transmissivity")
+    p.add_argument("--eta", default="1", help="coherent amplitude, complex literal; write -1+2j as --eta=-1+2j")
+    p.set_defaults(fn=cmd_distance)
+    p = actions.add_parser("converge", parents=[out, k], help="sweep the attenuators k + 1/n")
+    p.add_argument("--ns", type=int, default=100, help="sweep every valid index up to this one")
+    p.add_argument("--grid", type=int, default=5, help="probe the first GRID^2 points of the 5x5 grid {-2..2}^2")
+    p.add_argument("--tol", type=float, default=GAUSSIAN_TOL, help="co-vanishing threshold")
+    p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("report", help="summarize or re-emit a saved report")
     p.add_argument("--in", dest="infile", required=True, help="report JSON")

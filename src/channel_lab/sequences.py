@@ -109,15 +109,20 @@ class ChannelSequence:
         return ch
 
 
-def _columns(family, what: str) -> np.ndarray:
+def _columns(family, what: str, shape: tuple) -> np.ndarray:
     """A test family stacked as the columns of one array.
 
-    Matrices (states, observables) enter as their row-major ``vec``, so the
-    result is (dim^2, size); vectors give (dim, size).
+    Every member must have ``shape``, the one the limit acts on: d_in-square
+    states, d_in vectors, d_out-square observables.  Matrices enter as their
+    row-major ``vec``, so the result is (dim^2, size); vectors give (dim, size).
     """
     if not family:
         raise ValidationError(f"empty {what} family")
-    return np.stack([np.ravel(getattr(x, "matrix", x)) for x in family], axis=1)
+    members = [np.asarray(getattr(x, "matrix", x)) for x in family]
+    for m in members:
+        if m.shape != shape:
+            raise ValidationError(f"{what} family has a member of shape {m.shape}, the limit needs {shape}")
+    return np.stack([m.ravel() for m in members], axis=1)
 
 
 def _term_blocks(seq: ChannelSequence, ns: list, entries_per_term: int):
@@ -156,13 +161,13 @@ def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
     return out.reshape(len(ds), d_out * d_out, -1).transpose(0, 2, 1).reshape(len(ds), -1, d_out, d_out)
 
 
-def _observable_columns(test_obs) -> np.ndarray | None:
-    """The stacked observables, or ``None`` when they stack to exactly the identity.
+def _observable_columns(test_obs, d_out: int) -> np.ndarray | None:
+    """The stacked d_out-square observables, or ``None`` when they stack to exactly the identity.
 
     The matrix units in row-major order do; for them :func:`_dual_norms`
     needs no product with the observables.
     """
-    obs = _columns(test_obs, "test observable")
+    obs = _columns(test_obs, "test observable", (d_out, d_out))
     return None if np.array_equal(obs, np.eye(obs.shape[1])) else obs
 
 
@@ -230,15 +235,15 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None) -> np.ndarray:
 
 def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
-    states = _columns(test_states, "test state")
+    states = _columns(test_states, "test state", (seq.limit.d_in,) * 2)
     _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
 def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> float:
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
-    obs = _observable_columns(test_obs)
-    vecs = _columns(test_vectors, "test vector")
+    obs = _observable_columns(test_obs, seq.limit.d_out)
+    vecs = _columns(test_vectors, "test vector", (seq.limit.d_in,))
     _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
 
@@ -288,15 +293,17 @@ def convergence_report(
     block; the Choi column takes them from the small QR core described in
     the module docstring whenever the two Kraus families are small enough.
     Witnesses are first maximizers: in state order for strong,
-    observable-major then vector order for strong*.  An index that is not
+    observable-major then vector order for strong*.  A probe that does not
+    act on the limit (states and vectors on d_in, observables on d_out) is a
+    ``ValidationError``, raised before any term is built.  An index that is not
     an integer (a bool is not) is rejected before any term is built; other
     errors surface in index order.
     """
     ns = _integer_indices(ns, "convergence_report")
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
-    states = _columns(test_states, "test state")
-    obs = _observable_columns(test_obs)
-    vecs = _columns(test_vectors, "test vector")
+    states = _columns(test_states, "test state", (d_in, d_in))
+    obs = _observable_columns(test_obs, d_out)
+    vecs = _columns(test_vectors, "test vector", (d_in,))
     limit_choi = choi_matrix(seq.limit)
     strong, star, choi = np.empty((3, len(ns)))
     strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import channel_lab
-from channel_lab import ensembles, serialize
-from channel_lab.cli import TARGETS, main
+from channel_lab import ensembles, gaussian, serialize
+from channel_lab.cli import TARGETS, build_parser, main
 from channel_lab.core import amplitude_damping_channel, dephasing_channel, identity_channel
 from channel_lab.dilation import (
     isometry_from_kraus,
@@ -163,8 +164,6 @@ def test_gaussian_distance_rejects_non_finite_amplitudes(eta, capsys):
         ["gaussian", "converge", "--tol", "nan"],
         ["gaussian", "converge", "--tol", "inf"],
         ["gaussian", "converge", "--tol=-inf"],
-        ["sequence", "gaussian", "--tol", "nan"],
-        ["sequence", "gaussian", "--tol", "inf"],
     ],
 )
 def test_non_finite_tolerances_never_reach_a_report(argv, tmp_path, capsys):
@@ -175,12 +174,11 @@ def test_non_finite_tolerances_never_reach_a_report(argv, tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["converge", "sequence"])
+@pytest.mark.parametrize("command", ["converge"])
 @pytest.mark.parametrize("grid", ["-5", "0"])
 def test_grid_below_one_is_a_validation_error(command, grid, tmp_path, capsys):
-    argv = ["gaussian", "converge"] if command == "converge" else ["sequence", "gaussian"]
     prefix = tmp_path / "sweep"
-    assert run(*argv, "--ns", "5", "--grid", grid, "--out", str(prefix)) == 2
+    assert run("gaussian", command, "--ns", "5", "--grid", grid, "--out", str(prefix)) == 2
     assert f"--grid must be at least 1, got {grid}" in capsys.readouterr().err
     assert not (tmp_path / "sweep.json").exists()
 
@@ -257,21 +255,72 @@ def test_convert_rejects_documents_that_are_not_channels(tmp_path, capsys):
     assert "GaussianState is not a channel representation" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
+    out = str(tmp_path / "x")
     for argv in (
         ("convert", "--in", "x.json", "--to", "nonsense"),
-        ("sequence", "bogus", "--out", str(tmp_path / "x")),
+        ("sequence", "bogus", "--out", out),
         ("gaussian", "bogus"),
+        # a missing required option
+        ("gaussian", "converge", "--ns", "3"),
+        ("gaussian", "validate"),
+        # an option the command does not read, and one placed before the kind
+        ("sequence", "compress", "--ns", "1:2", "--out", out),
+        ("sequence", "swap", "--seed", "3", "--out", out),
+        ("sequence", "partial-trace-form", "--probe", "2", "--out", out),
+        ("gaussian", "distance", "--grid", "2"),
+        ("sequence", "--out", out, "swap"),
+        # the Gaussian sweep has one route, gaussian converge
+        ("sequence", "gaussian", "--out", out),
     ):
         with pytest.raises(SystemExit) as err:
             run(*argv)
         assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("kind", ["partial-trace-form", "gaussian"])
-def test_empty_sweep_is_a_validation_error(kind, tmp_path, capsys):
+def _options(parser) -> dict:
+    """Every command, kind and action of ``parser``, with the sorted options its own parser takes."""
+    commands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not commands:
+        return {(): sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))}
+    return {
+        (name, *path): options
+        for name, sub in commands[0].choices.items()
+        for path, options in _options(sub).items()
+    }
+
+
+#: The options of every command.  Adding or dropping one edits this table.
+CLI_OPTIONS = {
+    ("convert",): ["--in", "--out", "--to"],
+    ("sequence", "compress"): ["--dim", "--in", "--out", "--ranks", "--seed"],
+    ("sequence", "swap"): ["--dim", "--out", "--probe"],
+    ("sequence", "partial-trace-form"): ["--dim", "--dim-env", "--dim-out", "--ns", "--out", "--seed"],
+    ("gaussian", "apply"): ["--channel", "--in", "--k", "--out"],
+    ("gaussian", "validate"): ["--in"],
+    ("gaussian", "distance"): ["--eta", "--k", "--kprime"],
+    ("gaussian", "converge"): ["--grid", "--k", "--ns", "--out", "--tol"],
+    ("report",): ["--in", "--out"],
+}
+
+
+def test_every_command_takes_exactly_the_options_it_reads():
+    assert _options(build_parser()) == CLI_OPTIONS
+    swept = [path for path in CLI_OPTIONS if path[0] in ("sequence", "gaussian")]
+    assert sum(len(CLI_OPTIONS[path]) for path in swept) == 27
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sequence", "partial-trace-form", "--ns", "5:1"], ["gaussian", "converge", "--ns", "0"]],
+    ids=["partial-trace-form", "gaussian"],
+)
+def test_empty_sweep_is_a_validation_error(argv, tmp_path, capsys):
     prefix = tmp_path / "empty"
-    assert run("sequence", kind, "--ns", "5:1", "--out", str(prefix)) == 2
+    assert run(*argv, "--out", str(prefix)) == 2
     assert "at least one row" in capsys.readouterr().err
     assert not (tmp_path / "empty.csv").exists()
     assert not (tmp_path / "empty.json").exists()
@@ -390,6 +439,24 @@ def test_large_unitary_dilation_has_the_stdlib_layout(tmp_path, capsys, rng):
     assert capsys.readouterr().out == text
     assert np.shape(json.loads(text)["U"]) == (216, 216, 2)
     _assert_stdlib_layout(text)
+
+
+def test_gaussian_apply_writes_three_documents_in_a_cli_wrapper(tmp_path, capsys):
+    state, channel = GaussianState(mean=[0.3, -1.25], cov=[[2.0, 0.1], [0.1, 1.5]]), attenuator(0.37)
+    serialize.dump(state, tmp_path / "state.json")
+    serialize.dump(channel, tmp_path / "ch.json")
+    out = tmp_path / "out.json"
+    argv = ["--in", str(tmp_path / "state.json"), "--channel", str(tmp_path / "ch.json"), "--out", str(out)]
+    assert run("gaussian", "apply", *argv) == 0
+    wrapper = json.loads(out.read_text())
+    assert sorted(wrapper) == ["channel", "input", "output"]
+    expected = {"input": state, "channel": channel, "output": gaussian.apply_gaussian(channel, state)}
+    for name, doc in wrapper.items():
+        assert _plain_document(serialize.from_json_obj(doc)) == _plain_document(expected[name])
+    # the wrapper itself is no document: it has no kind
+    capsys.readouterr()
+    assert run("gaussian", "validate", "--in", str(out)) == 3
+    assert capsys.readouterr().err == "parse error: missing field 'kind'\n"
 
 
 def test_gaussian_apply_documents_have_the_stdlib_layout(tmp_path, capsys):

@@ -83,6 +83,41 @@ def test_empty_test_families_are_rejected(rng):
         strongstar_defect(seq, 1, [], ensembles.default_test_vectors(2, rng))
 
 
+@pytest.mark.parametrize("d_obs", [2, 4])
+def test_observables_of_the_wrong_dimension_are_rejected(d_obs, rng):
+    """d_obs^2 matrix units stack to an identity too, but not to the one of d_out = 3."""
+    seq = compression_sequence(identity_channel(3), _mixed(3), [1, 2, 3])
+    states, vecs = ensembles.default_test_states(3, rng), ensembles.default_test_vectors(3, rng)
+    obs = ensembles.matrix_unit_observables(d_obs)
+    message = re.escape(f"test observable family has a member of shape ({d_obs}, {d_obs}), the limit needs (3, 3)")
+    with pytest.raises(ValidationError, match=message):
+        convergence_report(seq, [1, 2], states, obs, vecs)
+    with pytest.raises(ValidationError, match=message):
+        strongstar_defect(seq, 1, obs, vecs)
+
+
+def test_states_and_vectors_of_the_wrong_dimension_are_rejected(rng):
+    # d_in = 2, d_out = 3: the states and vectors act on d_in, the observables on d_out
+    seq = _pair_sequence(*(ensembles.random_kraus_channel(2, 3, 2, rng) for _ in range(2)))
+    states, vecs = ensembles.default_test_states(2, rng), ensembles.default_test_vectors(2, rng)
+    obs = ensembles.matrix_unit_observables(3)
+    wrong_states = ensembles.default_test_states(3, rng)
+    wrong_vecs = vecs + ensembles.default_test_vectors(3, rng)[:1]  # one wrong member is enough
+    state_message = re.escape("test state family has a member of shape (3, 3), the limit needs (2, 2)")
+    vector_message = re.escape("test vector family has a member of shape (3,), the limit needs (2,)")
+    with pytest.raises(ValidationError, match=state_message):
+        convergence_report(seq, [1], wrong_states, obs, vecs)
+    with pytest.raises(ValidationError, match=state_message):
+        strong_defect(seq, 1, wrong_states)
+    with pytest.raises(ValidationError, match=vector_message):
+        convergence_report(seq, [1], states, obs, wrong_vecs)
+    with pytest.raises(ValidationError, match=vector_message):
+        strongstar_defect(seq, 1, obs, wrong_vecs)
+    # the observables act on d_out, not on d_in
+    with pytest.raises(ValidationError, match=re.escape("shape (2, 2), the limit needs (3, 3)")):
+        convergence_report(seq, [1], states, ensembles.matrix_unit_observables(2), vecs)
+
+
 def test_choi_defect_dominates_strong_at_maximally_mixed(rng):
     """Phi(I/d) is a partial trace of the Choi matrix over d, and partial
     traces cannot increase the trace norm."""
@@ -446,8 +481,8 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
     _, ds = sequences._deltas([seq.term(d // 2)], choi_matrix(seq.limit))
     units = ensembles.matrix_unit_observables(d)
-    obs = sequences._observable_columns(units)
-    vecs = sequences._columns(ensembles.default_test_vectors(d, rng), "test vector")
+    obs = sequences._observable_columns(units, d)
+    vecs = sequences._columns(ensembles.default_test_vectors(d, rng), "test vector", (d,))
     assert obs is None
     tracemalloc.start()
     try:
@@ -456,7 +491,7 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ds.nbytes, f"peak {peak / ds.nbytes:.2f}x ds"
-    general = sequences._dual_norms(ds, sequences._columns(units, "test observable"), vecs, d)
+    general = sequences._dual_norms(ds, sequences._columns(units, "test observable", (d, d)), vecs, d)
     assert np.array_equal(norms, general)
 
 
