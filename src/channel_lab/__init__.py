@@ -10,10 +10,8 @@ from .core import (
     StinespringIsometry,
     UnitaryOp,
     ValidationError,
-    apply_kraus,
     choi_matrix,
     compose_channels,
-    dual_apply,
     max_action_deviation,
     partial_trace,
     tensor_channels,

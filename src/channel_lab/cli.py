@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input representation JSON")
     p.add_argument("--to", required=True, choices=TARGETS)
     p.add_argument("--out", help="output JSON path (default: print to stdout)")
-    p.set_defaults(fn=cmd_convert)
+    p.set_defaults(fn=cmd_convert, parser=p)
 
     out = _parent("--out", required=True, help="output path prefix for .csv and .json")
     seed = _parent("--seed", type=int, default=7, help="seed for the random test family")
@@ -271,17 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="base channel JSON (default: the identity)")
     p.add_argument("--dim", type=int, default=8, help="dimension of the identity base channel")
     p.add_argument("--ranks", help="compression ranks, e.g. 1:8 or 1,2,4,8")
-    p.set_defaults(fn=cmd_compress)
+    p.set_defaults(fn=cmd_compress, parser=p)
     p = kinds.add_parser("swap", parents=[out], help="the swap counterexample")
     p.add_argument("--dim", type=int, default=16, help="even dimension")
     p.add_argument("--probe", type=int, default=1, help="tracked frame index")
-    p.set_defaults(fn=cmd_swap)
+    p.set_defaults(fn=cmd_swap, parser=p)
     p = kinds.add_parser("partial-trace-form", parents=[out, seed], help="rotated partial-trace forms")
     p.add_argument("--dim", type=int, default=4, help="input dimension")
     p.add_argument("--dim-out", type=int, default=2, help="output dimension")
     p.add_argument("--dim-env", type=int, default=3, help="environment dimension")
     p.add_argument("--ns", help="indices to sweep, e.g. 1:100 or 1,10,100")
-    p.set_defaults(fn=cmd_partial_trace_form)
+    p.set_defaults(fn=cmd_partial_trace_form, parser=p)
 
     actions = sub.add_parser("gaussian", help="parameter-level Gaussian calculus")
     actions = actions.add_subparsers(dest="action", required=True)
@@ -289,30 +289,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="gaussian-state JSON (default: the vacuum)")
     p.add_argument("--channel", help="gaussian-channel JSON (default: the attenuator --k)")
     p.add_argument("--out", help="output JSON path (default: print to stdout)")
-    p.set_defaults(fn=cmd_apply)
+    p.set_defaults(fn=cmd_apply, parser=p)
     p = actions.add_parser("validate", help="check a state or channel for physical validity")
     p.add_argument("--in", dest="infile", required=True, help="gaussian-state or -channel JSON")
-    p.set_defaults(fn=cmd_validate)
+    p.set_defaults(fn=cmd_validate, parser=p)
     p = actions.add_parser("distance", parents=[k], help="output distance of two attenuators")
     p.add_argument("--kprime", type=float, default=0.5, help="second transmissivity")
     p.add_argument("--eta", default="1", help="coherent amplitude, complex literal; write -1+2j as --eta=-1+2j")
-    p.set_defaults(fn=cmd_distance)
+    p.set_defaults(fn=cmd_distance, parser=p)
     p = actions.add_parser("converge", parents=[out, k], help="sweep the attenuators k + 1/n")
     p.add_argument("--ns", type=int, default=100, help="sweep every valid index up to this one")
     p.add_argument("--grid", type=int, default=5, help="probe the first GRID^2 points of the 5x5 grid {-2..2}^2")
     p.add_argument("--tol", type=float, default=GAUSSIAN_TOL, help="co-vanishing threshold")
-    p.set_defaults(fn=cmd_converge)
+    p.set_defaults(fn=cmd_converge, parser=p)
 
     p = sub.add_parser("report", help="summarize or re-emit a saved report")
     p.add_argument("--in", dest="infile", required=True, help="report JSON")
     p.add_argument("--out", help="CSV output path (default: print a summary)")
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn=cmd_report, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Subparsers pass the options they do not take up to the top-level parser;
+    # the command's own parser reports them, so its usage line names the command.
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.fn(args)
     except serialize.SchemaError as exc:

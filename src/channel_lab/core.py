@@ -22,7 +22,7 @@ overrides them:
 * ``TOL_EIG``: how far below zero a positive-semidefinite eigenvalue may
   slip (states here, Gaussian validity in :mod:`channel_lab.gaussian`).
 * ``STATE_RANK_CUTOFF``: eigenvalues of a state at or below it are dropped
-  when the state is written as a sum of pure parts.
+  when the state is written as a sum of pure parts (``_pure_parts``).
 * ``PHASE_PIVOT_RTOL``: the first entry of an eigenvector above this
   fraction of its largest modulus is the one rotated real positive.
 
@@ -205,6 +205,19 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def _pure_parts(sigma: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """A state as its weighted pure parts: ``sigma = sum_k roots[k]**2 v_k v_k*``.
+
+    The eigenpairs (p_k, v_k) of :func:`ordered_eigh` with p_k above
+    ``STATE_RANK_CUTOFF``, in that order, as the roots ``sqrt(p_k)`` and the
+    columns v_k of ``vecs``.  The replacement channel, the purification and
+    the compression terms all split a state here.
+    """
+    vals, vecs = ordered_eigh(sigma.matrix)
+    keep = vals > STATE_RANK_CUTOFF
+    return np.sqrt(vals[keep]), vecs[:, keep]
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A bounded operator used on the dual side.  No hermiticity is required."""
@@ -213,10 +226,6 @@ class Observable:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _square(self.matrix, "observable"))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,21 +405,6 @@ def dual_action(ch: KrausChannel, b: np.ndarray) -> np.ndarray:
     return (s.conj().swapaxes(1, 2) @ b @ s).sum(axis=0)
 
 
-def apply_kraus(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Apply a channel to a state."""
-    if rho.dim != ch.d_in:
-        raise ValidationError(f"channel input dim {ch.d_in} != state dim {rho.dim}")
-    return DensityOperator(channel_action(ch, rho.matrix))
-
-
-def dual_apply(ch: KrausChannel, b: Observable) -> Observable:
-    """Apply the dual map to an observable, so that
-    ``Tr apply_kraus(ch, rho) B = Tr rho dual_apply(ch, B)``."""
-    if b.dim != ch.d_out:
-        raise ValidationError(f"channel output dim {ch.d_out} != observable dim {b.dim}")
-    return Observable(dual_action(ch, b.matrix))
-
-
 def _kraus_matrix(ch: KrausChannel) -> np.ndarray:
     """The (K, d_out*d_in) matrix M whose rows are the row-major ``vec(A_k)``."""
     return ch.stack.reshape(len(ch.stack), -1)
@@ -518,9 +512,8 @@ def amplitude_damping_channel(gamma: float) -> KrausChannel:
 
 def replacement_channel(sigma: DensityOperator, d_in: int) -> KrausChannel:
     """The constant channel ``rho -> Tr(rho) sigma``."""
-    vals, vecs = ordered_eigh(sigma.matrix)
-    keep = vals > STATE_RANK_CUTOFF
+    roots, vecs = _pure_parts(sigma)
     # Operator (k, m) writes sqrt(p_k) v_k into column m.
-    cols = (np.sqrt(vals[keep]) * vecs[:, keep]).T
+    cols = (roots * vecs).T
     ops = cols[:, None, :, None] * np.eye(d_in)[None, :, None, :]
     return KrausChannel(ops.reshape(-1, sigma.dim, d_in))

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    STATE_RANK_CUTOFF,
     DensityOperator,
     KrausChannel,
     PartialIsometry,
@@ -42,11 +41,11 @@ from .core import (
     UnitaryOp,
     ValidationError,
     dagger,
-    ordered_eigh,
     _cmat,
     _eigen_order,
     _fix_phase,
     _kraus_matrix,
+    _pure_parts,
     _require_within,
 )
 
@@ -97,7 +96,18 @@ def kraus_from_isometry(v: StinespringIsometry) -> KrausChannel:
     Returns exactly ``d_env`` operators; zero slices are kept so the
     indexing matches the environment basis.
     """
-    return KrausChannel(v.v.reshape(v.d_out, v.d_env, v.d_in).transpose(1, 0, 2))
+    return _kraus_from_rows(v.v, v.d_out, v.d_env)
+
+
+def _kraus_from_rows(v: np.ndarray, d_out: int, d_env: int) -> KrausChannel:
+    """The Kraus family of a raw (d_out*d_env, d_in) isometry array, one operator per environment index.
+
+    The one place an isometry's rows are read as a Kraus stack: reshaped to
+    (d_out, d_env, d_in), the first two axes swapped.  The channel's
+    trace-preservation check is the isometry check in another order, so
+    callers holding an unchecked array need no ``StinespringIsometry``.
+    """
+    return KrausChannel(v.reshape(d_out, d_env, v.shape[1]).transpose(1, 0, 2))
 
 
 def isometry_from_kraus(ch: KrausChannel) -> StinespringIsometry:
@@ -225,16 +235,15 @@ def _ancilla_vector(vec, dim: int) -> np.ndarray:
 def purify(sigma: DensityOperator) -> np.ndarray:
     """A purification ``sum_k sqrt(p_k) v_k (x) e_k`` of rank(sigma) ancilla dim.
 
-    Eigenvalues at or below ``STATE_RANK_CUTOFF`` are dropped.  The
-    eigendecomposition is the deterministic one, and the returned vector's
-    first nonzero amplitude is rotated to be real positive, so the
-    construction is continuous along families whose eigendecompositions
-    converge.
+    The pure parts (p_k, v_k) are those of ``core._pure_parts``: eigenvalues
+    at or below ``STATE_RANK_CUTOFF`` are dropped, and the eigendecomposition
+    is the deterministic one.  The returned vector's first nonzero amplitude
+    is rotated to be real positive, so the construction is continuous along
+    families whose eigendecompositions converge.
     """
-    vals, vecs = ordered_eigh(sigma.matrix)
-    keep = vals > STATE_RANK_CUTOFF
+    roots, vecs = _pure_parts(sigma)
     # Row-major ravel of the (dim, rank) amplitudes: entry (a, k) is sqrt(p_k) v_k[a].
-    return _fix_phase((np.sqrt(vals[keep]) * vecs[:, keep]).ravel())
+    return _fix_phase((roots * vecs).ravel())
 
 
 def complete_unitary(w: PartialIsometry) -> UnitaryOp:

@@ -16,6 +16,7 @@ from .core import (
     ValidationError,
     dagger,
 )
+from .dilation import _kraus_from_rows
 
 
 def crandn(shape, rng: np.random.Generator) -> np.ndarray:
@@ -80,7 +81,7 @@ def random_kraus_channel(
             f"dim {d_out}*{n_ops} environment cannot dilate an input of dim {d_in}"
         )
     v = random_isometry(d_in, d_out * n_ops, rng)
-    return KrausChannel(v.reshape(d_out, n_ops, d_in).transpose(1, 0, 2))
+    return _kraus_from_rows(v, d_out, n_ops)
 
 
 def random_observable(dim: int, rng: np.random.Generator) -> Observable:

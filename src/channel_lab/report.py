@@ -178,7 +178,9 @@ class Report:
     indices are integers and every cell has its column's type (numpy scalars
     included, bools are not numbers), and that float cells are finite and
     nonnegative (they are all defects or deviations).  Cells are stored as
-    plain Python values.
+    plain Python values.  A kind that carries ``eps`` flags each row in
+    ``within_eps``; the flag must be whether the row's largest float cell is
+    at most ``eps``.
 
     For ``convergence-report`` tables, ``choi_dominates_strong`` records per
     index whether the Choi lower bound weakly dominates the strong defect seen
@@ -220,6 +222,15 @@ class Report:
             self.columns[name] = col
         self.eps = None if eps is None else float(eps)
         self.test_family = test_family
+        if self.eps is not None:
+            floats = [col for name, col in self.columns.items() if COLUMNS[kind][name] is float]
+            for n, flag, *row in zip(self.indices, self.within_eps, *floats):
+                dev = max(row)
+                if flag != (dev <= self.eps):
+                    raise ValidationError(
+                        f"malformed {kind}: within_eps is {flag} at n={n}, but the row's largest "
+                        f"deviation {dev!r} is {'above' if flag else 'at most'} eps={self.eps!r}"
+                    )
 
     def __getattr__(self, name):
         try:

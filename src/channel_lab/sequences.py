@@ -48,7 +48,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    STATE_RANK_CUTOFF,
     DensityOperator,
     KrausChannel,
     PartialIsometry,
@@ -57,9 +56,9 @@ from .core import (
     choi_matrix,
     compose_channels,
     dagger,
-    ordered_eigh,
     tensor_channels,
     _kraus_matrix,
+    _pure_parts,
     _require_within,
 )
 from .dilation import (
@@ -67,6 +66,7 @@ from .dilation import (
     kraus_from_isometry,
     minimal_stinespring,
     pad_environment,
+    _kraus_from_rows,
 )
 from .report import Report, _integer_indices
 
@@ -350,9 +350,7 @@ def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> Cha
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         raise ValidationError(f"ranks must be nondecreasing, got {ranks}")
 
-    vals, vecs = ordered_eigh(sigma.matrix)
-    keep = vals > STATE_RANK_CUTOFF
-    roots, kept = np.sqrt(vals[keep]), vecs[:, keep].T
+    roots, vecs = _pure_parts(sigma)
 
     def term(n: int) -> KrausChannel:
         if n > len(ranks):
@@ -364,7 +362,7 @@ def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> Cha
         # sigma and per nonzero row m >= r of each A_k, eigenpair-major.
         rows = ch.stack[:, r:].reshape(-1, ch.d_in)
         rows = rows[np.linalg.norm(rows, axis=1) >= ZERO_ROW_NORM]
-        outers = kept[:, None, :, None] * rows[None, :, None, :]
+        outers = vecs.T[:, None, :, None] * rows[None, :, None, :]
         branch = roots[:, None, None, None] * outers
         return KrausChannel(np.concatenate([head, branch.reshape(-1, ch.d_out, ch.d_in)]))
 
@@ -440,12 +438,9 @@ def channels_from_partial_isometries(form: PartialTraceForm) -> ChannelSequence:
     (``sum A*A`` is ``V*V`` summed in another order), so it runs once.
     """
     v0 = form.v0
-
-    def term(n: int) -> KrausChannel:
-        w_v0 = form._product(n)
-        return KrausChannel(w_v0.reshape(v0.d_out, v0.d_env, v0.d_in).transpose(1, 0, 2))
-
-    return ChannelSequence(kraus_from_isometry(v0), term)
+    return ChannelSequence(
+        kraus_from_isometry(v0), lambda n: _kraus_from_rows(form._product(n), v0.d_out, v0.d_env)
+    )
 
 
 def givens_rotation(dim: int, i: int, j: int, theta: float) -> np.ndarray:

@@ -119,10 +119,9 @@ def test_sequence_compress_reaches_zero_at_full_rank(tmp_path):
     assert float(final[3]) < 1e-12
 
 
-def test_sequence_outputs_are_deterministic(tmp_path, monkeypatch):
+def test_sequence_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("sequence", "partial-trace-form", "--ns", "1,5", "--out", str(a)) == 0
-    monkeypatch.setenv("CHANNEL_LAB_THREADS", "3")
     assert run("sequence", "partial-trace-form", "--ns", "1,5", "--out", str(b)) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -363,6 +362,45 @@ def test_report_rejects_a_test_family_that_is_not_a_string(family, tmp_path, cap
         f"test_family must be a string, got {family!r}\n"
     )
 
+
+
+def test_report_rejects_a_within_eps_flag_its_row_contradicts(tmp_path, capsys):
+    prefix = tmp_path / "sweep"
+    assert run("gaussian", "converge", "--ns", "5", "--out", str(prefix)) == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert doc["indices"][0] == 2 and doc["within_eps"][0] is False
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({**doc, "within_eps": [True] + doc["within_eps"][1:]}))
+    capsys.readouterr()
+    assert run("report", "--in", str(broken), "--out", str(tmp_path / "re.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "validation error: malformed gaussian-convergence-report: within_eps is True at n=2, "
+        "but the row's largest deviation "
+    )
+    assert captured.err.endswith(" is above eps=1e-06\n")
+    assert not (tmp_path / "re.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,command,unknown",
+    [
+        (("sequence", "compress", "--ns", "1:2"), "channel-lab sequence compress", "--ns 1:2"),
+        (("gaussian", "distance", "--grid", "2"), "channel-lab gaussian distance", "--grid 2"),
+        (("convert", "--in", "x.json", "--to", "kraus", "--seed", "3"), "channel-lab convert", "--seed 3"),
+    ],
+)
+def test_an_option_the_command_does_not_take_is_reported_with_its_usage(argv, command, unknown, tmp_path, capsys):
+    out = ("--out", str(tmp_path / "x")) if argv[0] == "sequence" else ()
+    with pytest.raises(SystemExit) as err:
+        run(*argv, *out)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(f"usage: {command} [-h]")
+    assert lines[-1] == f"{command}: error: unrecognized arguments: {unknown}"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 _DOCUMENTS = {

@@ -17,8 +17,6 @@ from channel_lab.core import (
     dephasing_channel,
     depolarizing_qubit_channel,
     dual_action,
-    apply_kraus,
-    dual_apply,
     identity_channel,
     max_action_deviation,
     opnorm,
@@ -113,22 +111,6 @@ def test_duality_identity_on_random_triples(rng):
             lhs = np.trace(channel_action(ch, rho.matrix) @ b.matrix)
             rhs = np.trace(rho.matrix @ dual_action(ch, b.matrix))
             assert abs(lhs - rhs) < 1e-12
-
-
-def test_apply_kraus_and_dual_apply_wrap_the_raw_actions(rng):
-    ch = ensembles.random_kraus_channel(3, 2, 2, rng)
-    rho = ensembles.random_density(3, rng)
-    b = ensembles.random_observable(2, rng)
-    out = apply_kraus(ch, rho)
-    assert isinstance(out, DensityOperator)
-    assert np.allclose(out.matrix, channel_action(ch, rho.matrix), atol=1e-14)
-    back = dual_apply(ch, b)
-    assert isinstance(back, Observable)
-    assert back.dim == 3
-    with pytest.raises(ValidationError, match="dim 3"):
-        apply_kraus(ch, ensembles.random_density(2, rng))
-    with pytest.raises(ValidationError, match="dim 2"):
-        dual_apply(ch, ensembles.random_observable(3, rng))
 
 
 def test_density_operator_validation_messages():

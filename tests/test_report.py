@@ -88,13 +88,43 @@ def test_numpy_scalars_are_accepted_and_stored_as_python_values():
         shift_dev=(0.0, 1),
         noise_dev=(np.int64(0), 0.0),
         char_dev=(0.0, 0.0),
-        within_eps=(np.bool_(True), False),
+        within_eps=(np.bool_(False), False),
     )
     assert rep.indices == (1, 2) and all(type(n) is int for n in rep.indices)
     assert rep.scale_dev == (0.5, 0.25) and type(rep.scale_dev[0]) is float
     assert rep.shift_dev == (0.0, 1.0) and type(rep.shift_dev[1]) is float
-    assert rep.within_eps == (True, False) and type(rep.within_eps[0]) is bool
+    assert rep.within_eps == (False, False) and type(rep.within_eps[0]) is bool
     assert type(rep.eps) is float
+
+
+@pytest.mark.parametrize(
+    "devs,eps,flag,relation",
+    [
+        # only the characteristic-function deviation is above eps
+        ((0.0, 0.0, 0.0, 2e-6), 1e-6, True, "above"),
+        # a deviation equal to eps is within it
+        ((1e-6, 0.0, 0.0, 0.0), 1e-6, False, "at most"),
+        ((0.0, 0.0, 0.0, 0.0), 0.0, False, "at most"),
+        ((0.5, 0.25, 0.0, 0.0), 0.25, True, "above"),
+    ],
+    ids=["char-dev-above", "equal-to-eps", "zero-eps", "scale-dev-above"],
+)
+def test_a_within_eps_flag_that_contradicts_its_row_is_rejected(devs, eps, flag, relation):
+    cols = {name: [dev] for name, dev in zip(("scale_dev", "shift_dev", "noise_dev", "char_dev"), devs)}
+    assert Report("gaussian-convergence-report", [4], eps=eps, within_eps=[not flag], **cols).within_eps == (not flag,)
+    with pytest.raises(ValidationError) as err:
+        Report("gaussian-convergence-report", [4], eps=eps, within_eps=[flag], **cols)
+    assert str(err.value) == (
+        f"malformed gaussian-convergence-report: within_eps is {flag} at n=4, "
+        f"but the row's largest deviation {max(devs)!r} is {relation} eps={eps!r}"
+    )
+
+
+def test_the_reader_rejects_a_flipped_within_eps_flag():
+    doc = _gaussian_doc()
+    assert doc["within_eps"] == [False, False]
+    with pytest.raises(ValidationError, match=r"within_eps is True at n=3, but the row's .* is above eps=1e-06$"):
+        from_json_dict({**doc, "within_eps": [False, True]})
 
 
 def _convergence_columns() -> dict:

@@ -27,7 +27,12 @@ def reports(draw):
         name: draw(st.lists(_CELLS[cell], min_size=len(indices), max_size=len(indices)))
         for name, cell in COLUMNS[kind].items()
     }
-    eps = draw(st.floats(allow_nan=False, allow_infinity=False)) if kind in EPS_KINDS else None
+    eps = None
+    if kind in EPS_KINDS:
+        # The flags are the ones the drawn deviations give: a row is within eps when its largest deviation is.
+        eps = draw(st.floats(allow_nan=False, allow_infinity=False))
+        deviations = [columns[name] for name, cell in COLUMNS[kind].items() if cell is float]
+        columns["within_eps"] = [max(row) <= eps for row in zip(*deviations)]
     return Report(kind, indices, eps=eps, test_family=draw(st.text(max_size=20)), **columns)
 
 
