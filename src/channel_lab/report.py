@@ -8,8 +8,8 @@ The channel sweep (``sequences.convergence_report``) writes
 tables, which also carry their flag threshold ``eps``.
 
 :func:`dump_json` writes every document: the standard library's own text for
-values that hold no numpy array, a per-slice template for float arrays, whose
-+0.0 cells all share one string.
+values that hold no numpy array, one join per outer slice for float arrays,
+whose separators and +0.0 cells are shared strings.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ def dump_json(doc, fh) -> None:
     plus ``"\\n"``.  ``doc`` may also hold numpy arrays, written as their
     ``tolist()``.  Every value that holds no array is the stdlib's own text,
     re-indented to its level; only the dicts, lists and tuples around an
-    array are walked here.  Nonempty float arrays of rank >= 2 are formatted
-    by one template per slice of the outermost axis, so a large document is
-    never held as one string, and every +0.0 cell is one shared ``"0.0"``
-    rather than a repr of its own.
+    array are walked here.  Nonempty float arrays of rank >= 2 are written one
+    slice of the outermost axis at a time, so a large document is never held
+    as one string, and every +0.0 cell is the shared piece ``"0.0"`` rather
+    than a repr of its own.
     """
     _write_value(doc, 0, fh.write)
     fh.write("\n")
@@ -113,26 +113,29 @@ def _write_value(x, level: int, write) -> None:
 def _write_float_array(a: np.ndarray, level: int, write) -> None:
     """Write a nonempty float array of rank >= 2 as json lays out its ``tolist()``.
 
-    Each slice of the outermost axis is formatted in one pass by one ``%s``
-    template: its entries' reprs interleaved with the separators, which depend
-    only on the shape.  The slice's cells are Python floats (``str`` of a
-    float is its repr), except that every +0.0 cell is the one string
-    ``"0.0"``, so the zeros that dominate a factored unitary dilation are not
-    formatted one by one; -0.0 keeps its own repr.  Neither finite reprs nor
-    separators contain ``inf`` or ``nan``, so when the array holds a
-    non-finite entry, renaming those in every slice spells json's non-finite
-    literals; an all-finite array is written without that scan.
+    Each slice of the outermost axis is the join of two pieces per entry: its
+    text and the separator after it, which depends only on the shape.  The
+    pieces are filled for the whole array at once: every separator and every
+    +0.0 entry's ``"0.0"`` is one string shared by all its cells, so the
+    zeros that dominate a factored unitary dilation are not formatted one by
+    one, and only the other entries get a repr of their own (-0.0 among
+    them).  Neither finite reprs nor separators contain ``inf`` or ``nan``,
+    so when the array holds a non-finite entry, renaming those in every slice
+    spells json's non-finite literals; an all-finite array is written
+    without that scan.
     """
     head, seps = _block_layout(a.shape[1:], level + 1)
-    template = head + "".join("%s" + sep for sep in seps)
+    cells = a.ravel()
+    pieces = np.empty((cells.size, 2), dtype=object)
+    pieces[:, 0] = "0.0"
+    pieces[:, 1] = np.tile(np.array(seps, dtype=object), len(a))
+    nonzero = (cells != 0) | np.signbit(cells)
+    pieces[nonzero, 0] = np.array([repr(x) for x in cells[nonzero].tolist()], dtype=object)
     inner = "\n" + _INDENT * (level + 1)
     finite = bool(np.isfinite(a).all())
-    zero = (a == 0) & ~np.signbit(a)
     write("[")
-    for i, block in enumerate(a):
-        cells = block.astype(object)
-        cells[zero[i]] = "0.0"
-        text = template % tuple(cells.ravel().tolist())
+    for i, block in enumerate(pieces.reshape(len(a), -1)):
+        text = head + "".join(block.tolist())
         if not finite:
             text = text.replace("inf", "Infinity").replace("nan", "NaN")
         write(("," + inner if i else inner) + text)

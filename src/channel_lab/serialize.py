@@ -11,6 +11,15 @@ writes for the result.  The two sweep report kinds decode through
 :func:`channel_lab.report.from_json_dict`.  Structural problems raise
 :class:`SchemaError`, invariant violations propagate as
 :class:`channel_lab.core.ValidationError`.
+
+:func:`load` parses a document with the standard library's scanner, except
+the array fields of the top-level object (:data:`_ARRAY_FIELDS`): one that
+is a regular array of JSON numbers of rank >= 2 is read as a flat JSON list
+of its entries, a piece at a time, straight into a float64 array, so no
+Python list is built per row or ``[re, im]`` pair and no copy of the whole
+array's text is made.  Anything else in such a field, and anything wrong
+anywhere in the document, goes to the standard library as before, so every
+value and every error is its own; whitespace layout does not matter.
 """
 
 from __future__ import annotations
@@ -45,14 +54,21 @@ def _nested(obj, depth: int):
     return items
 
 
+def _is_float64_array(obj) -> bool:
+    return isinstance(obj, np.ndarray) and obj.dtype == np.float64
+
+
 def _float_array(obj) -> np.ndarray:
     """A nested list of numbers as a float64 array; anything else is a SchemaError.
 
     Every level above the entries must be a list, all lists at one depth must
     have one length, and every entry must be an int or a float (a bool is not
     a number).  Each check and the fill of the array is one pass over chained
-    iterators, so no flat list of the entries is built.
+    iterators, so no flat list of the entries is built.  A float64 array, as
+    :func:`load` reads an array field into, is returned as it is.
     """
+    if _is_float64_array(obj):
+        return obj
     shape = []
     x = obj
     while isinstance(x, list):
@@ -112,7 +128,8 @@ def _dim(obj: dict, key: str) -> int:
 
 def _kraus_from_json(obj: dict) -> KrausChannel:
     raw = _field(obj, "kraus")
-    if not isinstance(raw, list) or not raw:
+    # A nonempty list, or the float64 array load reads the field into.
+    if not (_is_float64_array(raw) or isinstance(raw, list) and raw):
         raise SchemaError("field 'kraus' must be a nonempty list")
     # One (K, d_out, d_in) array: a ragged family is a structural error.
     return KrausChannel(complex_from_json(raw, 3))
@@ -198,8 +215,10 @@ def from_json_obj(obj):
     """Decode a JSON object into the domain object its ``kind`` names.
 
     The report kinds decode into a :class:`~channel_lab.report.Report`.
-    Every integer field the decoded object's own document holds must equal
-    the input's value of that field, where the input declares one.
+    An array field may be a nested list or, as :func:`load` reads it, a
+    float64 array.  Every integer field the decoded object's own document
+    holds must equal the input's value of that field, where the input
+    declares one.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
@@ -226,11 +245,130 @@ def dump(x, path, metadata: dict | None = None) -> None:
         dump_json(document(x, metadata), fh)
 
 
+#: The fields the decoders read as numeric arrays; :func:`_parse` reads them
+#: straight into float64 arrays.  Every other field keeps the standard
+#: library's value, so the messages that quote a malformed one do not change.
+_ARRAY_FIELDS = frozenset({"kraus", "V", "U", "tau0", "m", "sigma", "K", "ell", "alpha"})
+_WHITESPACE = json.decoder.WHITESPACE.match
+_SCAN = json.JSONDecoder().scan_once
+#: Characters of an array field copied at a time: no copy of the whole array is made.
+_PIECE = 1 << 16
+#: Every character of a JSON number as "0".
+_NUMBER_MARKS = bytes.maketrans(b"123456789+-.eE", b"0" * 14)
+_BLANK_BRACKETS = str.maketrans("[]", "  ")
+
+
+def _skeleton(shape) -> bytes:
+    """The brackets and commas of a nested list of numbers of ``shape``."""
+    text = b""
+    for n in reversed(shape):
+        text = b"[" + b",".join([text] * n) + b"]"
+    return text
+
+
+def _shape(skeleton: bytes) -> list | None:
+    """The shape read off the first list at each depth of ``skeleton``; None if there is none.
+
+    Whether all of ``skeleton`` is that shape's :func:`_skeleton` is left to
+    the caller.  The first list at depth ``k`` of a rank-``r`` skeleton starts at index
+    ``k`` and ends where ``r - k`` closing brackets first follow each other;
+    it holds ``n`` children of one length ``c`` (0 for a number) and
+    ``n - 1`` commas, so its length is ``1 + n * (c + 1)``.
+    """
+    rank = len(skeleton) - len(skeleton.lstrip(b"["))
+    shape, child = [], 0
+    for depth in range(rank - 1, -1, -1):
+        closing = b"]" * (rank - depth)
+        length = skeleton.find(closing) + len(closing) - depth
+        n = (length - 1) // (child + 1)
+        if n < 1:
+            return None
+        shape.append(n)
+        child = length
+    return shape[::-1]
+
+
+def _numeric_array(text: str, start: int):
+    """The float64 array of the regular array of JSON numbers of rank >= 2 at ``text[start]``, and its end; else None.
+
+    The array must be ASCII, its brackets and commas the skeleton of a
+    shape, and number characters must sit only inside its innermost lists.
+    Then the text between its outer brackets, the inner ones blanked, is a
+    flat JSON list of its entries, parsed a piece at a time between commas:
+    the standard library decides whether each entry is one JSON number, and
+    their count must be the shape's.
+    """
+    if not text.startswith("[", start):
+        return None
+    # The array cannot reach past the next string: it ends at the last "]" before one.
+    stop = text.find('"', start)
+    end = text.rfind("]", start, stop if stop >= 0 else len(text)) + 1
+    try:
+        marks = b"".join(
+            text[i:min(i + _PIECE, end)].encode("ascii").translate(_NUMBER_MARKS, b" \t\n\r")
+            for i in range(start, end, _PIECE)
+        )
+    except UnicodeEncodeError:
+        return None
+    skeleton = marks.translate(None, b"0")
+    shape = _shape(skeleton)
+    if shape is None or len(shape) < 2 or skeleton != _skeleton(shape) or b"]0" in marks or b"0[" in marks:
+        return None
+    out = np.empty(math.prod(shape))
+    filled, i = 0, start + 1
+    try:
+        while i < end - 1:
+            j = text.find(",", i + _PIECE, end - 1)
+            j = end - 1 if j < 0 else j
+            cells = json.loads("[" + text[i:j].translate(_BLANK_BRACKETS) + "]")
+            out[filled:filled + len(cells)] = np.fromiter(cells, np.float64, count=len(cells))
+            filled, i = filled + len(cells), j + 1
+    except (ValueError, OverflowError):
+        # An entry that is not one JSON number, an empty slot, or an int beyond float range.
+        return None
+    return (out.reshape(shape), end) if filled == out.size else None
+
+
+def _parse(text: str):
+    """``json.loads(text)``, except that the array fields of a top-level object may be float64 arrays.
+
+    The loop reads the top-level object with the standard library's scanner,
+    one key and value at a time; on anything it does not expect it hands
+    the whole text to ``json.loads``, which returns its value or raises its
+    error.
+    """
+    i = _WHITESPACE(text).end()
+    if not text.startswith("{", i):
+        return json.loads(text)
+    doc = {}
+    i = _WHITESPACE(text, i + 1).end()
+    try:
+        while True:
+            key, i = _SCAN(text, i)
+            i = _WHITESPACE(text, i).end()
+            if not isinstance(key, str) or not text.startswith(":", i):
+                return json.loads(text)
+            i = _WHITESPACE(text, i + 1).end()
+            found = _numeric_array(text, i) if key in _ARRAY_FIELDS else None
+            doc[key], i = found or _SCAN(text, i)
+            i = _WHITESPACE(text, i).end()
+            if text.startswith("}", i):
+                break
+            if not text.startswith(",", i):
+                return json.loads(text)
+            i = _WHITESPACE(text, i + 1).end()
+    except (StopIteration, ValueError):
+        return json.loads(text)
+    if _WHITESPACE(text, i + 1).end() != len(text):
+        return json.loads(text)
+    return doc
+
+
 def load(path):
     """Read a JSON file back into the domain object or report it holds."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = _parse(fh.read())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return from_json_obj(doc)

@@ -96,3 +96,23 @@ def test_zero_dominated_arrays_match_the_stdlib_layout(doc):
     got = io.StringIO()
     dump_json(doc, got)
     assert got.getvalue() == want.getvalue() + "\n"
+
+
+# Float64 arrays of signed zeros: every cell not drawn is the fill, +0.0 or -0.0, and the
+# drawn ones put the other zero, finite values, NaN and ±inf next to the shared "0.0" pieces.
+_signed_zero_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=8),
+    elements=st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]) | st.floats(),
+    fill=st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_signed_zero_arrays)
+def test_signed_zero_arrays_match_the_stdlib_layout(a):
+    want = io.StringIO()
+    json.dump(a.tolist(), want, indent=2, sort_keys=True)
+    got = io.StringIO()
+    dump_json(a, got)
+    assert got.getvalue() == want.getvalue() + "\n"

@@ -141,6 +141,16 @@ _DECLARED = [
 ]
 
 
+def test_array_fields_are_the_arrays_of_every_kind():
+    fields = {
+        key
+        for make in _SAMPLES.values()
+        for key, value in serialize.document(make()).items()
+        if isinstance(value, np.ndarray)
+    }
+    assert fields == serialize._ARRAY_FIELDS
+
+
 def test_declared_dimension_cases_cover_every_integer_field():
     fields = {
         (kind, key)
