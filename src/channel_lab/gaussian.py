@@ -21,6 +21,14 @@ parameter triples; no Fock-space matrices are built.  Conventions:
 * A coherent state of amplitude ``a`` is the displaced vacuum with mean
   ``(2 Re a, 2 Im a)``; this is the scaling that reproduces the squared
   overlap ``exp(-|a - b|^2)``.
+* Characteristic values are kept as their real exponents
+  ``a = -z.sigma.z / 2`` and ``b = m.z``, two GEMMs over a stack of points.
+  The sweep compares two values through the identity
+  ``|e^(a + i b) - e^(a0 + i b0)|^2 = e^(2 max(a, a0)) *
+  (expm1(-|a - a0|)^2 + 4 e^(-|a - a0|) sin^2((b - b0) / 2))``, so no complex
+  exponential is formed.  The bracket lies in [0, 4] because the larger
+  exponent is factored out; factoring out the limit's ``e^a0`` instead would
+  overflow the bracket wherever ``e^a0`` underflows and the term's does not.
 """
 
 from __future__ import annotations
@@ -215,18 +223,57 @@ def _point_outer(points: np.ndarray) -> np.ndarray:
     return (points[:, :, None] * points[:, None, :]).reshape(len(points), -1)
 
 
-def _char_values(means: np.ndarray, covs: np.ndarray, points: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """``exp(i m.z - z.sigma.z / 2)`` for means (..., 2s), covs (..., 2s, 2s) at points (P, 2s): (..., P).
+def _char_exponents(means: np.ndarray, covs: np.ndarray, points: np.ndarray, outer: np.ndarray):
+    """The real exponents ``(-z.sigma.z / 2, m.z)`` for means (..., 2s), covs (..., 2s, 2s) at points (P, 2s).
 
-    ``outer`` is ``_point_outer(points)``; every value is formed in one output array.
+    ``outer`` is ``_point_outer(points)``; each exponent is one GEMM, and both have shape (..., P).
     """
     d = points.shape[1]
-    values = np.empty(means.shape[:-1] + (len(points),), dtype=np.complex128)
-    flat = values.reshape(-1, len(points))
-    flat.real = covs.reshape(-1, d * d) @ outer.T
-    flat.real *= -0.5
-    flat.imag = means.reshape(-1, d) @ points.T
+    shape = means.shape[:-1] + (len(points),)
+    a = covs.reshape(-1, d * d) @ outer.T
+    a *= -0.5
+    return a.reshape(shape), (means.reshape(-1, d) @ points.T).reshape(shape)
+
+
+def _char_values(means: np.ndarray, covs: np.ndarray, points: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """``exp(i m.z - z.sigma.z / 2)`` of :func:`_char_exponents`, formed in one complex array."""
+    a, b = _char_exponents(means, covs, points, outer)
+    values = np.empty(a.shape, dtype=np.complex128)
+    values.real = a
+    values.imag = b
     return np.exp(values, out=values)
+
+
+def _char_devs(a: np.ndarray, b: np.ndarray, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """``max |exp(a + i b) - exp(a0 + i b0)|`` over all but the first axis, from the real exponents.
+
+    ``a`` and ``b`` are (B, ...) and are overwritten; ``a0`` and ``b0``
+    broadcast against them.  With ``top = max(a, a0)`` and
+    ``g = expm1(-|a - a0|)`` the squared deviation is
+    ``e^(2 top) * (g^2 + 4 (1 + g) sin^2((b - b0) / 2))`` (see the module
+    docstring): the two moduli differ by ``e^top * |g|``, and ``1 + g`` is the
+    ratio of the smaller to the larger.  The bracket lies in [0, 4], so the
+    product underflows only where the larger modulus is below 1e-154.
+    """
+    top = np.maximum(a, a0)
+    np.minimum(a, a0, out=a)
+    a -= top
+    np.expm1(a, out=a)
+    top *= 2.0
+    np.exp(top, out=top)
+    b -= b0
+    b *= 0.5
+    np.sin(b, out=b)
+    b *= b
+    b *= 4.0
+    b *= top
+    # top holds E = e^(2 max) and b is 4 E sin^2; top becomes g^2 E + (1 + g) b
+    # Horner-wise, with no temporary array.
+    top *= a
+    top += b
+    top *= a
+    top += b
+    return np.sqrt(top.reshape(len(top), -1).max(axis=1))
 
 
 def char_fn(st: GaussianState, z) -> complex | np.ndarray:
@@ -390,8 +437,15 @@ def param_convergence_check(
     ``sequences.SWEEP_BLOCK_ENTRIES // (states x points)`` (at least one),
     by the block rule of the Kraus sweeps, so memory does not grow with
     ``len(ns)``.  Each block builds its terms in index order, checks their
-    complete positivity with one batched eigenvalue call, and evaluates all
-    their output characteristic values as one array.  Errors surface in
+    complete positivity with one batched eigenvalue call, and stacks the two
+    real exponents ``a = -z.sigma.z / 2`` and ``b = m.z`` of all their output
+    characteristic values, one GEMM each; the limit's ``a0`` and ``b0`` are
+    computed once.  ``char_dev`` is the square root of the largest
+    ``e^(2 max(a, a0)) * (expm1(-|a - a0|)^2 + 4 e^(-|a - a0|)
+    sin^2((b - b0) / 2))``, which is ``|e^(a + i b) - e^(a0 + i b0)|^2``
+    without a complex exponential.  Factoring out ``e^max(a, a0)`` keeps the
+    bracket in [0, 4], so nothing overflows where the limit's exponential
+    underflows (a noisy limit far out on the grid).  Errors surface in
     index order, with one exception: a term that fails to build is reported
     even when an earlier term of the same block violates complete
     positivity.
@@ -406,8 +460,8 @@ def param_convergence_check(
         raise ValidationError(f"grid of shape {pts.shape} is not a nonempty (P, {2 * limit.modes_out}) stack")
     outer = _point_outer(pts)
 
-    def output_chars(chs):
-        """The stacked (scale, shift, noise) of ``chs`` and their (B, states, points) output values."""
+    def output_exponents(chs):
+        """The stacked (scale, shift, noise) of ``chs`` and the (B, states, points) exponents of their outputs."""
         scales, shifts, noises = (
             np.stack([getattr(ch, field) for ch in chs]) for field in ("scale", "shift", "noise")
         )
@@ -415,16 +469,15 @@ def param_convergence_check(
             _require(check, "channel parameters violate complete positivity")
         out_means = means @ scales + shifts[:, None]
         out_covs = noises[:, None] + scales.transpose(0, 2, 1)[:, None] @ covs @ scales[:, None]
-        return (scales, shifts, noises), _char_values(out_means, out_covs, pts, outer)
+        return (scales, shifts, noises), _char_exponents(out_means, out_covs, pts, outer)
 
-    limit_params, base = output_chars([limit])
+    limit_params, (a0, b0) = output_exponents([limit])
     devs = np.empty((4, len(ns)))
-    for rows, terms in _term_blocks(seq, ns, base.size):
-        params, chars = output_chars(terms)
+    for rows, terms in _term_blocks(seq, ns, a0.size):
+        params, (a, b) = output_exponents(terms)
         for dev, got, ref in zip(devs, params, limit_params):
             dev[rows] = np.abs(got - ref).reshape(len(got), -1).max(axis=1)
-        chars -= base
-        devs[3, rows] = np.abs(chars).max(axis=(1, 2))
+        devs[3, rows] = _char_devs(a, b, a0, b0)
     return Report(
         "gaussian-convergence-report",
         ns,

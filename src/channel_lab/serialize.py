@@ -98,7 +98,14 @@ def complex_from_json(obj, ndim: int) -> np.ndarray:
         raise SchemaError(
             f"expected a rank-{ndim} complex array of [re, im] pairs, got shape {a.shape}"
         )
-    return a[..., 0] + 1j * a[..., 1]
+    # The bits of ``re + 1j * im`` for finite parts, in which ``1j * im`` adds
+    # ``0 * im`` to the real part and ``0 + im`` is the imaginary part, so a
+    # -0.0 real part takes the sign of ``im`` and a -0.0 ``im`` becomes +0.0.
+    # ``copysign`` gives that zero without the NaN of ``0 * inf``.
+    out = np.empty(a.shape[:-1], dtype=np.complex128)
+    np.add(a[..., 0], np.copysign(0.0, a[..., 1]), out=out.real)
+    np.add(a[..., 1], 0.0, out=out.imag)
+    return out
 
 
 def real_from_json(obj, ndim: int) -> np.ndarray:

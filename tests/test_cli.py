@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -669,6 +670,19 @@ def test_document_rejections(doc, argv, code, message, tmp_path, capsys):
     assert captured.err.startswith(prefix)
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_an_infinite_imaginary_part_is_a_validation_error_without_a_warning(tmp_path, capsys):
+    # json cannot write 1e400, so the text is patched; the value parses to +inf.
+    kraus = json.loads(json.dumps(_KRAUS["kraus"]))
+    kraus[0][0][0][1] = "IMAG"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_KRAUS, "kraus": kraus}).replace('"IMAG"', "1e400"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*_CONVERT, "--in", str(path)) == 2
+    assert caught == []
+    assert capsys.readouterr().err == "validation error: Kraus operator contains non-finite entries\n"
 
 
 @pytest.mark.parametrize(

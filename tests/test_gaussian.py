@@ -327,6 +327,25 @@ def _naive_char_devs(seq, ns, states, grid):
     return devs
 
 
+def test_param_convergence_check_survives_a_limit_whose_exponentials_underflow():
+    """Limit noise 1000 I puts the limit's exponent below -2000 at every grid point, where
+    its exponential is 0.0; the term's (noise I) is at least e^-16 there.  A deviation
+    factored by the limit's exponential would multiply 0.0 by an overflowed bracket."""
+    limit = GaussianChannel(scale=np.eye(2), shift=np.zeros(2), noise=1000.0 * np.eye(2))
+    term = GaussianChannel(scale=np.eye(2), shift=np.zeros(2), noise=np.eye(2))
+    seq = ChannelSequence(limit, lambda n: term)
+    grid = np.array([[2.0, 0.0], [0.0, -2.0], [2.0, 2.0], [-1.0, 2.0], [2.0, -2.0]])
+    states = gaussian.default_gaussian_test_states(1)
+    for st in states:
+        assert np.all(char_fn(apply_gaussian(limit, st), grid) == 0.0)
+        assert np.all(np.abs(char_fn(apply_gaussian(term, st), grid)) >= math.exp(-16.0))
+    rep = param_convergence_check(seq, [1, 2], eps=1e-9, grid=grid)
+    assert np.all(np.isfinite(rep.char_dev))
+    assert np.allclose(rep.char_dev, _naive_char_devs(seq, [1, 2], states, grid), rtol=0, atol=1e-12)
+    # The vacuum and the displaced vacuum at |z|^2 = 4: exp(-(1 + 1) 4 / 2).
+    assert rep.char_dev == pytest.approx((math.exp(-4.0),) * 2, rel=1e-14)
+
+
 def _recipe_channel(k, shift, noise_seed):
     """Acceptance-criterion-8 recipe: noise padded by the norm of the symplectic bracket."""
     s_in, s_out = k.shape[0] // 2, k.shape[1] // 2

@@ -1,6 +1,7 @@
 """Property tests: batched characteristic functions, the dual chain identity, the
-batched complete-positivity check at the validity boundary, and the one eigensolve
-that serves both signs of a validity check."""
+sweep's deviations from real exponents on far grids, the batched complete-positivity
+check at the validity boundary, and the one eigensolve that serves both signs of a
+validity check."""
 
 import itertools
 
@@ -27,8 +28,23 @@ from channel_lab.gaussian import (  # noqa: E402
     validate_state,
 )
 from channel_lab.sequences import ChannelSequence  # noqa: E402
+from test_gaussian import _naive_char_devs  # noqa: E402
 
 _ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _valid_channel(draw, s_in, s_out):
+    """A valid channel from 2 s_in to 2 s_out, its noise padded like acceptance criterion 8."""
+    d_in, d_out = 2 * s_in, 2 * s_out
+    k = draw(arrays(np.float64, (d_in, d_out), elements=_ENTRIES))
+    noise_seed = draw(arrays(np.float64, (d_out, d_out), elements=_ENTRIES))
+    bracket = symplectic_form(s_out) - k.T @ symplectic_form(s_in) @ k
+    pad = float(np.linalg.norm(bracket, 2))
+    return GaussianChannel(
+        scale=k,
+        shift=draw(arrays(np.float64, (d_out,), elements=_ENTRIES)),
+        noise=noise_seed @ noise_seed.T + pad * np.eye(d_out),
+    )
 
 
 @st.composite
@@ -36,16 +52,8 @@ def valid_pairs(draw):
     """A valid (state, channel) pair at 1-3 modes each side, built like acceptance criterion 8."""
     s_in = draw(st.integers(1, 3))
     s_out = draw(st.integers(1, 3))
-    d_in, d_out = 2 * s_in, 2 * s_out
-    k = draw(arrays(np.float64, (d_in, d_out), elements=_ENTRIES))
-    noise_seed = draw(arrays(np.float64, (d_out, d_out), elements=_ENTRIES))
-    bracket = symplectic_form(s_out) - k.T @ symplectic_form(s_in) @ k
-    pad = float(np.linalg.norm(bracket, 2))
-    ch = GaussianChannel(
-        scale=k,
-        shift=draw(arrays(np.float64, (d_out,), elements=_ENTRIES)),
-        noise=noise_seed @ noise_seed.T + pad * np.eye(d_out),
-    )
+    d_in = 2 * s_in
+    ch = _valid_channel(draw, s_in, s_out)
     cov_seed = draw(arrays(np.float64, (d_in, d_in), elements=_ENTRIES))
     state = GaussianState(
         mean=draw(arrays(np.float64, (d_in,), elements=_ENTRIES)),
@@ -68,6 +76,30 @@ def test_batched_char_fn_and_chain_identity_on_valid_pairs(pair):
     for z, value in zip(grid, batched):
         point, factor = dual_weyl_symbol(ch, z)
         assert abs(value - char_fn(state, point) * factor) <= 1e-12
+
+
+@st.composite
+def far_grid_sequences(draw):
+    """A valid limit and 1-5 valid terms at 1-2 modes each side, and a grid of 1-40 points
+    whose farthest point has |z| = 30, where the exponents reach hundreds below zero."""
+    s_in, s_out = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    limit, *terms = (_valid_channel(draw, s_in, s_out) for _ in range(draw(st.integers(2, 6))))
+    raw = draw(arrays(np.float64, (draw(st.integers(1, 40)), 2 * s_out), elements=_ENTRIES))
+    far = np.linalg.norm(raw, axis=1).max()
+    grid = raw * (30.0 / far) if far > 0.0 else raw
+    return ChannelSequence(limit, lambda n: terms[n - 1]), len(terms), grid
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(far_grid_sequences())
+def test_sweep_deviations_match_the_naive_loop_on_far_grids(case):
+    seq, count, grid = case
+    ns = range(1, count + 1)
+    states = gaussian.default_gaussian_test_states(seq.limit.modes_in)
+    rep = param_convergence_check(seq, ns, eps=1.0, grid=grid)
+    assert np.allclose(rep.char_dev, _naive_char_devs(seq, ns, states, grid), rtol=0, atol=1e-12)
+    constant = ChannelSequence(seq.limit, lambda n: seq.limit)
+    assert param_convergence_check(constant, ns, eps=1.0, grid=grid).char_dev == (0.0,) * count
 
 
 @st.composite

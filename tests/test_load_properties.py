@@ -4,10 +4,14 @@
 into float64 arrays.  Whatever the layout, the spelling of the numbers or a
 broken token, the result must be the old path's: the same domain object,
 its arrays equal bit for bit, or the same exception type and message.
+Complex arrays are then assembled by ``complex_from_json``, which must give
+the bits of ``re + 1j * im`` on finite parts and no NaN or warning on
+infinite ones.
 """
 
 import json
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -16,10 +20,11 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays, array_shapes  # noqa: E402
 
 from channel_lab import ensembles, serialize  # noqa: E402
 from channel_lab.dilation import isometry_from_kraus, unitary_from_isometry  # noqa: E402
-from channel_lab.serialize import SchemaError, from_json_obj, load  # noqa: E402
+from channel_lab.serialize import SchemaError, complex_from_json, from_json_obj, load  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -233,3 +238,28 @@ _DOCUMENTS = [
 @pytest.mark.parametrize("text", _DOCUMENTS)
 def test_load_matches_the_standard_library_path_on_whole_documents(path, text):
     _check(path, text)
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=4).map(lambda s: s + (2,)),
+              elements=_PARTS))
+def test_complex_from_json_keeps_the_bits_of_re_plus_1j_im(pairs):
+    want = pairs[..., 0] + 1j * pairs[..., 1]
+    for obj in (pairs, pairs.tolist()):
+        got = complex_from_json(obj, pairs.ndim - 1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_complex_from_json_keeps_infinite_parts_without_a_nan():
+    inf = float("inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = complex_from_json([[1.5, inf], [-0.0, -inf], [inf, 2.0], [-inf, -0.0]], 1)
+    assert got.real.tolist() == [1.5, -0.0, inf, -inf]
+    assert got.imag.tolist() == [inf, -inf, 2.0, 0.0]
+    assert np.signbit(got.real).tolist() == [False, True, False, True]
+    assert not np.signbit(got.imag[3])
