@@ -101,9 +101,9 @@ def cmd_swap(args) -> int:
     d, probe = args.dim, args.probe
     if d % 2:
         raise ValidationError(f"the swap report needs an even dimension to embed, got {d}")
+    terms, psi = sequences.swap_counterexample(d)
     if not 1 <= probe <= d - 1:
         raise ValidationError(f"probe index must lie in 1..{d - 1}, got {probe}")
-    terms, psi = sequences.swap_counterexample(d)
     limit = terms[0].initial_projector
     tau = np.zeros(d, dtype=np.complex128)
     tau[probe - 1] = 1.0
@@ -129,6 +129,8 @@ def cmd_swap(args) -> int:
 def cmd_partial_trace_form(args) -> int:
     d_in, d_out, d_env = args.dim, args.dim_out, args.dim_env
     total = d_out * d_env
+    if d_in < 1:
+        raise ValidationError(f"input dimension must be positive, got {d_in}")
     if d_in >= total:
         raise ValidationError(
             f"embedding needs d_in < d_out*d_env, got {d_in} >= {total}"

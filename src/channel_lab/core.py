@@ -305,11 +305,13 @@ class StinespringIsometry:
             raise ValidationError(
                 f"dimensions must be positive, got d_out={self.d_out}, d_env={self.d_env}"
             )
-        if m.ndim != 2 or m.shape[0] != self.d_out * self.d_env or m.shape[1] == 0:
+        if m.ndim != 2 or m.shape[0] != self.d_out * self.d_env:
             raise ValidationError(
                 f"isometry of shape {m.shape} does not match d_out*d_env = "
                 f"{self.d_out}*{self.d_env}"
             )
+        if m.shape[1] == 0:
+            raise ValidationError(f"isometry of shape {m.shape} has input dimension 0")
         _require_finite(m, "isometry")
         _require_within(
             dagger(m) @ m - np.eye(m.shape[1]), lambda norm: f"V*V deviates from identity by {norm:.3e}"
@@ -480,6 +482,8 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 
 def identity_channel(dim: int) -> KrausChannel:
+    if dim < 1:
+        raise ValidationError(f"dimension must be positive, got {dim}")
     return KrausChannel((np.eye(dim),))
 
 

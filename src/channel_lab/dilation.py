@@ -46,6 +46,7 @@ from .core import (
     _fix_phase,
     _kraus_matrix,
     _pure_parts,
+    _require_finite,
     _require_within,
 )
 
@@ -222,10 +223,11 @@ def unitary_from_isometry(v: StinespringIsometry) -> UnitaryDilation:
 
 
 def _ancilla_vector(vec, dim: int) -> np.ndarray:
-    """``vec`` as a read-only complex array, checked to be a unit vector in dim ``dim``."""
+    """``vec`` as a read-only complex array, checked to be a finite unit vector in dim ``dim``."""
     out = _cmat(vec)
     if out.shape != (dim,):
         raise ValidationError(f"ancilla vector of shape {out.shape} does not live in dim {dim}")
+    _require_finite(out, "ancilla vector")
     norm = np.linalg.norm(out)
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValidationError(f"ancilla vector has norm {norm:.12g}, expected 1")

@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TOL_EIG, TOL_HERM, ValidationError
-from .report import Report, _integer_indices
+from .core import TOL_EIG, TOL_HERM, ValidationError, _require_finite
+from .report import Report, _integers
 from .sequences import ChannelSequence, _term_blocks
 
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -57,8 +57,7 @@ def symplectic_form(modes: int) -> np.ndarray:
 
 def _real_matrix(m, what: str) -> np.ndarray:
     a = np.array(m, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{what} contains non-finite entries")
+    _require_finite(a, what)
     a.setflags(write=False)
     return a
 
@@ -382,6 +381,7 @@ def z_grid(modes: int, max_points: int = 625) -> np.ndarray:
         raise ValidationError(f"mode count must be positive, got {modes}")
     if not max_points >= 1:
         raise ValidationError(f"max_points must be >= 1, got {max_points}")
+    _integers([max_points], "max_points")
     axis = np.arange(-2.0, 3.0)
     n, d = len(axis), 2 * modes
     count = min(max_points, n**d)
@@ -450,7 +450,7 @@ def param_convergence_check(
     even when an earlier term of the same block violates complete
     positivity.
     """
-    ns = _integer_indices(ns, "param_convergence_check")
+    ns = _integers(ns, "param_convergence_check: indices")
     limit = seq.limit
     states = default_gaussian_test_states(limit.modes_in)
     means = np.stack([st.mean for st in states])

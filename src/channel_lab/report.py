@@ -44,8 +44,6 @@ COLUMNS = {
 }
 #: ``choi_dominates_strong`` holds where the Choi defect is at least the strong one minus this.
 DOMINANCE_SLACK = 1e-12
-#: The report kinds that carry the flag threshold ``eps``.
-EPS_KINDS = frozenset({"gaussian-convergence-report"})
 _NOT_NUMBERS = (bool, np.bool_)
 #: Which values a cell of each column type accepts; numpy scalars count.
 _ACCEPTS = {
@@ -160,16 +158,18 @@ def _block_layout(shape: tuple, level: int) -> tuple[str, list]:
     return "[" + opens(1), seps + [closes(0)]
 
 
-def _integer_indices(indices, what: str) -> tuple:
-    """``indices`` as a tuple of plain ints; any other value raises a ValidationError led by ``what``.
+def _integers(values, what: str) -> tuple:
+    """``values`` as a tuple of plain ints; any other value raises "``what`` must be integers".
 
     Integers of every type count, numpy's included; bools do not.  The sweeps
-    check their indices with it before building a term, the report on construction.
+    check their indices with it before building a term, the report on
+    construction; ``compression_sequence`` checks its ranks, ``z_grid`` its
+    point count.
     """
-    indices = tuple(indices)
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in indices):
-        raise ValidationError(f"{what}: indices must be integers, got {list(indices)!r}")
-    return tuple(int(n) for n in indices)
+    values = tuple(values)
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in values):
+        raise ValidationError(f"{what} must be integers, got {list(values)!r}")
+    return tuple(int(n) for n in values)
 
 
 class Report:
@@ -181,9 +181,9 @@ class Report:
     indices are integers and every cell has its column's type (numpy scalars
     included, bools are not numbers), and that float cells are finite and
     nonnegative (they are all defects or deviations).  Cells are stored as
-    plain Python values.  A kind that carries ``eps`` flags each row in
-    ``within_eps``; the flag must be whether the row's largest float cell is
-    at most ``eps``.
+    plain Python values.  A kind carries the flag threshold ``eps`` exactly
+    when it has a ``within_eps`` column, which flags each row: the flag must
+    be whether the row's largest float cell is at most ``eps``.
 
     For ``convergence-report`` tables, ``choi_dominates_strong`` records per
     index whether the Choi lower bound weakly dominates the strong defect seen
@@ -196,10 +196,10 @@ class Report:
         if kind not in COLUMNS:
             raise ValidationError(f"unknown report kind {kind!r}")
         self.kind = kind
-        self.indices = _integer_indices(indices, f"malformed {kind}")
+        self.indices = _integers(indices, f"malformed {kind}: indices")
         if not self.indices:
             raise ValidationError("a report needs at least one row, got an empty index list")
-        if (eps is not None) != (kind in EPS_KINDS):
+        if (eps is not None) != ("within_eps" in COLUMNS[kind]):
             raise ValidationError(f"eps={eps!r} does not fit a {kind}")
         if eps is not None and not (_ACCEPTS[float](eps) and math.isfinite(eps)):
             raise ValidationError(f"malformed {kind}: eps must be a finite real number, got {eps!r}")
@@ -284,7 +284,7 @@ def from_json_dict(doc: dict) -> Report:
         return Report(
             got,
             doc["indices"],
-            eps=doc["eps"] if got in EPS_KINDS else None,
+            eps=doc["eps"] if "within_eps" in COLUMNS[got] else None,
             test_family=doc.get("test_family", ""),
             **{name: doc[name] for name in COLUMNS[got]},
         )

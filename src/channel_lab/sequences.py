@@ -68,7 +68,7 @@ from .dilation import (
     pad_environment,
     _kraus_from_rows,
 )
-from .report import Report, _integer_indices
+from .report import Report, _integers
 
 #: A compression term adds no replacement operator for a Kraus row below this norm.
 ZERO_ROW_NORM = 1e-14
@@ -250,7 +250,7 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
 
 def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
     """:func:`choi_defect` at every index of ``ns``, in order, swept in blocks."""
-    ns = _integer_indices(ns, "choi_defects")
+    ns = _integers(ns, "choi_defects: indices")
     gaps = np.empty(len(ns))
     for rows, terms in _term_blocks(seq, ns, (seq.limit.d_out * seq.limit.d_in) ** 2):
         gaps[rows] = _choi_gaps(terms, seq.limit, None)
@@ -299,7 +299,7 @@ def convergence_report(
     an integer (a bool is not) is rejected before any term is built; other
     errors surface in index order.
     """
-    ns = _integer_indices(ns, "convergence_report")
+    ns = _integers(ns, "convergence_report: indices")
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
     states = _columns(test_states, "test state", (d_in, d_in))
     obs = _observable_columns(test_obs, d_out)
@@ -341,7 +341,7 @@ def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> Cha
         raise ValidationError(
             f"replacement state dim {sigma.dim} != channel output dim {ch.d_out}"
         )
-    ranks = [int(r) for r in ranks]
+    ranks = list(_integers(ranks, "ranks"))
     if not ranks:
         raise ValidationError("need at least one rank")
     for r in ranks:
@@ -484,12 +484,10 @@ def tensor_sequence(a: ChannelSequence, b: ChannelSequence) -> ChannelSequence:
 
 
 def compose_sequence(first: ChannelSequence, then: ChannelSequence) -> ChannelSequence:
-    """Elementwise composition: term n applies ``first.term(n)``, then ``then.term(n)``."""
-    if first.limit.d_out != then.limit.d_in:
-        raise ValidationError(
-            f"cannot compose sequences: first outputs dim {first.limit.d_out}, "
-            f"second expects dim {then.limit.d_in}"
-        )
+    """Elementwise composition: term n applies ``first.term(n)``, then ``then.term(n)``.
+
+    Composing the limits checks that the dimensions fit.
+    """
     return ChannelSequence(
         compose_channels(first.limit, then.limit),
         lambda n: compose_channels(first.term(n), then.term(n)),

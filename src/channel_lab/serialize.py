@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -46,14 +45,6 @@ def _pairs(m) -> np.ndarray:
     return a.reshape(-1).view(np.float64).reshape(a.shape + (2,))
 
 
-def _nested(obj, depth: int):
-    """An iterator over the items ``depth`` levels of list nesting below ``obj``."""
-    items = iter((obj,))
-    for _ in range(depth):
-        items = chain.from_iterable(items)
-    return items
-
-
 def _is_float64_array(obj) -> bool:
     return isinstance(obj, np.ndarray) and obj.dtype == np.float64
 
@@ -63,31 +54,31 @@ def _float_array(obj) -> np.ndarray:
 
     Every level above the entries must be a list, all lists at one depth must
     have one length, and every entry must be an int or a float (a bool is not
-    a number).  Each check and the fill of the array is one pass over chained
-    iterators, so no flat list of the entries is built.  A float64 array, as
-    :func:`load` reads an array field into, is returned as it is.
+    a number).  A float64 array, as :func:`load` reads a regular array field
+    of rank >= 2 into, is returned as it is; lists reach this function only
+    for the rank-1 fields, for empty or malformed arrays, and from direct
+    :func:`from_json_obj` calls, so they are flattened one depth at a time.
     """
     if _is_float64_array(obj):
         return obj
-    shape = []
-    x = obj
-    while isinstance(x, list):
-        shape.append(len(x))
-        x = x[0] if x else None
-    for depth in range(1, len(shape)):
-        if {*map(type, _nested(obj, depth))} != {list} or {*map(len, _nested(obj, depth))} != {shape[depth]}:
+    # The length of the first list at each depth is the shape's; at depth >= 1,
+    # every item must be a list of that length.
+    shape, items = [], [obj]
+    while items and isinstance(items[0], list):
+        n = len(items[0])
+        if shape and any(type(row) is not list or len(row) != n for row in items):
             raise SchemaError(
-                f"not a numeric array: not every item at depth {depth} is a list of length {shape[depth]}"
+                f"not a numeric array: not every item at depth {len(shape)} is a list of length {n}"
             )
+        shape.append(n)
+        items = [item for row in items for item in row]
     wrong = sorted(
-        t.__name__
-        for t in {*map(type, _nested(obj, len(shape)))}
-        if issubclass(t, bool) or not issubclass(t, (int, float))
+        t.__name__ for t in {*map(type, items)} if issubclass(t, bool) or not issubclass(t, (int, float))
     )
     if wrong:
         raise SchemaError(f"not a numeric array: entries must be numbers, got {', '.join(wrong)}")
     try:
-        return np.fromiter(_nested(obj, len(shape)), np.float64, count=math.prod(shape)).reshape(shape)
+        return np.fromiter(items, np.float64, count=len(items)).reshape(shape)
     except OverflowError as exc:
         raise SchemaError(f"not a numeric array: {exc}") from exc
 

@@ -605,6 +605,12 @@ _VALIDATE = ["gaussian", "validate"]
         ),
         ({**_DILATION, "d_anc": 0}, _CONVERT, 2, "dimensions must be positive"),
         (
+            {**_DILATION, "tau0": _pairs([np.nan, 0.0, 0.0])},
+            _CONVERT,
+            2,
+            "validation error: ancilla vector contains non-finite entries\n",
+        ),
+        (
             {**_ATTENUATOR, "K": np.ones((3, 2)).tolist()},
             _VALIDATE,
             2,
@@ -645,6 +651,7 @@ _VALIDATE = ["gaussian", "validate"]
         "dilation-products",
         "dilation-unitary-dim",
         "dilation-zero-dim",
+        "dilation-nan-ancilla",
         "gaussian-channel-scale",
         "gaussian-channel-shift",
         "gaussian-channel-noise-shape",
@@ -698,8 +705,26 @@ def test_an_infinite_imaginary_part_is_a_validation_error_without_a_warning(tmp_
             ["sequence", "partial-trace-form", "--dim", "6", "--dim-out", "2", "--dim-env", "3"],
             "embedding needs d_in < d_out*d_env, got 6 >= 6",
         ),
+        # A dimension below the smallest the command can use is named before any probe or shape.
+        (["sequence", "swap", "--dim", "0"], "the swap family needs dimension >= 3, got 0"),
+        (["sequence", "swap", "--dim", "-4"], "the swap family needs dimension >= 3, got -4"),
+        (["sequence", "partial-trace-form", "--dim", "0"], "input dimension must be positive, got 0"),
+        (["sequence", "partial-trace-form", "--dim", "-1"], "input dimension must be positive, got -1"),
+        (["sequence", "compress", "--dim", "0"], "dimension must be positive, got 0"),
+        (["sequence", "compress", "--dim", "-1"], "dimension must be positive, got -1"),
     ],
-    ids=["k-outside-interval", "no-valid-index", "probe-out-of-range", "embedding-too-small"],
+    ids=[
+        "k-outside-interval",
+        "no-valid-index",
+        "probe-out-of-range",
+        "embedding-too-small",
+        "swap-zero-dim",
+        "swap-negative-dim",
+        "partial-trace-form-zero-dim",
+        "partial-trace-form-negative-dim",
+        "compress-zero-dim",
+        "compress-negative-dim",
+    ],
 )
 def test_sweep_parameter_errors_exit_two(argv, message, tmp_path, capsys):
     prefix = tmp_path / "sweep"

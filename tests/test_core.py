@@ -7,6 +7,7 @@ from channel_lab.core import (
     KrausChannel,
     Observable,
     PartialIsometry,
+    StinespringIsometry,
     UnitaryOp,
     ValidationError,
     amplitude_damping_channel,
@@ -468,6 +469,17 @@ def test_ordered_eigh_of_an_empty_matrix():
 def test_partial_isometry_must_be_a_matrix():
     with pytest.raises(ValidationError, match=r"partial isometry must be a matrix, got shape \(3,\)"):
         PartialIsometry(np.ones(3))
+
+
+def test_an_isometry_of_input_dimension_zero_is_rejected():
+    with pytest.raises(ValidationError, match=r"^isometry of shape \(6, 0\) has input dimension 0$"):
+        StinespringIsometry(np.eye(6, 0), 2, 3)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_identity_channel_needs_a_positive_dimension(dim):
+    with pytest.raises(ValidationError, match=f"^dimension must be positive, got {dim}$"):
+        identity_channel(dim)
 
 
 def test_actions_reject_operands_of_the_wrong_shape():

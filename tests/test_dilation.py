@@ -461,6 +461,14 @@ def test_ancilla_vector_of_the_wrong_shape_is_rejected():
         UnitaryDilation(UnitaryOp(np.eye(8)), np.array([1.0, 0.0]), d_in=2, d_anc=4, d_out=2, d_env=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-imag"])
+def test_ancilla_vector_with_a_non_finite_entry_is_rejected(bad):
+    # A NaN norm is not more than the tolerance away from 1: the norm test alone lets it through.
+    tau0 = np.array([1.0, bad, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="^ancilla vector contains non-finite entries$"):
+        UnitaryDilation(UnitaryOp(np.eye(8)), tau0, d_in=2, d_anc=4, d_out=2, d_env=4)
+
+
 def test_tracked_completion_rejects_a_reference_of_another_dimension():
     w = PartialIsometry(np.diag([1.0, 0.0]))
     with pytest.raises(ValidationError, match="reference of dim 3 does not act on dim 2"):

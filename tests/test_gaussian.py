@@ -240,6 +240,12 @@ def test_z_grid_rejects_empty_or_degenerate_parameters(kwargs):
         z_grid(**{"modes": 1, **kwargs})
 
 
+@pytest.mark.parametrize("max_points", [2.5, True, np.float64(3.0)])
+def test_z_grid_rejects_a_point_count_that_is_not_an_integer(max_points):
+    with pytest.raises(ValidationError, match=r"^max_points must be integers, got \["):
+        z_grid(1, max_points=max_points)
+
+
 def test_z_grid_shape_and_truncation():
     pts = z_grid(1)
     assert pts.shape == (25, 2)
@@ -247,6 +253,7 @@ def test_z_grid_shape_and_truncation():
     assert np.array_equal(pts[-1], [2.0, 2.0])
     short = z_grid(1, max_points=7)
     assert short.shape == (7, 2)
+    assert np.array_equal(z_grid(1, max_points=np.int64(7)), short)
 
 
 def test_gaussian_sequence_term_checks():

@@ -244,6 +244,16 @@ _PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(allow_nan=Fal
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=4, max_side=4), elements=_PARTS | st.floats()))
+@example(np.array(-0.0))
+@example(np.full((2, 1, 3, 1), -0.0))
+def test_float_array_of_nested_lists_keeps_the_bits(a):
+    got = serialize._float_array(a.tolist())
+    assert got.dtype == np.float64 and got.shape == a.shape
+    assert got.tobytes() == a.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=4).map(lambda s: s + (2,)),
               elements=_PARTS))
 def test_complex_from_json_keeps_the_bits_of_re_plus_1j_im(pairs):

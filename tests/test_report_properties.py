@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from channel_lab.cli import main  # noqa: E402
-from channel_lab.report import COLUMNS, EPS_KINDS, Report, from_json_dict  # noqa: E402
+from channel_lab.report import COLUMNS, Report, from_json_dict  # noqa: E402
 
 _CELLS = {
     float: st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
@@ -28,7 +28,7 @@ def reports(draw):
         for name, cell in COLUMNS[kind].items()
     }
     eps = None
-    if kind in EPS_KINDS:
+    if "within_eps" in COLUMNS[kind]:
         # The flags are the ones the drawn deviations give: a row is within eps when its largest deviation is.
         eps = draw(st.floats(allow_nan=False, allow_infinity=False))
         deviations = [columns[name] for name, cell in COLUMNS[kind].items() if cell is float]

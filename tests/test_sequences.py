@@ -224,6 +224,11 @@ def test_compression_index_and_rank_validation(rng):
         compression_sequence(base, _mixed(4), [])
     with pytest.raises(ValidationError, match="dim 2 != channel output dim 4"):
         compression_sequence(base, _mixed(2), [1])
+    # A rank is an integer of any type, numpy's included; a bool or a float is not truncated to one.
+    for ranks in ([2.7], [1, True], [np.float64(1.5)], [1.0, 2.0]):
+        with pytest.raises(ValidationError, match=r"^ranks must be integers, got \["):
+            compression_sequence(base, _mixed(4), ranks)
+    assert compression_sequence(base, _mixed(4), np.array([1, 3])).term(2).d_out == 4
     seq = compression_sequence(base, _mixed(4), [1, 2])
     with pytest.raises(ValidationError, match="beyond the configured"):
         seq.term(3)

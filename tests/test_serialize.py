@@ -37,8 +37,17 @@ def _plain_document(x) -> dict:
 
 @pytest.mark.parametrize(
     "obj, shape",
-    [([[1, 2.5], [-0.0, 3]], (2, 2)), ([[], []], (2, 0)), ([], (0,)), (4, ())],
-    ids=["ints-and-floats", "empty-rows", "empty", "scalar"],
+    [
+        ([[1, 2.5], [-0.0, 3]], (2, 2)),
+        ([[], []], (2, 0)),
+        ([], (0,)),
+        (4, ()),
+        (-0.0, ()),
+        (json.loads("[-0, 5e-324, -5e-324, 1e308]"), (4,)),
+        (np.arange(24.0).reshape(2, 3, 4).tolist(), (2, 3, 4)),
+        ([[[[1, -0.0]]], [[[2.5, 3]]]], (2, 1, 1, 2)),
+    ],
+    ids=["ints-and-floats", "empty-rows", "empty", "scalar", "negative-zero-scalar", "edge-numbers", "rank-3", "rank-4"],
 )
 def test_real_arrays_are_nested_lists_of_numbers(obj, shape):
     a = real_from_json(obj, len(shape))
@@ -56,8 +65,43 @@ def test_real_arrays_are_nested_lists_of_numbers(obj, shape):
         ([[1.0, 2.0], 3.0], "not every item at depth 1 is a list of length 2"),
         ([{"a": 1.0}], "entries must be numbers, got dict"),
         ([1.0, "2", None, False], "entries must be numbers, got NoneType, bool, str"),
+        ([[1.0, 2.0], [[3.0], 4.0]], "entries must be numbers, got list"),
+        ([[[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0]]], "not every item at depth 2 is a list of length 2"),
+        ([[[[1.0], [2.0]]], [[[3.0], [4.0, 5.0]]]], "not every item at depth 3 is a list of length 1"),
+        ([[[1.0], [2.0]], [3.0, [4.0]]], "not every item at depth 2 is a list of length 1"),
+        ([[], [1.0]], "not every item at depth 1 is a list of length 0"),
+        ([[True, 1.0]], "entries must be numbers, got bool"),
+        ([["1", 2]], "entries must be numbers, got str"),
+        ([[None, 2]], "entries must be numbers, got NoneType"),
+        ([[{}, 2]], "entries must be numbers, got dict"),
+        (True, "entries must be numbers, got bool"),
+        ("abc", "entries must be numbers, got str"),
+        (None, "entries must be numbers, got NoneType"),
+        ([[10**400, 0.0]], "int too large to convert to float"),
+        (-(10**400), "int too large to convert to float"),
     ],
-    ids=["list-entry", "tuple-row", "ragged", "number-row", "dict-entry", "three-kinds"],
+    ids=[
+        "list-entry",
+        "tuple-row",
+        "ragged",
+        "number-row",
+        "dict-entry",
+        "three-kinds",
+        "list-in-place-of-a-number",
+        "ragged-at-depth-2",
+        "ragged-at-depth-3",
+        "ragged-and-mistyped-at-depth-2",
+        "empty-first-row",
+        "bool-entry",
+        "str-entry",
+        "null-entry",
+        "empty-dict-entry",
+        "bare-bool",
+        "bare-str",
+        "bare-null",
+        "huge-int-entry",
+        "bare-huge-int",
+    ],
 )
 def test_real_arrays_reject_anything_else(obj, message):
     with pytest.raises(SchemaError, match=f"^not a numeric array: {re.escape(message)}$"):
