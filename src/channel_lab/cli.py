@@ -128,9 +128,11 @@ def cmd_swap(args) -> int:
 
 def cmd_partial_trace_form(args) -> int:
     d_in, d_out, d_env = args.dim, args.dim_out, args.dim_env
+    named = (("input dimension", d_in), ("output dimension d_out", d_out), ("environment dimension d_env", d_env))
+    for name, dim in named:
+        if dim < 1:
+            raise ValidationError(f"{name} must be positive, got {dim}")
     total = d_out * d_env
-    if d_in < 1:
-        raise ValidationError(f"input dimension must be positive, got {d_in}")
     if d_in >= total:
         raise ValidationError(
             f"embedding needs d_in < d_out*d_env, got {d_in} >= {total}"
@@ -145,17 +147,9 @@ def cmd_partial_trace_form(args) -> int:
 
 
 def _kraus_report(seq, ns, seed: int, family: str) -> Report:
-    """The report of a Kraus sequence on the default probes, test states drawn before test vectors."""
-    d_in, d_out = seq.limit.d_in, seq.limit.d_out
-    rng = np.random.default_rng(seed)
-    return sequences.convergence_report(
-        seq,
-        ns,
-        ensembles.default_test_states(d_in, rng),
-        ensembles.matrix_unit_observables(d_out),
-        ensembles.default_test_vectors(d_in, rng),
-        test_family=f"{family}, seed={seed}",
-    )
+    """The report of a Kraus sequence on the default probes of ``seed``."""
+    probes = ensembles.default_probes(seq.limit.d_in, seq.limit.d_out, np.random.default_rng(seed))
+    return sequences.convergence_report(seq, ns, probes, test_family=f"{family}, seed={seed}")
 
 
 def cmd_distance(args) -> int:

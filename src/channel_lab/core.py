@@ -43,6 +43,7 @@ norm.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,6 +65,24 @@ class ValidationError(ValueError):
     """Raised when a value violates its construction-time invariants."""
 
 
+#: Bools are integers to Python, but never a count, an index or a number here.
+_NOT_NUMBERS = (bool, np.bool_)
+
+
+def _integers(values, what: str) -> tuple:
+    """``values`` as a tuple of plain ints; any other value raises "``what`` must be integers".
+
+    Integers of every type count, numpy's included; bools do not.  The sweeps
+    check their indices with it before building a term, the report on
+    construction; ``compression_sequence`` checks its ranks, ``z_grid`` its
+    point count and ``identity_channel`` its dimension.
+    """
+    values = tuple(values)
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in values):
+        raise ValidationError(f"{what} must be integers, got {list(values)!r}")
+    return tuple(int(n) for n in values)
+
+
 def _cmat(m) -> np.ndarray:
     a = np.array(m, dtype=np.complex128)
     a.setflags(write=False)
@@ -71,7 +90,7 @@ def _cmat(m) -> np.ndarray:
 
 
 def _require_finite(m: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{what} contains non-finite entries")
 
 
@@ -104,6 +123,30 @@ def _require_within(m: np.ndarray, message: Callable[[float], str]) -> None:
         norm = opnorm(m)
         if norm > TOL_VALID:
             raise ValidationError(message(norm))
+
+
+def _reject_first(bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ``ValidationError(message(k))`` for the first k with ``bad[k]``, if there is one."""
+    if bad.any():
+        raise ValidationError(message(int(np.argmax(bad))))
+
+
+def _require_states(m: np.ndarray, name: Callable[[int], str]) -> None:
+    """Check that a finite (S, d, d) stack holds states; ``name(k)`` names member k.
+
+    Each rule runs over the whole stack in turn, and a rejection names the
+    first member that breaks it: Hermitian within ``TOL_HERM`` entrywise, no
+    eigenvalue below ``-TOL_EIG`` (one batched ``eigvalsh``), trace 1 within
+    ``TOL_VALID``.  ``DensityOperator`` checks itself as a stack of one.
+    """
+    herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    _reject_first(herm > TOL_HERM, lambda k: f"{name(k)} is not Hermitian (deviation {herm[k]:.3e})")
+    low = np.linalg.eigvalsh(m)[:, 0]
+    _reject_first(low < -TOL_EIG, lambda k: f"{name(k)} has negative eigenvalue {low[k]:.3e}")
+    tr = np.trace(m, axis1=1, axis2=2)
+    _reject_first(
+        np.abs(tr - 1.0) > TOL_VALID, lambda k: f"{name(k)} has trace {complex(tr[k]):.12g}, expected 1"
+    )
 
 
 def trace_norm(x: np.ndarray) -> float:
@@ -189,15 +232,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = _square(self.matrix, "density operator")
-        herm = np.max(np.abs(m - dagger(m)))
-        if herm > TOL_HERM:
-            raise ValidationError(f"density operator is not Hermitian (deviation {herm:.3e})")
-        low = float(np.linalg.eigvalsh(m).min())
-        if low < -TOL_EIG:
-            raise ValidationError(f"density operator has negative eigenvalue {low:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL_VALID:
-            raise ValidationError(f"density operator has trace {tr:.12g}, expected 1")
+        _require_states(m[None], lambda k: "density operator")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -482,6 +517,7 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
 
 
 def identity_channel(dim: int) -> KrausChannel:
+    (dim,) = _integers([dim], "identity_channel: dim")
     if dim < 1:
         raise ValidationError(f"dimension must be positive, got {dim}")
     return KrausChannel((np.eye(dim),))

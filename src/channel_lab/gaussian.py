@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TOL_EIG, TOL_HERM, ValidationError, _require_finite
-from .report import Report, _integers
+from .core import TOL_EIG, TOL_HERM, ValidationError, _integers, _require_finite
+from .report import Report
 from .sequences import ChannelSequence, _term_blocks
 
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -379,9 +379,9 @@ def z_grid(modes: int, max_points: int = 625) -> np.ndarray:
     """
     if modes < 1:
         raise ValidationError(f"mode count must be positive, got {modes}")
-    if not max_points >= 1:
+    (max_points,) = _integers([max_points], "max_points")
+    if max_points < 1:
         raise ValidationError(f"max_points must be >= 1, got {max_points}")
-    _integers([max_points], "max_points")
     axis = np.arange(-2.0, 3.0)
     n, d = len(axis), 2 * modes
     count = min(max_points, n**d)

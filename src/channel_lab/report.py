@@ -21,7 +21,7 @@ import numbers
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _NOT_NUMBERS, _integers
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +44,6 @@ COLUMNS = {
 }
 #: ``choi_dominates_strong`` holds where the Choi defect is at least the strong one minus this.
 DOMINANCE_SLACK = 1e-12
-_NOT_NUMBERS = (bool, np.bool_)
 #: Which values a cell of each column type accepts; numpy scalars count.
 _ACCEPTS = {
     float: lambda x: isinstance(x, numbers.Real) and not isinstance(x, _NOT_NUMBERS),
@@ -156,20 +155,6 @@ def _block_layout(shape: tuple, level: int) -> tuple[str, list]:
         # Between two children along ``axis``: close the inner brackets, then open the next child's.
         seps = ((seps + [closes(axis + 1) + "," + opens(axis + 1)]) * shape[axis])[:-1]
     return "[" + opens(1), seps + [closes(0)]
-
-
-def _integers(values, what: str) -> tuple:
-    """``values`` as a tuple of plain ints; any other value raises "``what`` must be integers".
-
-    Integers of every type count, numpy's included; bools do not.  The sweeps
-    check their indices with it before building a term, the report on
-    construction; ``compression_sequence`` checks its ranks, ``z_grid`` its
-    point count.
-    """
-    values = tuple(values)
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in values):
-        raise ValidationError(f"{what} must be integers, got {list(values)!r}")
-    return tuple(int(n) for n in values)
 
 
 class Report:

@@ -2,7 +2,10 @@
 
 A :class:`ChannelSequence` pairs a limit channel with a lazy rule for its
 terms (index 1 and up; index 0 returns the limit).  Defects compare a term
-against the limit over finite test families:
+against the limit over finite test families.  :func:`convergence_report`
+takes them as one ``ensembles.Probes`` object, whose stacks are validated
+when it is built; :func:`strong_defect` and :func:`strongstar_defect` take
+lists of members and stack them per call:
 
 * ``strong_defect``: worst trace-norm disagreement on test states.
 * ``strongstar_defect``: worst Euclidean disagreement of the dual maps on
@@ -27,8 +30,8 @@ and cost no observable product, only the one applying them to the test
 vectors.  Trace norms of the Hermitian differences are sums of
 |eigenvalues|, one batched ``eigvalsh`` per block.
 :func:`convergence_report` builds each term once per index and the
-limit's Choi matrix and the stacked test families once per report; a block
-holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
+limit's Choi matrix and the column layout of the probe stacks once per
+report; a block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
 
 The Choi column never diagonalizes the (d_out*d_in)-square difference while
 it has low rank.  With M the (K, d_out*d_in) matrix of stacked
@@ -57,6 +60,7 @@ from .core import (
     compose_channels,
     dagger,
     tensor_channels,
+    _integers,
     _kraus_matrix,
     _pure_parts,
     _require_within,
@@ -68,7 +72,8 @@ from .dilation import (
     pad_environment,
     _kraus_from_rows,
 )
-from .report import Report, _integers
+from .ensembles import Probes
+from .report import Report
 
 #: A compression term adds no replacement operator for a Kraus row below this norm.
 ZERO_ROW_NORM = 1e-14
@@ -161,13 +166,12 @@ def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
     return out.reshape(len(ds), d_out * d_out, -1).transpose(0, 2, 1).reshape(len(ds), -1, d_out, d_out)
 
 
-def _observable_columns(test_obs, d_out: int) -> np.ndarray | None:
-    """The stacked d_out-square observables, or ``None`` when they stack to exactly the identity.
+def _unless_identity(obs: np.ndarray) -> np.ndarray | None:
+    """Stacked observable columns, or ``None`` when they are exactly the identity.
 
-    The matrix units in row-major order do; for them :func:`_dual_norms`
+    The matrix units in row-major order are; for them :func:`_dual_norms`
     needs no product with the observables.
     """
-    obs = _columns(test_obs, "test observable", (d_out, d_out))
     return None if np.array_equal(obs, np.eye(obs.shape[1])) else obs
 
 
@@ -179,7 +183,7 @@ def _dual_norms(ds: np.ndarray, obs: np.ndarray | None, vecs: np.ndarray, d_in: 
     and the conjugates of its images are that matrix times ``conj(vecs)``,
     with the same norms: one product with the observables and one GEMM with
     the vectors.  With ``obs`` None (the stack is the identity, see
-    :func:`_observable_columns`) the rows are those of ``S_n - S_0`` itself
+    :func:`_unless_identity`) the rows are those of ``S_n - S_0`` itself
     and the product with the observables is skipped.
     """
     rows = ds if obs is None else obs.conj().T @ ds
@@ -242,7 +246,7 @@ def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
 
 def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> float:
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
-    obs = _observable_columns(test_obs, seq.limit.d_out)
+    obs = _unless_identity(_columns(test_obs, "test observable", (seq.limit.d_out,) * 2))
     vecs = _columns(test_vectors, "test vector", (seq.limit.d_in,))
     _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
@@ -268,18 +272,13 @@ def choi_defect(seq: ChannelSequence, n: int) -> float:
     return float(choi_defects(seq, [n])[0])
 
 
-def convergence_report(
-    seq: ChannelSequence,
-    ns,
-    test_states,
-    test_obs,
-    test_vectors,
-    test_family: str = "",
-) -> Report:
+def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: str = "") -> Report:
     """Sweep all three defect kinds over the given indices.
 
-    The test families are stacked and the limit's Choi matrix is built once
-    per report.  The indices are swept in blocks of at most
+    ``probes`` holds the test states, observables and vectors as validated
+    stacks; each is laid out as the columns of one array once per report,
+    and the limit's Choi matrix is built once per report.  The indices are
+    swept in blocks of at most
     ``SWEEP_BLOCK_ENTRIES // (d_out*d_in)^2`` (at least one), so memory does
     not grow with ``len(ns)``.  Each block builds its terms in index order,
     once per index, and stacks their Choi matrices (one GEMM each) minus the
@@ -293,17 +292,25 @@ def convergence_report(
     block; the Choi column takes them from the small QR core described in
     the module docstring whenever the two Kraus families are small enough.
     Witnesses are first maximizers: in state order for strong,
-    observable-major then vector order for strong*.  A probe that does not
-    act on the limit (states and vectors on d_in, observables on d_out) is a
-    ``ValidationError``, raised before any term is built.  An index that is not
-    an integer (a bool is not) is rejected before any term is built; other
-    errors surface in index order.
+    observable-major then vector order for strong*.  A probe family that does
+    not act on the limit (states and vectors on d_in, observables on d_out)
+    is a ``ValidationError``, raised before any term is built.  An index
+    that is not an integer (a bool is not) is rejected before any term is
+    built; other errors surface in index order.
     """
     ns = _integers(ns, "convergence_report: indices")
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
-    states = _columns(test_states, "test state", (d_in, d_in))
-    obs = _observable_columns(test_obs, d_out)
-    vecs = _columns(test_vectors, "test vector", (d_in,))
+    columns = []
+    for what, stack, shape in (
+        ("test state", probes.states, (d_in, d_in)),
+        ("test observable", probes.observables, (d_out, d_out)),
+        ("test vector", probes.vectors, (d_in,)),
+    ):
+        if stack.shape[1:] != shape:
+            raise ValidationError(f"{what} family has a member of shape {stack.shape[1:]}, the limit needs {shape}")
+        columns.append(np.ascontiguousarray(stack.reshape(len(stack), -1).T))
+    states, obs, vecs = columns
+    obs = _unless_identity(obs)
     limit_choi = choi_matrix(seq.limit)
     strong, star, choi = np.empty((3, len(ns)))
     strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)

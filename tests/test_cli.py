@@ -710,6 +710,9 @@ def test_an_infinite_imaginary_part_is_a_validation_error_without_a_warning(tmp_
         (["sequence", "swap", "--dim", "-4"], "the swap family needs dimension >= 3, got -4"),
         (["sequence", "partial-trace-form", "--dim", "0"], "input dimension must be positive, got 0"),
         (["sequence", "partial-trace-form", "--dim", "-1"], "input dimension must be positive, got -1"),
+        # The output and environment dimensions are named before their product is compared.
+        (["sequence", "partial-trace-form", "--dim-out", "0"], "output dimension d_out must be positive, got 0"),
+        (["sequence", "partial-trace-form", "--dim-env", "-2"], "environment dimension d_env must be positive, got -2"),
         (["sequence", "compress", "--dim", "0"], "dimension must be positive, got 0"),
         (["sequence", "compress", "--dim", "-1"], "dimension must be positive, got -1"),
     ],
@@ -722,6 +725,8 @@ def test_an_infinite_imaginary_part_is_a_validation_error_without_a_warning(tmp_
         "swap-negative-dim",
         "partial-trace-form-zero-dim",
         "partial-trace-form-negative-dim",
+        "partial-trace-form-zero-dim-out",
+        "partial-trace-form-negative-dim-env",
         "compress-zero-dim",
         "compress-negative-dim",
     ],

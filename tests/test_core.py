@@ -115,12 +115,14 @@ def test_duality_identity_on_random_triples(rng):
 
 
 def test_density_operator_validation_messages():
-    with pytest.raises(ValidationError, match="not Hermitian"):
+    with pytest.raises(ValidationError, match=r"^density operator is not Hermitian \(deviation 1\.000e\+00\)$"):
         DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
-    with pytest.raises(ValidationError, match="negative eigenvalue"):
+    with pytest.raises(ValidationError, match=r"^density operator has negative eigenvalue -5\.000e-01$"):
         DensityOperator(np.diag([1.5, -0.5]))
-    with pytest.raises(ValidationError, match="trace"):
+    with pytest.raises(ValidationError, match=r"^density operator has trace 1\.4\+0j, expected 1$"):
         DensityOperator(np.diag([0.7, 0.7]))
+    with pytest.raises(ValidationError, match="^density operator contains non-finite entries$"):
+        DensityOperator(np.diag([np.nan, 1.0]))
     with pytest.raises(ValidationError, match=r"shape \(2, 3\)"):
         DensityOperator(np.zeros((2, 3)))
 
@@ -479,6 +481,12 @@ def test_an_isometry_of_input_dimension_zero_is_rejected():
 @pytest.mark.parametrize("dim", [0, -1])
 def test_identity_channel_needs_a_positive_dimension(dim):
     with pytest.raises(ValidationError, match=f"^dimension must be positive, got {dim}$"):
+        identity_channel(dim)
+
+
+@pytest.mark.parametrize("dim", [2.5, np.float64(2.0), None, "2", True], ids=repr)
+def test_identity_channel_needs_an_integer_dimension(dim):
+    with pytest.raises(ValidationError, match=r"^identity_channel: dim must be integers, got \["):
         identity_channel(dim)
 
 

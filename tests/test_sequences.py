@@ -22,6 +22,7 @@ from channel_lab.core import (
     ordered_eigh,
     trace_norm,
 )
+from channel_lab.ensembles import Probes
 from channel_lab.gaussian import attenuator, param_convergence_check
 from channel_lab.report import Report, from_json_dict
 from channel_lab.sequences import (
@@ -91,7 +92,7 @@ def test_observables_of_the_wrong_dimension_are_rejected(d_obs, rng):
     obs = ensembles.matrix_unit_observables(d_obs)
     message = re.escape(f"test observable family has a member of shape ({d_obs}, {d_obs}), the limit needs (3, 3)")
     with pytest.raises(ValidationError, match=message):
-        convergence_report(seq, [1, 2], states, obs, vecs)
+        convergence_report(seq, [1, 2], Probes(states, obs, vecs))
     with pytest.raises(ValidationError, match=message):
         strongstar_defect(seq, 1, obs, vecs)
 
@@ -103,19 +104,21 @@ def test_states_and_vectors_of_the_wrong_dimension_are_rejected(rng):
     obs = ensembles.matrix_unit_observables(3)
     wrong_states = ensembles.default_test_states(3, rng)
     wrong_vecs = vecs + ensembles.default_test_vectors(3, rng)[:1]  # one wrong member is enough
+    # a probe family is one stack, so all its members act on the wrong space
+    all_wrong_vecs = ensembles.default_test_vectors(3, rng)
     state_message = re.escape("test state family has a member of shape (3, 3), the limit needs (2, 2)")
     vector_message = re.escape("test vector family has a member of shape (3,), the limit needs (2,)")
     with pytest.raises(ValidationError, match=state_message):
-        convergence_report(seq, [1], wrong_states, obs, vecs)
+        convergence_report(seq, [1], Probes(wrong_states, obs, vecs))
     with pytest.raises(ValidationError, match=state_message):
         strong_defect(seq, 1, wrong_states)
     with pytest.raises(ValidationError, match=vector_message):
-        convergence_report(seq, [1], states, obs, wrong_vecs)
+        convergence_report(seq, [1], Probes(states, obs, all_wrong_vecs))
     with pytest.raises(ValidationError, match=vector_message):
         strongstar_defect(seq, 1, obs, wrong_vecs)
     # the observables act on d_out, not on d_in
     with pytest.raises(ValidationError, match=re.escape("shape (2, 2), the limit needs (3, 3)")):
-        convergence_report(seq, [1], states, ensembles.matrix_unit_observables(2), vecs)
+        convergence_report(seq, [1], Probes(states, ensembles.matrix_unit_observables(2), vecs))
 
 
 def test_choi_defect_dominates_strong_at_maximally_mixed(rng):
@@ -377,7 +380,7 @@ def test_convergence_report_columns_and_witnesses(rng):
     states = ensembles.default_test_states(4, rng)
     obs = ensembles.matrix_unit_observables(2)
     vecs = ensembles.default_test_vectors(4, rng)
-    rep = convergence_report(seq, [1, 10], states, obs, vecs, test_family="rotation")
+    rep = convergence_report(seq, [1, 10], Probes(states, obs, vecs), test_family="rotation")
     assert rep.indices == (1, 10)
     assert rep.strong[0] == pytest.approx(strong_defect(seq, 1, states), abs=1e-14)
     assert rep.strongstar[1] == pytest.approx(strongstar_defect(seq, 10, obs, vecs), abs=1e-14)
@@ -399,7 +402,7 @@ def test_convergence_report_is_deterministic(rng):
     vecs = ensembles.default_test_vectors(3, rng)
 
     def build():
-        return convergence_report(seq, [1, 2, 3, 4], states, obs, vecs)
+        return convergence_report(seq, [1, 2, 3, 4], Probes(states, obs, vecs))
 
     assert build().to_json_dict() == build().to_json_dict()
 
@@ -411,7 +414,7 @@ def _rotation_sequence(d_in, d_out, d_env):
 
 
 def _sweep_case(case, rng):
-    """A sequence, its indices and its test families, for the block-size tests."""
+    """A sequence, its indices and its default probes, for the block-size tests."""
     if case == "partial-trace-form":
         # 8 indices to a default block: 20 indices span three blocks.
         seq, ns = _rotation_sequence(8, 4, 8), range(1, 21)
@@ -426,21 +429,15 @@ def _sweep_case(case, rng):
     else:
         ch = ensembles.random_kraus_channel(3, 2, 4, rng)
         seq, ns = ChannelSequence(ch, lambda n: ch), [1, 2, 3]
-    d_in, d_out = seq.limit.d_in, seq.limit.d_out
-    families = (
-        ensembles.default_test_states(d_in, rng),
-        ensembles.matrix_unit_observables(d_out),
-        ensembles.default_test_vectors(d_in, rng),
-    )
-    return seq, list(ns), families
+    return seq, list(ns), ensembles.default_probes(seq.limit.d_in, seq.limit.d_out, rng)
 
 
 @pytest.mark.parametrize("case", ["partial-trace-form", "compress-mixed", "constant"])
 def test_convergence_report_does_not_depend_on_the_block_size(case, rng, monkeypatch):
-    seq, ns, families = _sweep_case(case, rng)
+    seq, ns, probes = _sweep_case(case, rng)
 
     def sweep():
-        return convergence_report(seq, ns, *families).to_json_dict(), choi_defects(seq, ns).tolist()
+        return convergence_report(seq, ns, probes).to_json_dict(), choi_defects(seq, ns).tolist()
 
     default = sweep()
     if case == "partial-trace-form":
@@ -458,16 +455,12 @@ def test_convergence_report_does_not_depend_on_the_block_size(case, rng, monkeyp
 
 def test_convergence_report_memory_does_not_grow_with_the_index_count(rng):
     seq = _rotation_sequence(8, 4, 8)
-    families = (
-        ensembles.default_test_states(8, rng),
-        ensembles.matrix_unit_observables(4),
-        ensembles.default_test_vectors(8, rng),
-    )
+    probes = ensembles.default_probes(8, 4, rng)
     peaks = []
     for n_max in (60, 240):
         tracemalloc.start()
         try:
-            convergence_report(seq, range(1, n_max + 1), *families)
+            convergence_report(seq, range(1, n_max + 1), probes)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -483,7 +476,7 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
     _, ds = sequences._deltas([seq.term(d // 2)], choi_matrix(seq.limit))
     units = ensembles.matrix_unit_observables(d)
-    obs = sequences._observable_columns(units, d)
+    obs = sequences._unless_identity(sequences._columns(units, "test observable", (d, d)))
     vecs = sequences._columns(ensembles.default_test_vectors(d, rng), "test vector", (d,))
     assert obs is None
     tracemalloc.start()
@@ -502,14 +495,14 @@ def test_convergence_report_raises_for_the_first_invalid_term(bad, rng):
     """Terms 1..8 share a block; the first invalid term is reported, as in an index loop."""
     good = _rotation_sequence(8, 4, 8)
     seq = ChannelSequence(good.limit, lambda n: identity_channel(8) if n in bad else good.term(n))
-    _, ns, families = _sweep_case("partial-trace-form", rng)
+    _, ns, probes = _sweep_case("partial-trace-form", rng)
     with pytest.raises(ValidationError, match=rf"term {min(bad)} acts between dims \(8,8\)"):
-        convergence_report(seq, ns, *families)
+        convergence_report(seq, ns, probes)
     v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
     form = rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n)
     stray = PartialTraceForm(v0, lambda n: PartialIsometry(np.eye(32)) if n in bad else form.w_fn(n))
     with pytest.raises(ValidationError, match=rf"term {min(bad)}: initial projector deviates"):
-        convergence_report(channels_from_partial_isometries(stray), ns, *families)
+        convergence_report(channels_from_partial_isometries(stray), ns, probes)
 
 
 def test_report_validation_and_round_trip(tmp_path):
@@ -620,7 +613,7 @@ def _naive_report(seq, ns, states, obs, vecs):
 
 
 def _assert_matches_oracle(seq, ns, states, obs, vecs):
-    rep = convergence_report(seq, ns, states, obs, vecs)
+    rep = convergence_report(seq, ns, Probes(states, obs, vecs))
     want = _naive_report(seq, ns, states, obs, vecs)
     assert rep.indices == tuple(r[0] for r in want)
     assert rep.strong_witness == tuple(r[2] for r in want)
@@ -727,9 +720,7 @@ _SWEEPS = {
     "convergence_report": (identity_channel(2), lambda seq, ns: convergence_report(
         seq,
         ns,
-        ensembles.basis_states(2),
-        ensembles.matrix_unit_observables(2),
-        [ensembles.basis_vector(2, 0)],
+        Probes(ensembles.basis_states(2), ensembles.matrix_unit_observables(2), [ensembles.basis_vector(2, 0)]),
     )),
     "choi_defects": (identity_channel(2), choi_defects),
     "param_convergence_check": (attenuator(0.5), lambda seq, ns: param_convergence_check(seq, ns, 1e-6)),
