@@ -74,8 +74,9 @@ def _integers(values, what: str) -> tuple:
 
     Integers of every type count, numpy's included; bools do not.  The sweeps
     check their indices with it before building a term, the report on
-    construction; ``compression_sequence`` checks its ranks, ``z_grid`` its
-    point count and ``identity_channel`` its dimension.
+    construction, the single defects their index; ``compression_sequence``
+    checks its ranks, ``z_grid`` its mode and point counts and
+    ``identity_channel`` its dimension.
     """
     values = tuple(values)
     if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in values):
@@ -87,6 +88,21 @@ def _cmat(m) -> np.ndarray:
     a = np.array(m, dtype=np.complex128)
     a.setflags(write=False)
     return a
+
+
+def _stack(members, what: str) -> np.ndarray:
+    """``members`` as one read-only complex stack: an array as it is, or a sequence of equal-shape arrays.
+
+    Only the members of a sequence can disagree in shape; the first one whose
+    shape is not member 0's is rejected as "``what`` k has shape X, ``what`` 0
+    has Y".  Kraus families and probe families both stack here.
+    """
+    if not isinstance(members, np.ndarray):
+        members = [np.asarray(m) for m in members]
+        for k, m in enumerate(members):
+            if m.shape != members[0].shape:
+                raise ValidationError(f"{what} {k} has shape {m.shape}, {what} 0 has {members[0].shape}")
+    return _cmat(members)
 
 
 def _require_finite(m: np.ndarray, what: str) -> None:
@@ -269,7 +285,8 @@ class KrausChannel:
 
     The family is one read-only complex array ``stack`` of shape
     (K, d_out, d_in), built from any sequence of equal-shape matrices or
-    from such an array; ``kraus_ops`` holds read-only views of its slices.
+    from such an array by ``_stack``, the rule probe families share;
+    ``kraus_ops`` holds read-only views of its slices.
     Its Stinespring isometry is a transpose-and-reshape of ``stack``, and
     ``stack.reshape(K, -1)`` is the matrix of stacked ``vec(A_k)``.
     The family is trace preserving: ``sum_i A_i* A_i = I`` within
@@ -280,24 +297,12 @@ class KrausChannel:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # An array is checked in place as the one (K, d_out, d_in) stack it is;
-        # only the members of a sequence can disagree in shape.
-        ops = self.kraus_ops
-        listed = not isinstance(ops, np.ndarray)
-        if listed:
-            ops = [np.asarray(a, dtype=np.complex128) for a in ops]
-        if len(ops) == 0:
+        stack = _stack(self.kraus_ops, "Kraus operator")
+        if len(stack) == 0:
             raise ValidationError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
+        shape = stack.shape[1:]
         if len(shape) != 2 or 0 in shape:
             raise ValidationError(f"Kraus operators must be matrices, got shape {shape}")
-        if listed:
-            for a in ops:
-                if a.shape != shape:
-                    raise ValidationError(
-                        f"Kraus operators disagree in shape: {a.shape} vs {shape}"
-                    )
-        stack = _cmat(ops)
         _require_finite(stack, "Kraus operator")
         flat = stack.reshape(-1, shape[1])
         _require_within(

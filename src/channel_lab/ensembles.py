@@ -6,10 +6,12 @@ reproducibility.
 A :class:`Probes` holds the three probe families of a convergence report as
 read-only stacks: test states for the strong column, observables and the
 vectors they are applied to for the strong* column.  It validates each
-family once, as one array.  :func:`default_probes` draws the default
-families straight into the stacks; :func:`default_test_states` and
-:func:`default_test_vectors` give the same draws as lists of members, from
-the same helpers.
+family once, as one array; ``sequences.strong_defect`` and
+``sequences.strongstar_defect`` validate the lists or stacks they take by the
+same rules, through :func:`_states` and :func:`_family`.
+:func:`default_probes` draws the default families straight into the stacks;
+:func:`default_test_states` and :func:`default_test_vectors` give the same
+draws as lists of members, from the same helpers.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .core import (
     Observable,
     PartialIsometry,
     ValidationError,
-    _cmat,
     _reject_first,
     _require_states,
+    _stack,
     dagger,
 )
 from .dilation import _kraus_from_rows
@@ -146,14 +148,12 @@ def _family(members, what: str, ndim: int) -> np.ndarray:
     """A probe family as one read-only complex stack of nonempty ``ndim``-dimensional members.
 
     ``members`` is such a stack or a sequence of members, each an array or an
-    object with a ``matrix``; matrices must be square and every entry finite.
+    object with a ``matrix``, stacked by ``core._stack``; matrices must be
+    square and every entry finite.
     """
     if not isinstance(members, np.ndarray):
-        members = [np.asarray(getattr(x, "matrix", x)) for x in members]
-        for k, m in enumerate(members):
-            if m.shape != members[0].shape:
-                raise ValidationError(f"{what} {k} has shape {m.shape}, {what} 0 has {members[0].shape}")
-    stack = _cmat(members)
+        members = [getattr(x, "matrix", x) for x in members]
+    stack = _stack(members, what)
     if len(stack) == 0:
         raise ValidationError(f"empty {what} family")
     shape = stack.shape[1:]
@@ -165,6 +165,13 @@ def _family(members, what: str, ndim: int) -> np.ndarray:
         lambda k: f"{what} {k} contains non-finite entries",
     )
     return stack
+
+
+def _states(members) -> np.ndarray:
+    """A test-state family stacked by :func:`_family`, each member checked as a ``DensityOperator`` is."""
+    states = _family(members, "test state", 2)
+    _require_states(states, lambda k: f"test state {k}")
+    return states
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +196,7 @@ class Probes:
     vectors: np.ndarray
 
     def __post_init__(self):
-        states = _family(self.states, "test state", 2)
-        _require_states(states, lambda k: f"test state {k}")
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", _states(self.states))
         object.__setattr__(self, "observables", _family(self.observables, "test observable", 2))
         object.__setattr__(self, "vectors", _family(self.vectors, "test vector", 1))
 

@@ -278,12 +278,14 @@ def _char_devs(a: np.ndarray, b: np.ndarray, a0: np.ndarray, b0: np.ndarray) -> 
 def char_fn(st: GaussianState, z) -> complex | np.ndarray:
     """Characteristic function ``exp(i m.z - z.sigma.z / 2)`` at phase-space points.
 
-    A point of shape (2s,) gives a ``complex``; a (P, 2s) stack gives the P values.
+    A point of shape (2s,) gives a ``complex``; a (P, 2s) stack gives the P
+    values.  Every coordinate must be finite.
     """
     z = np.asarray(z, dtype=np.float64)
     d = 2 * st.modes
     if z.shape != (d,) and (z.ndim != 2 or z.shape[1] != d):
         raise ValidationError(f"argument of shape {z.shape} does not match {st.modes} modes")
+    _require_finite(z, "phase-space point")
     pts = np.atleast_2d(z)
     values = _char_values(st.mean, st.cov, pts, _point_outer(pts))
     return complex(values[0]) if z.ndim == 1 else values
@@ -293,11 +295,13 @@ def dual_weyl_symbol(ch: GaussianChannel, z) -> tuple[np.ndarray, complex]:
     """The dual action on a plane-wave symbol at z: the pulled-back point and the factor.
 
     Satisfies ``char_fn(apply_gaussian(ch, st), z) ==
-    char_fn(st, point) * factor`` for every valid state.
+    char_fn(st, point) * factor`` for every valid state.  Every coordinate of
+    z must be finite.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (2 * ch.modes_out,):
         raise ValidationError(f"argument of shape {z.shape} does not match {ch.modes_out} output modes")
+    _require_finite(z, "phase-space point")
     point = ch.scale @ z
     factor = complex(_char_values(ch.shift, ch.noise, z[None], _point_outer(z[None]))[0])
     return point, factor
@@ -376,7 +380,9 @@ def z_grid(modes: int, max_points: int = 625) -> np.ndarray:
     """Deterministic phase-space grid {-2, -1, 0, 1, 2}^(2s), truncated.
 
     Points come in lexicographic order; only the first ``max_points`` are built.
+    Both counts must be integers (a bool is not).
     """
+    (modes,) = _integers([modes], "modes")
     if modes < 1:
         raise ValidationError(f"mode count must be positive, got {modes}")
     (max_points,) = _integers([max_points], "max_points")
@@ -431,9 +437,9 @@ def param_convergence_check(
     pointwise convergence of the outputs are equivalent, so the two sides
     must co-vanish; the report exists to exhibit that numerically.
 
-    An index that is not an integer (a bool is not) or a grid that is not a
-    nonempty (P, 2 s_out) stack raises ValidationError before any term is
-    built.  The indices are swept in blocks of at most
+    An index that is not an integer (a bool is not), or a grid that is not a
+    nonempty (P, 2 s_out) stack of finite points, raises ValidationError
+    before any term is built.  The indices are swept in blocks of at most
     ``sequences.SWEEP_BLOCK_ENTRIES // (states x points)`` (at least one),
     by the block rule of the Kraus sweeps, so memory does not grow with
     ``len(ns)``.  Each block builds its terms in index order, checks their
@@ -458,6 +464,7 @@ def param_convergence_check(
     pts = np.asarray(grid if grid is not None else z_grid(limit.modes_out), dtype=np.float64)
     if pts.ndim != 2 or len(pts) == 0 or pts.shape[1] != 2 * limit.modes_out:
         raise ValidationError(f"grid of shape {pts.shape} is not a nonempty (P, {2 * limit.modes_out}) stack")
+    _require_finite(pts, "grid")
     outer = _point_outer(pts)
 
     def output_exponents(chs):

@@ -4,8 +4,10 @@ A :class:`ChannelSequence` pairs a limit channel with a lazy rule for its
 terms (index 1 and up; index 0 returns the limit).  Defects compare a term
 against the limit over finite test families.  :func:`convergence_report`
 takes them as one ``ensembles.Probes`` object, whose stacks are validated
-when it is built; :func:`strong_defect` and :func:`strongstar_defect` take
-lists of members and stack them per call:
+when it is built.  :func:`strong_defect` and :func:`strongstar_defect` take
+each family as a list of members or as a stack, and validate it per call by
+the rules of ``Probes`` and their index by the rule of the sweeps, all before
+any term is built:
 
 * ``strong_defect``: worst trace-norm disagreement on test states.
 * ``strongstar_defect``: worst Euclidean disagreement of the dual maps on
@@ -39,8 +41,9 @@ it has low rank.  With M the (K, d_out*d_in) matrix of stacked
 ``A = [M_n^T, M_0^T]``.  While ``K_n + K_0 < d_out*d_in`` its nonzero
 eigenvalues are those of ``R diag(I, -I) R^H``, where R is A's
 (K_n + K_0)-square QR factor, one batched QR for the terms of a block with
-the same Kraus count; :func:`choi_defect` then builds no Choi matrix at
-all.  Larger families diagonalize the dense difference.
+the same Kraus count; :func:`choi_defect` then diagonalizes no Choi
+matrix.  Larger families diagonalize the dense difference, which every
+Choi sweep stacks as the report does.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .dilation import (
     pad_environment,
     _kraus_from_rows,
 )
-from .ensembles import Probes
+from .ensembles import Probes, _family, _states
 from .report import Report
 
 #: A compression term adds no replacement operator for a Kraus row below this norm.
@@ -114,20 +117,16 @@ class ChannelSequence:
         return ch
 
 
-def _columns(family, what: str, shape: tuple) -> np.ndarray:
-    """A test family stacked as the columns of one array.
+def _probe_columns(stack: np.ndarray, what: str, shape: tuple) -> np.ndarray:
+    """A validated probe stack laid out as the columns of one contiguous array.
 
     Every member must have ``shape``, the one the limit acts on: d_in-square
     states, d_in vectors, d_out-square observables.  Matrices enter as their
     row-major ``vec``, so the result is (dim^2, size); vectors give (dim, size).
     """
-    if not family:
-        raise ValidationError(f"empty {what} family")
-    members = [np.asarray(getattr(x, "matrix", x)) for x in family]
-    for m in members:
-        if m.shape != shape:
-            raise ValidationError(f"{what} family has a member of shape {m.shape}, the limit needs {shape}")
-    return np.stack([m.ravel() for m in members], axis=1)
+    if stack.shape[1:] != shape:
+        raise ValidationError(f"{what} family has a member of shape {stack.shape[1:]}, the limit needs {shape}")
+    return np.ascontiguousarray(stack.reshape(len(stack), -1).T)
 
 
 def _term_blocks(seq: ChannelSequence, ns: list, entries_per_term: int):
@@ -200,7 +199,7 @@ def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
 
 
-def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None) -> np.ndarray:
+def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray) -> np.ndarray:
     """``trace_norm(J_n - J_0)`` for a block of built terms.
 
     ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.  While A
@@ -208,8 +207,7 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None) -> np.ndarray:
     nonzero eigenvalues are those of ``R diag(I, -I) R^H`` for the QR factor
     R of A, a (K_n + K_0)-square matrix; the terms with one Kraus count share
     one batched QR.  The other terms diagonalize their dense difference,
-    taken from ``dj`` when the caller has stacked it and built here
-    otherwise.  Equal families give exactly 0.
+    their slice of the block's stacked ``dj``.  Equal families give exactly 0.
     """
     m_0 = _kraus_matrix(limit)
     k_0, size = m_0.shape
@@ -229,25 +227,24 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None) -> np.ndarray:
         signs = np.repeat([1.0, -1.0], [k_n, k_0])
         gaps[rows] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
     if dense:
-        if dj is None:
-            dj = np.stack([choi_matrix(terms[i]) for i in dense]) - choi_matrix(limit)
-        else:
-            dj = dj[dense]
-        gaps[dense] = _hermitian_trace_norm(dj)
+        gaps[dense] = _hermitian_trace_norm(dj[dense])
     return gaps
 
 
 def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
-    states = _columns(test_states, "test state", (seq.limit.d_in,) * 2)
+    (n,) = _integers([n], "strong_defect: index")
+    states = _probe_columns(_states(test_states), "test state", (seq.limit.d_in,) * 2)
     _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
 def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> float:
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
-    obs = _unless_identity(_columns(test_obs, "test observable", (seq.limit.d_out,) * 2))
-    vecs = _columns(test_vectors, "test vector", (seq.limit.d_in,))
+    (n,) = _integers([n], "strongstar_defect: index")
+    obs, vecs = _family(test_obs, "test observable", 2), _family(test_vectors, "test vector", 1)
+    obs = _unless_identity(_probe_columns(obs, "test observable", (seq.limit.d_out,) * 2))
+    vecs = _probe_columns(vecs, "test vector", (seq.limit.d_in,))
     _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
 
@@ -255,9 +252,10 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
 def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
     """:func:`choi_defect` at every index of ``ns``, in order, swept in blocks."""
     ns = _integers(ns, "choi_defects: indices")
+    limit_choi = choi_matrix(seq.limit)
     gaps = np.empty(len(ns))
-    for rows, terms in _term_blocks(seq, ns, (seq.limit.d_out * seq.limit.d_in) ** 2):
-        gaps[rows] = _choi_gaps(terms, seq.limit, None)
+    for rows, terms in _term_blocks(seq, ns, limit_choi.size):
+        gaps[rows] = _choi_gaps(terms, seq.limit, _deltas(terms, limit_choi)[0])
     return gaps / seq.limit.d_in
 
 
@@ -266,7 +264,7 @@ def choi_defect(seq: ChannelSequence, n: int) -> float:
 
     Computed from the two stacked Kraus matrices: while the term and the
     limit together have fewer Kraus operators than ``d_out * d_in``, from a
-    QR factor of their size and without any Choi matrix; otherwise from the
+    QR factor of their size, diagonalizing no Choi matrix; otherwise from the
     dense difference.  Equal families give exactly 0.
     """
     return float(choi_defects(seq, [n])[0])
@@ -300,17 +298,9 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     """
     ns = _integers(ns, "convergence_report: indices")
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
-    columns = []
-    for what, stack, shape in (
-        ("test state", probes.states, (d_in, d_in)),
-        ("test observable", probes.observables, (d_out, d_out)),
-        ("test vector", probes.vectors, (d_in,)),
-    ):
-        if stack.shape[1:] != shape:
-            raise ValidationError(f"{what} family has a member of shape {stack.shape[1:]}, the limit needs {shape}")
-        columns.append(np.ascontiguousarray(stack.reshape(len(stack), -1).T))
-    states, obs, vecs = columns
-    obs = _unless_identity(obs)
+    states = _probe_columns(probes.states, "test state", (d_in, d_in))
+    obs = _unless_identity(_probe_columns(probes.observables, "test observable", (d_out, d_out)))
+    vecs = _probe_columns(probes.vectors, "test vector", (d_in,))
     limit_choi = choi_matrix(seq.limit)
     strong, star, choi = np.empty((3, len(ns)))
     strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)

@@ -136,7 +136,7 @@ def test_observable_permits_non_hermitian_matrices():
 def test_kraus_channel_validation():
     with pytest.raises(ValidationError, match="trace preserving"):
         KrausChannel((np.diag([1.0, 0.5]),))
-    with pytest.raises(ValidationError, match=r"\(2, 2\) vs \(3, 2\)"):
+    with pytest.raises(ValidationError, match=r"^Kraus operator 1 has shape \(2, 2\), Kraus operator 0 has \(3, 2\)$"):
         KrausChannel((np.zeros((3, 2)), np.zeros((2, 2))))
     with pytest.raises(ValidationError, match="at least one"):
         KrausChannel(())

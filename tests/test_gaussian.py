@@ -248,6 +248,12 @@ def test_z_grid_rejects_a_point_count_that_is_not_an_integer(max_points):
         z_grid(1, max_points=max_points)
 
 
+@pytest.mark.parametrize("modes", [True, 1.5, "1"], ids=repr)
+def test_z_grid_rejects_a_mode_count_that_is_not_an_integer(modes):
+    with pytest.raises(ValidationError, match=r"^modes must be integers, got \["):
+        z_grid(modes, 3)
+
+
 def test_z_grid_shape_and_truncation():
     pts = z_grid(1)
     assert pts.shape == (25, 2)
@@ -567,6 +573,27 @@ def test_param_convergence_check_rejects_empty_or_misshapen_probe_families():
     for grid in (np.zeros((0, 2)), np.zeros((5, 4)), np.zeros(2), np.zeros((2, 2, 1))):
         with pytest.raises(ValidationError, match="grid of shape"):
             param_convergence_check(seq, [1, 2], eps=1.0, grid=grid)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_param_convergence_check_rejects_a_non_finite_grid_before_any_term_is_built(bad):
+    def unbuildable(n):
+        raise AssertionError(f"term {n} was built")
+
+    seq = ChannelSequence(attenuator(0.5), unbuildable)
+    with pytest.raises(ValidationError, match="^grid contains non-finite entries$"):
+        param_convergence_check(seq, [1, 2], eps=1.0, grid=[[0.0, 1.0], [bad, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_phase_space_point_is_rejected(bad):
+    message = "^phase-space point contains non-finite entries$"
+    with pytest.raises(ValidationError, match=message):
+        char_fn(vacuum(), [bad, 0.0])
+    with pytest.raises(ValidationError, match=message):
+        char_fn(vacuum(), [[0.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValidationError, match=message):
+        dual_weyl_symbol(attenuator(0.5), [bad, 0.0])
 
 
 def test_gaussian_report_round_trip_and_csv(tmp_path):

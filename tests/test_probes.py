@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from channel_lab import ensembles  # noqa: E402
 from channel_lab.core import ValidationError, identity_channel  # noqa: E402
 from channel_lab.ensembles import Probes, default_probes  # noqa: E402
-from channel_lab.sequences import ChannelSequence, convergence_report  # noqa: E402
+from channel_lab.sequences import (  # noqa: E402
+    ChannelSequence,
+    convergence_report,
+    strong_defect,
+    strongstar_defect,
+)
 
 
 def _legacy_stacks(d_in: int, d_out: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,6 +164,31 @@ def test_each_invariant_violation_is_rejected_before_any_term_is_built(case):
     seq = ChannelSequence(identity_channel(2), _unbuildable)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         convergence_report(seq, [1, 2], Probes(**_families(**bad)))
+
+
+def _single_defect(family: str, bad, n=1) -> float:
+    """The one single defect that reads ``family``, given ``bad`` for it and valid other families."""
+    families = {**_families(), family: bad}
+    seq = ChannelSequence(identity_channel(2), _unbuildable)
+    if family == "states":
+        return strong_defect(seq, n, families["states"])
+    return strongstar_defect(seq, n, families["observables"], families["vectors"])
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID))
+def test_each_invariant_violation_is_rejected_by_the_single_defect_before_any_term_is_built(case):
+    bad, message = _INVALID[case]
+    ((family, members),) = bad.items()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _single_defect(family, members)
+
+
+@pytest.mark.parametrize("family, defect", [("states", "strong_defect"), ("observables", "strongstar_defect")])
+@pytest.mark.parametrize("index", [True, 1.5, np.float64(1.0)])
+def test_a_single_defect_index_that_is_not_an_integer_is_rejected_before_any_term_is_built(family, defect, index):
+    message = f"{defect}: index must be integers, got {[index]!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _single_defect(family, _families()[family], index)
 
 
 @pytest.mark.parametrize(

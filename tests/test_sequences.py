@@ -115,6 +115,9 @@ def test_states_and_vectors_of_the_wrong_dimension_are_rejected(rng):
     with pytest.raises(ValidationError, match=vector_message):
         convergence_report(seq, [1], Probes(states, obs, all_wrong_vecs))
     with pytest.raises(ValidationError, match=vector_message):
+        strongstar_defect(seq, 1, obs, all_wrong_vecs)
+    # a mixed list is not one stack, whichever defect reads it
+    with pytest.raises(ValidationError, match=re.escape("test vector 4 has shape (3,), test vector 0 has (2,)")):
         strongstar_defect(seq, 1, obs, wrong_vecs)
     # the observables act on d_out, not on d_in
     with pytest.raises(ValidationError, match=re.escape("shape (2, 2), the limit needs (3, 3)")):
@@ -476,8 +479,10 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
     _, ds = sequences._deltas([seq.term(d // 2)], choi_matrix(seq.limit))
     units = ensembles.matrix_unit_observables(d)
-    obs = sequences._unless_identity(sequences._columns(units, "test observable", (d, d)))
-    vecs = sequences._columns(ensembles.default_test_vectors(d, rng), "test vector", (d,))
+    unit_columns = sequences._probe_columns(ensembles._family(units, "test observable", 2), "test observable", (d, d))
+    obs = sequences._unless_identity(unit_columns)
+    vecs = ensembles._family(ensembles.default_test_vectors(d, rng), "test vector", 1)
+    vecs = sequences._probe_columns(vecs, "test vector", (d,))
     assert obs is None
     tracemalloc.start()
     try:
@@ -486,7 +491,7 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ds.nbytes, f"peak {peak / ds.nbytes:.2f}x ds"
-    general = sequences._dual_norms(ds, sequences._columns(units, "test observable", (d, d)), vecs, d)
+    general = sequences._dual_norms(ds, unit_columns, vecs, d)
     assert np.array_equal(norms, general)
 
 
