@@ -5,7 +5,6 @@ diagnostics for channel sequences, and a parameter-level Gaussian calculus.
 from .core import (
     DensityOperator,
     KrausChannel,
-    Observable,
     PartialIsometry,
     StinespringIsometry,
     UnitaryOp,

@@ -75,8 +75,8 @@ def _integers(values, what: str) -> tuple:
     Integers of every type count, numpy's included; bools do not.  The sweeps
     check their indices with it before building a term, the report on
     construction, the single defects their index; ``compression_sequence``
-    checks its ranks, ``z_grid`` its mode and point counts and
-    ``identity_channel`` its dimension.
+    checks its ranks, the Gaussian functions their mode counts, ``z_grid`` its
+    point count and ``identity_channel`` its dimension.
     """
     values = tuple(values)
     if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in values):
@@ -267,16 +267,6 @@ def _pure_parts(sigma: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = ordered_eigh(sigma.matrix)
     keep = vals > STATE_RANK_CUTOFF
     return np.sqrt(vals[keep]), vecs[:, keep]
-
-
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """A bounded operator used on the dual side.  No hermiticity is required."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _square(self.matrix, "observable"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,10 +46,24 @@ from .sequences import ChannelSequence, _term_blocks
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def symplectic_form(modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form for the given number of modes."""
+def _mode_count(modes) -> int:
+    """``modes`` as a plain int, checked by ``core._integers`` (a bool is not a count), and positive.
+
+    The one rule of every function here that takes a mode count.
+    """
+    (modes,) = _integers([modes], "modes")
     if modes < 1:
         raise ValidationError(f"mode count must be positive, got {modes}")
+    return modes
+
+
+def symplectic_form(modes: int) -> np.ndarray:
+    """Block-diagonal symplectic form for the given number of modes."""
+    return _symplectic(_mode_count(modes))
+
+
+def _symplectic(modes: int) -> np.ndarray:
+    """:func:`symplectic_form` of a count read off a validated state's or channel's shape, unchecked."""
     # np.kron(np.eye(modes), _SYMPLECTIC_BLOCK) entry for entry, signed zeros
     # included, without its call overhead.
     return (np.eye(modes)[:, None, :, None] * _SYMPLECTIC_BLOCK[:, None, :]).reshape(2 * modes, 2 * modes)
@@ -168,7 +182,7 @@ def validate_state(st: GaussianState) -> PsdCheck:
 
     One eigensolve serves both signs (see :func:`_psd_checks`).
     """
-    return _psd_checks(st.cov[None], symplectic_form(st.modes))[0]
+    return _psd_checks(st.cov[None], _symplectic(st.modes))[0]
 
 
 def validate_channel(ch: GaussianChannel) -> PsdCheck:
@@ -188,8 +202,8 @@ def _cp_checks(scales: np.ndarray, noises: np.ndarray) -> list[PsdCheck]:
 
     ``scales`` is (B, 2s_in, 2s_out) and ``noises`` is (B, 2s_out, 2s_out).
     """
-    delta_in = symplectic_form(scales.shape[1] // 2)
-    bracket = symplectic_form(scales.shape[2] // 2) - scales.transpose(0, 2, 1) @ delta_in @ scales
+    delta_in = _symplectic(scales.shape[1] // 2)
+    bracket = _symplectic(scales.shape[2] // 2) - scales.transpose(0, 2, 1) @ delta_in @ scales
     return _psd_checks(noises, bracket)
 
 
@@ -322,6 +336,7 @@ def compose(first: GaussianChannel, then: GaussianChannel) -> GaussianChannel:
 
 
 def vacuum(modes: int = 1) -> GaussianState:
+    modes = _mode_count(modes)
     return GaussianState(mean=np.zeros(2 * modes), cov=np.eye(2 * modes))
 
 
@@ -332,7 +347,7 @@ def coherent_state(eta: complex) -> GaussianState:
 
 
 def identity_gaussian(modes: int = 1) -> GaussianChannel:
-    d = 2 * modes
+    d = 2 * _mode_count(modes)
     return GaussianChannel(scale=np.eye(d), shift=np.zeros(d), noise=np.zeros((d, d)))
 
 
@@ -382,9 +397,7 @@ def z_grid(modes: int, max_points: int = 625) -> np.ndarray:
     Points come in lexicographic order; only the first ``max_points`` are built.
     Both counts must be integers (a bool is not).
     """
-    (modes,) = _integers([modes], "modes")
-    if modes < 1:
-        raise ValidationError(f"mode count must be positive, got {modes}")
+    modes = _mode_count(modes)
     (max_points,) = _integers([max_points], "max_points")
     if max_points < 1:
         raise ValidationError(f"max_points must be >= 1, got {max_points}")
@@ -411,6 +424,7 @@ def attenuator_sequence(k_fn: Callable[[int], float], k_limit: float) -> Channel
 
 def default_gaussian_test_states(modes: int) -> list[GaussianState]:
     """Vacuum, a displaced vacuum, and a noisy state, on the given mode count."""
+    modes = _mode_count(modes)
     d = 2 * modes
     displaced = np.zeros(d)
     displaced[0] = 2.0

@@ -5,9 +5,9 @@ terms (index 1 and up; index 0 returns the limit).  Defects compare a term
 against the limit over finite test families.  :func:`convergence_report`
 takes them as one ``ensembles.Probes`` object, whose stacks are validated
 when it is built.  :func:`strong_defect` and :func:`strongstar_defect` take
-each family as a list of members or as a stack, and validate it per call by
-the rules of ``Probes`` and their index by the rule of the sweeps, all before
-any term is built:
+each family as a stack or as a sequence of equal-shape arrays, and validate
+it per call by the rules of ``Probes`` and their index by the rule of the
+sweeps, all before any term is built:
 
 * ``strong_defect``: worst trace-norm disagreement on test states.
 * ``strongstar_defect``: worst Euclidean disagreement of the dual maps on

@@ -60,9 +60,9 @@ def test_criterion_1_duality(capsys):
         dim = (2, 3, 4, 6)[i % 4]
         ch = ensembles.random_kraus_channel(dim, dim, int(rng.integers(1, 5)), rng)
         rho = ensembles.random_density(dim, rng)
-        b = ensembles.random_observable(dim, rng)
-        lhs = np.trace(channel_action(ch, rho.matrix) @ b.matrix)
-        rhs = np.trace(rho.matrix @ dual_action(ch, b.matrix))
+        b = ensembles.crandn((dim, dim), rng)
+        lhs = np.trace(channel_action(ch, rho.matrix) @ b)
+        rhs = np.trace(rho.matrix @ dual_action(ch, b))
         worst = max(worst, abs(lhs - rhs))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 5.0
@@ -119,7 +119,7 @@ def test_criterion_4_separation_witness(capsys):
         witness_err = max(witness_err, abs(np.linalg.norm((w.w.conj().T - p) @ psi) - 1.0))
         for j in range(1, n):
             # n > j: the n-th term has already released the j-th frame vector
-            tau = ensembles.basis_vector(d, j - 1)
+            tau = np.eye(d, dtype=complex)[j - 1]
             if np.linalg.norm((w.w - p) @ tau) != 0.0:
                 exact_zero = False
     ok = witness_err <= 1e-10 and exact_zero
@@ -203,7 +203,7 @@ def test_criterion_7_partial_trace_form_bullets(capsys):
     v0s = StinespringIsometry(np.eye(d, d - 1), 4, 4)
     sform = sequences.PartialTraceForm(v0s, lambda n: terms[n - 1])
     sseq = sequences.channels_from_partial_isometries(sform)
-    states = [ensembles.pure_density(ensembles.basis_vector(d - 1, j)) for j in range(d - 1)]
+    states = ensembles._projectors(np.eye(d - 1, dtype=complex))
     strong_ok = True
     for j in range(d - 1):
         for n in range(j + 2, d):

@@ -5,7 +5,6 @@ from channel_lab import ensembles
 from channel_lab.core import (
     DensityOperator,
     KrausChannel,
-    Observable,
     PartialIsometry,
     StinespringIsometry,
     UnitaryOp,
@@ -108,9 +107,9 @@ def test_duality_identity_on_random_triples(rng):
         for _ in range(5):
             ch = ensembles.random_kraus_channel(dim, dim, 3, rng)
             rho = ensembles.random_density(dim, rng)
-            b = ensembles.random_observable(dim, rng)
-            lhs = np.trace(channel_action(ch, rho.matrix) @ b.matrix)
-            rhs = np.trace(rho.matrix @ dual_action(ch, b.matrix))
+            b = ensembles.crandn((dim, dim), rng)
+            lhs = np.trace(channel_action(ch, rho.matrix) @ b)
+            rhs = np.trace(rho.matrix @ dual_action(ch, b))
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -125,12 +124,6 @@ def test_density_operator_validation_messages():
         DensityOperator(np.diag([np.nan, 1.0]))
     with pytest.raises(ValidationError, match=r"shape \(2, 3\)"):
         DensityOperator(np.zeros((2, 3)))
-
-
-def test_observable_permits_non_hermitian_matrices():
-    Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValidationError, match="non-finite"):
-        Observable(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 def test_kraus_channel_validation():

@@ -282,7 +282,7 @@ def test_purify_matches_the_eigenvector_loop(rng):
     states = [
         ensembles.random_density(4, rng),
         ensembles.random_density(5, rng, rank=2),
-        ensembles.random_pure_density(3, rng),
+        DensityOperator(ensembles._projectors(ensembles.haar_vector(3, rng)[None])[0]),
         DensityOperator(np.diag([0.5, 0.0, 0.5])),
     ]
     for sigma in states:

@@ -44,8 +44,15 @@ def test_random_kraus_channel_has_exact_operator_count(rng):
         ensembles.random_kraus_channel(5, 2, 2, rng)
 
 
-def test_default_families_sizes(rng):
-    assert len(ensembles.default_test_states(3, rng)) == 3 + 4
-    assert len(ensembles.default_test_vectors(3, rng)) == 3 + 2
-    assert len(ensembles.matrix_unit_observables(3)) == 9
+def test_default_families_are_read_only_complex_stacks(rng):
+    families = (
+        (ensembles.default_test_states(3, rng), (3 + 4, 3, 3)),
+        (ensembles.default_test_vectors(3, rng), (3 + 2, 3)),
+        (ensembles.matrix_unit_observables(3), (9, 3, 3)),
+    )
+    for stack, shape in families:
+        assert isinstance(stack, np.ndarray)
+        assert stack.shape == shape
+        assert stack.dtype == np.complex128
+        assert not stack.flags.writeable
     assert np.linalg.norm(ensembles.haar_vector(7, rng)) == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,6 +253,40 @@ def test_z_grid_rejects_a_point_count_that_is_not_an_integer(max_points):
 def test_z_grid_rejects_a_mode_count_that_is_not_an_integer(modes):
     with pytest.raises(ValidationError, match=r"^modes must be integers, got \["):
         z_grid(modes, 3)
+
+
+#: Every function that takes a mode count, called on that count alone.
+_MODE_COUNT_TAKERS = (
+    symplectic_form,
+    vacuum,
+    identity_gaussian,
+    gaussian.default_gaussian_test_states,
+    z_grid,
+)
+
+
+@pytest.mark.parametrize(
+    "modes, message",
+    [
+        (True, "modes must be integers, got [True]"),
+        (1.5, "modes must be integers, got [1.5]"),
+        (0, "mode count must be positive, got 0"),
+        (-1, "mode count must be positive, got -1"),
+    ],
+    ids=repr,
+)
+def test_every_mode_count_is_checked_by_one_rule(modes, message):
+    for take in _MODE_COUNT_TAKERS:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            take(modes)
+
+
+def test_a_mode_count_of_any_integer_type_is_taken():
+    assert symplectic_form(np.int64(2)).shape == (4, 4)
+    assert vacuum(np.int64(2)).modes == 2
+    assert identity_gaussian(np.int64(2)).modes_in == 2
+    assert [st.modes for st in gaussian.default_gaussian_test_states(np.int64(2))] == [2, 2, 2]
+    assert z_grid(np.int64(2), 3).shape == (3, 4)
 
 
 def test_z_grid_shape_and_truncation():

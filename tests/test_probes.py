@@ -20,12 +20,12 @@ from channel_lab.sequences import (  # noqa: E402
 )
 
 
-def _legacy_stacks(d_in: int, d_out: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The default families as member lists, stacked: states drawn before vectors."""
+def _generated(d_in: int, d_out: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three default family generators on one seed: states drawn before vectors."""
     rng = np.random.default_rng(seed)
-    states = np.array([s.matrix for s in ensembles.default_test_states(d_in, rng)])
-    observables = np.array([o.matrix for o in ensembles.matrix_unit_observables(d_out)])
-    vectors = np.array(ensembles.default_test_vectors(d_in, rng))
+    states = ensembles.default_test_states(d_in, rng)
+    observables = ensembles.matrix_unit_observables(d_out)
+    vectors = ensembles.default_test_vectors(d_in, rng)
     return states, observables, vectors
 
 
@@ -54,10 +54,14 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_default_probes_are_the_stacked_legacy_lists_bit_for_bit(d_in, d_out, seed):
+def test_default_probes_are_the_generated_families_bit_for_bit(d_in, d_out, seed):
     probes = default_probes(d_in, d_out, np.random.default_rng(seed))
-    for got, want in zip((probes.states, probes.observables, probes.vectors), _legacy_stacks(d_in, d_out, seed)):
+    generated = _generated(d_in, d_out, seed)
+    for got, want in zip((probes.states, probes.observables, probes.vectors), generated):
         assert _same_bits(got, want)
+    rebuilt = Probes(*generated)
+    for name in ("states", "observables", "vectors"):
+        assert _same_bits(getattr(rebuilt, name), getattr(probes, name))
     states, vectors = _written_out(d_in, seed)
     assert _same_bits(probes.states, states)
     assert _same_bits(probes.vectors, vectors)
@@ -74,15 +78,30 @@ def test_probe_stacks_are_read_only_and_the_object_is_frozen(rng):
         probes.states = probes.states
 
 
-def test_member_lists_and_stacks_give_the_same_probes(rng):
+def test_default_probes_call_each_traced_generator_once(monkeypatch):
+    """``default_probes`` reaches the generators through the module, so a wrapper set there sees each call."""
+    calls = []
+    for name in ("default_test_states", "matrix_unit_observables"):
+        original = getattr(ensembles, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(ensembles, name, counted)
+    default_probes(3, 2, np.random.default_rng(0))
+    assert sorted(calls) == ["default_test_states", "matrix_unit_observables"]
+
+
+def test_sequences_of_arrays_and_stacks_give_the_same_probes(rng):
     states = ensembles.default_test_states(3, rng)
     obs = ensembles.matrix_unit_observables(2)
     vecs = ensembles.default_test_vectors(3, rng)
-    listed = Probes(states, obs, vecs)
-    stacked = Probes(listed.states, listed.observables, listed.vectors)
-    assert _same_bits(listed.states, np.array([s.matrix for s in states]))
-    assert _same_bits(stacked.observables, listed.observables)
-    assert _same_bits(stacked.vectors, np.array(vecs))
+    stacked = Probes(states, obs, vecs)
+    listed = Probes(list(states), list(obs), list(vecs))
+    for name, want in (("states", states), ("observables", obs), ("vectors", vecs)):
+        assert _same_bits(getattr(stacked, name), want)
+        assert _same_bits(getattr(listed, name), want)
 
 
 def _families(**bad) -> dict:

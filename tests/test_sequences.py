@@ -12,7 +12,6 @@ from channel_lab.core import (
     PartialIsometry,
     StinespringIsometry,
     UnitaryOp,
-    Observable,
     ValidationError,
     channel_action,
     choi_matrix,
@@ -51,6 +50,11 @@ def _pair_sequence(limit, term):
 
 def _mixed(dim):
     return DensityOperator(np.eye(dim) / dim)
+
+
+def _pure(vecs):
+    """The pure states of the rows of ``vecs``, as a stack, each row normalized as the default test states are."""
+    return ensembles._projectors(np.asarray(vecs, dtype=np.complex128))
 
 
 def test_sequence_term_checks(rng):
@@ -103,7 +107,7 @@ def test_states_and_vectors_of_the_wrong_dimension_are_rejected(rng):
     states, vecs = ensembles.default_test_states(2, rng), ensembles.default_test_vectors(2, rng)
     obs = ensembles.matrix_unit_observables(3)
     wrong_states = ensembles.default_test_states(3, rng)
-    wrong_vecs = vecs + ensembles.default_test_vectors(3, rng)[:1]  # one wrong member is enough
+    wrong_vecs = [*vecs, ensembles.default_test_vectors(3, rng)[0]]  # one wrong member is enough
     # a probe family is one stack, so all its members act on the wrong space
     all_wrong_vecs = ensembles.default_test_vectors(3, rng)
     state_message = re.escape("test state family has a member of shape (3, 3), the limit needs (2, 2)")
@@ -131,7 +135,7 @@ def test_choi_defect_dominates_strong_at_maximally_mixed(rng):
         a = ensembles.random_kraus_channel(3, 4, 2, rng)
         b = ensembles.random_kraus_channel(3, 4, 3, rng)
         seq = _pair_sequence(a, b)
-        assert strong_defect(seq, 1, [_mixed(3)]) <= choi_defect(seq, 1) + 1e-12
+        assert strong_defect(seq, 1, [_mixed(3).matrix]) <= choi_defect(seq, 1) + 1e-12
 
 
 def test_phase_rotation_choi_defect_closed_form():
@@ -141,8 +145,8 @@ def test_phase_rotation_choi_defect_closed_form():
         want = 2.0 * abs(np.sin(theta / 2.0))
         assert choi_defect(seq, 1) == pytest.approx(want, abs=1e-12)
         # the plus state attains the same value on the strong side
-        plus = ensembles.pure_density([1.0, 1.0])
-        assert strong_defect(seq, 1, [plus]) == pytest.approx(want, abs=1e-12)
+        plus = _pure([[1.0, 1.0]])
+        assert strong_defect(seq, 1, plus) == pytest.approx(want, abs=1e-12)
 
 
 def test_compression_hand_expansion_on_identity_qubit():
@@ -200,7 +204,7 @@ def test_compression_terms_match_the_operator_loop(rng):
         (identity_channel(5), _mixed(5)),
         (ensembles.random_kraus_channel(3, 4, 2, rng), ensembles.random_density(4, rng)),
         (ensembles.random_kraus_channel(2, 5, 3, rng), ensembles.random_density(5, rng, rank=2)),
-        (KrausChannel(sparse), ensembles.random_pure_density(4, rng)),
+        (KrausChannel(sparse), DensityOperator(_pure([ensembles.haar_vector(4, rng)])[0])),
     ]
     for base, sigma in cases:
         ranks = list(range(base.d_out + 1))
@@ -216,7 +220,7 @@ def test_compression_identity_strong_defect_closed_form():
     # the kept block gains (8-n)/64 per entry, the lost block drops n/64
     seq = compression_sequence(identity_channel(8), _mixed(8), list(range(1, 9)))
     for n in (1, 3, 5, 8):
-        got = strong_defect(seq, n, [_mixed(8)])
+        got = strong_defect(seq, n, [_mixed(8).matrix])
         assert got == pytest.approx(n * (8 - n) / 32.0, abs=1e-12)
 
 
@@ -280,7 +284,7 @@ def test_swap_counterexample_exact_values():
         # the adjoint pulls the witness back to a fresh frame vector forever
         assert np.linalg.norm((w.w.conj().T - p) @ psi) == 1.0
         for j in range(1, d):
-            tau = ensembles.basis_vector(d, j - 1)
+            tau = np.eye(d, dtype=complex)[j - 1]
             gap = np.linalg.norm((w.w - p) @ tau)
             if j == n:
                 assert gap == pytest.approx(np.sqrt(2.0), abs=1e-15)
@@ -339,7 +343,7 @@ def test_tensor_and_compose_sequences_propagate_convergence(rng):
     seq = channels_from_partial_isometries(form)
     double = tensor_sequence(seq, seq)
     assert double.limit.d_in == 16
-    states = [ensembles.random_pure_density(16, rng) for _ in range(3)]
+    states = _pure([ensembles.haar_vector(16, rng) for _ in range(3)])
     assert strong_defect(double, 50, states) < 0.1
 
     # composing two compression families still converges at full rank
@@ -390,8 +394,8 @@ def test_convergence_report_columns_and_witnesses(rng):
     assert rep.choi[1] == pytest.approx(choi_defect(seq, 10), abs=1e-14)
     k = int(rep.strong_witness[0].split("[")[1].rstrip("]"))
     attained = trace_norm(
-        channel_action(seq.term(1), states[k].matrix)
-        - channel_action(seq.limit, states[k].matrix)
+        channel_action(seq.term(1), states[k])
+        - channel_action(seq.limit, states[k])
     )
     assert attained == pytest.approx(rep.strong[0], abs=1e-14)
 
@@ -426,7 +430,8 @@ def _sweep_case(case, rng):
         # one QR group of two terms, three dense differences and an exact zero,
         # interleaved in one block.
         base = ensembles.random_kraus_channel(2, 4, 2, rng)
-        seq = compression_sequence(base, ensembles.random_pure_density(4, rng), [0, 1, 2, 3, 3, 4])
+        sigma = DensityOperator(_pure([ensembles.haar_vector(4, rng)])[0])
+        seq = compression_sequence(base, sigma, [0, 1, 2, 3, 3, 4])
         ns = [4, 1, 6, 2, 5, 3]
         assert [len(seq.term(n).kraus_ops) for n in ns] == [4, 10, 2, 8, 4, 6]
     else:
@@ -479,10 +484,9 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
     _, ds = sequences._deltas([seq.term(d // 2)], choi_matrix(seq.limit))
     units = ensembles.matrix_unit_observables(d)
-    unit_columns = sequences._probe_columns(ensembles._family(units, "test observable", 2), "test observable", (d, d))
+    unit_columns = sequences._probe_columns(units, "test observable", (d, d))
     obs = sequences._unless_identity(unit_columns)
-    vecs = ensembles._family(ensembles.default_test_vectors(d, rng), "test vector", 1)
-    vecs = sequences._probe_columns(vecs, "test vector", (d,))
+    vecs = sequences._probe_columns(ensembles.default_test_vectors(d, rng), "test vector", (d,))
     assert obs is None
     tracemalloc.start()
     try:
@@ -567,7 +571,7 @@ def test_choi_dominance_diagnostic_can_be_false():
     a = measure_prepare(e0, shared)
     b = measure_prepare(e1, shared)
     seq = _pair_sequence(a, b)
-    basis = ensembles.basis_states(2)
+    basis = _pure(np.eye(2))
     assert strong_defect(seq, 1, basis) == pytest.approx(2.0, abs=1e-12)
     assert choi_defect(seq, 1) == pytest.approx(1.0, abs=1e-12)
 
@@ -602,12 +606,12 @@ def _naive_report(seq, ns, states, obs, vecs):
         term, limit = seq.term(n), seq.limit
         strong, s_arg = -1.0, 0
         for k, rho in enumerate(states):
-            val = trace_norm(channel_action(term, rho.matrix) - channel_action(limit, rho.matrix))
+            val = trace_norm(channel_action(term, rho) - channel_action(limit, rho))
             if val > strong:
                 strong, s_arg = val, k
         star, b_arg, v_arg = -1.0, 0, 0
         for kb, b in enumerate(obs):
-            delta = dual_action(term, b.matrix) - dual_action(limit, b.matrix)
+            delta = dual_action(term, b) - dual_action(limit, b)
             for kv, vec in enumerate(vecs):
                 val = float(np.linalg.norm(delta @ vec))
                 if val > star:
@@ -670,8 +674,8 @@ def test_kernel_matches_oracle_on_rectangular_pair_with_many_kraus_ops(rng):
 def test_kernel_matches_oracle_on_non_hermitian_observables(rng):
     a = ensembles.random_kraus_channel(3, 4, 2, rng)
     b = ensembles.random_kraus_channel(3, 4, 3, rng)
-    obs = [Observable(ensembles.crandn((4, 4), rng)) for _ in range(6)]
-    assert all(np.abs(o.matrix - o.matrix.conj().T).max() > 0.1 for o in obs)
+    obs = [ensembles.crandn((4, 4), rng) for _ in range(6)]
+    assert all(np.abs(o - o.conj().T).max() > 0.1 for o in obs)
     _assert_matches_oracle(
         _pair_sequence(a, b),
         [1],
@@ -725,7 +729,7 @@ _SWEEPS = {
     "convergence_report": (identity_channel(2), lambda seq, ns: convergence_report(
         seq,
         ns,
-        Probes(ensembles.basis_states(2), ensembles.matrix_unit_observables(2), [ensembles.basis_vector(2, 0)]),
+        Probes(_pure(np.eye(2)), ensembles.matrix_unit_observables(2), np.eye(2, dtype=complex)[:1]),
     )),
     "choi_defects": (identity_channel(2), choi_defects),
     "param_convergence_check": (attenuator(0.5), lambda seq, ns: param_convergence_check(seq, ns, 1e-6)),
