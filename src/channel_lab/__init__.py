@@ -56,6 +56,7 @@ from .sequences import (
     strong_defect,
     strongstar_defect,
     swap_counterexample,
+    swap_report,
     tensor_sequence,
 )
 

@@ -64,12 +64,18 @@ def cmd_convert(args) -> int:
         "max_action_deviation": deviation,
         "verified": bool(deviation <= ACTION_TOL),
     }
-    if args.out:
-        serialize.dump(target, args.out, metadata=metadata)
-        print(f"wrote {args.out} (verified={metadata['verified']})")
-    else:
-        dump_json(serialize.document(target, metadata), sys.stdout)
+    _emit(serialize.document(target, metadata), args.out, f" (verified={metadata['verified']})")
     return 0
+
+
+def _emit(doc, out, note: str = "") -> None:
+    """Write a JSON document to the file ``out`` and say so (with ``note``), or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
+            dump_json(doc, fh)
+        print(f"wrote {out}{note}")
+    else:
+        dump_json(doc, sys.stdout)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -97,32 +103,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_swap(args) -> int:
-    """Vector-level defects of the swap family, with the embedded-channel Choi column."""
-    d, probe = args.dim, args.probe
-    if d % 2:
-        raise ValidationError(f"the swap report needs an even dimension to embed, got {d}")
-    terms, psi = sequences.swap_counterexample(d)
-    if not 1 <= probe <= d - 1:
-        raise ValidationError(f"probe index must lie in 1..{d - 1}, got {probe}")
-    limit = terms[0].initial_projector
-    tau = np.zeros(d, dtype=np.complex128)
-    tau[probe - 1] = 1.0
-
-    v0 = StinespringIsometry(np.eye(d, d - 1), 2, d // 2)
-    form = sequences.PartialTraceForm(v0, lambda n: terms[n - 1])
-    channel_seq = sequences.channels_from_partial_isometries(form)
-
-    report = Report(
-        "convergence-report",
-        range(1, d),
-        strong=[np.linalg.norm((w.w - limit) @ tau) for w in terms],
-        strongstar=[np.linalg.norm((w.w.conj().T - limit) @ psi) for w in terms],
-        choi=sequences.choi_defects(channel_seq, range(1, d)),
-        strong_witness=[f"tau[{probe}]"] * len(terms),
-        strongstar_witness=["psi"] * len(terms),
-        test_family=f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding",
-    )
-    _write_report(report, args.out)
+    _write_report(sequences.swap_report(args.dim, args.probe), args.out)
     return 0
 
 
@@ -182,12 +163,7 @@ def cmd_apply(args) -> int:
         "channel": serialize.document(channel),
         "output": serialize.document(out),
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            dump_json(doc, fh)
-        print(f"wrote {args.out}")
-    else:
-        dump_json(doc, sys.stdout)
+    _emit(doc, args.out)
     return 0
 
 

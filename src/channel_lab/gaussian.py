@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TOL_EIG, TOL_HERM, ValidationError, _integers, _require_finite
+from .core import TOL_EIG, TOL_HERM, ValidationError, _integers, _require_finite, _require_unit_interval
 from .report import Report
 from .sequences import ChannelSequence, _term_blocks
 
@@ -358,8 +358,7 @@ def attenuator(k: float) -> GaussianChannel:
     of amplitude ``eta`` to the one of amplitude ``k eta`` and fixes the
     vacuum.
     """
-    if not 0.0 < k <= 1.0:
-        raise ValidationError(f"transmissivity must lie in (0, 1], got {k}")
+    _require_unit_interval(k, "transmissivity", open_low=True)
     return GaussianChannel(
         scale=k * np.eye(2),
         shift=np.zeros(2),
@@ -382,9 +381,8 @@ def attenuator_output_distance(k: float, k_prime: float, eta: complex) -> float:
     k != k' as |eta| grows, which is why no uniform-distance convergence
     can accompany the pointwise one.
     """
-    for name, val in (("k", k), ("k_prime", k_prime)):
-        if not 0.0 < val <= 1.0:
-            raise ValidationError(f"transmissivity {name} must lie in (0, 1], got {val}")
+    _require_unit_interval(k, "transmissivity k", open_low=True)
+    _require_unit_interval(k_prime, "transmissivity k_prime", open_low=True)
     if not cmath.isfinite(eta):
         raise ValidationError(f"coherent amplitude eta must be finite, got {eta}")
     gap = (k - k_prime) ** 2 * abs(complex(eta)) ** 2

@@ -17,11 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 
 import numpy as np
 
-from .core import ValidationError, _NOT_NUMBERS, _integers
+from .core import ValidationError, _NOT_NUMBERS, _integers, _real
 
 SCHEMA_VERSION = 1
 
@@ -46,7 +45,7 @@ COLUMNS = {
 DOMINANCE_SLACK = 1e-12
 #: Which values a cell of each column type accepts; numpy scalars count.
 _ACCEPTS = {
-    float: lambda x: isinstance(x, numbers.Real) and not isinstance(x, _NOT_NUMBERS),
+    float: _real,
     bool: lambda x: isinstance(x, _NOT_NUMBERS),
     str: lambda x: isinstance(x, str),
 }

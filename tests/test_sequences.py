@@ -39,6 +39,7 @@ from channel_lab.sequences import (
     strong_defect,
     strongstar_defect,
     swap_counterexample,
+    swap_report,
     tensor_sequence,
 )
 
@@ -292,6 +293,36 @@ def test_swap_counterexample_exact_values():
                 assert gap == 0.0
     with pytest.raises(ValidationError, match="dimension >= 3"):
         swap_counterexample(2)
+
+
+@pytest.mark.parametrize("d", [4, 6, 16])
+def test_swap_report_columns_are_exact(d):
+    for probe in range(1, d):
+        report = swap_report(d, probe)
+        assert list(report.indices) == list(range(1, d))
+        assert list(report.columns["strong"]) == [np.sqrt(2.0) if n == probe else 0.0 for n in range(1, d)]
+        assert list(report.columns["strongstar"]) == [1.0] * (d - 1)
+        assert list(report.columns["strong_witness"]) == [f"tau[{probe}]"] * (d - 1)
+        assert list(report.columns["strongstar_witness"]) == ["psi"] * (d - 1)
+        assert report.test_family == (
+            f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding"
+        )
+
+
+@pytest.mark.parametrize(
+    "d, probe, message",
+    [
+        # Evenness is checked first, then the family's dimension, then the probe.
+        (7, 0, "the swap report needs an even dimension to embed, got 7"),
+        (0, 0, "the swap family needs dimension >= 3, got 0"),
+        (-4, 9, "the swap family needs dimension >= 3, got -4"),
+        (8, 0, "probe index must lie in 1..7, got 0"),
+        (8, 8, "probe index must lie in 1..7, got 8"),
+    ],
+)
+def test_swap_report_rejections(d, probe, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        swap_report(d, probe)
 
 
 def test_partial_trace_form_checks_embedding_compatibility():
