@@ -103,10 +103,25 @@ def _require_unit_interval(x, what: str, open_low: bool = False) -> None:
         raise ValidationError(f"{what} must lie in {'(0' if open_low else '[0'}, 1], got {x}")
 
 
-def _cmat(m) -> np.ndarray:
-    a = np.array(m, dtype=np.complex128)
+def _numeric(m, dtype, what: str) -> np.ndarray:
+    """``m`` as a read-only array of ``dtype``, or "``what`` is not numeric: ..." with numpy's reason.
+
+    The one rule for input numpy cannot read as numbers of that type: a
+    ragged nested list, a string, an object.  Kraus and probe families, the
+    operator dataclasses, ancilla vectors and the Gaussian parameters and
+    points all convert here.
+    """
+    try:
+        a = np.array(m, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not numeric: {exc}") from exc
     a.setflags(write=False)
     return a
+
+
+def _cmat(m, what: str) -> np.ndarray:
+    """``m`` as a read-only complex array, by the rule of :func:`_numeric`."""
+    return _numeric(m, np.complex128, what)
 
 
 def _stack(members, what: str) -> np.ndarray:
@@ -115,20 +130,16 @@ def _stack(members, what: str) -> np.ndarray:
     Only the members of a sequence can disagree in shape; the first one whose
     shape is not member 0's is rejected as "``what`` k has shape X, ``what`` 0
     has Y".  A member numpy cannot read as complex numbers (a ragged nested
-    list, a string, an object) is rejected as "``what`` family is not
+    list, a string, an object) is rejected first, as "``what`` family is not
     numeric: ..." with numpy's reason.  Kraus families and probe families
     both stack here.
     """
-    try:
-        if not isinstance(members, np.ndarray):
-            members = [np.asarray(m) for m in members]
-            for k, m in enumerate(members):
-                if m.shape != members[0].shape:
-                    raise ValidationError(f"{what} {k} has shape {m.shape}, {what} 0 has {members[0].shape}")
-        return _cmat(members)
-    except (TypeError, ValueError) as exc:
-        # The shape rejection above is a ValueError too, and passes through unchanged.
-        raise exc if isinstance(exc, ValidationError) else ValidationError(f"{what} family is not numeric: {exc}")
+    if not isinstance(members, np.ndarray):
+        members = [_cmat(m, f"{what} family") for m in members]
+        for k, m in enumerate(members):
+            if m.shape != members[0].shape:
+                raise ValidationError(f"{what} {k} has shape {m.shape}, {what} 0 has {members[0].shape}")
+    return _cmat(members, f"{what} family")
 
 
 def _require_finite(m: np.ndarray, what: str) -> None:
@@ -138,7 +149,7 @@ def _require_finite(m: np.ndarray, what: str) -> None:
 
 def _square(m, what: str) -> np.ndarray:
     """``m`` as a read-only complex array, checked to be a finite nonempty square matrix."""
-    a = _cmat(m)
+    a = _cmat(m, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError(f"{what} must be square, got shape {a.shape}")
     _require_finite(a, what)
@@ -356,7 +367,7 @@ class StinespringIsometry:
     d_env: int
 
     def __post_init__(self):
-        m = _cmat(self.v)
+        m = _cmat(self.v, "isometry")
         if self.d_out < 1 or self.d_env < 1:
             raise ValidationError(
                 f"dimensions must be positive, got d_out={self.d_out}, d_env={self.d_env}"
@@ -392,11 +403,12 @@ class PartialIsometry:
     initial_projector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = _cmat(self.w)
+        m = _cmat(self.w, "partial isometry")
         if m.ndim != 2 or 0 in m.shape:
             raise ValidationError(f"partial isometry must be a matrix, got shape {m.shape}")
         _require_finite(m, "partial isometry")
-        p = _cmat(dagger(m) @ m)
+        p = dagger(m) @ m
+        p.setflags(write=False)
         _require_within(p @ p - p, lambda norm: f"W*W is not a projector (defect {norm:.3e})")
         object.__setattr__(self, "w", m)
         object.__setattr__(self, "initial_projector", p)

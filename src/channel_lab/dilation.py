@@ -224,7 +224,7 @@ def unitary_from_isometry(v: StinespringIsometry) -> UnitaryDilation:
 
 def _ancilla_vector(vec, dim: int) -> np.ndarray:
     """``vec`` as a read-only complex array, checked to be a finite unit vector in dim ``dim``."""
-    out = _cmat(vec)
+    out = _cmat(vec, "ancilla vector")
     if out.shape != (dim,):
         raise ValidationError(f"ancilla vector of shape {out.shape} does not live in dim {dim}")
     _require_finite(out, "ancilla vector")

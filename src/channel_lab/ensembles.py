@@ -113,17 +113,17 @@ def matrix_unit_observables(dim: int) -> np.ndarray:
 
     Each has unit operator norm, and the stack is exactly the identity as a table.
     """
-    return _cmat(np.eye(dim * dim).reshape(-1, dim, dim))
+    return _cmat(np.eye(dim * dim).reshape(-1, dim, dim), "test observable")
 
 
 def default_test_states(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The basis states, then four seeded Haar-random pure states, as one (dim+4, dim, dim) stack."""
-    return _cmat(_projectors(_basis_and_haar(dim, 4, rng)))
+    return _cmat(_projectors(_basis_and_haar(dim, 4, rng)), "test state")
 
 
 def default_test_vectors(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The basis vectors, then two seeded Haar-random unit vectors, as one (dim+2, dim) stack."""
-    return _cmat(_basis_and_haar(dim, 2, rng))
+    return _cmat(_basis_and_haar(dim, 2, rng), "test vector")
 
 
 def _family(members, what: str, ndim: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TOL_EIG, TOL_HERM, ValidationError, _integers, _require_finite, _require_unit_interval
+from .core import TOL_EIG, TOL_HERM, ValidationError, _integers, _numeric, _require_finite, _require_unit_interval
 from .report import Report
 from .sequences import ChannelSequence, _term_blocks
 
@@ -70,9 +70,9 @@ def _symplectic(modes: int) -> np.ndarray:
 
 
 def _real_matrix(m, what: str) -> np.ndarray:
-    a = np.array(m, dtype=np.float64)
+    """``m`` as a read-only float array by the rule of ``core._numeric``, checked to be finite."""
+    a = _numeric(m, np.float64, what)
     _require_finite(a, what)
-    a.setflags(write=False)
     return a
 
 
@@ -295,7 +295,7 @@ def char_fn(st: GaussianState, z) -> complex | np.ndarray:
     A point of shape (2s,) gives a ``complex``; a (P, 2s) stack gives the P
     values.  Every coordinate must be finite.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = _numeric(z, np.float64, "phase-space point")
     d = 2 * st.modes
     if z.shape != (d,) and (z.ndim != 2 or z.shape[1] != d):
         raise ValidationError(f"argument of shape {z.shape} does not match {st.modes} modes")
@@ -312,7 +312,7 @@ def dual_weyl_symbol(ch: GaussianChannel, z) -> tuple[np.ndarray, complex]:
     char_fn(st, point) * factor`` for every valid state.  Every coordinate of
     z must be finite.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = _numeric(z, np.float64, "phase-space point")
     if z.shape != (2 * ch.modes_out,):
         raise ValidationError(f"argument of shape {z.shape} does not match {ch.modes_out} output modes")
     _require_finite(z, "phase-space point")
@@ -473,7 +473,7 @@ def param_convergence_check(
     states = default_gaussian_test_states(limit.modes_in)
     means = np.stack([st.mean for st in states])
     covs = np.stack([st.cov for st in states])
-    pts = np.asarray(grid if grid is not None else z_grid(limit.modes_out), dtype=np.float64)
+    pts = _numeric(grid if grid is not None else z_grid(limit.modes_out), np.float64, "grid")
     if pts.ndim != 2 or len(pts) == 0 or pts.shape[1] != 2 * limit.modes_out:
         raise ValidationError(f"grid of shape {pts.shape} is not a nonempty (P, {2 * limit.modes_out}) stack")
     _require_finite(pts, "grid")

@@ -35,15 +35,31 @@ vectors.  Trace norms of the Hermitian differences are sums of
 limit's Choi matrix and the column layout of the probe stacks once per
 report; a block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
 
-The Choi column never diagonalizes the (d_out*d_in)-square difference while
-it has low rank.  With M the (K, d_out*d_in) matrix of stacked
-``vec(A_k)``, ``J = M^T conj(M)``, so ``J_n - J_0 = A diag(I, -I) A^H`` for
-``A = [M_n^T, M_0^T]``.  While ``K_n + K_0 < d_out*d_in`` its nonzero
-eigenvalues are those of ``R diag(I, -I) R^H``, where R is A's
-(K_n + K_0)-square QR factor, one batched QR for the terms of a block with
-the same Kraus count; :func:`choi_defect` then diagonalizes no Choi
-matrix.  Larger families diagonalize the dense difference, which every
-Choi sweep stacks as the report does.
+The Choi column diagonalizes no (d_out*d_in)-square difference unless it
+must.  With M the (K, d_out*d_in) matrix of stacked ``vec(A_k)``,
+``J = M^T conj(M)``, so ``J_n - J_0 = A diag(I, -I) A^H`` for
+``A = [M_n^T, M_0^T]``, and by Sylvester's law of inertia the difference has
+at most k = min(K_n, K_0) eigenvalues of the smaller side's sign.  Each term
+takes the first of three paths that applies (:func:`_choi_gaps`):
+
+1. **Krylov**, while ``k <= KRYLOV_MAX_BLOCK``: ``||J_n - J_0||_1`` is the
+   exact trace plus twice the k extreme eigenvalues on the smaller side,
+   found by a block Lanczos process that applies the difference through the
+   two Kraus matrices and forms no Choi matrix (:func:`_ritz_bounds`).  Ritz
+   values interlace from above, so the value only ever undershoots: an early
+   stop can only under-report a lower bound.  A solve that reaches
+   ``KRYLOV_MAX_STEPS`` hands its term on to the next path.
+2. **QR core**, while ``K_n + K_0 < d_out*d_in``: the nonzero eigenvalues
+   are those of ``R diag(I, -I) R^H``, with R the (K_n + K_0)-square QR
+   factor of A, one batched QR for the terms of a block with the same Kraus
+   count.
+3. **Dense**: the eigenvalues of the difference itself.
+
+Compress on the identity base has k = 1 (the limit is one Kraus operator),
+so every such term takes Krylov; the partial-trace forms and the swap
+embedding have k = d_env and take the QR core.  :func:`choi_defect` builds
+a Choi matrix only for a dense term; :func:`convergence_report` stacks them
+anyway for its other two columns and hands that stack on.
 
 The separating families are built here too.  :func:`swap_counterexample`
 converges strongly but not in the strong* sense, and :func:`swap_report` is
@@ -92,6 +108,14 @@ ZERO_ROW_NORM = 1e-14
 #: :func:`convergence_report` and :func:`choi_defects`, characteristic values
 #: (indices x states x points) in ``gaussian.param_convergence_check``.
 SWEEP_BLOCK_ENTRIES = 8192
+#: The Choi column takes the block Krylov path while the smaller of a term's and
+#: the limit's Kraus counts, the block size, is at most this.
+KRYLOV_MAX_BLOCK = 1
+#: A Krylov direction is dropped, and a Ritz pair has converged, at or below this
+#: fraction of ``||M_n||_F^2 + ||M_0||_F^2``.
+KRYLOV_RTOL = 1e-13
+#: A Krylov solve still running after this many block steps hands its term on.
+KRYLOV_MAX_STEPS = 32
 
 #: Older name of :class:`~channel_lab.report.Report`; the benchmark harness in
 #: ``bench/`` still looks it up here.
@@ -206,15 +230,82 @@ def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
 
 
-def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray) -> np.ndarray:
-    """``trace_norm(J_n - J_0)`` for a block of built terms.
+def _ritz_bounds(m_n: np.ndarray, m_0: np.ndarray) -> list | None:
+    """Lower bounds on ``trace_norm(J_n - J_0)``, one per block Krylov step, or None at the step cap.
 
-    ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.  While A
-    has fewer columns than rows (``K_n + K_0 < d_out*d_in``), the difference's
-    nonzero eigenvalues are those of ``R diag(I, -I) R^H`` for the QR factor
-    R of A, a (K_n + K_0)-square matrix; the terms with one Kraus count share
-    one batched QR.  The other terms diagonalize their dense difference,
-    their slice of the block's stacked ``dj``.  Equal families give exactly 0.
+    ``m_n`` and ``m_0`` are the stacked Kraus matrices.  Let S be the one
+    with fewer rows (k of them; ``m_0`` on a tie) and B the other, so that
+    ``H = B^T conj(B) - S^T conj(S)`` is ``+-(J_n - J_0)`` and, by Sylvester's
+    law of inertia, has at most k negative eigenvalues.  Hence
+    ``||H||_1 = Tr H + 2 sum |lambda_-|`` with the exact
+    ``Tr H = ||B||_F^2 - ||S||_F^2``.
+
+    A block Lanczos (Rayleigh-Ritz) process with full reorthogonalization
+    applies H to a block X as ``B^T conj(B conj(X)) - S^T conj(S conj(X))``,
+    forming no Choi matrix and no conjugate Kraus matrix.  Its start block
+    is the orthonormalized columns of ``S^T``, which every negative
+    eigenvector overlaps: a vector x orthogonal to them has
+    ``conj(S) x = 0``, so ``x^H H x = ||conj(B) x||^2 >= 0``.  Each new block
+    is the image of the last one minus its projection on the basis, less the
+    directions of singular value at most ``KRYLOV_RTOL * (||B||_F^2 +
+    ||S||_F^2)``.
+
+    After each step, ``Tr H + 2 sum max(0, -theta_i)`` over the k smallest
+    Ritz values theta_i is a lower bound: by Cauchy interlacing theta_i is
+    never below the i-th eigenvalue.  The process stops when the basis
+    deflates to nothing (it spans an invariant subspace, so the Ritz values
+    are eigenvalues) or when each of the k Ritz pairs has a residual within
+    the same tolerance, and gives up after ``KRYLOV_MAX_STEPS`` steps.  The
+    last bound is the value.
+    """
+    big, small = (m_n, m_0) if len(m_0) <= len(m_n) else (m_0, m_n)
+    k, norms = len(small), (np.vdot(big, big).real, np.vdot(small, small).real)
+    trace, tol = norms[0] - norms[1], KRYLOV_RTOL * (norms[0] + norms[1])
+    q = block = np.linalg.qr(small.T)[0]
+    # Only the upper triangle of the Rayleigh quotient Q^H H Q is filled, a block column per step.
+    t = np.zeros((0, 0), dtype=complex)
+    bounds = []
+    for _ in range(KRYLOV_MAX_STEPS):
+        x, q_h = block.conj(), q.conj().T
+        image = big.T @ (big @ x).conj() - small.T @ (small @ x).conj()
+        cols = q_h @ image
+        t, old = np.zeros((len(cols), len(cols)), dtype=complex), t
+        t[:len(old), :len(old)] = old
+        t[:, len(old):] = cols
+        theta, y = np.linalg.eigh(t, UPLO="U")
+        bounds.append(trace - 2 * np.minimum(theta[:k], 0).sum())
+        rest = image - q @ cols
+        rest -= q @ (q_h @ rest)
+        u, s, vh = np.linalg.svd(rest, full_matrices=False)
+        keep = s > tol
+        if not keep.any():
+            return bounds
+        # Ritz pair i's residual is the part of H Q y_i off the basis: rest times y_i's last-block rows.
+        if np.linalg.norm(s[:, None] * (vh @ y[-block.shape[1]:, :k]), axis=0).max() <= tol:
+            return bounds
+        block = u[:, keep]
+        q = np.hstack([q, block])
+    return None
+
+
+def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None = None) -> np.ndarray:
+    """``trace_norm(J_n - J_0)`` for a block of built terms, each by the first of three paths that applies.
+
+    ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.
+
+    1. Krylov, while ``min(K_n, K_0) <= KRYLOV_MAX_BLOCK``: the extreme
+       eigenvalues on the smaller side from :func:`_ritz_bounds`, forming no
+       Choi matrix.  A term whose solve reaches ``KRYLOV_MAX_STEPS`` goes on to
+       the next path that applies.
+    2. The QR core, while A has fewer columns than rows (``K_n + K_0 <
+       d_out*d_in``): the difference's nonzero eigenvalues are those of
+       ``R diag(I, -I) R^H`` for the QR factor R of A, a (K_n + K_0)-square
+       matrix; the terms with one Kraus count share one batched QR.
+    3. Dense: the eigenvalues of ``J_n - J_0`` itself, the term's slice of
+       ``dj`` when the caller has stacked the block's differences, else
+       built here for these terms only.
+
+    Equal families give exactly 0.
     """
     m_0 = _kraus_matrix(limit)
     k_0, size = m_0.shape
@@ -224,8 +315,14 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray) -> np.ndarray:
         m_n = _kraus_matrix(term)
         if np.array_equal(m_n, m_0):
             continue
-        # Both paths stay (shared 2-core host, BLAS on one thread): dense-only took the compress
-        # d=10 report 16.0 -> 20.3 ms, QR-only the d=8 one on a 4-operator random base 5.6 -> 8.7 ms.
+        # Krylov against the QR core on the column's built terms (shared 2-core host, BLAS on one thread):
+        # compress (k = 1) 6.5 -> 2.0 ms at d=10 and 86 -> 5.4 ms at d=16, but the 8/4/8 partial-trace
+        # form (k = 8) 1.7 -> 14.8 ms and compress at d=8 on a 4-operator base 3.4 -> 14.8 ms.
+        if min(len(m_n), k_0) <= KRYLOV_MAX_BLOCK:
+            bounds = _ritz_bounds(m_n, m_0)
+            if bounds is not None:
+                gaps[i] = bounds[-1]
+                continue
         if len(m_n) + k_0 < size:
             by_count.setdefault(len(m_n), []).append(i)
         else:
@@ -236,7 +333,8 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray) -> np.ndarray:
         signs = np.repeat([1.0, -1.0], [k_n, k_0])
         gaps[rows] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
     if dense:
-        gaps[dense] = _hermitian_trace_norm(dj[dense])
+        diffs = dj[dense] if dj is not None else np.stack([choi_matrix(terms[i]) for i in dense]) - choi_matrix(limit)
+        gaps[dense] = _hermitian_trace_norm(diffs)
     return gaps
 
 
@@ -261,20 +359,21 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
 def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
     """:func:`choi_defect` at every index of ``ns``, in order, swept in blocks."""
     ns = _integers(ns, "choi_defects: indices")
-    limit_choi = choi_matrix(seq.limit)
     gaps = np.empty(len(ns))
-    for rows, terms in _term_blocks(seq, ns, limit_choi.size):
-        gaps[rows] = _choi_gaps(terms, seq.limit, _deltas(terms, limit_choi)[0])
+    for rows, terms in _term_blocks(seq, ns, (seq.limit.d_out * seq.limit.d_in) ** 2):
+        gaps[rows] = _choi_gaps(terms, seq.limit)
     return gaps / seq.limit.d_in
 
 
 def choi_defect(seq: ChannelSequence, n: int) -> float:
     """``trace_norm(J(term) - J(limit)) / d_in``, a diamond-distance lower bound.
 
-    Computed from the two stacked Kraus matrices: while the term and the
-    limit together have fewer Kraus operators than ``d_out * d_in``, from a
-    QR factor of their size, diagonalizing no Choi matrix; otherwise from the
-    dense difference.  Equal families give exactly 0.
+    Computed from the two stacked Kraus matrices by the first of three paths
+    that applies (module docstring): block Krylov while the smaller Kraus
+    count is at most ``KRYLOV_MAX_BLOCK``, whose early stop could only
+    under-report; the QR core of their size while they have fewer than
+    ``d_out * d_in`` operators together; otherwise the dense difference, the
+    only path that builds a Choi matrix.  Equal families give exactly 0.
     """
     return float(choi_defects(seq, [n])[0])
 
@@ -296,8 +395,8 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     once per report) that product is skipped and the rows of the stack are
     the dual differences.  Trace norms are sums of
     |eigenvalues| of the Hermitian differences, one batched ``eigvalsh`` per
-    block; the Choi column takes them from the small QR core described in
-    the module docstring whenever the two Kraus families are small enough.
+    block; the Choi column takes its own by the three paths of the module
+    docstring and diagonalizes ``dj`` only for a dense-path term.
     Witnesses are first maximizers: in state order for strong,
     observable-major then vector order for strong*.  A probe family that does
     not act on the limit (states and vectors on d_in, observables on d_out)

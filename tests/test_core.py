@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from channel_lab import ensembles
+from channel_lab import dilation, ensembles
 from channel_lab.core import (
     DensityOperator,
     KrausChannel,
@@ -29,7 +29,15 @@ from channel_lab.core import (
     _fix_phase,
 )
 from channel_lab.ensembles import Probes
-from channel_lab.gaussian import attenuator, attenuator_output_distance
+from channel_lab.gaussian import (
+    GaussianState,
+    attenuator,
+    attenuator_output_distance,
+    char_fn,
+    dual_weyl_symbol,
+    identity_gaussian,
+    vacuum,
+)
 from channel_lab.sequences import ChannelSequence, strong_defect
 
 
@@ -217,6 +225,31 @@ def test_partial_isometry_keeps_its_read_only_initial_projector(rng):
     ids=["density-operator-state", "string-kraus", "ragged-kraus", "string-vector"],
 )
 def test_stack_rejects_non_numeric_members(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StinespringIsometry("x", 1, 1), "isometry is not numeric: complex() arg is a malformed string"),
+        (lambda: UnitaryOp([["a"]]), "unitary is not numeric: complex() arg is a malformed string"),
+        (lambda: PartialIsometry([[object()]]), "partial isometry is not numeric: must be real number, not object"),
+        (lambda: DensityOperator([[1, 0], [0]]), "density operator is not numeric: "),
+        (
+            lambda: GaussianState(mean=["a", "b"], cov=np.eye(2)),
+            "mean vector is not numeric: could not convert string to float: 'a'",
+        ),
+        (lambda: char_fn(vacuum(1), ["a", "b"]), "phase-space point is not numeric: "),
+        (lambda: dual_weyl_symbol(identity_gaussian(1), [object(), 0.0]), "phase-space point is not numeric: "),
+        (lambda: dilation._ancilla_vector(["a"], 1), "ancilla vector is not numeric: "),
+    ],
+    ids=["isometry", "unitary", "partial-isometry", "ragged-state", "gaussian-mean", "char-fn-point",
+         "dual-weyl-point", "ancilla"],
+)
+def test_non_numeric_input_is_a_validation_error(build, message):
+    """Every conversion of outside input goes through ``core._numeric``, the rule ``_stack`` uses."""
     with pytest.raises(ValidationError) as caught:
         build()
     assert str(caught.value).startswith(message)

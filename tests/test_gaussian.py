@@ -620,6 +620,15 @@ def test_param_convergence_check_rejects_a_non_finite_grid_before_any_term_is_bu
         param_convergence_check(seq, [1, 2], eps=1.0, grid=[[0.0, 1.0], [bad, 0.0]])
 
 
+def test_param_convergence_check_rejects_a_non_numeric_grid_before_any_term_is_built():
+    def unbuildable(n):
+        raise AssertionError(f"term {n} was built")
+
+    seq = ChannelSequence(attenuator(0.5), unbuildable)
+    with pytest.raises(ValidationError, match="^grid is not numeric: "):
+        param_convergence_check(seq, [1, 2], eps=1.0, grid=[[0.0, 1.0], ["a", 0.0]])
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_a_non_finite_phase_space_point_is_rejected(bad):
     message = "^phase-space point contains non-finite entries$"

@@ -69,7 +69,8 @@ def test_minimal_stinespring_matches_the_choi_oracle(case):
 def channel_pairs(draw):
     """A term and a limit on the same dims whose Kraus counts add up to just below,
     exactly at, or above d_out*d_in, where the Choi defect switches between the QR
-    core and the dense difference."""
+    core and the dense difference.  A pair with a one-operator family takes the
+    Krylov path first."""
     d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     dim, k_min = d_in * d_out, -(-d_in // d_out)
     side = draw(st.sampled_from(["below", "at", "above"]))
