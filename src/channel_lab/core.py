@@ -109,12 +109,26 @@ def _numeric(m, dtype, what: str) -> np.ndarray:
     The one rule for input numpy cannot read as numbers of that type: a
     ragged nested list, a string, an object.  Kraus and probe families, the
     operator dataclasses, ancilla vectors and the Gaussian parameters and
-    points all convert here.
+    points all convert here.  Anything else is copied, so a caller's later
+    write to their own array never reaches the result; only a plain read-only
+    ndarray of ``dtype`` that owns its data, such as a result of this rule or
+    of :func:`_frozen`, is used as it is.
     """
+    if type(m) is np.ndarray and m.dtype == dtype and not m.flags.writeable and m.base is None:
+        return m
     try:
         a = np.array(m, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is not numeric: {exc}") from exc
+    return _frozen(a)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, an array built here that owns its data, made read-only in place.
+
+    :func:`_numeric` then takes it without a copy: the default probe stacks and
+    the compression terms reach ``Probes`` and ``KrausChannel`` this way.
+    """
     a.setflags(write=False)
     return a
 

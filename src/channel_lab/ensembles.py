@@ -25,7 +25,7 @@ from .core import (
     KrausChannel,
     PartialIsometry,
     ValidationError,
-    _cmat,
+    _frozen,
     _reject_first,
     _require_states,
     _stack,
@@ -113,17 +113,19 @@ def matrix_unit_observables(dim: int) -> np.ndarray:
 
     Each has unit operator norm, and the stack is exactly the identity as a table.
     """
-    return _cmat(np.eye(dim * dim).reshape(-1, dim, dim), "test observable")
+    units = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    np.fill_diagonal(units.reshape(dim * dim, -1), 1)
+    return _frozen(units)
 
 
 def default_test_states(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The basis states, then four seeded Haar-random pure states, as one (dim+4, dim, dim) stack."""
-    return _cmat(_projectors(_basis_and_haar(dim, 4, rng)), "test state")
+    return _frozen(_projectors(_basis_and_haar(dim, 4, rng)))
 
 
 def default_test_vectors(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The basis vectors, then two seeded Haar-random unit vectors, as one (dim+2, dim) stack."""
-    return _cmat(_basis_and_haar(dim, 2, rng), "test vector")
+    return _frozen(_basis_and_haar(dim, 2, rng))
 
 
 def _family(members, what: str, ndim: int) -> np.ndarray:

@@ -35,6 +35,17 @@ vectors.  Trace norms of the Hermitian differences are sums of
 limit's Choi matrix and the column layout of the probe stacks once per
 report; a block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
 
+The block kernels write into the arrays they return, not into per-call
+temporaries: a block's stacks sit at glibc's mmap threshold, so each fresh
+one costs its pages again.  Each term's Choi GEMM fills its slice of one
+stack, which lives only until it is reshuffled into ``S_n - S_0``; the
+strong* norms square the vector images in place against their one
+conjugate copy (the product ``np.linalg.norm`` takes, so the norms are
+bitwise its own); the Hermitian part of a difference is formed in its
+conjugate; a compression term writes heads and replacement branch into the
+one read-only stack its channel keeps; and default probe stacks reach the
+kernels without a copy, the matrix units not even as columns.
+
 The Choi column diagonalizes no (d_out*d_in)-square difference unless it
 must.  With M the (K, d_out*d_in) matrix of stacked ``vec(A_k)``,
 ``J = M^T conj(M)``, so ``J_n - J_0 = A diag(I, -I) A^H`` for
@@ -57,9 +68,9 @@ takes the first of three paths that applies (:func:`_choi_gaps`):
 
 Compress on the identity base has k = 1 (the limit is one Kraus operator),
 so every such term takes Krylov; the partial-trace forms and the swap
-embedding have k = d_env and take the QR core.  :func:`choi_defect` builds
-a Choi matrix only for a dense term; :func:`convergence_report` stacks them
-anyway for its other two columns and hands that stack on.
+embedding have k = d_env and take the QR core.  The Choi column builds a
+Choi matrix only for a dense term, in :func:`choi_defect` and
+:func:`convergence_report` alike.
 
 The separating families are built here too.  :func:`swap_counterexample`
 converges strongly but not in the strong* sense, and :func:`swap_report` is
@@ -86,6 +97,7 @@ from .core import (
     compose_channels,
     dagger,
     tensor_channels,
+    _frozen,
     _integers,
     _kraus_matrix,
     _pure_parts,
@@ -107,6 +119,12 @@ ZERO_ROW_NORM = 1e-14
 #: sweep: Choi-matrix entries (indices x (d_out*d_in)^2) in
 #: :func:`convergence_report` and :func:`choi_defects`, characteristic values
 #: (indices x states x points) in ``gaussian.param_convergence_check``.
+#: 8192 complex entries are 128 KiB, glibc's default mmap threshold, so each
+#: block-sized array a kernel allocates costs fresh pages, and the kernels
+#: write into the arrays they return (module docstring).  Raising it does not
+#: pay: in interleaved compress d=10 reports (shared 2-core Xeon host, BLAS on
+#: one thread), 131072 and 1048576 entries, one block for the whole sweep,
+#: took 1-5% more process time than 8192.
 SWEEP_BLOCK_ENTRIES = 8192
 #: The Choi column takes the block Krylov path while the smaller of a term's and
 #: the limit's Kraus counts, the block size, is at most this.
@@ -172,19 +190,22 @@ def _term_blocks(seq: ChannelSequence, ns: list, entries_per_term: int):
         yield slice(start, start + block), [seq.term(n) for n in ns[start:start + block]]
 
 
-def _deltas(terms, limit_choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``J_n - J_0`` and ``S_n - S_0`` stacked over a block of built terms.
+def _deltas(terms, limit_choi: np.ndarray) -> np.ndarray:
+    """``S_n - S_0`` stacked over a block of built terms.
 
     ``S[(a,b),(i,j)] = J[(a,i),(b,j)]`` reshuffles a Choi matrix into the
     superoperator, so that with row-major ``vec`` ``vec(ch(X)) = S vec(X)``
     and ``vec(ch*(B)) = S^H vec(B)``.  The map is linear, so the reshuffle of
-    ``J_n - J_0`` is ``S_n - S_0``.
+    ``J_n - J_0`` is ``S_n - S_0``.  Each term's Choi GEMM writes into its
+    slice of one ``J_n - J_0`` stack, which lives only until it is reshuffled.
     """
     d_out, d_in = terms[0].d_out, terms[0].d_in
-    dj = np.stack([choi_matrix(t) for t in terms])
+    dj = np.empty((len(terms),) + limit_choi.shape, dtype=complex)
+    for t, out in zip(terms, dj):
+        m = _kraus_matrix(t)
+        np.matmul(m.T, m.conj(), out=out)
     dj -= limit_choi
-    ds = dj.reshape(-1, d_out, d_in, d_out, d_in).transpose(0, 1, 3, 2, 4).reshape(-1, d_out**2, d_in**2)
-    return dj, ds
+    return dj.reshape(-1, d_out, d_in, d_out, d_in).transpose(0, 1, 3, 2, 4).reshape(-1, d_out**2, d_in**2)
 
 
 def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
@@ -196,13 +217,19 @@ def _output_diffs(ds: np.ndarray, states: np.ndarray, d_out: int) -> np.ndarray:
     return out.reshape(len(ds), d_out * d_out, -1).transpose(0, 2, 1).reshape(len(ds), -1, d_out, d_out)
 
 
-def _unless_identity(obs: np.ndarray) -> np.ndarray | None:
-    """Stacked observable columns, or ``None`` when they are exactly the identity.
+def _unless_identity(obs: np.ndarray, d_out: int) -> np.ndarray | None:
+    """The observables' :func:`_probe_columns`, or ``None`` when they are the matrix units in row-major order.
 
-    The matrix units in row-major order are; for them :func:`_dual_norms`
-    needs no product with the observables.
+    For those :func:`_dual_norms` needs no product with the observables.  Their
+    (O, d_out^2) table is then exactly the identity: square, 1 on the diagonal
+    and no other nonzero entry, which is checked on the stack itself, without
+    laying out its columns or building an identity.
     """
-    return None if np.array_equal(obs, np.eye(obs.shape[1])) else obs
+    if obs.shape == (d_out**2, d_out, d_out):
+        flat = obs.reshape(d_out**2, -1)
+        if np.count_nonzero(flat) == d_out**2 and (flat.diagonal() == 1).all():
+            return None
+    return _probe_columns(obs, "test observable", (d_out, d_out))
 
 
 def _dual_norms(ds: np.ndarray, obs: np.ndarray | None, vecs: np.ndarray, d_in: int) -> np.ndarray:
@@ -214,19 +241,25 @@ def _dual_norms(ds: np.ndarray, obs: np.ndarray | None, vecs: np.ndarray, d_in: 
     with the same norms: one product with the observables and one GEMM with
     the vectors.  With ``obs`` None (the stack is the identity, see
     :func:`_unless_identity`) the rows are those of ``S_n - S_0`` itself
-    and the product with the observables is skipped.
+    and the product with the observables is skipped.  The images are
+    squared in place, against one conjugate copy: the product
+    ``np.linalg.norm`` takes, so the norms are bitwise its own.
     """
     rows = ds if obs is None else obs.conj().T @ ds
     images = rows.reshape(-1, d_in) @ vecs.conj()
-    return np.linalg.norm(images.reshape(len(ds), rows.shape[1], d_in, -1), axis=2)
+    images *= images.conj()
+    return np.sqrt(np.add.reduce(images.real.reshape(len(ds), rows.shape[1], d_in, -1), axis=2))
 
 
 def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
     """Trace norms of a Hermitian matrix or a stack of them: sums of |eigenvalues|.
 
-    The input is symmetrized first, so rounding-level skew is ignored.
+    The input is symmetrized first, in its conjugate transpose, so
+    rounding-level skew is ignored.
     """
-    herm = (h + h.conj().swapaxes(-1, -2)) / 2
+    herm = h.conj().swapaxes(-1, -2)
+    herm += h
+    herm /= 2
     return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
 
 
@@ -288,7 +321,7 @@ def _ritz_bounds(m_n: np.ndarray, m_0: np.ndarray) -> list | None:
     return None
 
 
-def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None = None) -> np.ndarray:
+def _choi_gaps(terms, limit: KrausChannel) -> np.ndarray:
     """``trace_norm(J_n - J_0)`` for a block of built terms, each by the first of three paths that applies.
 
     ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.
@@ -301,9 +334,8 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None = None) -> np.n
        d_out*d_in``): the difference's nonzero eigenvalues are those of
        ``R diag(I, -I) R^H`` for the QR factor R of A, a (K_n + K_0)-square
        matrix; the terms with one Kraus count share one batched QR.
-    3. Dense: the eigenvalues of ``J_n - J_0`` itself, the term's slice of
-       ``dj`` when the caller has stacked the block's differences, else
-       built here for these terms only.
+    3. Dense: the eigenvalues of ``J_n - J_0`` itself, built here for these
+       terms only.
 
     Equal families give exactly 0.
     """
@@ -333,8 +365,7 @@ def _choi_gaps(terms, limit: KrausChannel, dj: np.ndarray | None = None) -> np.n
         signs = np.repeat([1.0, -1.0], [k_n, k_0])
         gaps[rows] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
     if dense:
-        diffs = dj[dense] if dj is not None else np.stack([choi_matrix(terms[i]) for i in dense]) - choi_matrix(limit)
-        gaps[dense] = _hermitian_trace_norm(diffs)
+        gaps[dense] = _hermitian_trace_norm(np.stack([choi_matrix(terms[i]) for i in dense]) - choi_matrix(limit))
     return gaps
 
 
@@ -342,7 +373,7 @@ def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
     (n,) = _integers([n], "strong_defect: index")
     states = _probe_columns(_states(test_states), "test state", (seq.limit.d_in,) * 2)
-    _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
+    ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
@@ -350,9 +381,9 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
     """Largest dual-side gap ``||(term* - limit*)(B) phi||_2`` over the test grid."""
     (n,) = _integers([n], "strongstar_defect: index")
     obs, vecs = _family(test_obs, "test observable", 2), _family(test_vectors, "test vector", 1)
-    obs = _unless_identity(_probe_columns(obs, "test observable", (seq.limit.d_out,) * 2))
+    obs = _unless_identity(obs, seq.limit.d_out)
     vecs = _probe_columns(vecs, "test vector", (seq.limit.d_in,))
-    _, ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
+    ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
     return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
 
 
@@ -382,8 +413,9 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     """Sweep all three defect kinds over the given indices.
 
     ``probes`` holds the test states, observables and vectors as validated
-    stacks; each is laid out as the columns of one array once per report,
-    and the limit's Choi matrix is built once per report.  The indices are
+    stacks; each is laid out as the columns of one array once per report
+    (the matrix units are not laid out at all), and the limit's Choi matrix
+    is built once per report.  The indices are
     swept in blocks of at most
     ``SWEEP_BLOCK_ENTRIES // (d_out*d_in)^2`` (at least one), so memory does
     not grow with ``len(ns)``.  Each block builds its terms in index order,
@@ -396,7 +428,7 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     the dual differences.  Trace norms are sums of
     |eigenvalues| of the Hermitian differences, one batched ``eigvalsh`` per
     block; the Choi column takes its own by the three paths of the module
-    docstring and diagonalizes ``dj`` only for a dense-path term.
+    docstring and builds a Choi difference only for a dense-path term.
     Witnesses are first maximizers: in state order for strong,
     observable-major then vector order for strong*.  A probe family that does
     not act on the limit (states and vectors on d_in, observables on d_out)
@@ -407,18 +439,18 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     ns = _integers(ns, "convergence_report: indices")
     d_in, d_out = seq.limit.d_in, seq.limit.d_out
     states = _probe_columns(probes.states, "test state", (d_in, d_in))
-    obs = _unless_identity(_probe_columns(probes.observables, "test observable", (d_out, d_out)))
+    obs = _unless_identity(probes.observables, d_out)
     vecs = _probe_columns(probes.vectors, "test vector", (d_in,))
     limit_choi = choi_matrix(seq.limit)
     strong, star, choi = np.empty((3, len(ns)))
     strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)
     for rows, terms in _term_blocks(seq, ns, limit_choi.size):
-        dj, ds = _deltas(terms, limit_choi)
+        ds = _deltas(terms, limit_choi)
         gaps = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
         duals = _dual_norms(ds, obs, vecs, d_in).reshape(len(terms), -1)
         strong[rows], strong_args[rows] = gaps.max(axis=1), gaps.argmax(axis=1)
         star[rows], star_args[rows] = duals.max(axis=1), duals.argmax(axis=1)
-        choi[rows] = _choi_gaps(terms, seq.limit, dj)
+        choi[rows] = _choi_gaps(terms, seq.limit)
     obs_args, vec_args = np.divmod(star_args, vecs.shape[1])
     return Report(
         "convergence-report",
@@ -461,15 +493,19 @@ def compression_sequence(ch: KrausChannel, sigma: DensityOperator, ranks) -> Cha
         if n > len(ranks):
             raise ValidationError(f"term {n} beyond the configured {len(ranks)} ranks")
         r = ranks[n - 1]
-        head = ch.stack.copy()
-        head[:, r:] = 0
         # One replacement operator sqrt(p) v (x) row per kept eigenpair (p, v) of
-        # sigma and per nonzero row m >= r of each A_k, eigenpair-major.
+        # sigma and per nonzero row m >= r of each A_k, eigenpair-major, after the
+        # heads P A_k, all written into the one stack the term keeps.
         rows = ch.stack[:, r:].reshape(-1, ch.d_in)
         rows = rows[np.linalg.norm(rows, axis=1) >= ZERO_ROW_NORM]
-        outers = vecs.T[:, None, :, None] * rows[None, :, None, :]
-        branch = roots[:, None, None, None] * outers
-        return KrausChannel(np.concatenate([head, branch.reshape(-1, ch.d_out, ch.d_in)]))
+        k = len(ch.stack)
+        stack = np.empty((k + len(roots) * len(rows), ch.d_out, ch.d_in), dtype=complex)
+        stack[:k] = ch.stack
+        stack[:k, r:] = 0
+        branch = stack[k:].reshape(len(roots), len(rows), ch.d_out, ch.d_in)
+        np.multiply(vecs.T[:, None, :, None], rows[None, :, None, :], out=branch)
+        branch *= roots[:, None, None, None]
+        return KrausChannel(_frozen(stack))
 
     return ChannelSequence(ch, term)
 

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from channel_lab import ensembles  # noqa: E402
-from channel_lab.core import ValidationError, identity_channel  # noqa: E402
+from channel_lab.core import KrausChannel, ValidationError, identity_channel  # noqa: E402
 from channel_lab.ensembles import Probes, default_probes  # noqa: E402
 from channel_lab.sequences import (  # noqa: E402
     ChannelSequence,
@@ -102,6 +102,43 @@ def test_sequences_of_arrays_and_stacks_give_the_same_probes(rng):
     for name, want in (("states", states), ("observables", obs), ("vectors", vecs)):
         assert _same_bits(getattr(stacked, name), want)
         assert _same_bits(getattr(listed, name), want)
+
+
+def test_default_families_reach_probes_without_a_copy(rng):
+    """Each generator builds its stack read-only; ``Probes`` and ``default_probes`` keep that very array."""
+    states, obs, vecs = _generated(3, 2, 5)
+    probes = Probes(states, obs, vecs)
+    assert probes.states is states and probes.observables is obs and probes.vectors is vecs
+    for stack in (states, obs, vecs):
+        assert stack.base is None and not stack.flags.writeable
+
+
+def test_a_callers_later_write_never_reaches_probes_or_a_channel(rng):
+    """Writable arrays, lists of them and read-only views of writable arrays are all copied."""
+    good = default_probes(2, 2, np.random.default_rng(3))
+    owned = {name: getattr(good, name).copy() for name in ("states", "observables", "vectors")}
+    views = {}
+    for name, a in owned.items():
+        views[name] = a.view()
+        views[name].setflags(write=False)
+    for family in (owned, views, {name: list(a) for name, a in owned.items()}):
+        probes = Probes(**family)
+        for a in owned.values():
+            a[0] = 7.0
+        for name in owned:
+            assert _same_bits(getattr(probes, name), getattr(good, name))
+            assert not np.shares_memory(getattr(probes, name), owned[name])
+        for name, a in owned.items():
+            a[...] = getattr(good, name)
+    ch = ensembles.random_kraus_channel(2, 2, 3, rng)
+    source = np.array(ch.stack)
+    frozen_view = source.view()
+    frozen_view.setflags(write=False)
+    kept = [KrausChannel(source), KrausChannel(frozen_view), KrausChannel(list(source))]
+    source[0, 0, 0] += 1.0
+    for got in kept:
+        assert _same_bits(got.stack, ch.stack)
+    assert KrausChannel(ch.stack).stack is ch.stack
 
 
 def _families(**bad) -> dict:
