@@ -37,7 +37,15 @@ is accepted without an SVD when its Frobenius norm is already within the
 tolerance, since the operator norm never exceeds the Frobenius norm; only
 otherwise is the exact operator norm computed.  So every verdict is the
 operator-norm verdict, and a rejection message prints the exact operator
-norm.
+norm.  ``_defect_norms`` is the same gate over a stack, member by member.
+
+A stack of operators is checked one batched rule per invariant, and
+``_first_failure`` rejects it as a loop over its members would: the first
+failing member, at the first check it fails.  ``PartialIsometry`` and
+``KrausChannel`` apply their rules (``_partial_isometry_checks``,
+``_kraus_checks``) to themselves as a stack of one, as ``DensityOperator``
+applies ``_require_states``; a partial-trace form applies them to a block of
+its terms.
 """
 
 from __future__ import annotations
@@ -79,9 +87,11 @@ def _integers(values, what: str) -> tuple:
     point count and ``identity_channel`` its dimension.
     """
     values = tuple(values)
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, _NOT_NUMBERS) for n in values):
-        raise ValidationError(f"{what} must be integers, got {list(values)!r}")
-    return tuple(int(n) for n in values)
+    for n in values:
+        # A plain int passes at once: ``term`` checks its index on every call.
+        if type(n) is not int and (not isinstance(n, numbers.Integral) or isinstance(n, _NOT_NUMBERS)):
+            raise ValidationError(f"{what} must be integers, got {list(values)!r}")
+    return tuple(map(int, values))
 
 
 def _real(x) -> bool:
@@ -192,10 +202,78 @@ def _require_within(m: np.ndarray, message: Callable[[float], str]) -> None:
             raise ValidationError(message(norm))
 
 
-def _reject_first(bad: np.ndarray, message: Callable[[int], str]) -> None:
-    """Raise ``ValidationError(message(k))`` for the first k with ``bad[k]``, if there is one."""
-    if bad.any():
-        raise ValidationError(message(int(np.argmax(bad))))
+def _defect_norms(m: np.ndarray) -> np.ndarray:
+    """:func:`_require_within`'s gate over a (B, r, c) stack of defects, member by member.
+
+    A member whose Frobenius norm is within ``TOL_VALID`` gets that norm, an
+    upper bound on its operator norm, and no SVD; every other member gets its
+    exact operator norm, from one batched SVD.  So ``norms > TOL_VALID`` is the
+    operator-norm verdict and a rejected member's norm is exact.  A member
+    whose Frobenius norm is not finite keeps it: its own or its input's
+    entries are not finite, and the SVD would not converge.
+    """
+    flat = m.reshape(len(m), -1).view(np.float64)
+    norms = np.sqrt(np.einsum("bi,bi->b", flat, flat))
+    over = norms > TOL_VALID
+    if over.any():
+        over &= np.isfinite(norms)
+        norms[over] = np.linalg.norm(m[over], 2, axis=(1, 2))
+    return norms
+
+
+def _finite(stack: np.ndarray) -> np.ndarray:
+    """Whether each member of a stack has only finite entries."""
+    return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+
+
+def _first_failure(checks: list) -> None:
+    """Reject a stack as a loop over its members would: the first failing member, at its first failing check.
+
+    ``checks`` holds (bad, message) pairs in the order one member is checked:
+    ``bad`` flags the failing members, ``message(k)`` words the rejection of
+    member k.
+    """
+    if any(b.any() for b, _ in checks):
+        bad = np.array([b for b, _ in checks])
+        k = int(np.argmax(bad.any(axis=0)))
+        raise ValidationError(checks[int(np.argmax(bad[:, k]))][1](k))
+
+
+def _partial_isometry_checks(w: np.ndarray) -> tuple[np.ndarray, list]:
+    """The initial projectors ``W*W`` of a (B, r, c) stack, and its checks for :func:`_first_failure`.
+
+    In order: W finite, and ``W*W`` a projector (``(W*W)^2 - W*W`` within
+    ``TOL_VALID`` in operator norm).  A member that is not finite fails the
+    first check, so the arithmetic on its entries raises no warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        w_bar = w.conj()
+        p = w_bar.swapaxes(1, 2) @ w
+        # A square stack's conjugate is done with once p is formed: the defect reuses it.
+        defect = np.matmul(p, p, out=w_bar if w_bar.shape == p.shape else None)
+        defect -= p
+        proj = _defect_norms(defect)
+    return p, [
+        (~_finite(w), lambda k: "partial isometry contains non-finite entries"),
+        (proj > TOL_VALID, lambda k: f"W*W is not a projector (defect {proj[k]:.3e})"),
+    ]
+
+
+def _kraus_checks(stacks: np.ndarray) -> list:
+    """The checks of a (B, K, d_out, d_in) stack of Kraus families, for :func:`_first_failure`.
+
+    In order: finite, and trace preserving (``sum A*A - I`` within
+    ``TOL_VALID`` in operator norm).
+    """
+    flat = stacks.reshape(len(stacks), -1, stacks.shape[-1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = flat.conj().swapaxes(1, 2) @ flat
+        gram -= np.eye(flat.shape[2])
+        tp = _defect_norms(gram)
+    return [
+        (~_finite(stacks), lambda k: "Kraus operator contains non-finite entries"),
+        (tp > TOL_VALID, lambda k: f"Kraus family is not trace preserving: ||sum A*A - I|| = {tp[k]:.3e}"),
+    ]
 
 
 def _require_states(m: np.ndarray, name: Callable[[int], str]) -> None:
@@ -207,12 +285,12 @@ def _require_states(m: np.ndarray, name: Callable[[int], str]) -> None:
     ``TOL_VALID``.  ``DensityOperator`` checks itself as a stack of one.
     """
     herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    _reject_first(herm > TOL_HERM, lambda k: f"{name(k)} is not Hermitian (deviation {herm[k]:.3e})")
+    _first_failure([(herm > TOL_HERM, lambda k: f"{name(k)} is not Hermitian (deviation {herm[k]:.3e})")])
     low = np.linalg.eigvalsh(m)[:, 0]
-    _reject_first(low < -TOL_EIG, lambda k: f"{name(k)} has negative eigenvalue {low[k]:.3e}")
+    _first_failure([(low < -TOL_EIG, lambda k: f"{name(k)} has negative eigenvalue {low[k]:.3e}")])
     tr = np.trace(m, axis1=1, axis2=2)
-    _reject_first(
-        np.abs(tr - 1.0) > TOL_VALID, lambda k: f"{name(k)} has trace {complex(tr[k]):.12g}, expected 1"
+    _first_failure(
+        [(np.abs(tr - 1.0) > TOL_VALID, lambda k: f"{name(k)} has trace {complex(tr[k]):.12g}, expected 1")]
     )
 
 
@@ -344,12 +422,7 @@ class KrausChannel:
         shape = stack.shape[1:]
         if len(shape) != 2 or 0 in shape:
             raise ValidationError(f"Kraus operators must be matrices, got shape {shape}")
-        _require_finite(stack, "Kraus operator")
-        flat = stack.reshape(-1, shape[1])
-        _require_within(
-            dagger(flat) @ flat - np.eye(shape[1]),
-            lambda norm: f"Kraus family is not trace preserving: ||sum A*A - I|| = {norm:.3e}",
-        )
+        _first_failure(_kraus_checks(stack[None]))
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus_ops", tuple(stack))
 
@@ -420,12 +493,10 @@ class PartialIsometry:
         m = _cmat(self.w, "partial isometry")
         if m.ndim != 2 or 0 in m.shape:
             raise ValidationError(f"partial isometry must be a matrix, got shape {m.shape}")
-        _require_finite(m, "partial isometry")
-        p = dagger(m) @ m
-        p.setflags(write=False)
-        _require_within(p @ p - p, lambda norm: f"W*W is not a projector (defect {norm:.3e})")
+        p, checks = _partial_isometry_checks(m[None])
+        _first_failure(checks)
         object.__setattr__(self, "w", m)
-        object.__setattr__(self, "initial_projector", p)
+        object.__setattr__(self, "initial_projector", _frozen(p)[0])
 
     @property
     def d_in(self) -> int:

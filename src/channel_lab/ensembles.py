@@ -25,8 +25,9 @@ from .core import (
     KrausChannel,
     PartialIsometry,
     ValidationError,
+    _finite,
+    _first_failure,
     _frozen,
-    _reject_first,
     _require_states,
     _stack,
     dagger,
@@ -141,10 +142,7 @@ def _family(members, what: str, ndim: int) -> np.ndarray:
     if len(shape) != ndim or 0 in shape or shape[0] != shape[-1]:
         expected = "nonempty square matrices" if ndim == 2 else "nonempty vectors"
         raise ValidationError(f"{what} family has members of shape {shape}, expected {expected}")
-    _reject_first(
-        ~np.isfinite(stack.reshape(len(stack), -1)).all(axis=1),
-        lambda k: f"{what} {k} contains non-finite entries",
-    )
+    _first_failure([(~_finite(stack), lambda k: f"{what} {k} contains non-finite entries")])
     return stack
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import TOL_EIG, TOL_HERM, ValidationError, _integers, _numeric, _require_finite, _require_unit_interval
 from .report import Report
-from .sequences import ChannelSequence, _term_blocks
+from .sequences import ChannelSequence, _blocks, _per_block
 
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -492,8 +492,8 @@ def param_convergence_check(
 
     limit_params, (a0, b0) = output_exponents([limit])
     devs = np.empty((4, len(ns)))
-    for rows, terms in _term_blocks(seq, ns, a0.size):
-        params, (a, b) = output_exponents(terms)
+    for rows, block in _blocks(ns, _per_block(a0.size)):
+        params, (a, b) = output_exponents([seq.term(n) for n in block])
         for dev, got, ref in zip(devs, params, limit_params):
             dev[rows] = np.abs(got - ref).reshape(len(got), -1).max(axis=1)
         devs[3, rows] = _char_devs(a, b, a0, b0)

@@ -1,13 +1,20 @@
 """Channel sequences, convergence defects, and the standard counterexamples.
 
 A :class:`ChannelSequence` pairs a limit channel with a lazy rule for its
-terms (index 1 and up; index 0 returns the limit).  Defects compare a term
-against the limit over finite test families.  :func:`convergence_report`
-takes them as one ``ensembles.Probes`` object, whose stacks are validated
-when it is built.  :func:`strong_defect` and :func:`strongstar_defect` take
-each family as a stack or as a sequence of equal-shape arrays, and validate
-it per call by the rules of ``Probes`` and their index by the rule of the
-sweeps, all before any term is built:
+terms (index 1 and up; index 0 returns the limit); an index that is not an
+integer is rejected before anything is built.  A :class:`PartialTraceForm`
+presents term n as ``Tr_env W(n) V0 . V0* W(n)*``; its one W rule returns
+the W(n) of a tuple of indices as one (B, D, D) array, which the form
+checks with one batched rule per invariant and slices into one
+(B, d_env, d_out, d_in) Kraus stack.  The Kraus sweeps take a form's block
+of terms as that stack, and any other sequence's one term at a time.
+
+Defects compare a term against the limit over finite test families.
+:func:`convergence_report` takes them as one ``ensembles.Probes`` object,
+whose stacks are validated when it is built.  :func:`strong_defect` and
+:func:`strongstar_defect` take each family as a stack or as a sequence of
+equal-shape arrays, and validate it per call by the rules of ``Probes`` and
+their index by the rule of the sweeps, all before any term is built:
 
 * ``strong_defect``: worst trace-norm disagreement on test states.
 * ``strongstar_defect``: worst Euclidean disagreement of the dual maps on
@@ -20,9 +27,11 @@ sweeps, all before any term is built:
   undershoot a strong defect measured at a well-chosen state; reports carry
   the comparison as a diagnostic rather than an invariant.
 
-All three come from one block kernel, which takes a block of built terms at
-once; a single defect is a block of one.  A term's Choi matrix is one GEMM
-over its stacked Kraus vectors, and reshuffling the stacked
+All three come from one block kernel, which takes a block of terms at once
+as their Kraus matrices: a list, or a form's one stack; a single defect is
+a block of one.  A term's Choi matrix is one GEMM over its stacked Kraus
+vectors, a form's block's Choi matrices one batched GEMM, and reshuffling
+the stacked
 ``J(term) - J(limit)`` gives the superoperator differences ``S_n - S_0``
 (``vec(ch(X)) = S vec(X)``), so every channel and dual difference of a
 block over a whole test family is one matrix product.  The matrix-unit
@@ -33,7 +42,9 @@ vectors.  Trace norms of the Hermitian differences are sums of
 |eigenvalues|, one batched ``eigvalsh`` per block.
 :func:`convergence_report` builds each term once per index and the
 limit's Choi matrix and the column layout of the probe stacks once per
-report; a block holds at most ``SWEEP_BLOCK_ENTRIES`` Choi-matrix entries.
+report; a block's largest stack holds at most ``SWEEP_BLOCK_ENTRIES``
+entries, whether it is the Choi stack, the report's strong* vector images or
+a form's W stack.
 
 The block kernels write into the arrays they return, not into per-call
 temporaries: a block's stacks sit at glibc's mmap threshold, so each fresh
@@ -88,6 +99,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    TOL_VALID,
     DensityOperator,
     KrausChannel,
     PartialIsometry,
@@ -97,18 +109,21 @@ from .core import (
     compose_channels,
     dagger,
     tensor_channels,
+    _cmat,
+    _defect_norms,
+    _first_failure,
     _frozen,
     _integers,
+    _kraus_checks,
     _kraus_matrix,
+    _partial_isometry_checks,
     _pure_parts,
-    _require_within,
 )
 from .dilation import (
     complementary_kraus,
     kraus_from_isometry,
     minimal_stinespring,
     pad_environment,
-    _kraus_from_rows,
 )
 from .ensembles import Probes, _family, _states
 from .report import Report
@@ -118,7 +133,10 @@ ZERO_ROW_NORM = 1e-14
 #: At most this many complex entries are stacked at once by one block of a
 #: sweep: Choi-matrix entries (indices x (d_out*d_in)^2) in
 #: :func:`convergence_report` and :func:`choi_defects`, characteristic values
-#: (indices x states x points) in ``gaussian.param_convergence_check``.
+#: (indices x states x points) in ``gaussian.param_convergence_check``.  A
+#: Kraus sweep counts the largest stack of its block: in the report the strong*
+#: images (indices x d_out^2 d_in x vectors) when they outnumber the Choi
+#: entries, and a partial-trace form's W matrices (indices x D^2) when they do.
 #: 8192 complex entries are 128 KiB, glibc's default mmap threshold, so each
 #: block-sized array a kernel allocates costs fresh pages, and the kernels
 #: write into the arrays they return (module docstring).  Raising it does not
@@ -154,6 +172,7 @@ class ChannelSequence:
     term_fn: Callable[[int], object]
 
     def term(self, n: int):
+        (n,) = _integers([n], "sequence index")
         if n < 0:
             raise ValidationError(f"sequence index must be >= 0, got {n}")
         if n == 0:
@@ -164,6 +183,21 @@ class ChannelSequence:
                 f"term {n} acts between {ch.signature}, limit between {self.limit.signature}"
             )
         return ch
+
+    def _kraus_matrices(self, ns: tuple):
+        """The Kraus matrices (K_n, d_out*d_in) of the terms at ``ns``, built in index order.
+
+        A Kraus sweep's block: a list here, one stack for a partial-trace form.
+        """
+        return [_kraus_matrix(self.term(n)) for n in ns]
+
+    def _terms_per_block(self, entries: int = 0) -> int:
+        """Terms in a Kraus sweep's block, whose largest stack holds at most ``SWEEP_BLOCK_ENTRIES`` entries.
+
+        Per term a block stacks a Choi matrix, (d_out*d_in)^2 entries, and
+        ``entries`` in the sweep's own largest stack.
+        """
+        return _per_block(max((self.limit.d_out * self.limit.d_in) ** 2, entries))
 
 
 def _probe_columns(stack: np.ndarray, what: str, shape: tuple) -> np.ndarray:
@@ -178,32 +212,37 @@ def _probe_columns(stack: np.ndarray, what: str, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(stack.reshape(len(stack), -1).T)
 
 
-def _term_blocks(seq: ChannelSequence, ns: list, entries_per_term: int):
-    """The built terms of ``ns`` in index order, a block at a time, each with its row slice.
+def _per_block(entries_per_term: int) -> int:
+    """Terms in a block of at most ``SWEEP_BLOCK_ENTRIES`` entries, ``entries_per_term`` each (at least one)."""
+    return max(1, SWEEP_BLOCK_ENTRIES // entries_per_term)
 
-    A block holds at most ``SWEEP_BLOCK_ENTRIES`` entries at
-    ``entries_per_term`` per term (at least one term), so the stacks a block
-    builds do not grow with ``len(ns)``.
+
+def _blocks(ns: tuple, per_block: int):
+    """``ns`` ``per_block`` indices at a time, in index order, each block with its row slice.
+
+    The stacks a block builds do not grow with ``len(ns)``.
     """
-    block = max(1, SWEEP_BLOCK_ENTRIES // entries_per_term)
-    for start in range(0, len(ns), block):
-        yield slice(start, start + block), [seq.term(n) for n in ns[start:start + block]]
+    for start in range(0, len(ns), per_block):
+        yield slice(start, start + per_block), ns[start:start + per_block]
 
 
-def _deltas(terms, limit_choi: np.ndarray) -> np.ndarray:
-    """``S_n - S_0`` stacked over a block of built terms.
+def _deltas(ms, limit_choi: np.ndarray, d_out: int) -> np.ndarray:
+    """``S_n - S_0`` stacked over a block of Kraus matrices (a list, or one (B, K, d_out*d_in) stack).
 
     ``S[(a,b),(i,j)] = J[(a,i),(b,j)]`` reshuffles a Choi matrix into the
     superoperator, so that with row-major ``vec`` ``vec(ch(X)) = S vec(X)``
     and ``vec(ch*(B)) = S^H vec(B)``.  The map is linear, so the reshuffle of
-    ``J_n - J_0`` is ``S_n - S_0``.  Each term's Choi GEMM writes into its
-    slice of one ``J_n - J_0`` stack, which lives only until it is reshuffled.
+    ``J_n - J_0`` is ``S_n - S_0``.  The Choi GEMMs write into one
+    ``J_n - J_0`` stack, which lives only until it is reshuffled: a stack's
+    in one batched product, a list's a slice per term.
     """
-    d_out, d_in = terms[0].d_out, terms[0].d_in
-    dj = np.empty((len(terms),) + limit_choi.shape, dtype=complex)
-    for t, out in zip(terms, dj):
-        m = _kraus_matrix(t)
-        np.matmul(m.T, m.conj(), out=out)
+    d_in = len(limit_choi) // d_out
+    dj = np.empty((len(ms),) + limit_choi.shape, dtype=complex)
+    if isinstance(ms, np.ndarray):
+        np.matmul(ms.swapaxes(1, 2), ms.conj(), out=dj)
+    else:
+        for m, out in zip(ms, dj):
+            np.matmul(m.T, m.conj(), out=out)
     dj -= limit_choi
     return dj.reshape(-1, d_out, d_in, d_out, d_in).transpose(0, 1, 3, 2, 4).reshape(-1, d_out**2, d_in**2)
 
@@ -321,8 +360,26 @@ def _ritz_bounds(m_n: np.ndarray, m_0: np.ndarray) -> list | None:
     return None
 
 
-def _choi_gaps(terms, limit: KrausChannel) -> np.ndarray:
-    """``trace_norm(J_n - J_0)`` for a block of built terms, each by the first of three paths that applies.
+def _choi_gaps(ms, m_0: np.ndarray) -> np.ndarray:
+    """``trace_norm(J_n - J_0)`` for a block of Kraus matrices against the limit's ``m_0``.
+
+    A stack is one group; a list is grouped by Kraus count, and a group of
+    one term is a view of it.  Each group goes to :func:`_group_gaps`.
+    """
+    if isinstance(ms, np.ndarray):
+        return _group_gaps(ms, m_0)
+    by_count = {}
+    for i, m in enumerate(ms):
+        by_count.setdefault(len(m), []).append(i)
+    gaps = np.empty(len(ms))
+    for rows in by_count.values():
+        group = ms[rows[0]][None] if len(rows) == 1 else np.stack([ms[i] for i in rows])
+        gaps[rows] = _group_gaps(group, m_0)
+    return gaps
+
+
+def _group_gaps(ms: np.ndarray, m_0: np.ndarray) -> np.ndarray:
+    """``trace_norm(J_n - J_0)`` for a (B, K, d_out*d_in) Kraus stack, each by the first of three paths that applies.
 
     ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.
 
@@ -333,39 +390,35 @@ def _choi_gaps(terms, limit: KrausChannel) -> np.ndarray:
     2. The QR core, while A has fewer columns than rows (``K_n + K_0 <
        d_out*d_in``): the difference's nonzero eigenvalues are those of
        ``R diag(I, -I) R^H`` for the QR factor R of A, a (K_n + K_0)-square
-       matrix; the terms with one Kraus count share one batched QR.
+       matrix; the stack's terms share one batched QR.
     3. Dense: the eigenvalues of ``J_n - J_0`` itself, built here for these
        terms only.
 
-    Equal families give exactly 0.
+    Equal families give exactly 0.  The equality checks, the QR pairs and
+    the dense differences are each one array operation over the stack; only
+    Krylov solves go term by term.
     """
-    m_0 = _kraus_matrix(limit)
-    k_0, size = m_0.shape
-    gaps = np.zeros(len(terms))
-    by_count, dense = {}, []
-    for i, term in enumerate(terms):
-        m_n = _kraus_matrix(term)
-        if np.array_equal(m_n, m_0):
-            continue
-        # Krylov against the QR core on the column's built terms (shared 2-core host, BLAS on one thread):
-        # compress (k = 1) 6.5 -> 2.0 ms at d=10 and 86 -> 5.4 ms at d=16, but the 8/4/8 partial-trace
-        # form (k = 8) 1.7 -> 14.8 ms and compress at d=8 on a 4-operator base 3.4 -> 14.8 ms.
-        if min(len(m_n), k_0) <= KRYLOV_MAX_BLOCK:
-            bounds = _ritz_bounds(m_n, m_0)
+    (k_n, size), k_0 = ms.shape[1:], len(m_0)
+    gaps = np.zeros(len(ms))
+    todo = ~(ms == m_0).all(axis=(1, 2)) if k_n == k_0 else np.ones(len(ms), dtype=bool)
+    # Krylov against the QR core on the column's built terms (shared 2-core host, BLAS on one thread):
+    # compress (k = 1) 6.5 -> 2.0 ms at d=10 and 86 -> 5.4 ms at d=16, but the 8/4/8 partial-trace
+    # form (k = 8) 1.7 -> 14.8 ms and compress at d=8 on a 4-operator base 3.4 -> 14.8 ms.
+    if min(k_n, k_0) <= KRYLOV_MAX_BLOCK:
+        for i in np.flatnonzero(todo):
+            bounds = _ritz_bounds(ms[i], m_0)
             if bounds is not None:
-                gaps[i] = bounds[-1]
-                continue
-        if len(m_n) + k_0 < size:
-            by_count.setdefault(len(m_n), []).append(i)
-        else:
-            dense.append(i)
-    for k_n, rows in by_count.items():
-        pairs = np.stack([np.concatenate([_kraus_matrix(terms[i]), m_0]) for i in rows])
+                gaps[i], todo[i] = bounds[-1], False
+    if not todo.any():
+        return gaps
+    rest = ms if todo.all() else ms[todo]
+    if k_n + k_0 < size:
+        pairs = np.concatenate([rest, np.broadcast_to(m_0, (len(rest),) + m_0.shape)], axis=1)
         r = np.linalg.qr(pairs.transpose(0, 2, 1), mode="r")
         signs = np.repeat([1.0, -1.0], [k_n, k_0])
-        gaps[rows] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
-    if dense:
-        gaps[dense] = _hermitian_trace_norm(np.stack([choi_matrix(terms[i]) for i in dense]) - choi_matrix(limit))
+        gaps[todo] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
+    else:
+        gaps[todo] = _hermitian_trace_norm(rest.swapaxes(1, 2) @ rest.conj() - m_0.T @ m_0.conj())
     return gaps
 
 
@@ -373,7 +426,7 @@ def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
     (n,) = _integers([n], "strong_defect: index")
     states = _probe_columns(_states(test_states), "test state", (seq.limit.d_in,) * 2)
-    ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
+    ds = _deltas(seq._kraus_matrices((n,)), choi_matrix(seq.limit), seq.limit.d_out)
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
@@ -383,16 +436,16 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
     obs, vecs = _family(test_obs, "test observable", 2), _family(test_vectors, "test vector", 1)
     obs = _unless_identity(obs, seq.limit.d_out)
     vecs = _probe_columns(vecs, "test vector", (seq.limit.d_in,))
-    ds = _deltas([seq.term(n)], choi_matrix(seq.limit))
+    ds = _deltas(seq._kraus_matrices((n,)), choi_matrix(seq.limit), seq.limit.d_out)
     return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
 
 
 def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
     """:func:`choi_defect` at every index of ``ns``, in order, swept in blocks."""
     ns = _integers(ns, "choi_defects: indices")
-    gaps = np.empty(len(ns))
-    for rows, terms in _term_blocks(seq, ns, (seq.limit.d_out * seq.limit.d_in) ** 2):
-        gaps[rows] = _choi_gaps(terms, seq.limit)
+    gaps, m_0 = np.empty(len(ns)), _kraus_matrix(seq.limit)
+    for rows, block in _blocks(ns, seq._terms_per_block()):
+        gaps[rows] = _choi_gaps(seq._kraus_matrices(block), m_0)
     return gaps / seq.limit.d_in
 
 
@@ -415,12 +468,13 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     ``probes`` holds the test states, observables and vectors as validated
     stacks; each is laid out as the columns of one array once per report
     (the matrix units are not laid out at all), and the limit's Choi matrix
-    is built once per report.  The indices are
-    swept in blocks of at most
-    ``SWEEP_BLOCK_ENTRIES // (d_out*d_in)^2`` (at least one), so memory does
-    not grow with ``len(ns)``.  Each block builds its terms in index order,
-    once per index, and stacks their Choi matrices (one GEMM each) minus the
-    limit's; reshuffled, the stack is every ``S_n - S_0``.  One product with
+    is built once per report.  The indices are swept in blocks whose largest
+    stack, the Choi stack, the strong* vector images or a partial-trace
+    form's W stack, holds at most ``SWEEP_BLOCK_ENTRIES`` entries (at least
+    one index), so memory does not grow with ``len(ns)``.  Each block builds its terms once per index,
+    in index order (a form's as one checked Kraus stack), and stacks their
+    Choi matrices (one GEMM each, one batched GEMM for a form's block) minus
+    the limit's; reshuffled, the stack is every ``S_n - S_0``.  One product with
     the stacked states gives every output difference of the block, one with
     the stacked observables every dual difference; when the observables are
     the matrix units in order (their stack is exactly the identity, checked
@@ -441,16 +495,18 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     states = _probe_columns(probes.states, "test state", (d_in, d_in))
     obs = _unless_identity(probes.observables, d_out)
     vecs = _probe_columns(probes.vectors, "test vector", (d_in,))
-    limit_choi = choi_matrix(seq.limit)
+    limit_choi, m_0 = choi_matrix(seq.limit), _kraus_matrix(seq.limit)
     strong, star, choi = np.empty((3, len(ns)))
     strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)
-    for rows, terms in _term_blocks(seq, ns, limit_choi.size):
-        ds = _deltas(terms, limit_choi)
+    # Per term the strong* kernel's vector images hold d_out^2 * d_in entries per test vector.
+    for rows, block in _blocks(ns, seq._terms_per_block(d_out**2 * d_in * vecs.shape[1])):
+        ms = seq._kraus_matrices(block)
+        ds = _deltas(ms, limit_choi, d_out)
         gaps = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
-        duals = _dual_norms(ds, obs, vecs, d_in).reshape(len(terms), -1)
+        duals = _dual_norms(ds, obs, vecs, d_in).reshape(len(ms), -1)
         strong[rows], strong_args[rows] = gaps.max(axis=1), gaps.argmax(axis=1)
         star[rows], star_args[rows] = duals.max(axis=1), duals.argmax(axis=1)
-        choi[rows] = _choi_gaps(terms, seq.limit)
+        choi[rows] = _choi_gaps(ms, m_0)
     obs_args, vec_args = np.divmod(star_args, vecs.shape[1])
     return Report(
         "convergence-report",
@@ -522,6 +578,12 @@ def swap_counterexample(d: int) -> tuple[list[PartialIsometry], np.ndarray]:
     Returns the list of terms (n = 1..d-1) and psi; the limit is the
     projector onto the frame, i.e. ``terms[0].initial_projector``.
     """
+    ws, psi = _swap_stack(d)
+    return [PartialIsometry(w) for w in ws], psi
+
+
+def _swap_stack(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The swap family's terms as one read-only (d-1, d, d) stack, and psi; d >= 3 is checked here."""
     if d < 3:
         raise ValidationError(f"the swap family needs dimension >= 3, got {d}")
     psi = np.eye(d, dtype=np.complex128)[d - 1]
@@ -531,7 +593,7 @@ def swap_counterexample(d: int) -> tuple[list[PartialIsometry], np.ndarray]:
     ws[:, frame, frame] = 1.0
     ws[frame, frame, frame] = 0.0
     ws[frame, d - 1, frame] = 1.0
-    return [PartialIsometry(w) for w in ws], psi
+    return _frozen(ws), psi
 
 
 def swap_report(d: int, probe: int) -> Report:
@@ -541,25 +603,27 @@ def swap_report(d: int, probe: int) -> Report:
     (``sqrt(2)`` at n = probe, 0 elsewhere), ``||(W_n* - P) psi||`` (1 on
     every row) and the Choi defect of the channels of ``W_n`` on the
     embedding ``eye(d, d-1)`` with a (2, d/2) output/environment split.
-    Both vector columns read one (d-1, d, d) stack of ``W_n - P``.  Checked
-    in order: d is even (the split needs it), the family's own dimension
-    rule, and ``1 <= probe <= d - 1``.
+    Both vector columns read the family's (d-1, d, d) stack minus P, and its
+    partial-trace form's W rule indexes the stack.  Checked in order: d is
+    even (the split needs it), the family's own dimension rule, and
+    ``1 <= probe <= d - 1``.
     """
     if d % 2:
         raise ValidationError(f"the swap report needs an even dimension to embed, got {d}")
-    terms, psi = swap_counterexample(d)
+    ws, psi = _swap_stack(d)
     if not 1 <= probe <= d - 1:
         raise ValidationError(f"probe index must lie in 1..{d - 1}, got {probe}")
-    gaps = np.stack([w.w for w in terms]) - terms[0].initial_projector
-    form = PartialTraceForm(StinespringIsometry(np.eye(d, d - 1), 2, d // 2), lambda n: terms[n - 1])
+    frame = np.eye(d, d - 1)
+    gaps = ws - frame @ frame.T
+    form = PartialTraceForm(StinespringIsometry(frame, 2, d // 2), lambda ns: ws[np.subtract(ns, 1)])
     return Report(
         "convergence-report",
         range(1, d),
         strong=np.linalg.norm(gaps[:, :, probe - 1], axis=1),
         strongstar=np.linalg.norm(psi.conj() @ gaps, axis=1),
         choi=choi_defects(channels_from_partial_isometries(form), range(1, d)),
-        strong_witness=[f"tau[{probe}]"] * len(terms),
-        strongstar_witness=["psi"] * len(terms),
+        strong_witness=[f"tau[{probe}]"] * (d - 1),
+        strongstar_witness=["psi"] * (d - 1),
         test_family=f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding",
     )
 
@@ -568,14 +632,18 @@ def swap_report(d: int, probe: int) -> Report:
 class PartialTraceForm:
     """A sequence presented as ``rho -> Tr_env W(n) V0 rho V0* W(n)*``.
 
-    ``v0`` fixes the embedding and the output/environment split; each
-    ``w_fn(n)`` must be a partial isometry whose initial projector is the
-    range projector of ``v0`` (checked on access, within TOL_VALID), so that
-    every composite ``W(n) V0`` is again an isometry.
+    ``v0`` fixes the embedding and the output/environment split.  ``w_fn`` is
+    the form's W rule: given a tuple of indices n >= 1 it returns their W(n)
+    as one (len(ns), D, D) array, D = d_out * d_env.  Each W(n) must be a
+    partial isometry whose initial projector is the range projector of
+    ``v0``, so that every composite ``W(n) V0`` is again an isometry.  A
+    block of indices is checked when it is built (:meth:`_kraus_block`);
+    ``isometry(n)`` and each term of :func:`channels_from_partial_isometries`
+    are the block of one.
     """
 
     v0: StinespringIsometry
-    w_fn: Callable[[int], PartialIsometry]
+    w_fn: Callable[[tuple], np.ndarray]
     #: The range projector ``v0 v0*`` of the embedding, computed once.
     range0: np.ndarray = field(init=False, repr=False)
 
@@ -583,46 +651,91 @@ class PartialTraceForm:
         object.__setattr__(self, "range0", self.v0.v @ dagger(self.v0.v))
 
     def isometry(self, n: int) -> StinespringIsometry:
+        (n,) = _integers([n], "sequence index")
         if n < 0:
             raise ValidationError(f"sequence index must be >= 0, got {n}")
         if n == 0:
             return self.v0
-        return StinespringIsometry(self._product(n), self.v0.d_out, self.v0.d_env)
+        v0, kraus = self.v0, self._kraus_block((n,))[0]
+        return StinespringIsometry(kraus.swapaxes(0, 1).reshape(-1, v0.d_in), v0.d_out, v0.d_env)
 
-    def _product(self, n: int) -> np.ndarray:
-        """``W(n) V0`` for n >= 1, once W(n) is checked against the embedding range."""
-        w = self.w_fn(n)
-        _require_within(
-            w.initial_projector - self.range0,
-            lambda norm: f"term {n}: initial projector deviates from the embedding range by {norm:.3e}",
+    def _kraus_block(self, ns: tuple) -> np.ndarray:
+        """The Kraus families of ``W(n) V0`` at indices ``ns`` (each >= 1), one (B, d_env, d_out, d_in) stack.
+
+        The W rule's stack is checked one batched rule per invariant, in the
+        order one term is checked: W finite, ``W*W`` a projector, ``W*W`` the
+        embedding's range projector, and ``W(n) V0`` finite and trace
+        preserving (the isometry check; ``sum A*A`` is ``V*V`` summed in
+        another order).  Each within ``TOL_VALID`` in operator norm.  The first
+        failing index is rejected, at the first check it fails.
+        """
+        v0, dim = self.v0, len(self.range0)
+        w = _cmat(self.w_fn(ns), "partial isometry")
+        if w.shape != (len(ns), dim, dim):
+            raise ValidationError(
+                f"the W rule gave shape {w.shape} for indices {list(ns)}, expected {(len(ns), dim, dim)}"
+            )
+        p, checks = _partial_isometry_checks(w)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p -= self.range0
+            drift = _defect_norms(p)
+            products = (w @ v0.v).reshape(len(ns), v0.d_out, v0.d_env, v0.d_in)
+        kraus = np.ascontiguousarray(products.swapaxes(1, 2))
+        on_range = (
+            drift > TOL_VALID,
+            lambda k: f"term {ns[k]}: initial projector deviates from the embedding range by {drift[k]:.3e}",
         )
-        return w.w @ self.v0.v
+        _first_failure(checks + [on_range] + _kraus_checks(kraus))
+        return kraus
+
+
+@dataclass(frozen=True, eq=False)
+class _FormChannels(ChannelSequence):
+    """The channel sequence of a partial-trace form.
+
+    A Kraus sweep takes a block of its terms as the form's one Kraus stack.
+    Its block size also counts the (D, D) W matrices, whose stack can be the
+    block's largest (``D^2 > (d_out*d_in)^2``).
+    """
+
+    form: PartialTraceForm
+
+    def _kraus_matrices(self, ns: tuple):
+        if min(ns) < 1:
+            # Index 0 is the limit and a negative one is rejected: term by term, in index order.
+            return super()._kraus_matrices(ns)
+        return self.form._kraus_block(ns).reshape(len(ns), self.form.v0.d_env, -1)
+
+    def _terms_per_block(self, entries: int = 0) -> int:
+        return super()._terms_per_block(max(entries, self.form.range0.size))
 
 
 def channels_from_partial_isometries(form: PartialTraceForm) -> ChannelSequence:
     """The channel sequence of a partial-trace form.
 
-    Each term's compatibility of W(n) with the embedding is checked when the
-    term is accessed.  The product ``W(n) V0`` is sliced straight into its
-    Kraus family, whose trace-preservation check is the isometry check
-    (``sum A*A`` is ``V*V`` summed in another order), so it runs once.
+    Term n is the form's block of one, sliced into its Kraus family; the
+    Kraus sweeps take a whole block of terms as one stack.  W(n) is checked
+    against the embedding when its block is built.
     """
-    v0 = form.v0
-    return ChannelSequence(
-        kraus_from_isometry(v0), lambda n: _kraus_from_rows(form._product(n), v0.d_out, v0.d_env)
-    )
+    return _FormChannels(kraus_from_isometry(form.v0), lambda n: KrausChannel(form._kraus_block((n,))[0]), form)
 
 
 def givens_rotation(dim: int, i: int, j: int, theta: float) -> np.ndarray:
     """The rotation by ``theta`` in the (e_i, e_j) coordinate plane."""
+    return _givens_rotations(dim, i, j, [theta])[0]
+
+
+def _givens_rotations(dim: int, i: int, j: int, thetas) -> np.ndarray:
+    """The rotations by each of ``thetas`` in the (e_i, e_j) coordinate plane, one (len(thetas), dim, dim) stack."""
     if i == j or not (0 <= i < dim and 0 <= j < dim):
         raise ValidationError(f"invalid rotation plane ({i}, {j}) in dim {dim}")
-    r = np.eye(dim, dtype=np.complex128)
-    c, s = np.cos(theta), np.sin(theta)
-    r[i, i] = c
-    r[j, j] = c
-    r[i, j] = -s
-    r[j, i] = s
+    r = np.zeros((len(thetas), dim, dim), dtype=np.complex128)
+    c, s = np.cos(thetas), np.sin(thetas)
+    diagonal = np.arange(dim)
+    r[:, diagonal, diagonal] = 1.0
+    r[:, [i, j], [i, j]] = c[:, None]
+    r[:, i, j] = -s
+    r[:, j, i] = s
     return r
 
 
@@ -635,12 +748,14 @@ def rotation_partial_trace_form(
 
     ``W(n) = R(theta_fn(n)) P0`` where P0 projects onto the range of v0, so
     the terms converge to the limit in operator norm as the angles shrink.
+    The W rule calls ``theta_fn`` once per index, builds the block's
+    rotations as one stack and multiplies it by P0 in one batched product.
     """
     p0 = v0.v @ dagger(v0.v)
     dim = p0.shape[0]
 
-    def w(n: int) -> PartialIsometry:
-        return PartialIsometry(givens_rotation(dim, plane[0], plane[1], theta_fn(n)) @ p0)
+    def w(ns: tuple) -> np.ndarray:
+        return _frozen(_givens_rotations(dim, plane[0], plane[1], [theta_fn(n) for n in ns]) @ p0)
 
     return PartialTraceForm(v0, w)
 

@@ -201,7 +201,7 @@ def test_criterion_7_partial_trace_form_bullets(capsys):
     d = 16
     terms, _ = sequences.swap_counterexample(d)
     v0s = StinespringIsometry(np.eye(d, d - 1), 4, 4)
-    sform = sequences.PartialTraceForm(v0s, lambda n: terms[n - 1])
+    sform = sequences.PartialTraceForm(v0s, lambda ns: np.stack([terms[n - 1].w for n in ns]))
     sseq = sequences.channels_from_partial_isometries(sform)
     states = ensembles._projectors(np.eye(d - 1, dtype=complex))
     strong_ok = True

@@ -4,10 +4,12 @@ Each kernel is pinned bit for bit to the construction it replaced, written
 out here as the reference: the strong* norms to ``np.linalg.norm``, the
 block's superoperator differences to a stack of ``choi_matrix`` results, the
 compress term to a concatenation of heads and replacement branch, and the
-Hermitian trace norm to the symmetrized copy.  The observable check decides
-"the matrix units in order" on the stack itself.  A ``tracemalloc`` test
-bounds what one compress report holds at once by a multiple of one block's
-Choi stack.
+Hermitian trace norm to the symmetrized copy, and a partial-trace form's
+block of Kraus stacks to the per-index construction of W(n), ``W(n) V0`` and
+its Kraus family.  The observable check decides "the matrix units in order"
+on the stack itself.  ``tracemalloc`` tests bound what one compress report
+and one 8/4/8 partial-trace-form report hold at once by a multiple of a
+Choi matrix.
 """
 
 import tracemalloc
@@ -20,13 +22,18 @@ from channel_lab.core import (
     DensityOperator,
     StinespringIsometry,
     ValidationError,
+    _kraus_matrix,
     _pure_parts,
     choi_matrix,
+    dagger,
     identity_channel,
 )
 from channel_lab.sequences import (
+    SWEEP_BLOCK_ENTRIES,
     ZERO_ROW_NORM,
+    PartialTraceForm,
     channels_from_partial_isometries,
+    choi_defects,
     compression_sequence,
     convergence_report,
     rotation_partial_trace_form,
@@ -63,6 +70,28 @@ def _term_by_concatenation(ch, sigma, r):
     return np.concatenate([head, branch.reshape(-1, ch.d_out, ch.d_in)])
 
 
+def _givens_by_entries(dim, i, j, theta):
+    """One plane rotation, its four entries written into an identity."""
+    r = np.eye(dim, dtype=np.complex128)
+    c, s = np.cos(theta), np.sin(theta)
+    r[i, i] = r[j, j] = c
+    r[i, j], r[j, i] = -s, s
+    return r
+
+
+def _kraus_by_index(v0, w):
+    """One term's Kraus stack from its W: ``W V0``, its rows read as (d_out, d_env, d_in), then (d_env, d_out, d_in)."""
+    return (w @ v0.v).reshape(v0.d_out, v0.d_env, v0.d_in).transpose(1, 0, 2).copy()
+
+
+def _random_w_form(d_in, d_out, d_env, count, rng):
+    """A form whose W(n) is a fixed random unitary U_n times the embedding's range projector."""
+    v0 = StinespringIsometry(np.eye(d_out * d_env, d_in), d_out, d_env)
+    p0 = v0.v @ dagger(v0.v)
+    us = np.stack([ensembles.random_unitary(d_out * d_env, rng) for _ in range(count)])
+    return PartialTraceForm(v0, lambda ns: us[np.subtract(ns, 1)] @ p0), us @ p0
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -89,8 +118,7 @@ def test_dual_norms_are_the_linalg_norms_bit_for_bit_on_random_stacks(seed, gene
 def test_dual_norms_keep_exact_ties_and_their_first_maximizer_on_basis_probes(d):
     """Basis vectors against a compress block give many equal norms; the witness is the same first one."""
     seq = compression_sequence(identity_channel(d), DensityOperator(np.eye(d) / d), range(1, d + 1))
-    terms = [seq.term(n) for n in range(1, d + 1)]
-    ds = sequences._deltas(terms, choi_matrix(seq.limit))
+    ds = sequences._deltas(seq._kraus_matrices(range(1, d + 1)), choi_matrix(seq.limit), d)
     vecs = np.eye(d, dtype=complex)
     got = sequences._dual_norms(ds, None, vecs, d).reshape(d, -1)
     want = _norms_by_linalg(ds, None, vecs, d).reshape(d, -1)
@@ -100,14 +128,18 @@ def test_dual_norms_keep_exact_ties_and_their_first_maximizer_on_basis_probes(d)
 
 
 def test_deltas_are_the_stacked_choi_construction_bit_for_bit(rng):
+    """A form's block is one Kraus stack and one batched product; any other block a list, a product per term."""
     compress = compression_sequence(identity_channel(5), DensityOperator(np.eye(5) / 5), range(1, 6))
-    for seq, ns in ((_rotation_sequence(8, 4, 8), range(1, 9)), (compress, range(1, 6))):
+    for seq, ns in ((_rotation_sequence(8, 4, 8), tuple(range(1, 9))), (compress, tuple(range(1, 6)))):
         terms = [seq.term(n) for n in ns]
         limit_choi = choi_matrix(seq.limit)
-        assert _same_bits(sequences._deltas(terms, limit_choi), _deltas_by_stack(terms, limit_choi))
+        block = seq._kraus_matrices(ns)
+        assert isinstance(block, np.ndarray) == (seq is not compress)
+        assert _same_bits(sequences._deltas(block, limit_choi, seq.limit.d_out), _deltas_by_stack(terms, limit_choi))
     base = ensembles.random_kraus_channel(3, 2, 4, rng)
     terms = [ensembles.random_kraus_channel(3, 2, k, rng) for k in (2, 4, 6)]
-    assert _same_bits(sequences._deltas(terms, choi_matrix(base)), _deltas_by_stack(terms, choi_matrix(base)))
+    got = sequences._deltas([_kraus_matrix(t) for t in terms], choi_matrix(base), 2)
+    assert _same_bits(got, _deltas_by_stack(terms, choi_matrix(base)))
 
 
 def test_hermitian_trace_norm_is_the_symmetrized_copy_bit_for_bit(rng):
@@ -159,6 +191,57 @@ def test_matrix_units_are_told_apart_without_an_identity():
         sequences._unless_identity(units, 2)
 
 
+@pytest.mark.parametrize("shape", [(8, 4, 8), (3, 2, 6), (4, 2, 3)])
+def test_form_blocks_are_the_per_index_construction_bit_for_bit(shape, rng):
+    """A rotation form's block is its rotations, ``W V0`` and Kraus families built one index at a time;
+    a random-W form's block is the per-index Kraus family of its W; each equals its blocks of one."""
+    d_in, d_out, d_env = shape
+    dim = d_out * d_env
+    v0 = StinespringIsometry(np.eye(dim, d_in), d_out, d_env)
+    p0 = v0.v @ dagger(v0.v)
+    ns = tuple(range(1, 21))
+    rotation = rotation_partial_trace_form(v0, (dim - 1, 0), lambda n: 1.0 / n)
+    random_w, ws = _random_w_form(d_in, d_out, d_env, len(ns), rng)
+    cases = (
+        (rotation, [_givens_by_entries(dim, dim - 1, 0, 1.0 / n) @ p0 for n in ns]),
+        (random_w, list(ws)),
+    )
+    for form, per_index in cases:
+        block = form._kraus_block(ns)
+        assert _same_bits(block, np.stack([_kraus_by_index(v0, w) for w in per_index]))
+        assert _same_bits(block, np.concatenate([form._kraus_block((n,)) for n in ns]))
+        seq = channels_from_partial_isometries(form)
+        assert all(_same_bits(seq.term(n).stack, block[k]) for k, n in enumerate(ns))
+        assert _same_bits(form.isometry(3).v, per_index[2] @ v0.v)
+
+
+def _form_cases(rng):
+    """The 8/4/8 rotation form over 20 indices and a random-W 3/2/6 form over 60, each with its report's
+    largest stack per term: 8/4/8's strong* images (16 x 8 x 10 vectors = 1280 > 32^2, 6 terms to a
+    default block), 3/2/6's W stack (D^2 = 144 > (d_out d_in)^2 = 36, 56 terms to a default block)."""
+    v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
+    rotation = channels_from_partial_isometries(rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n))
+    random_w = channels_from_partial_isometries(_random_w_form(3, 2, 6, 60, rng)[0])
+    return [(rotation, range(1, 21), 16 * 8 * 10), (random_w, range(1, 61), 12**2)]
+
+
+def test_form_sweeps_are_bit_identical_at_every_block_size(rng, monkeypatch):
+    """1, 3 and the default number of terms to a block give the same report and Choi column, bit for bit."""
+    for seq, ns, largest in _form_cases(rng):
+        monkeypatch.undo()
+        probes = ensembles.default_probes(seq.limit.d_in, seq.limit.d_out, np.random.default_rng(3))
+        images = seq.limit.d_out**2 * seq.limit.d_in * len(probes.vectors)
+        default = seq._terms_per_block(images)
+        assert default * largest <= SWEEP_BLOCK_ENTRIES < (default + 1) * largest
+        sweeps = []
+        for per_block in (1, 3, default):
+            monkeypatch.setattr(sequences, "SWEEP_BLOCK_ENTRIES", per_block * largest)
+            assert seq._terms_per_block(images) == per_block
+            report = convergence_report(seq, ns, probes)
+            sweeps.append((report.to_json_dict(), choi_defects(seq, ns).tobytes()))
+        assert sweeps[0] == sweeps[1] == sweeps[2]
+
+
 #: Allowed peak of one compress d=10 report, in blocks of 16 N^2 bytes (one Choi stack, N = d^2).
 #: Kernels that build fresh block-sized temporaries reach 8.3 blocks; these reach 5.7.
 PEAK_BLOCKS = 7
@@ -177,3 +260,26 @@ def test_a_compress_report_holds_a_few_block_stacks_at_once():
         tracemalloc.stop()
     block = 16 * (d * d) ** 2
     assert peak <= PEAK_BLOCKS * block, f"peak {peak / block:.2f} blocks"
+
+
+#: Allowed peak of one 8/4/8 partial-trace-form report over indices 1..60, in blocks of 16 N^2 bytes
+#: (one Choi matrix, N = d_out d_in = 32).  Its blocks of 6 terms reach 28.9; the per-index terms reached 33.5.
+FORM_PEAK_BLOCKS = 40
+
+
+def test_a_form_report_holds_a_few_block_stacks_at_once():
+    v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
+    seq = channels_from_partial_isometries(rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n))
+    probes = ensembles.default_probes(8, 4, np.random.default_rng(7))
+    # D = N = 32: the W stacks are as large as the Choi stack; the strong* images, 16 x 8 x 10
+    # entries per term, are the block's largest stack, and set 6 terms to a block.
+    assert seq._terms_per_block(16 * 8 * 10) == 6 and 6 * 16 * 8 * 10 <= SWEEP_BLOCK_ENTRIES
+    convergence_report(seq, range(1, 61), probes)
+    tracemalloc.start()
+    try:
+        convergence_report(seq, range(1, 61), probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 16 * 32**2
+    assert peak <= FORM_PEAK_BLOCKS * block, f"peak {peak / block:.2f} blocks"

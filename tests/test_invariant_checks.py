@@ -21,7 +21,7 @@ from channel_lab.core import (
 )
 from channel_lab.dilation import tracked_complete_unitary
 from channel_lab.ensembles import random_isometry, random_unitary
-from channel_lab.sequences import PartialTraceForm
+from channel_lab.sequences import PartialTraceForm, channels_from_partial_isometries, choi_defects
 
 SPREAD = 0.9 * TOL_VALID
 OVER = 2.0 * TOL_VALID
@@ -143,7 +143,7 @@ def test_partial_trace_form_drift(spread, rng):
     basis, rot = _embedding_and_rotation(spread, rng)
     v0 = StinespringIsometry(basis, 4, 4)
     w = PartialIsometry(v0.v @ dagger(v0.v) @ dagger(rot))
-    form = PartialTraceForm(v0, lambda n: w)
+    form = PartialTraceForm(v0, lambda ns: np.stack([w.w] * len(ns)))
     defect = w.initial_projector - form.range0
     if spread:
         _assert_spread(defect)
@@ -152,6 +152,26 @@ def test_partial_trace_form_drift(spread, rng):
         assert _rejected(lambda: form.isometry(1)) == (
             "term 1: initial projector deviates from the embedding range "
             f"by {opnorm(defect):.3e}"
+        )
+
+
+@pytest.mark.parametrize("spread", [True, False])
+def test_partial_trace_form_drift_in_a_block(spread, rng):
+    """The block rule gates each member on its own Frobenius norm: the drifted W at index 3 of
+    indices 1..5 takes the operator-norm fallback and passes (spread) or is named (over)."""
+    basis, rot = _embedding_and_rotation(spread, rng)
+    v0 = StinespringIsometry(basis, 4, 4)
+    p0 = v0.v @ dagger(v0.v)
+    drifted = p0 @ dagger(rot)
+    form = PartialTraceForm(v0, lambda ns: np.stack([drifted if n == 3 else p0 for n in ns]))
+    seq = channels_from_partial_isometries(form)
+    defect = dagger(drifted) @ drifted - form.range0
+    if spread:
+        _assert_spread(defect)
+        assert (choi_defects(seq, range(1, 6)) < 1e-8).all()
+    else:
+        assert _rejected(lambda: choi_defects(seq, range(1, 6))) == (
+            f"term 3: initial projector deviates from the embedding range by {opnorm(defect):.3e}"
         )
 
 

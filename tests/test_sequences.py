@@ -335,7 +335,7 @@ def test_partial_trace_form_checks_embedding_compatibility():
     from channel_lab.core import PartialIsometry
 
     stray = PartialIsometry(np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
-    bad = PartialTraceForm(v0, lambda n: stray)
+    bad = PartialTraceForm(v0, lambda ns: np.stack([stray.w] * len(ns)))
     with pytest.raises(ValidationError, match="deviates from the embedding range"):
         bad.isometry(1)
     with pytest.raises(ValidationError, match="deviates"):
@@ -454,7 +454,7 @@ def _rotation_sequence(d_in, d_out, d_env):
 def _sweep_case(case, rng):
     """A sequence, its indices and its default probes, for the block-size tests."""
     if case == "partial-trace-form":
-        # 8 indices to a default block: 20 indices span three blocks.
+        # 6 indices to a default block (the strong* images are its largest stack): 20 span four.
         seq, ns = _rotation_sequence(8, 4, 8), range(1, 21)
     elif case == "compress-mixed":
         # Kraus counts 4, 10, 2, 8, 4, 6 against the limit's 2 with d_out*d_in = 8:
@@ -513,7 +513,7 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     product of the observables with ``ds``, about 3.4x."""
     d = 12
     seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
-    ds = sequences._deltas([seq.term(d // 2)], choi_matrix(seq.limit))
+    ds = sequences._deltas(seq._kraus_matrices((d // 2,)), choi_matrix(seq.limit), d)
     units = ensembles.matrix_unit_observables(d)
     unit_columns = sequences._probe_columns(units, "test observable", (d, d))
     obs = sequences._unless_identity(units, d)
@@ -540,9 +540,64 @@ def test_convergence_report_raises_for_the_first_invalid_term(bad, rng):
         convergence_report(seq, ns, probes)
     v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
     form = rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n)
-    stray = PartialTraceForm(v0, lambda n: PartialIsometry(np.eye(32)) if n in bad else form.w_fn(n))
+    stray = PartialTraceForm(v0, lambda ns: np.stack([np.eye(32) if n in bad else form.w_fn((n,))[0] for n in ns]))
     with pytest.raises(ValidationError, match=rf"term {min(bad)}: initial projector deviates"):
         convergence_report(channels_from_partial_isometries(stray), ns, probes)
+
+
+def _stray_w(kind: str) -> np.ndarray:
+    """A W(n) of the 8/4/8 form that fails one check: projector (and range), range only, or finiteness."""
+    p0 = np.diag(np.repeat([1.0, 0.0], [8, 24]))
+    return {"projector": 2 * p0, "range": np.eye(32), "nonfinite": np.full((32, 32), np.nan)}[kind]
+
+
+_STRAY_MESSAGES = {
+    "projector": "W*W is not a projector (defect 1.200e+01)",
+    "range": "term {n}: initial projector deviates from the embedding range by 1.000e+00",
+    "nonfinite": "partial isometry contains non-finite entries",
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {5: "range"},
+        {5: "range", 7: "range"},
+        {8: "range", 9: "range"},
+        {5: "projector", 7: "range"},
+        {5: "range", 7: "projector"},
+        {5: "nonfinite", 7: "range"},
+        {6: "range", 7: "nonfinite"},
+        {8: "range", 9: "projector"},
+        {8: "projector", 9: "range"},
+        {6: "range", 7: "projector"},
+    ],
+)
+@pytest.mark.parametrize("per_block", [1, 3, 6])
+def test_a_form_block_rejects_its_first_bad_index_at_its_first_failing_check(bad, per_block, rng, monkeypatch):
+    """The W checks of a block run one batched rule per invariant, yet a sweep stops where an index loop would.
+
+    Indices 1..20 of the 8/4/8 form, 6 terms to a default report block, 1 and 3 with a smaller budget;
+    a W(n) = 2 P0 fails the projector check first, and the range check too.
+    """
+    v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
+    form = rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n)
+    stray = PartialTraceForm(
+        v0, lambda ns: np.stack([_stray_w(bad[n]) if n in bad else form.w_fn((n,))[0] for n in ns])
+    )
+    seq = channels_from_partial_isometries(stray)
+    first = min(bad)
+    message = _STRAY_MESSAGES[bad[first]].format(n=first)
+    _, ns, probes = _sweep_case("partial-trace-form", rng)
+    # The report's largest stack is the strong* images: 16 x 8 x 10 entries per term.
+    monkeypatch.setattr(sequences, "SWEEP_BLOCK_ENTRIES", per_block * 16 * 8 * 10)
+    assert seq._terms_per_block(16 * 8 * 10) == per_block
+    for sweep in (lambda: convergence_report(seq, ns, probes), lambda: choi_defects(seq, ns)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sweep()
+    for build in (seq.term, stray.isometry):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(first)
 
 
 def test_report_validation_and_round_trip(tmp_path):
@@ -747,6 +802,43 @@ def test_report_reader_rejects_unknown_kinds():
             from_json_dict({**doc, "kind": kind})
     with pytest.raises(ValidationError, match="unknown report kind"):
         Report("kraus", (1,), strong=(0.5,))
+
+
+@pytest.mark.parametrize("index", [1.5, True, np.float64(2.0), "1", None])
+def test_term_and_isometry_check_the_index_before_anything_is_built(index, rng):
+    """A term or an isometry at an index that is not an integer (a bool is not) builds nothing."""
+    built = []
+    base = ensembles.random_kraus_channel(2, 2, 2, rng)
+    plain = ChannelSequence(base, lambda n: built.append(n) or base)
+    compress = compression_sequence(identity_channel(3), _mixed(3), [1, 2, 3])
+    rotation = rotation_partial_trace_form(StinespringIsometry(np.eye(6, 4), 2, 3), (5, 0), lambda n: 1.0 / n)
+    form = PartialTraceForm(rotation.v0, lambda ns: built.append(ns) or rotation.w_fn(ns))
+    message = f"sequence index must be integers, got [{index!r}]"
+    for build in (plain.term, compress.term, form.isometry, channels_from_partial_isometries(form).term):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(index)
+    assert built == []
+
+
+def test_a_form_sweep_takes_index_zero_and_negative_indices_term_by_term(rng):
+    """A block holding index 0 (the limit) or a negative index is built term by term, in index order."""
+    form = rotation_partial_trace_form(StinespringIsometry(np.eye(6, 4), 2, 3), (5, 0), lambda n: 1.0 / n)
+    seq = channels_from_partial_isometries(form)
+    probes = ensembles.default_probes(4, 2, rng)
+    with_zero = convergence_report(seq, [0, 1, 2], probes)
+    assert with_zero.strong[0] == with_zero.strongstar[0] == with_zero.choi[0] == 0.0
+    assert with_zero.to_json_dict()["strong"][1:] == convergence_report(seq, [1, 2], probes).to_json_dict()["strong"]
+    assert choi_defects(seq, [2, 0]).tolist() == [choi_defect(seq, 2), 0.0]
+    with pytest.raises(ValidationError, match="^sequence index must be >= 0, got -1$"):
+        choi_defects(seq, [1, -1])
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (1, 7, 6), (2, 6, 6)])
+def test_a_w_rule_of_the_wrong_shape_is_named(shape):
+    form = PartialTraceForm(StinespringIsometry(np.eye(6, 4), 2, 3), lambda ns: np.zeros(shape))
+    message = f"the W rule gave shape {shape} for indices [1], expected (1, 6, 6)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        form.isometry(1)
 
 
 def test_partial_trace_form_rejects_negative_indices():
