@@ -8,8 +8,9 @@ The channel sweep (``sequences.convergence_report``) writes
 tables, which also carry their flag threshold ``eps``.
 
 :func:`dump_json` writes every document: the standard library's own text for
-values that hold no numpy array, one join per outer slice for float arrays,
-whose separators and +0.0 cells are shared strings.
+values that hold no numpy array, and for float arrays the text of an
+all-zero slice with the reprs of the other cells spliced in, so a +0.0 cell
+is never formatted.
 """
 
 from __future__ import annotations
@@ -58,16 +59,20 @@ def dump_json(doc, fh) -> None:
     plus ``"\\n"``.  ``doc`` may also hold numpy arrays, written as their
     ``tolist()``.  Every value that holds no array is the stdlib's own text,
     re-indented to its level; only the dicts, lists and tuples around an
-    array are walked here.  Nonempty float arrays of rank >= 2 are written one
-    slice of the outermost axis at a time, so a large document is never held
-    as one string, and every +0.0 cell is the shared piece ``"0.0"`` rather
-    than a repr of its own.
+    array are walked here.  Nonempty float arrays of rank >= 2 are written in
+    chunks of whole slices of the outermost axis, so a large document is
+    never held as one string, and a +0.0 cell is never formatted: only the
+    other cells get a repr of their own (:func:`_write_float_array`).
     """
     _write_value(doc, 0, fh.write)
     fh.write("\n")
 
 
 _INDENT = "  "
+#: Characters written at a time, at least, by :func:`_write_float_array`.
+_CHUNK = 1 << 16
+#: json's spellings of the non-finite floats whose repr differs.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _NESTED = (np.ndarray, dict, list, tuple)
 
 
@@ -109,33 +114,52 @@ def _write_value(x, level: int, write) -> None:
 def _write_float_array(a: np.ndarray, level: int, write) -> None:
     """Write a nonempty float array of rank >= 2 as json lays out its ``tolist()``.
 
-    Each slice of the outermost axis is the join of two pieces per entry: its
-    text and the separator after it, which depends only on the shape.  The
-    pieces are filled for the whole array at once: every separator and every
-    +0.0 entry's ``"0.0"`` is one string shared by all its cells, so the
-    zeros that dominate a factored unitary dilation are not formatted one by
-    one, and only the other entries get a repr of their own (-0.0 among
-    them).  Neither finite reprs nor separators contain ``inf`` or ``nan``,
-    so when the array holds a non-finite entry, renaming those in every slice
-    spells json's non-finite literals; an all-finite array is written
-    without that scan.
+    Only the cells other than +0.0 get a repr (-0.0 among them); json's
+    spelling replaces the repr of a non-finite one.  The slices of the
+    outermost axis are written in chunks of at least ``_CHUNK`` characters:
+    no cell's text is shorter than ``"0.0"``, so no slice is shorter than
+    the text of an all-zero one, which is made once per array.  A chunk
+    that is mostly +0.0 is that text once per slice, with the other cells'
+    reprs spliced in over their ``"0.0"``: its zero cells cost nothing each.
+    Any other chunk is the join of every cell's text and the separator
+    after it, all of them strings shared by the chunk's cells.
     """
     head, seps = _block_layout(a.shape[1:], level + 1)
-    cells = a.ravel()
-    pieces = np.empty((cells.size, 2), dtype=object)
-    pieces[:, 0] = "0.0"
-    pieces[:, 1] = np.tile(np.array(seps, dtype=object), len(a))
+    # Every slice but the first follows a comma; the first follows the opening bracket.
+    lead = ",\n" + _INDENT * (level + 1) + head
+    zero = "0.0".join([lead, *seps])
+    cells = a.reshape(len(a), -1)
     nonzero = (cells != 0) | np.signbit(cells)
-    pieces[nonzero, 0] = np.array([repr(x) for x in cells[nonzero].tolist()], dtype=object)
-    inner = "\n" + _INDENT * (level + 1)
-    finite = bool(np.isfinite(a).all())
-    write("[")
-    for i, block in enumerate(pieces.reshape(len(a), -1)):
-        text = head + "".join(block.tolist())
-        if not finite:
-            text = text.replace("inf", "Infinity").replace("nan", "NaN")
-        write(("," + inner if i else inner) + text)
-    write("\n" + _INDENT * level + "]")
+    rows, cols = np.nonzero(nonzero)
+    texts = [repr(x) for x in cells[rows, cols].tolist()]
+    if not np.isfinite(a).all():
+        texts = [_NON_FINITE.get(x, x) for x in texts]
+    # Where the "0.0" of each such cell starts in ``zero``.
+    at = np.cumsum([len(lead), *(len(sep) + 3 for sep in seps[:-1])])[cols].tolist()
+    bounds = [0, *np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()]
+    per_chunk = -(-_CHUNK // len(zero))
+    for first in range(0, len(a), per_chunk):
+        stop = min(first + per_chunk, len(a))
+        if 4 * (bounds[stop] - bounds[first]) < (stop - first) * cells.shape[1]:
+            parts = []
+            for i in range(first, stop):
+                done = 0
+                for k in range(bounds[i], bounds[i + 1]):
+                    parts += (zero[done:at[k]], texts[k])
+                    done = at[k] + 3
+                parts.append(zero[done:])
+        else:
+            pieces = np.empty((stop - first, 2 * cells.shape[1] + 1), dtype=object)
+            pieces[:, 0] = lead
+            pieces[:, 1::2] = "0.0"
+            pieces[:, 2::2] = np.array(seps, dtype=object)
+            pieces[:, 1::2][nonzero[first:stop]] = np.array(texts[bounds[first]:bounds[stop]], dtype=object)
+            parts = pieces.ravel().tolist()
+        if first == 0:
+            parts[0] = "[" + parts[0][1:]
+        if stop == len(a):
+            parts.append("\n" + _INDENT * level + "]")
+        write("".join(parts))
 
 
 def _block_layout(shape: tuple, level: int) -> tuple[str, list]:

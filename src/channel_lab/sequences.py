@@ -57,12 +57,12 @@ conjugate; a compression term writes heads and replacement branch into the
 one read-only stack its channel keeps; and default probe stacks reach the
 kernels without a copy, the matrix units not even as columns.
 
-The Choi column diagonalizes no (d_out*d_in)-square difference unless it
-must.  With M the (K, d_out*d_in) matrix of stacked ``vec(A_k)``,
-``J = M^T conj(M)``, so ``J_n - J_0 = A diag(I, -I) A^H`` for
-``A = [M_n^T, M_0^T]``, and by Sylvester's law of inertia the difference has
-at most k = min(K_n, K_0) eigenvalues of the smaller side's sign.  Each term
-takes the first of three paths that applies (:func:`_choi_gaps`):
+The Choi column builds no Choi matrix.  With M the (K, d_out*d_in) matrix
+of stacked ``vec(A_k)``, ``J = M^T conj(M)``, so
+``J_n - J_0 = A diag(I, -I) A^H`` for ``A = [M_n^T, M_0^T]``, and by
+Sylvester's law of inertia the difference has at most k = min(K_n, K_0)
+eigenvalues of the smaller side's sign.  Each term takes the first of two
+paths that applies (:func:`_choi_gaps`):
 
 1. **Krylov**, while ``k <= KRYLOV_MAX_BLOCK``: ``||J_n - J_0||_1`` is the
    exact trace plus twice the k extreme eigenvalues on the smaller side,
@@ -71,16 +71,14 @@ takes the first of three paths that applies (:func:`_choi_gaps`):
    values interlace from above, so the value only ever undershoots: an early
    stop can only under-report a lower bound.  A solve that reaches
    ``KRYLOV_MAX_STEPS`` hands its term on to the next path.
-2. **QR core**, while ``K_n + K_0 < d_out*d_in``: the nonzero eigenvalues
-   are those of ``R diag(I, -I) R^H``, with R the (K_n + K_0)-square QR
-   factor of A, one batched QR for the terms of a block with the same Kraus
-   count.
-3. **Dense**: the eigenvalues of the difference itself.
+2. **QR core**, otherwise: the nonzero eigenvalues are those of
+   ``R diag(I, -I) R^H``, with R the QR factor of A, which has
+   ``min(K_n + K_0, d_out*d_in)`` rows, one batched QR for the terms of a
+   block with the same Kraus count.
 
 Compress on the identity base has k = 1 (the limit is one Kraus operator),
 so every such term takes Krylov; the partial-trace forms and the swap
-embedding have k = d_env and take the QR core.  The Choi column builds a
-Choi matrix only for a dense term, in :func:`choi_defect` and
+embedding have k = d_env and take the QR core, in :func:`choi_defect` and
 :func:`convergence_report` alike.
 
 The separating families are built here too.  :func:`swap_counterexample`
@@ -379,26 +377,24 @@ def _choi_gaps(ms, m_0: np.ndarray) -> np.ndarray:
 
 
 def _group_gaps(ms: np.ndarray, m_0: np.ndarray) -> np.ndarray:
-    """``trace_norm(J_n - J_0)`` for a (B, K, d_out*d_in) Kraus stack, each by the first of three paths that applies.
+    """``trace_norm(J_n - J_0)`` for a (B, K, d_out*d_in) Kraus stack, each by the first of two paths that applies.
 
     ``J_n - J_0 = A diag(I, -I) A^H`` with ``A = [M_n^T, M_0^T]``.
 
     1. Krylov, while ``min(K_n, K_0) <= KRYLOV_MAX_BLOCK``: the extreme
        eigenvalues on the smaller side from :func:`_ritz_bounds`, forming no
        Choi matrix.  A term whose solve reaches ``KRYLOV_MAX_STEPS`` goes on to
-       the next path that applies.
-    2. The QR core, while A has fewer columns than rows (``K_n + K_0 <
-       d_out*d_in``): the difference's nonzero eigenvalues are those of
-       ``R diag(I, -I) R^H`` for the QR factor R of A, a (K_n + K_0)-square
-       matrix; the stack's terms share one batched QR.
-    3. Dense: the eigenvalues of ``J_n - J_0`` itself, built here for these
-       terms only.
+       the QR core.
+    2. The QR core: the difference's nonzero eigenvalues are those of
+       ``R diag(I, -I) R^H`` for the QR factor R of A, which has
+       ``min(K_n + K_0, d_out*d_in)`` rows; the stack's terms share one
+       batched QR.
 
-    Equal families give exactly 0.  The equality checks, the QR pairs and
-    the dense differences are each one array operation over the stack; only
-    Krylov solves go term by term.
+    Equal families give exactly 0.  The equality checks and the QR pairs are
+    each one array operation over the stack; only Krylov solves go term by
+    term.
     """
-    (k_n, size), k_0 = ms.shape[1:], len(m_0)
+    k_n, k_0 = ms.shape[1], len(m_0)
     gaps = np.zeros(len(ms))
     todo = ~(ms == m_0).all(axis=(1, 2)) if k_n == k_0 else np.ones(len(ms), dtype=bool)
     # Krylov against the QR core on the column's built terms (shared 2-core host, BLAS on one thread):
@@ -412,13 +408,10 @@ def _group_gaps(ms: np.ndarray, m_0: np.ndarray) -> np.ndarray:
     if not todo.any():
         return gaps
     rest = ms if todo.all() else ms[todo]
-    if k_n + k_0 < size:
-        pairs = np.concatenate([rest, np.broadcast_to(m_0, (len(rest),) + m_0.shape)], axis=1)
-        r = np.linalg.qr(pairs.transpose(0, 2, 1), mode="r")
-        signs = np.repeat([1.0, -1.0], [k_n, k_0])
-        gaps[todo] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
-    else:
-        gaps[todo] = _hermitian_trace_norm(rest.swapaxes(1, 2) @ rest.conj() - m_0.T @ m_0.conj())
+    pairs = np.concatenate([rest, np.broadcast_to(m_0, (len(rest),) + m_0.shape)], axis=1)
+    r = np.linalg.qr(pairs.transpose(0, 2, 1), mode="r")
+    signs = np.repeat([1.0, -1.0], [k_n, k_0])
+    gaps[todo] = _hermitian_trace_norm((r * signs) @ r.conj().swapaxes(-1, -2))
     return gaps
 
 
@@ -452,12 +445,12 @@ def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
 def choi_defect(seq: ChannelSequence, n: int) -> float:
     """``trace_norm(J(term) - J(limit)) / d_in``, a diamond-distance lower bound.
 
-    Computed from the two stacked Kraus matrices by the first of three paths
+    Computed from the two stacked Kraus matrices by the first of two paths
     that applies (module docstring): block Krylov while the smaller Kraus
     count is at most ``KRYLOV_MAX_BLOCK``, whose early stop could only
-    under-report; the QR core of their size while they have fewer than
-    ``d_out * d_in`` operators together; otherwise the dense difference, the
-    only path that builds a Choi matrix.  Equal families give exactly 0.
+    under-report; otherwise the QR core, whose side is their total operator
+    count or ``d_out * d_in``, whichever is smaller.  Neither builds a Choi
+    matrix.  Equal families give exactly 0.
     """
     return float(choi_defects(seq, [n])[0])
 
@@ -481,8 +474,8 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     once per report) that product is skipped and the rows of the stack are
     the dual differences.  Trace norms are sums of
     |eigenvalues| of the Hermitian differences, one batched ``eigvalsh`` per
-    block; the Choi column takes its own by the three paths of the module
-    docstring and builds a Choi difference only for a dense-path term.
+    block; the Choi column takes its own by the two paths of the module
+    docstring and builds no Choi difference.
     Witnesses are first maximizers: in state order for strong,
     observable-major then vector order for strong*.  A probe family that does
     not act on the limit (states and vectors on d_in, observables on d_out)

@@ -14,12 +14,16 @@ writes for the result.  The two sweep report kinds decode through
 
 :func:`load` parses a document with the standard library's scanner, except
 the array fields of the top-level object (:data:`_ARRAY_FIELDS`): one that
-is a regular array of JSON numbers of rank >= 2 is read as a flat JSON list
-of its entries, a piece at a time, straight into a float64 array, so no
-Python list is built per row or ``[re, im]`` pair and no copy of the whole
-array's text is made.  Anything else in such a field, and anything wrong
-anywhere in the document, goes to the standard library as before, so every
-value and every error is its own; whitespace layout does not matter.
+is a regular array of JSON numbers of rank >= 2 is read a piece at a time
+straight into a float64 array, so no Python list is built per row or
+``[re, im]`` pair and no copy of the whole array's text is made.  A cell
+whose text, whitespace deleted, is exactly ``0.0`` is +0.0 and is not
+parsed one at a time: the zeros of a factored unitary dilation cost a few
+byte operations each.  Deleting whitespace may not join two numbers, so
+``0 .0`` is no zero cell but an error.  Every other cell goes to the
+standard library, and so does anything else in such a field and anything
+wrong anywhere in the document, so every value and every error is its own;
+whitespace layout does not matter.
 """
 
 from __future__ import annotations
@@ -252,9 +256,16 @@ _SCAN = json.JSONDecoder().scan_once
 #: Characters of an array field copied at a time: no copy of the whole array is made.
 #: Whole fields raised the convert-batch benchmark's peak RSS from 56-57.5 to 59-62 MB.
 _PIECE = 1 << 16
+#: JSON's whitespace, deleted from each piece.
+_JSON_SPACE = b" \t\n\r"
 #: Every character of a JSON number as "0".
 _NUMBER_MARKS = bytes.maketrans(b"123456789+-.eE", b"0" * 14)
-_BLANK_BRACKETS = str.maketrans("[]", "  ")
+#: An entry that is exactly "0.0" with the comma after it, as a little-endian 4-byte word.
+_ZERO_ENTRY = int.from_bytes(b"0.0,", "little")
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_COMMA, _OPEN, _CLOSE = b",[]"
+#: A number right after a closing bracket or right before an opening one, as little-endian 2-byte marks.
+_CLOSE_NUMBER, _NUMBER_OPEN = (int.from_bytes(pair, "little") for pair in (b"]0", b"0["))
 
 
 def _skeleton(shape) -> bytes:
@@ -287,45 +298,89 @@ def _shape(skeleton: bytes) -> list | None:
     return shape[::-1]
 
 
+def _pieces(text: str, start: int, end: int):
+    """``text[start:end]`` cut after the first comma every ``_PIECE`` characters, as ASCII bytes.
+
+    Every piece ends with a comma or, the last, with the array's closing
+    bracket, so no number and no pair of marks spans two pieces.
+    """
+    while start < end:
+        stop = text.find(",", start + _PIECE - 1, end) + 1 or end
+        yield text[start:stop].encode("ascii")
+        start = stop
+
+
 def _numeric_array(text: str, start: int):
     """The float64 array of the regular array of JSON numbers of rank >= 2 at ``text[start]``, and its end; else None.
 
     The array must be ASCII, its brackets and commas the skeleton of a
     shape, and number characters must sit only inside its innermost lists.
-    Then the text between its outer brackets, the inner ones blanked, is a
-    flat JSON list of its entries, parsed a piece at a time between commas:
-    the standard library decides whether each entry is one JSON number, and
-    their count must be the shape's.
+    It is read twice, a piece at a time: for its marks, then into the array
+    the skeleton's shape fixes, so only the skeleton and the array outlive
+    a piece.  A piece's entries are its text between commas once whitespace
+    and brackets are deleted; an entry that is exactly ``0.0`` is +0.0 and
+    is not parsed, so the zero cells of a sparse array cost a few byte
+    operations each, not a Python float each.  Deleting whitespace may not
+    join two numbers: such a piece must hold one run of number characters
+    per entry.  The standard library decides whether each other entry is
+    one JSON number, and its value; a piece without a zero entry it parses
+    whole, whitespace and all.
     """
     if not text.startswith("[", start):
         return None
     # The array cannot reach past the next string: it ends at the last "]" before one.
     stop = text.find('"', start)
     end = text.rfind("]", start, stop if stop >= 0 else len(text)) + 1
+    skeleton = []
     try:
-        marks = b"".join(
-            text[i:min(i + _PIECE, end)].encode("ascii").translate(_NUMBER_MARKS, b" \t\n\r")
-            for i in range(start, end, _PIECE)
-        )
+        for raw in _pieces(text, start, end):
+            marks = raw.translate(_NUMBER_MARKS, _JSON_SPACE)
+            pairs = np.ndarray((len(marks) - 1,), "<u2", marks, strides=(1,))
+            if _CLOSE_NUMBER in pairs or _NUMBER_OPEN in pairs:
+                return None
+            skeleton.append(marks.translate(None, b"0"))
     except UnicodeEncodeError:
         return None
-    skeleton = marks.translate(None, b"0")
+    skeleton = b"".join(skeleton)
     shape = _shape(skeleton)
-    if shape is None or len(shape) < 2 or skeleton != _skeleton(shape) or b"]0" in marks or b"0[" in marks:
+    if shape is None or len(shape) < 2 or skeleton != _skeleton(shape):
         return None
-    out = np.empty(math.prod(shape))
-    filled, i = 0, start + 1
+    out, done = np.zeros(math.prod(shape)), 0
     try:
-        while i < end - 1:
-            j = text.find(",", i + _PIECE, end - 1)
-            j = end - 1 if j < 0 else j
-            cells = json.loads("[" + text[i:j].translate(_BLANK_BRACKETS) + "]")
-            out[filled:filled + len(cells)] = np.fromiter(cells, np.float64, count=len(cells))
-            filled, i = filled + len(cells), j + 1
+        for raw in _pieces(text, start, end):
+            last = raw.endswith(b"]")
+            # The piece's entries, each after a comma.
+            entries = b"," + raw.translate(None, _JSON_SPACE + b"[]") + (b"," if last else b"")
+            if b",0.0," not in entries:
+                # No entry is 0.0: the standard library parses them all, whitespace and all.
+                found = json.loads(b"[" + (raw if last else raw[:-1]).translate(_BLANK_BRACKETS) + b"]")
+                out[done:done + len(found)] = np.fromiter(found, np.float64, count=len(found))
+                done += len(found)
+                continue
+            # Three bytes of padding, so that every entry starts a 4-byte window.
+            padded = entries + b"   "
+            commas = np.flatnonzero(np.frombuffer(padded, np.uint8) == _COMMA)
+            # Deleting whitespace may not join two numbers: one run of number
+            # characters per entry.  A run has one number character more than
+            # it has adjacent pairs of them.
+            code = np.frombuffer(raw, np.uint8)
+            number = (code > 32) & (code != _COMMA) & (code != _OPEN) & (code != _CLOSE)
+            if np.count_nonzero(number) - np.count_nonzero(number[:-1] & number[1:]) != commas.size - 1:
+                return None
+            windows = np.ndarray((len(entries),), "<u4", padded, strides=(1,))
+            kept = windows[commas[:-1] + 1] != _ZERO_ENTRY
+            # The other entries go to the parser a run of neighbours at a time.
+            ends = np.zeros(kept.size + 2, np.int8)
+            ends[1:-1] = kept
+            ends = commas[np.flatnonzero(ends[1:] != ends[:-1])].tolist()
+            found = json.loads(b"[" + b"".join([entries[i:j] for i, j in zip(ends[::2], ends[1::2])])[1:] + b"]")
+            out[done:done + kept.size][kept] = np.fromiter(found, np.float64, count=len(found))
+            done += kept.size
     except (ValueError, OverflowError):
-        # An entry that is not one JSON number, an empty slot, or an int beyond float range.
+        # An entry that is not one JSON number, an empty one, or an int beyond float range.
         return None
-    return (out.reshape(shape), end) if filled == out.size else None
+    # A piece whose one entry is empty parses as no value, and the rest fall short.
+    return (out.reshape(shape), end) if done == out.size else None
 
 
 def _parse(text: str):

@@ -1,10 +1,10 @@
-"""The three paths of the Choi column: block Krylov, the QR core and the dense difference.
+"""The two paths of the Choi column: block Krylov and the QR core.
 
 ``sequences._choi_gaps`` tries Krylov first while the smaller Kraus count is
-at most ``KRYLOV_MAX_BLOCK``, then the QR core while ``K_n + K_0 <
-d_out*d_in``, then the dense eigensolve.  These tests check the Krylov
-solver against the dense eigenvalues, pin the compress column to its closed
-form up to d = 32, and pin which path each built-in family takes.
+at most ``KRYLOV_MAX_BLOCK``, then the QR core, whatever the Kraus counts.
+These tests check the Krylov solver against the dense eigenvalues, pin the
+compress column to its closed form up to d = 32, and pin which path each
+built-in family takes.
 """
 
 import numpy as np
@@ -73,15 +73,14 @@ def _compress(d):
     return sequences.compression_sequence(identity_channel(d), DensityOperator(np.eye(d) / d), range(1, d + 1))
 
 
-def _paths(monkeypatch, size, run):
+def _paths(monkeypatch, run):
     """``run()`` and the counts of the Choi column's paths it took.
 
     ``krylov`` counts the Krylov solves that finished, ``fallback`` those that
-    reached the step cap; ``qr`` and ``dense`` count the matrices whose
-    eigenvalues the other two paths take, told apart by their size: the dense
-    differences are ``size``-square (``size = d_out*d_in``), the QR cores smaller.
+    reached the step cap; ``qr`` counts the QR cores whose eigenvalues the
+    other path takes.
     """
-    counts = {"krylov": 0, "fallback": 0, "qr": 0, "dense": 0}
+    counts = {"krylov": 0, "fallback": 0, "qr": 0}
     ritz, norms = sequences._ritz_bounds, sequences._hermitian_trace_norm
 
     def spy_ritz(m_n, m_0):
@@ -90,7 +89,7 @@ def _paths(monkeypatch, size, run):
         return bounds
 
     def spy_norms(h):
-        counts["dense" if h.shape[-1] == size else "qr"] += len(h)
+        counts["qr"] += len(h)
         return norms(h)
 
     with monkeypatch.context() as patch:
@@ -125,10 +124,10 @@ def test_compress_choi_column_matches_its_closed_form(d, monkeypatch):
     q = d - r
     want = ((q * d - 1) / d + np.sqrt((q - 1 / d) ** 2 + 4 * r * q)) / d
     want[-1] = 0.0
-    counts, got = _paths(monkeypatch, d * d, lambda: sequences.choi_defects(_compress(d), range(1, d + 1)))
+    counts, got = _paths(monkeypatch, lambda: sequences.choi_defects(_compress(d), range(1, d + 1)))
     assert np.abs(got - want).max() <= 1e-12
     assert got[-1] == 0.0
-    assert counts == {"krylov": d - 1, "fallback": 0, "qr": 0, "dense": 0}
+    assert counts == {"krylov": d - 1, "fallback": 0, "qr": 0}
 
 
 def _rotation_form(d_in, d_out, d_env):
@@ -142,16 +141,16 @@ def test_each_built_in_family_takes_its_path(monkeypatch):
     """Compress (k = 1) takes Krylov; the partial-trace forms (k = 3 at the default
     4/2/3 of the golden report, k = 8 at 8/4/8) and the swap embedding (k = 8 at
     d = 16, 15-dim input, 2-dim output) take the QR core.  So no term of the
-    three golden reports falls back or goes dense."""
+    three golden reports falls back."""
     assert sequences.KRYLOV_MAX_BLOCK < 3
-    counts, _ = _paths(monkeypatch, 36, lambda: sequences.choi_defects(_compress(6), range(1, 7)))
-    assert counts == {"krylov": 5, "fallback": 0, "qr": 0, "dense": 0}
-    counts, _ = _paths(monkeypatch, 8, lambda: sequences.choi_defects(_rotation_form(4, 2, 3), [1, 10, 100, 1000]))
-    assert counts == {"krylov": 0, "fallback": 0, "qr": 4, "dense": 0}
-    counts, _ = _paths(monkeypatch, 32, lambda: sequences.choi_defects(_rotation_form(8, 4, 8), range(1, 61)))
-    assert counts == {"krylov": 0, "fallback": 0, "qr": 60, "dense": 0}
-    counts, _ = _paths(monkeypatch, 30, lambda: sequences.swap_report(16, 1))
-    assert counts == {"krylov": 0, "fallback": 0, "qr": 15, "dense": 0}
+    counts, _ = _paths(monkeypatch, lambda: sequences.choi_defects(_compress(6), range(1, 7)))
+    assert counts == {"krylov": 5, "fallback": 0, "qr": 0}
+    counts, _ = _paths(monkeypatch, lambda: sequences.choi_defects(_rotation_form(4, 2, 3), [1, 10, 100, 1000]))
+    assert counts == {"krylov": 0, "fallback": 0, "qr": 4}
+    counts, _ = _paths(monkeypatch, lambda: sequences.choi_defects(_rotation_form(8, 4, 8), range(1, 61)))
+    assert counts == {"krylov": 0, "fallback": 0, "qr": 60}
+    counts, _ = _paths(monkeypatch, lambda: sequences.swap_report(16, 1))
+    assert counts == {"krylov": 0, "fallback": 0, "qr": 15}
 
 
 def test_the_step_cap_hands_every_term_on_to_the_qr_core(monkeypatch):
@@ -159,21 +158,22 @@ def test_the_step_cap_hands_every_term_on_to_the_qr_core(monkeypatch):
     from the QR core (``K_n + K_0 = (d - r) d + 2 < d^2``) with the same values."""
     want = sequences.choi_defects(_compress(8), range(1, 9))
     monkeypatch.setattr(sequences, "KRYLOV_MAX_STEPS", 0)
-    counts, got = _paths(monkeypatch, 64, lambda: sequences.choi_defects(_compress(8), range(1, 9)))
-    assert counts == {"krylov": 0, "fallback": 7, "qr": 7, "dense": 0}
+    counts, got = _paths(monkeypatch, lambda: sequences.choi_defects(_compress(8), range(1, 9)))
+    assert counts == {"krylov": 0, "fallback": 7, "qr": 7}
     assert np.abs(got - want).max() <= 1e-12
 
 
-def test_the_step_cap_hands_a_large_pair_on_to_the_dense_path(monkeypatch):
-    """A pair with ``K_n + K_0 >= d_out*d_in`` has no QR core: at the cap it goes
-    dense, building the Choi matrices of that term and the limit itself."""
+def test_the_step_cap_hands_a_large_pair_on_to_the_qr_core(monkeypatch):
+    """A pair with ``K_n + K_0 >= d_out*d_in`` goes to the QR core too: at the cap
+    its R is ``d_out*d_in`` by ``K_n + K_0``, and ``R diag(I, -I) R^H`` has the
+    eigenvalues of the Choi difference, which no path builds."""
     term = _channel(3, 3, 9, 9, np.random.default_rng(3))
     seq = sequences.ChannelSequence(identity_channel(3), lambda n: term)
     want = _dense_gap(_kraus_matrix(term), _kraus_matrix(seq.limit)) / 3
     assert abs(sequences.choi_defect(seq, 1) - want) <= 1e-12
     monkeypatch.setattr(sequences, "KRYLOV_MAX_STEPS", 0)
-    counts, got = _paths(monkeypatch, 9, lambda: sequences.choi_defects(seq, [1]))
-    assert counts == {"krylov": 0, "fallback": 1, "qr": 0, "dense": 1}
+    counts, got = _paths(monkeypatch, lambda: sequences.choi_defects(seq, [1]))
+    assert counts == {"krylov": 0, "fallback": 1, "qr": 1}
     assert abs(got[0] - want) <= 1e-12
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from channel_lab import report  # noqa: E402
 from channel_lab.report import dump_json  # noqa: E402
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
@@ -115,4 +117,17 @@ def test_signed_zero_arrays_match_the_stdlib_layout(a):
     json.dump(a.tolist(), want, indent=2, sort_keys=True)
     got = io.StringIO()
     dump_json(a, got)
+    assert got.getvalue() == want.getvalue() + "\n"
+
+
+# Chunks of one slice or a few: the first and last chunk of an array, and chunks that
+# are mostly +0.0 (spliced into the all-zero slice) beside chunks that are not (joined).
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_sparse_arrays | _signed_zero_arrays, st.sampled_from([1, 40, report._CHUNK]))
+def test_chunked_arrays_match_the_stdlib_layout(a, chunk):
+    want = io.StringIO()
+    json.dump(a.tolist(), want, indent=2, sort_keys=True)
+    got = io.StringIO()
+    with mock.patch.object(report, "_CHUNK", chunk):
+        dump_json(a, got)
     assert got.getvalue() == want.getvalue() + "\n"

@@ -11,6 +11,7 @@ infinite ones.
 
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -199,6 +200,63 @@ def test_large_unitary_dilation_loads_as_before(path):
     serialize.dump(unitary_from_isometry(isometry_from_kraus(channel)), path)
     assert len(path.read_text()) > 10 * serialize._PIECE
     _check(path, path.read_text())
+    # The pieces bound the temporaries: the peak is the text of the file, about
+    # 3.9 MiB in all, where reading the whole array at once took 11.3 MiB.
+    tracemalloc.start()
+    try:
+        load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
+
+
+#: Zero cells with whitespace inside: none is one JSON number.
+_SPACED_ZEROS = ["0 .0", "0. 0", "0.\n0", "0.0 0.0", "0.0.0"]
+#: Spellings near the zero cell's "0.0": each is its own JSON number, or not one.
+_NEAR_ZEROS = ["0.00", "00.0", "0.0e0", "-0.0", "0.05", "10.0"]
+
+
+@st.composite
+def _zero_heavy_documents(draw):
+    """A Kraus or Stinespring document of mostly "0.0" cells, in any layout, perhaps with one bad cell."""
+    shape = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    others = st.sampled_from(_NEAR_ZEROS) | _numbers
+    array, tokens = _tokens_array(lambda: draw(st.just("0.0") if draw(st.integers(0, 9)) < 8 else others), shape)
+    kind, field = draw(st.sampled_from([("kraus", "kraus"), ("stinespring", "V")]))
+    doc = {"schema_version": 1, "kind": kind, field: array}
+    if kind == "stinespring":
+        doc.update(d_out=2, d_env=1)
+    text = json.dumps(doc, indent=draw(_LAYOUTS), separators=draw(_SEPARATORS))
+    bad = draw(st.none() | st.sampled_from(_SPACED_ZEROS))
+    if bad is not None:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = bad
+    return re.sub(r'"@(\d+)@"', lambda m: tokens[int(m.group(1))], text)
+
+
+_ZERO_CELLS = '{"kind": "kraus", "kraus": [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, %s]]]]}'
+
+
+# Most cells are "0.0", which the reader takes as +0.0 without parsing: a zero spelled
+# with whitespace inside must fail as the standard library fails, and a spelling near
+# "0.0" must keep its own value or error.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_zero_heavy_documents(), st.sampled_from([1, 5, serialize._PIECE]))
+@example(_ZERO_CELLS % "0 .0", serialize._PIECE)
+@example(_ZERO_CELLS % "-0.0", 5)
+@example('{"kind": "kraus", "kraus": [[[[0 .0,]]]]}', serialize._PIECE)
+@example('{"kind": "kraus", "kraus": [[[[, 0.0], [0.0, 0.0]]]]}', 1)
+def test_zero_heavy_documents_load_as_before(path, text, piece):
+    with mock.patch.object(serialize, "_PIECE", piece):
+        _check(path, text)
+
+
+@pytest.mark.parametrize("spelling", _SPACED_ZEROS + _NEAR_ZEROS)
+def test_a_zero_cell_is_only_ever_the_exact_text_0_0(path, spelling):
+    for piece in (1, 5, serialize._PIECE):
+        with mock.patch.object(serialize, "_PIECE", piece):
+            _check(path, _ZERO_CELLS % spelling)
+            _check(path, _ZERO_CELLS.replace("0.0, %s", "%s, 0.0") % spelling)
 
 
 #: Whole-document cases around the array: the top level, the delimiters

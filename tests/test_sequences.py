@@ -458,8 +458,8 @@ def _sweep_case(case, rng):
         seq, ns = _rotation_sequence(8, 4, 8), range(1, 21)
     elif case == "compress-mixed":
         # Kraus counts 4, 10, 2, 8, 4, 6 against the limit's 2 with d_out*d_in = 8:
-        # one QR group of two terms, three dense differences and an exact zero,
-        # interleaved in one block.
+        # one QR group of two terms, three with K_n + K_0 >= d_out*d_in, whose R
+        # has d_out*d_in rows, and an exact zero, interleaved in one block.
         base = ensembles.random_kraus_channel(2, 4, 2, rng)
         sigma = DensityOperator(_pure([ensembles.haar_vector(4, rng)])[0])
         seq = compression_sequence(base, sigma, [0, 1, 2, 3, 3, 4])
