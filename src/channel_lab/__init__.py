@@ -46,7 +46,6 @@ from .report import Report
 from .sequences import (
     ChannelSequence,
     PartialTraceForm,
-    channels_from_partial_isometries,
     choi_defect,
     choi_defects,
     complementary_sequence,

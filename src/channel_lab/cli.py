@@ -120,10 +120,9 @@ def cmd_partial_trace_form(args) -> int:
         )
     v0 = StinespringIsometry(np.eye(total, d_in), d_out, d_env)
     form = sequences.rotation_partial_trace_form(v0, (total - 1, 0), lambda n: 1.0 / n)
-    seq = sequences.channels_from_partial_isometries(form)
     ns = _parse_int_list(args.ns) if args.ns else [1, 10, 100, 1000]
     family = f"rotation angles 1/n in plane ({total - 1}, 0)"
-    _write_report(_kraus_report(seq, ns, args.seed, family), args.out)
+    _write_report(_kraus_report(form, ns, args.seed, family), args.out)
     return 0
 
 

@@ -28,6 +28,7 @@ from .core import (
     _finite,
     _first_failure,
     _frozen,
+    _integers,
     _require_states,
     _stack,
     dagger,
@@ -69,7 +70,14 @@ def random_partial_isometry(dim: int, rank: int, rng: np.random.Generator) -> Pa
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    g = crandn((dim, rank or dim), rng)
+    """A random density operator on dim of the given rank, full rank for None.
+
+    ``rank`` must be an integer in 1..dim; it is checked before any draw.
+    """
+    rank = dim if rank is None else _integers([rank], "random_density: rank")[0]
+    if not 1 <= rank <= dim:
+        raise ValidationError(f"rank must lie in 1..{dim}, got {rank}")
+    g = crandn((dim, rank), rng)
     m = g @ dagger(g)
     return DensityOperator(m / np.trace(m))
 

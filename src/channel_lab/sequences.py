@@ -3,11 +3,13 @@
 A :class:`ChannelSequence` pairs a limit channel with a lazy rule for its
 terms (index 1 and up; index 0 returns the limit); an index that is not an
 integer is rejected before anything is built.  A :class:`PartialTraceForm`
-presents term n as ``Tr_env W(n) V0 . V0* W(n)*``; its one W rule returns
-the W(n) of a tuple of indices as one (B, D, D) array, which the form
-checks with one batched rule per invariant and slices into one
-(B, d_env, d_out, d_in) Kraus stack.  The Kraus sweeps take a form's block
-of terms as that stack, and any other sequence's one term at a time.
+is its own channel sequence: it presents term n as
+``Tr_env W(n) V0 . V0* W(n)*``, with the Kraus family of ``V0`` as the
+limit.  Its one W rule returns the W(n) of a tuple of indices as one
+(B, D, D) array, which the form checks with one batched rule per invariant
+and slices into one (B, d_env, d_out, d_in) Kraus stack; a term is the
+block of one.  A Kraus sweep's block is a list of Kraus stacks: a form's
+one stack, any other sequence's one stack per term.
 
 Defects compare a term against the limit over finite test families.
 :func:`convergence_report` takes them as one ``ensembles.Probes`` object,
@@ -28,10 +30,9 @@ their index by the rule of the sweeps, all before any term is built:
   the comparison as a diagnostic rather than an invariant.
 
 All three come from one block kernel, which takes a block of terms at once
-as their Kraus matrices: a list, or a form's one stack; a single defect is
-a block of one.  A term's Choi matrix is one GEMM over its stacked Kraus
-vectors, a form's block's Choi matrices one batched GEMM, and reshuffling
-the stacked
+as a list of (B, K, d_out*d_in) Kraus stacks; a single defect is a block of
+one.  The Choi matrices of a stack's terms are one batched GEMM over their
+stacked Kraus vectors, and reshuffling the stacked
 ``J(term) - J(limit)`` gives the superoperator differences ``S_n - S_0``
 (``vec(ch(X)) = S vec(X)``), so every channel and dual difference of a
 block over a whole test family is one matrix product.  The matrix-unit
@@ -73,13 +74,13 @@ paths that applies (:func:`_choi_gaps`):
    ``KRYLOV_MAX_STEPS`` hands its term on to the next path.
 2. **QR core**, otherwise: the nonzero eigenvalues are those of
    ``R diag(I, -I) R^H``, with R the QR factor of A, which has
-   ``min(K_n + K_0, d_out*d_in)`` rows, one batched QR for the terms of a
-   block with the same Kraus count.
+   ``min(K_n + K_0, d_out*d_in)`` rows, one batched QR per Kraus stack of
+   the block.
 
 Compress on the identity base has k = 1 (the limit is one Kraus operator),
 so every such term takes Krylov; the partial-trace forms and the swap
-embedding have k = d_env and take the QR core, in :func:`choi_defect` and
-:func:`convergence_report` alike.
+embedding have k = d_env and take the QR core, a block's terms in one
+batched QR, in :func:`choi_defect` and :func:`convergence_report` alike.
 
 The separating families are built here too.  :func:`swap_counterexample`
 converges strongly but not in the strong* sense, and :func:`swap_report` is
@@ -119,6 +120,7 @@ from .core import (
 )
 from .dilation import (
     complementary_kraus,
+    isometry_from_kraus,
     kraus_from_isometry,
     minimal_stinespring,
     pad_environment,
@@ -182,12 +184,13 @@ class ChannelSequence:
             )
         return ch
 
-    def _kraus_matrices(self, ns: tuple):
-        """The Kraus matrices (K_n, d_out*d_in) of the terms at ``ns``, built in index order.
+    def _kraus_groups(self, ns: tuple) -> list:
+        """A Kraus sweep's block: the terms at ``ns`` as a list of (B, K, d_out*d_in) stacks, in index order.
 
-        A Kraus sweep's block: a list here, one stack for a partial-trace form.
+        Here a stack of one per term; a partial-trace form's block is its one
+        checked stack.
         """
-        return [_kraus_matrix(self.term(n)) for n in ns]
+        return [_kraus_matrix(self.term(n))[None] for n in ns]
 
     def _terms_per_block(self, entries: int = 0) -> int:
         """Terms in a Kraus sweep's block, whose largest stack holds at most ``SWEEP_BLOCK_ENTRIES`` entries.
@@ -224,23 +227,22 @@ def _blocks(ns: tuple, per_block: int):
         yield slice(start, start + per_block), ns[start:start + per_block]
 
 
-def _deltas(ms, limit_choi: np.ndarray, d_out: int) -> np.ndarray:
-    """``S_n - S_0`` stacked over a block of Kraus matrices (a list, or one (B, K, d_out*d_in) stack).
+def _deltas(groups: list, limit_choi: np.ndarray, d_out: int) -> np.ndarray:
+    """``S_n - S_0`` stacked over a block given as a list of (B, K, d_out*d_in) Kraus stacks.
 
     ``S[(a,b),(i,j)] = J[(a,i),(b,j)]`` reshuffles a Choi matrix into the
     superoperator, so that with row-major ``vec`` ``vec(ch(X)) = S vec(X)``
     and ``vec(ch*(B)) = S^H vec(B)``.  The map is linear, so the reshuffle of
     ``J_n - J_0`` is ``S_n - S_0``.  The Choi GEMMs write into one
-    ``J_n - J_0`` stack, which lives only until it is reshuffled: a stack's
-    in one batched product, a list's a slice per term.
+    ``J_n - J_0`` stack, which lives only until it is reshuffled: one batched
+    product per Kraus stack, into its slice.
     """
     d_in = len(limit_choi) // d_out
-    dj = np.empty((len(ms),) + limit_choi.shape, dtype=complex)
-    if isinstance(ms, np.ndarray):
-        np.matmul(ms.swapaxes(1, 2), ms.conj(), out=dj)
-    else:
-        for m, out in zip(ms, dj):
-            np.matmul(m.T, m.conj(), out=out)
+    dj = np.empty((sum(map(len, groups)),) + limit_choi.shape, dtype=complex)
+    start = 0
+    for ms in groups:
+        np.matmul(ms.swapaxes(1, 2), ms.conj(), out=dj[start:start + len(ms)])
+        start += len(ms)
     dj -= limit_choi
     return dj.reshape(-1, d_out, d_in, d_out, d_in).transpose(0, 1, 3, 2, 4).reshape(-1, d_out**2, d_in**2)
 
@@ -358,22 +360,12 @@ def _ritz_bounds(m_n: np.ndarray, m_0: np.ndarray) -> list | None:
     return None
 
 
-def _choi_gaps(ms, m_0: np.ndarray) -> np.ndarray:
-    """``trace_norm(J_n - J_0)`` for a block of Kraus matrices against the limit's ``m_0``.
+def _choi_gaps(groups: list, m_0: np.ndarray) -> np.ndarray:
+    """``trace_norm(J_n - J_0)`` for a block given as a list of Kraus stacks, against the limit's ``m_0``.
 
-    A stack is one group; a list is grouped by Kraus count, and a group of
-    one term is a view of it.  Each group goes to :func:`_group_gaps`.
+    Each stack goes to :func:`_group_gaps`, in order.
     """
-    if isinstance(ms, np.ndarray):
-        return _group_gaps(ms, m_0)
-    by_count = {}
-    for i, m in enumerate(ms):
-        by_count.setdefault(len(m), []).append(i)
-    gaps = np.empty(len(ms))
-    for rows in by_count.values():
-        group = ms[rows[0]][None] if len(rows) == 1 else np.stack([ms[i] for i in rows])
-        gaps[rows] = _group_gaps(group, m_0)
-    return gaps
+    return np.concatenate([_group_gaps(ms, m_0) for ms in groups])
 
 
 def _group_gaps(ms: np.ndarray, m_0: np.ndarray) -> np.ndarray:
@@ -419,7 +411,7 @@ def strong_defect(seq: ChannelSequence, n: int, test_states) -> float:
     """Largest trace-norm gap ``||term(rho) - limit(rho)||_1`` over test states."""
     (n,) = _integers([n], "strong_defect: index")
     states = _probe_columns(_states(test_states), "test state", (seq.limit.d_in,) * 2)
-    ds = _deltas(seq._kraus_matrices((n,)), choi_matrix(seq.limit), seq.limit.d_out)
+    ds = _deltas(seq._kraus_groups((n,)), choi_matrix(seq.limit), seq.limit.d_out)
     return float(_hermitian_trace_norm(_output_diffs(ds, states, seq.limit.d_out)).max())
 
 
@@ -429,7 +421,7 @@ def strongstar_defect(seq: ChannelSequence, n: int, test_obs, test_vectors) -> f
     obs, vecs = _family(test_obs, "test observable", 2), _family(test_vectors, "test vector", 1)
     obs = _unless_identity(obs, seq.limit.d_out)
     vecs = _probe_columns(vecs, "test vector", (seq.limit.d_in,))
-    ds = _deltas(seq._kraus_matrices((n,)), choi_matrix(seq.limit), seq.limit.d_out)
+    ds = _deltas(seq._kraus_groups((n,)), choi_matrix(seq.limit), seq.limit.d_out)
     return float(_dual_norms(ds, obs, vecs, seq.limit.d_in).max())
 
 
@@ -438,7 +430,7 @@ def choi_defects(seq: ChannelSequence, ns) -> np.ndarray:
     ns = _integers(ns, "choi_defects: indices")
     gaps, m_0 = np.empty(len(ns)), _kraus_matrix(seq.limit)
     for rows, block in _blocks(ns, seq._terms_per_block()):
-        gaps[rows] = _choi_gaps(seq._kraus_matrices(block), m_0)
+        gaps[rows] = _choi_gaps(seq._kraus_groups(block), m_0)
     return gaps / seq.limit.d_in
 
 
@@ -464,10 +456,11 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     is built once per report.  The indices are swept in blocks whose largest
     stack, the Choi stack, the strong* vector images or a partial-trace
     form's W stack, holds at most ``SWEEP_BLOCK_ENTRIES`` entries (at least
-    one index), so memory does not grow with ``len(ns)``.  Each block builds its terms once per index,
-    in index order (a form's as one checked Kraus stack), and stacks their
-    Choi matrices (one GEMM each, one batched GEMM for a form's block) minus
-    the limit's; reshuffled, the stack is every ``S_n - S_0``.  One product with
+    one index), so memory does not grow with ``len(ns)``.  Each block builds
+    its terms once per index, in index order, as a list of Kraus stacks (a
+    form's one checked stack, a stack per term otherwise), and stacks their
+    Choi matrices (one batched GEMM per Kraus stack) minus the limit's;
+    reshuffled, the stack is every ``S_n - S_0``.  One product with
     the stacked states gives every output difference of the block, one with
     the stacked observables every dual difference; when the observables are
     the matrix units in order (their stack is exactly the identity, checked
@@ -493,13 +486,13 @@ def convergence_report(seq: ChannelSequence, ns, probes: Probes, test_family: st
     strong_args, star_args = np.empty((2, len(ns)), dtype=np.intp)
     # Per term the strong* kernel's vector images hold d_out^2 * d_in entries per test vector.
     for rows, block in _blocks(ns, seq._terms_per_block(d_out**2 * d_in * vecs.shape[1])):
-        ms = seq._kraus_matrices(block)
-        ds = _deltas(ms, limit_choi, d_out)
+        groups = seq._kraus_groups(block)
+        ds = _deltas(groups, limit_choi, d_out)
         gaps = _hermitian_trace_norm(_output_diffs(ds, states, d_out))
-        duals = _dual_norms(ds, obs, vecs, d_in).reshape(len(ms), -1)
+        duals = _dual_norms(ds, obs, vecs, d_in).reshape(len(block), -1)
         strong[rows], strong_args[rows] = gaps.max(axis=1), gaps.argmax(axis=1)
         star[rows], star_args[rows] = duals.max(axis=1), duals.argmax(axis=1)
-        choi[rows] = _choi_gaps(ms, m_0)
+        choi[rows] = _choi_gaps(groups, m_0)
     obs_args, vec_args = np.divmod(star_args, vecs.shape[1])
     return Report(
         "convergence-report",
@@ -571,7 +564,7 @@ def swap_counterexample(d: int) -> tuple[list[PartialIsometry], np.ndarray]:
     Returns the list of terms (n = 1..d-1) and psi; the limit is the
     projector onto the frame, i.e. ``terms[0].initial_projector``.
     """
-    ws, psi = _swap_stack(d)
+    ws, psi = _swap_stack(*_integers([d], "swap_counterexample: dimension"))
     return [PartialIsometry(w) for w in ws], psi
 
 
@@ -599,8 +592,9 @@ def swap_report(d: int, probe: int) -> Report:
     Both vector columns read the family's (d-1, d, d) stack minus P, and its
     partial-trace form's W rule indexes the stack.  Checked in order: d is
     even (the split needs it), the family's own dimension rule, and
-    ``1 <= probe <= d - 1``.
+    ``1 <= probe <= d - 1``, after both are checked to be integers.
     """
+    d, probe = _integers([d, probe], "swap_report: dimension and probe")
     if d % 2:
         raise ValidationError(f"the swap report needs an even dimension to embed, got {d}")
     ws, psi = _swap_stack(d)
@@ -614,7 +608,7 @@ def swap_report(d: int, probe: int) -> Report:
         range(1, d),
         strong=np.linalg.norm(gaps[:, :, probe - 1], axis=1),
         strongstar=np.linalg.norm(psi.conj() @ gaps, axis=1),
-        choi=choi_defects(channels_from_partial_isometries(form), range(1, d)),
+        choi=choi_defects(form, range(1, d)),
         strong_witness=[f"tau[{probe}]"] * (d - 1),
         strongstar_witness=["psi"] * (d - 1),
         test_family=f"vector-level probes tau[{probe}] and psi; choi from the (2, {d // 2}) embedding",
@@ -622,35 +616,44 @@ def swap_report(d: int, probe: int) -> Report:
 
 
 @dataclass(frozen=True, eq=False)
-class PartialTraceForm:
-    """A sequence presented as ``rho -> Tr_env W(n) V0 rho V0* W(n)*``.
+class PartialTraceForm(ChannelSequence):
+    """A channel sequence presented as ``rho -> Tr_env W(n) V0 rho V0* W(n)*``.
 
-    ``v0`` fixes the embedding and the output/environment split.  ``w_fn`` is
-    the form's W rule: given a tuple of indices n >= 1 it returns their W(n)
-    as one (len(ns), D, D) array, D = d_out * d_env.  Each W(n) must be a
-    partial isometry whose initial projector is the range projector of
-    ``v0``, so that every composite ``W(n) V0`` is again an isometry.  A
-    block of indices is checked when it is built (:meth:`_kraus_block`);
-    ``isometry(n)`` and each term of :func:`channels_from_partial_isometries`
-    are the block of one.
+    ``v0`` fixes the embedding and the output/environment split, and its
+    Kraus family is the limit.  ``w_fn`` is the form's W rule: given a tuple
+    of indices n >= 1 it returns their W(n) as one (len(ns), D, D) array,
+    D = d_out * d_env.  Each W(n) must be a partial isometry whose initial
+    projector is the range projector of ``v0``, so that every composite
+    ``W(n) V0`` is again an isometry.  A block of indices is checked when it
+    is built (:meth:`_kraus_block`); a Kraus sweep takes it as one stack,
+    and ``term(n)`` and ``isometry(n)`` are the block of one.
     """
 
+    limit: KrausChannel = field(init=False, repr=False)
+    term_fn: Callable[[int], KrausChannel] = field(init=False, repr=False)
     v0: StinespringIsometry
     w_fn: Callable[[tuple], np.ndarray]
     #: The range projector ``v0 v0*`` of the embedding, computed once.
     range0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "limit", kraus_from_isometry(self.v0))
+        object.__setattr__(self, "term_fn", lambda n: KrausChannel(self._kraus_block((n,))[0]))
         object.__setattr__(self, "range0", self.v0.v @ dagger(self.v0.v))
 
     def isometry(self, n: int) -> StinespringIsometry:
-        (n,) = _integers([n], "sequence index")
-        if n < 0:
-            raise ValidationError(f"sequence index must be >= 0, got {n}")
-        if n == 0:
-            return self.v0
-        v0, kraus = self.v0, self._kraus_block((n,))[0]
-        return StinespringIsometry(kraus.swapaxes(0, 1).reshape(-1, v0.d_in), v0.d_out, v0.d_env)
+        term = self.term(n)
+        return self.v0 if n == 0 else isometry_from_kraus(term)
+
+    def _kraus_groups(self, ns: tuple) -> list:
+        if min(ns) < 1:
+            # Index 0 is the limit and a negative one is rejected: term by term, in index order.
+            return super()._kraus_groups(ns)
+        return [self._kraus_block(ns).reshape(len(ns), self.v0.d_env, -1)]
+
+    def _terms_per_block(self, entries: int = 0) -> int:
+        # The (D, D) W stack can be the block's largest (D^2 > (d_out*d_in)^2).
+        return super()._terms_per_block(max(entries, self.range0.size))
 
     def _kraus_block(self, ns: tuple) -> np.ndarray:
         """The Kraus families of ``W(n) V0`` at indices ``ns`` (each >= 1), one (B, d_env, d_out, d_in) stack.
@@ -680,37 +683,6 @@ class PartialTraceForm:
         )
         _first_failure(checks + [on_range] + _kraus_checks(kraus))
         return kraus
-
-
-@dataclass(frozen=True, eq=False)
-class _FormChannels(ChannelSequence):
-    """The channel sequence of a partial-trace form.
-
-    A Kraus sweep takes a block of its terms as the form's one Kraus stack.
-    Its block size also counts the (D, D) W matrices, whose stack can be the
-    block's largest (``D^2 > (d_out*d_in)^2``).
-    """
-
-    form: PartialTraceForm
-
-    def _kraus_matrices(self, ns: tuple):
-        if min(ns) < 1:
-            # Index 0 is the limit and a negative one is rejected: term by term, in index order.
-            return super()._kraus_matrices(ns)
-        return self.form._kraus_block(ns).reshape(len(ns), self.form.v0.d_env, -1)
-
-    def _terms_per_block(self, entries: int = 0) -> int:
-        return super()._terms_per_block(max(entries, self.form.range0.size))
-
-
-def channels_from_partial_isometries(form: PartialTraceForm) -> ChannelSequence:
-    """The channel sequence of a partial-trace form.
-
-    Term n is the form's block of one, sliced into its Kraus family; the
-    Kraus sweeps take a whole block of terms as one stack.  W(n) is checked
-    against the embedding when its block is built.
-    """
-    return _FormChannels(kraus_from_isometry(form.v0), lambda n: KrausChannel(form._kraus_block((n,))[0]), form)
 
 
 def givens_rotation(dim: int, i: int, j: int, theta: float) -> np.ndarray:

@@ -193,7 +193,7 @@ def test_criterion_7_partial_trace_form_bullets(capsys):
     # (a) norm-converging rotations of a dim-4 embedding into 2 x 3
     v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
     form = sequences.rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
-    seq = sequences.channels_from_partial_isometries(form)
+    seq = form
     choi_final = sequences.choi_defect(seq, 1000)
     part_a = choi_final < 1e-3
 
@@ -202,7 +202,7 @@ def test_criterion_7_partial_trace_form_bullets(capsys):
     terms, _ = sequences.swap_counterexample(d)
     v0s = StinespringIsometry(np.eye(d, d - 1), 4, 4)
     sform = sequences.PartialTraceForm(v0s, lambda ns: np.stack([terms[n - 1].w for n in ns]))
-    sseq = sequences.channels_from_partial_isometries(sform)
+    sseq = sform
     states = ensembles._projectors(np.eye(d - 1, dtype=complex))
     strong_ok = True
     for j in range(d - 1):

@@ -12,6 +12,7 @@ and one 8/4/8 partial-trace-form report hold at once by a multiple of a
 Choi matrix.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -31,12 +32,14 @@ from channel_lab.core import (
 from channel_lab.sequences import (
     SWEEP_BLOCK_ENTRIES,
     ZERO_ROW_NORM,
+    ChannelSequence,
     PartialTraceForm,
-    channels_from_partial_isometries,
     choi_defects,
     compression_sequence,
     convergence_report,
     rotation_partial_trace_form,
+    strong_defect,
+    strongstar_defect,
 )
 
 
@@ -98,7 +101,7 @@ def _same_bits(a, b):
 
 def _rotation_sequence(d_in, d_out, d_env):
     v0 = StinespringIsometry(np.eye(d_out * d_env, d_in), d_out, d_env)
-    return channels_from_partial_isometries(rotation_partial_trace_form(v0, (d_out * d_env - 1, 0), lambda n: 1.0 / n))
+    return rotation_partial_trace_form(v0, (d_out * d_env - 1, 0), lambda n: 1.0 / n)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -118,7 +121,7 @@ def test_dual_norms_are_the_linalg_norms_bit_for_bit_on_random_stacks(seed, gene
 def test_dual_norms_keep_exact_ties_and_their_first_maximizer_on_basis_probes(d):
     """Basis vectors against a compress block give many equal norms; the witness is the same first one."""
     seq = compression_sequence(identity_channel(d), DensityOperator(np.eye(d) / d), range(1, d + 1))
-    ds = sequences._deltas(seq._kraus_matrices(range(1, d + 1)), choi_matrix(seq.limit), d)
+    ds = sequences._deltas(seq._kraus_groups(range(1, d + 1)), choi_matrix(seq.limit), d)
     vecs = np.eye(d, dtype=complex)
     got = sequences._dual_norms(ds, None, vecs, d).reshape(d, -1)
     want = _norms_by_linalg(ds, None, vecs, d).reshape(d, -1)
@@ -128,17 +131,17 @@ def test_dual_norms_keep_exact_ties_and_their_first_maximizer_on_basis_probes(d)
 
 
 def test_deltas_are_the_stacked_choi_construction_bit_for_bit(rng):
-    """A form's block is one Kraus stack and one batched product; any other block a list, a product per term."""
+    """A form's block is one Kraus stack and one batched product; any other block a stack of one per term."""
     compress = compression_sequence(identity_channel(5), DensityOperator(np.eye(5) / 5), range(1, 6))
     for seq, ns in ((_rotation_sequence(8, 4, 8), tuple(range(1, 9))), (compress, tuple(range(1, 6)))):
         terms = [seq.term(n) for n in ns]
         limit_choi = choi_matrix(seq.limit)
-        block = seq._kraus_matrices(ns)
-        assert isinstance(block, np.ndarray) == (seq is not compress)
+        block = seq._kraus_groups(ns)
+        assert [len(ms) for ms in block] == ([1] * len(ns) if seq is compress else [len(ns)])
         assert _same_bits(sequences._deltas(block, limit_choi, seq.limit.d_out), _deltas_by_stack(terms, limit_choi))
     base = ensembles.random_kraus_channel(3, 2, 4, rng)
     terms = [ensembles.random_kraus_channel(3, 2, k, rng) for k in (2, 4, 6)]
-    got = sequences._deltas([_kraus_matrix(t) for t in terms], choi_matrix(base), 2)
+    got = sequences._deltas([_kraus_matrix(t)[None] for t in terms], choi_matrix(base), 2)
     assert _same_bits(got, _deltas_by_stack(terms, choi_matrix(base)))
 
 
@@ -210,7 +213,7 @@ def test_form_blocks_are_the_per_index_construction_bit_for_bit(shape, rng):
         block = form._kraus_block(ns)
         assert _same_bits(block, np.stack([_kraus_by_index(v0, w) for w in per_index]))
         assert _same_bits(block, np.concatenate([form._kraus_block((n,)) for n in ns]))
-        seq = channels_from_partial_isometries(form)
+        seq = form
         assert all(_same_bits(seq.term(n).stack, block[k]) for k, n in enumerate(ns))
         assert _same_bits(form.isometry(3).v, per_index[2] @ v0.v)
 
@@ -220,8 +223,8 @@ def _form_cases(rng):
     largest stack per term: 8/4/8's strong* images (16 x 8 x 10 vectors = 1280 > 32^2, 6 terms to a
     default block), 3/2/6's W stack (D^2 = 144 > (d_out d_in)^2 = 36, 56 terms to a default block)."""
     v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
-    rotation = channels_from_partial_isometries(rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n))
-    random_w = channels_from_partial_isometries(_random_w_form(3, 2, 6, 60, rng)[0])
+    rotation = rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n)
+    random_w = _random_w_form(3, 2, 6, 60, rng)[0]
     return [(rotation, range(1, 21), 16 * 8 * 10), (random_w, range(1, 61), 12**2)]
 
 
@@ -240,6 +243,42 @@ def test_form_sweeps_are_bit_identical_at_every_block_size(rng, monkeypatch):
             report = convergence_report(seq, ns, probes)
             sweeps.append((report.to_json_dict(), choi_defects(seq, ns).tobytes()))
         assert sweeps[0] == sweeps[1] == sweeps[2]
+
+
+def test_a_form_and_its_sequence_of_terms_give_the_same_bits(rng):
+    """A form's block is its one Kraus stack; ``ChannelSequence(form.limit, form.term)`` has one stack per term.
+    The report, the Choi column and both single defects are the same bits either way, and a block holding
+    index 0 takes the form term by term."""
+    for form, ns, _ in _form_cases(rng):
+        plain = ChannelSequence(form.limit, form.term)
+        assert [len(ms) for ms in form._kraus_groups(tuple(ns))] == [len(ns)]
+        assert [len(ms) for ms in plain._kraus_groups(tuple(ns))] == [1] * len(ns)
+        assert [len(ms) for ms in form._kraus_groups((0, 1, 2))] == [1, 1, 1]
+        probes = ensembles.default_probes(form.limit.d_in, form.limit.d_out, np.random.default_rng(5))
+        sides = []
+        for seq in (form, plain):
+            sides.append((
+                json.dumps(convergence_report(seq, ns, probes).to_json_dict()),
+                json.dumps(convergence_report(seq, range(0, 4), probes).to_json_dict()),
+                choi_defects(seq, ns).tobytes(),
+                repr(strong_defect(seq, 7, probes.states)),
+                repr(strongstar_defect(seq, 7, probes.observables, probes.vectors)),
+            ))
+        assert sides[0] == sides[1]
+
+
+@pytest.mark.parametrize("k_0", [1, 4])
+def test_terms_of_one_kraus_count_give_the_same_bits_as_one_stack_or_as_stacks_of_one(k_0, rng):
+    """The grouping by Kraus count that a block of single-term stacks no longer makes: batched products, QR
+    factors and eigenvalues act matrix by matrix, so one stack of the terms and a stack per term agree bit for bit.
+    At k_0 = 1 the terms take Krylov, at 4 the QR core, with one term equal to the limit."""
+    base = ensembles.random_kraus_channel(2, 3, k_0, rng)
+    m_0 = _kraus_matrix(base)
+    ms = [_kraus_matrix(ensembles.random_kraus_channel(2, 3, 4, rng)) for _ in range(5)] + [m_0] * (k_0 == 4)
+    apart, together = [m[None] for m in ms], [np.stack(ms)]
+    assert _same_bits(sequences._choi_gaps(apart, m_0), sequences._choi_gaps(together, m_0))
+    limit_choi = choi_matrix(base)
+    assert _same_bits(sequences._deltas(apart, limit_choi, 3), sequences._deltas(together, limit_choi, 3))
 
 
 #: Allowed peak of one compress d=10 report, in blocks of 16 N^2 bytes (one Choi stack, N = d^2).
@@ -269,7 +308,7 @@ FORM_PEAK_BLOCKS = 40
 
 def test_a_form_report_holds_a_few_block_stacks_at_once():
     v0 = StinespringIsometry(np.eye(32, 8), 4, 8)
-    seq = channels_from_partial_isometries(rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n))
+    seq = rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n)
     probes = ensembles.default_probes(8, 4, np.random.default_rng(7))
     # D = N = 32: the W stacks are as large as the Choi stack; the strong* images, 16 x 8 x 10
     # entries per term, are the block's largest stack, and set 6 terms to a block.

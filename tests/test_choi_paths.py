@@ -133,8 +133,7 @@ def test_compress_choi_column_matches_its_closed_form(d, monkeypatch):
 def _rotation_form(d_in, d_out, d_env):
     """The CLI's partial-trace-form sequence: the embedding rotated by 1/n in the plane (d_out*d_env - 1, 0)."""
     v0 = StinespringIsometry(np.eye(d_out * d_env, d_in), d_out, d_env)
-    form = sequences.rotation_partial_trace_form(v0, (d_out * d_env - 1, 0), lambda n: 1.0 / n)
-    return sequences.channels_from_partial_isometries(form)
+    return sequences.rotation_partial_trace_form(v0, (d_out * d_env - 1, 0), lambda n: 1.0 / n)
 
 
 def test_each_built_in_family_takes_its_path(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,25 @@ def test_random_density_rank_control(rng):
     low = ensembles.random_density(4, rng, rank=2)
     vals = np.linalg.eigvalsh(low.matrix)
     assert int(np.sum(vals > 1e-10)) == 2
+    assert int(np.sum(np.linalg.eigvalsh(ensembles.random_density(4, rng, rank=np.int64(4)).matrix) > 1e-10)) == 4
+
+
+@pytest.mark.parametrize(
+    "rank, message",
+    [
+        (0, "rank must lie in 1..3, got 0"),
+        (5, "rank must lie in 1..3, got 5"),
+        (-1, "rank must lie in 1..3, got -1"),
+        (True, "random_density: rank must be integers, got [True]"),
+        (2.0, "random_density: rank must be integers, got [2.0]"),
+    ],
+)
+def test_random_density_rejects_a_rank_outside_1_to_dim_before_any_draw(rank, message):
+    rng = np.random.default_rng(11)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ensembles.random_density(3, rng, rank=rank)
+    # Nothing was drawn: the stream gives the state it gives a fresh generator.
+    assert np.array_equal(ensembles.random_density(3, rng).matrix, ensembles.random_density(3, np.random.default_rng(11)).matrix)
 
 
 def test_random_kraus_channel_has_exact_operator_count(rng):

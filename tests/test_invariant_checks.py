@@ -21,7 +21,7 @@ from channel_lab.core import (
 )
 from channel_lab.dilation import tracked_complete_unitary
 from channel_lab.ensembles import random_isometry, random_unitary
-from channel_lab.sequences import PartialTraceForm, channels_from_partial_isometries, choi_defects
+from channel_lab.sequences import PartialTraceForm, choi_defects
 
 SPREAD = 0.9 * TOL_VALID
 OVER = 2.0 * TOL_VALID
@@ -164,7 +164,7 @@ def test_partial_trace_form_drift_in_a_block(spread, rng):
     p0 = v0.v @ dagger(v0.v)
     drifted = p0 @ dagger(rot)
     form = PartialTraceForm(v0, lambda ns: np.stack([drifted if n == 3 else p0 for n in ns]))
-    seq = channels_from_partial_isometries(form)
+    seq = form
     defect = dagger(drifted) @ drifted - form.range0
     if spread:
         _assert_spread(defect)

@@ -21,13 +21,13 @@ from channel_lab.core import (
     ordered_eigh,
     trace_norm,
 )
+from channel_lab.dilation import kraus_from_isometry
 from channel_lab.ensembles import Probes
 from channel_lab.gaussian import attenuator, param_convergence_check
 from channel_lab.report import Report, from_json_dict
 from channel_lab.sequences import (
     ChannelSequence,
     PartialTraceForm,
-    channels_from_partial_isometries,
     choi_defect,
     choi_defects,
     complementary_sequence,
@@ -293,6 +293,9 @@ def test_swap_counterexample_exact_values():
                 assert gap == 0.0
     with pytest.raises(ValidationError, match="dimension >= 3"):
         swap_counterexample(2)
+    for bad in (4.0, True, "5"):
+        with pytest.raises(ValidationError, match=r"^swap_counterexample: dimension must be integers, got \["):
+            swap_counterexample(bad)
 
 
 @pytest.mark.parametrize("d", [4, 6, 16])
@@ -318,6 +321,12 @@ def test_swap_report_columns_are_exact(d):
         (-4, 9, "the swap family needs dimension >= 3, got -4"),
         (8, 0, "probe index must lie in 1..7, got 0"),
         (8, 8, "probe index must lie in 1..7, got 8"),
+        # Both are checked to be integers before any of those rules (a bool is not one).
+        (8, True, "swap_report: dimension and probe must be integers, got [8, True]"),
+        (8, 1.5, "swap_report: dimension and probe must be integers, got [8, 1.5]"),
+        (8.0, 1, "swap_report: dimension and probe must be integers, got [8.0, 1]"),
+        (7.0, 0, "swap_report: dimension and probe must be integers, got [7.0, 0]"),
+        (np.int64(8), np.int32(9), "probe index must lie in 1..7, got 9"),
     ],
 )
 def test_swap_report_rejections(d, probe, message):
@@ -339,13 +348,13 @@ def test_partial_trace_form_checks_embedding_compatibility():
     with pytest.raises(ValidationError, match="deviates from the embedding range"):
         bad.isometry(1)
     with pytest.raises(ValidationError, match="deviates"):
-        channels_from_partial_isometries(bad).term(1)
+        bad.term(1)
 
 
 def test_rotation_family_defects_vanish(rng):
     v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
     form = rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
-    seq = channels_from_partial_isometries(form)
+    seq = form
     states = ensembles.default_test_states(4, rng)
     obs = ensembles.matrix_unit_observables(2)
     vecs = ensembles.default_test_vectors(4, rng)
@@ -371,7 +380,7 @@ def test_givens_rotation_validation_and_norm():
 def test_tensor_and_compose_sequences_propagate_convergence(rng):
     v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
     form = rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
-    seq = channels_from_partial_isometries(form)
+    seq = form
     double = tensor_sequence(seq, seq)
     assert double.limit.d_in == 16
     states = _pure([ensembles.haar_vector(16, rng) for _ in range(3)])
@@ -384,6 +393,22 @@ def test_tensor_and_compose_sequences_propagate_convergence(rng):
     assert max_action_deviation(chain.term(2), chain.limit) < 1e-12
     with pytest.raises(ValidationError, match="cannot compose"):
         compose_sequence(b, a)
+
+
+def test_a_form_goes_wherever_a_sequence_does():
+    """A partial-trace form is a ``ChannelSequence``: its limit is the Kraus family of ``v0`` and its term n
+    the block of one, so ``tensor_sequence`` takes two forms as they are.  The tensor sequence's Choi column
+    matches the dense ``trace_norm(J_n - J_0) / d_in``."""
+    v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
+    form = rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
+    assert isinstance(form, ChannelSequence)
+    assert np.array_equal(form.limit.stack, kraus_from_isometry(v0).stack)
+    assert form.term(0) is form.limit
+    double = tensor_sequence(form, form)
+    assert (double.limit.d_in, double.limit.d_out) == (16, 4)
+    ns = [1, 2, 3]
+    dense = [trace_norm(choi_matrix(double.term(n)) - choi_matrix(double.limit)) / 16 for n in ns]
+    assert np.allclose(choi_defects(double, ns), dense, rtol=0, atol=1e-12)
 
 
 def test_complementary_sequence_of_partial_trace_form(rng):
@@ -414,7 +439,7 @@ def test_complementary_sequence_of_plain_channel_sequence(rng):
 def test_convergence_report_columns_and_witnesses(rng):
     v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
     form = rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
-    seq = channels_from_partial_isometries(form)
+    seq = form
     states = ensembles.default_test_states(4, rng)
     obs = ensembles.matrix_unit_observables(2)
     vecs = ensembles.default_test_vectors(4, rng)
@@ -434,7 +459,7 @@ def test_convergence_report_columns_and_witnesses(rng):
 def test_convergence_report_is_deterministic(rng):
     v0 = StinespringIsometry(np.eye(4, 3), 2, 2)
     form = rotation_partial_trace_form(v0, (3, 0), lambda n: 1.0 / n)
-    seq = channels_from_partial_isometries(form)
+    seq = form
     states = ensembles.default_test_states(3, rng)
     obs = ensembles.matrix_unit_observables(2)
     vecs = ensembles.default_test_vectors(3, rng)
@@ -447,8 +472,7 @@ def test_convergence_report_is_deterministic(rng):
 
 def _rotation_sequence(d_in, d_out, d_env):
     v0 = StinespringIsometry(np.eye(d_out * d_env, d_in), d_out, d_env)
-    form = rotation_partial_trace_form(v0, (d_out * d_env - 1, 0), lambda n: 1.0 / n)
-    return channels_from_partial_isometries(form)
+    return rotation_partial_trace_form(v0, (d_out * d_env - 1, 0), lambda n: 1.0 / n)
 
 
 def _sweep_case(case, rng):
@@ -513,7 +537,7 @@ def test_matrix_unit_dual_norms_form_no_adjoint_and_no_observable_product(rng):
     product of the observables with ``ds``, about 3.4x."""
     d = 12
     seq = compression_sequence(identity_channel(d), _mixed(d), range(1, d + 1))
-    ds = sequences._deltas(seq._kraus_matrices((d // 2,)), choi_matrix(seq.limit), d)
+    ds = sequences._deltas(seq._kraus_groups((d // 2,)), choi_matrix(seq.limit), d)
     units = ensembles.matrix_unit_observables(d)
     unit_columns = sequences._probe_columns(units, "test observable", (d, d))
     obs = sequences._unless_identity(units, d)
@@ -542,7 +566,7 @@ def test_convergence_report_raises_for_the_first_invalid_term(bad, rng):
     form = rotation_partial_trace_form(v0, (31, 0), lambda n: 1.0 / n)
     stray = PartialTraceForm(v0, lambda ns: np.stack([np.eye(32) if n in bad else form.w_fn((n,))[0] for n in ns]))
     with pytest.raises(ValidationError, match=rf"term {min(bad)}: initial projector deviates"):
-        convergence_report(channels_from_partial_isometries(stray), ns, probes)
+        convergence_report(stray, ns, probes)
 
 
 def _stray_w(kind: str) -> np.ndarray:
@@ -585,7 +609,7 @@ def test_a_form_block_rejects_its_first_bad_index_at_its_first_failing_check(bad
     stray = PartialTraceForm(
         v0, lambda ns: np.stack([_stray_w(bad[n]) if n in bad else form.w_fn((n,))[0] for n in ns])
     )
-    seq = channels_from_partial_isometries(stray)
+    seq = stray
     first = min(bad)
     message = _STRAY_MESSAGES[bad[first]].format(n=first)
     _, ns, probes = _sweep_case("partial-trace-form", rng)
@@ -735,7 +759,7 @@ def test_kernel_matches_oracle_on_rotation_partial_trace_form(rng):
     v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
     form = rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
     _assert_matches_oracle(
-        channels_from_partial_isometries(form),
+        form,
         [1, 2, 10, 100],
         ensembles.default_test_states(4, rng),
         ensembles.matrix_unit_observables(2),
@@ -814,7 +838,7 @@ def test_term_and_isometry_check_the_index_before_anything_is_built(index, rng):
     rotation = rotation_partial_trace_form(StinespringIsometry(np.eye(6, 4), 2, 3), (5, 0), lambda n: 1.0 / n)
     form = PartialTraceForm(rotation.v0, lambda ns: built.append(ns) or rotation.w_fn(ns))
     message = f"sequence index must be integers, got [{index!r}]"
-    for build in (plain.term, compress.term, form.isometry, channels_from_partial_isometries(form).term):
+    for build in (plain.term, compress.term, form.isometry, form.term):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build(index)
     assert built == []
@@ -823,7 +847,7 @@ def test_term_and_isometry_check_the_index_before_anything_is_built(index, rng):
 def test_a_form_sweep_takes_index_zero_and_negative_indices_term_by_term(rng):
     """A block holding index 0 (the limit) or a negative index is built term by term, in index order."""
     form = rotation_partial_trace_form(StinespringIsometry(np.eye(6, 4), 2, 3), (5, 0), lambda n: 1.0 / n)
-    seq = channels_from_partial_isometries(form)
+    seq = form
     probes = ensembles.default_probes(4, 2, rng)
     with_zero = convergence_report(seq, [0, 1, 2], probes)
     assert with_zero.strong[0] == with_zero.strongstar[0] == with_zero.choi[0] == 0.0
