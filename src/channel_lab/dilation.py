@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TOL_VALID,
     DensityOperator,
     KrausChannel,
     PartialIsometry,
@@ -42,12 +43,14 @@ from .core import (
     ValidationError,
     dagger,
     _cmat,
+    _defect_norms,
     _eigen_order,
+    _first_failure,
     _fix_phase,
+    _integers,
     _kraus_matrix,
     _pure_parts,
     _require_finite,
-    _require_within,
 )
 
 #: Pruning threshold for Choi eigenvalues (squared singular values of the
@@ -75,7 +78,9 @@ class UnitaryDilation:
     d_env: int
 
     def __post_init__(self):
-        dims = (self.d_in, self.d_anc, self.d_out, self.d_env)
+        dims = _integers((self.d_in, self.d_anc, self.d_out, self.d_env), "UnitaryDilation: dimensions")
+        for name, d in zip(("d_in", "d_anc", "d_out", "d_env"), dims):
+            object.__setattr__(self, name, d)
         if any(d < 1 for d in dims):
             raise ValidationError(f"dimensions must be positive, got {dims}")
         if self.d_in * self.d_anc != self.d_out * self.d_env:
@@ -149,6 +154,7 @@ def complementary_kraus(v: StinespringIsometry) -> KrausChannel:
 
 def pad_environment(v: StinespringIsometry, d_env: int) -> StinespringIsometry:
     """Embed an isometry into a larger environment by appending zero slices."""
+    (d_env,) = _integers([d_env], "pad_environment: d_env")
     if d_env < v.d_env:
         raise ValidationError(
             f"cannot shrink environment from dim {v.d_env} to dim {d_env}"
@@ -289,19 +295,16 @@ def _tracked_extension(
     p = w_seq[0].initial_projector
     if any(w.w.shape != p.shape for w in w_seq):
         raise ValidationError("tracked completion needs square partial isometries of one dimension")
-    for k, w in enumerate(w_seq):
-        _require_within(
-            w.initial_projector - p,
-            lambda norm: f"term {k} has a different initial projector (deviation {norm:.3e})",
-        )
+    drift = _defect_norms(np.stack([w.initial_projector for w in w_seq]) - p)
+    drifted = "term {} has a different initial projector (deviation {:.3e})"
+    _first_failure([(drift > TOL_VALID, lambda k: drifted.format(k, drift[k]))])
     if reference.dim != w_seq[0].d_in:
         raise ValidationError(
             f"reference of dim {reference.dim} does not act on dim {w_seq[0].d_in}"
         )
-    _require_within(
-        reference.u @ p - w_seq[0].w,
-        lambda norm: f"reference does not complete the first term (deviation {norm:.3e})",
-    )
+    miss = _defect_norms((reference.u @ p - w_seq[0].w)[None])
+    incomplete = "reference does not complete the first term (deviation {:.3e})"
+    _first_failure([(miss > TOL_VALID, lambda k: incomplete.format(miss[k]))])
 
     kernel = _kernel_basis(p)
     ref_basis = (reference.u @ kernel).T
@@ -341,12 +344,13 @@ def tracked_complete_unitary(w_seq: list[PartialIsometry], reference: UnitaryOp)
     projections and their norms come from one batched product, and only the
     degenerate terms take an eigensolve of their grown range.  A term whose
     initial projector differs from P by more than ``TOL_VALID`` in operator
-    norm is rejected, the first such term by its index; only terms above the
-    tolerance in Frobenius norm pay an SVD for that check.  The extensions
-    are not checked on their own: ``K*(U*U - I)K = E*E - I`` and
-    ``P(U*U - I)K = W*E``, so the ``UnitaryOp`` check of every U_n already
-    bounds their orthonormality and their overlap with the range by
-    ``TOL_VALID``.
+    norm is rejected, the first such term by its index, before the reference
+    is checked: the family's deviations are one stack through
+    ``core._defect_norms``, where only terms above the tolerance in Frobenius
+    norm pay an SVD.  The extensions are not checked on their own:
+    ``K*(U*U - I)K = E*E - I`` and ``P(U*U - I)K = W*E``, so the
+    ``UnitaryOp`` check of every U_n already bounds their orthonormality and
+    their overlap with the range by ``TOL_VALID``.
     """
     kernel, extensions = _tracked_extension(w_seq, reference)
     return [UnitaryOp(w.w + ext.T @ dagger(kernel)) for w, ext in zip(w_seq, extensions)]

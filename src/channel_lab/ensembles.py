@@ -62,6 +62,7 @@ def random_isometry(d_in: int, d_total: int, rng: np.random.Generator) -> np.nda
 
 def random_partial_isometry(dim: int, rank: int, rng: np.random.Generator) -> PartialIsometry:
     """A random dim x dim partial isometry of the given rank."""
+    dim, rank = _integers([dim, rank], "random_partial_isometry: dim and rank")
     if not 0 < rank <= dim:
         raise ValidationError(f"rank must lie in 1..{dim}, got {rank}")
     x = random_unitary(dim, rng)[:, :rank]

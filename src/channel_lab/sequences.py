@@ -691,7 +691,11 @@ def givens_rotation(dim: int, i: int, j: int, theta: float) -> np.ndarray:
 
 
 def _givens_rotations(dim: int, i: int, j: int, thetas) -> np.ndarray:
-    """The rotations by each of ``thetas`` in the (e_i, e_j) coordinate plane, one (len(thetas), dim, dim) stack."""
+    """The rotations by each of ``thetas`` in the (e_i, e_j) coordinate plane, one (len(thetas), dim, dim) stack.
+
+    ``dim`` must be an integer, ``i`` and ``j`` distinct integers in ``0..dim-1``.
+    """
+    dim, i, j = _integers([dim, i, j], "rotation dimension and plane")
     if i == j or not (0 <= i < dim and 0 <= j < dim):
         raise ValidationError(f"invalid rotation plane ({i}, {j}) in dim {dim}")
     r = np.zeros((len(thetas), dim, dim), dtype=np.complex128)
@@ -715,9 +719,11 @@ def rotation_partial_trace_form(
     the terms converge to the limit in operator norm as the angles shrink.
     The W rule calls ``theta_fn`` once per index, builds the block's
     rotations as one stack and multiplies it by P0 in one batched product.
+    The plane is checked here, before any term is built.
     """
     p0 = v0.v @ dagger(v0.v)
     dim = p0.shape[0]
+    _givens_rotations(dim, plane[0], plane[1], [])
 
     def w(ns: tuple) -> np.ndarray:
         return _frozen(_givens_rotations(dim, plane[0], plane[1], [theta_fn(n) for n in ns]) @ p0)

@@ -241,10 +241,10 @@ def from_json_obj(obj):
     return x
 
 
-def dump(x, path, metadata: dict | None = None) -> None:
-    """Write an object to a JSON file, optionally with a metadata block."""
+def dump(x, path) -> None:
+    """Write an object's document to a JSON file."""
     with open(path, "w") as fh:
-        dump_json(document(x, metadata), fh)
+        dump_json(document(x), fh)
 
 
 #: The fields the decoders read as numeric arrays; :func:`_parse` reads them

@@ -25,7 +25,6 @@ DEFAULTED = [
     "report.Report(test_family)",
     "sequences.convergence_report(test_family)",
     "serialize.document(metadata)",
-    "serialize.dump(metadata)",
 ]
 
 

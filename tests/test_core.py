@@ -543,6 +543,15 @@ def test_partial_isometry_must_be_a_matrix():
         PartialIsometry(np.ones(3))
 
 
+@pytest.mark.parametrize("dims", [(2.0, 3), (True, 6), (2, np.float64(3.0)), (2, None)], ids=repr)
+def test_an_isometry_needs_integer_dimensions(dims):
+    with pytest.raises(ValidationError, match=r"^StinespringIsometry: d_out and d_env must be integers, got \["):
+        StinespringIsometry(np.eye(6, 2), *dims)
+    # integers of numpy's type are stored as plain ints
+    v = StinespringIsometry(np.eye(6, 2), np.int64(2), np.int32(3))
+    assert (type(v.d_out), type(v.d_env)) == (int, int)
+
+
 def test_an_isometry_of_input_dimension_zero_is_rejected():
     with pytest.raises(ValidationError, match=r"^isometry of shape \(6, 0\) has input dimension 0$"):
         StinespringIsometry(np.eye(6, 0), 2, 3)

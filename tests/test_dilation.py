@@ -164,6 +164,15 @@ def test_pad_environment_preserves_action_and_rejects_shrinking(rng):
         pad_environment(v, 1)
 
 
+@pytest.mark.parametrize("d_env", [4.0, True, np.float64(4.0), "4"], ids=repr)
+def test_pad_environment_needs_an_integer_dimension(d_env, rng):
+    v = isometry_from_kraus(ensembles.random_kraus_channel(2, 3, 2, rng))
+    with pytest.raises(ValidationError, match=r"^pad_environment: d_env must be integers, got \["):
+        pad_environment(v, d_env)
+    # an integer of numpy's type is stored as a plain int
+    assert type(pad_environment(v, np.int64(4)).d_env) is int
+
+
 def test_complementary_output_spectrum_is_representation_independent(rng):
     """Different dilations of one channel give complementary outputs with one spectrum."""
     ch = ensembles.random_kraus_channel(3, 3, 2, rng)
@@ -228,6 +237,14 @@ def test_unitary_dilation_validation():
         UnitaryDilation(UnitaryOp(np.eye(4)), np.array([1.0, 0.0]), 2, 2, 3, 2)
     with pytest.raises(ValidationError, match="norm"):
         UnitaryDilation(UnitaryOp(np.eye(4)), np.array([1.0, 1.0]), 2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("dims", [(2.0, 2, 2, 2), (2, True, 2, 2), (2, 2, 2, None)], ids=repr)
+def test_unitary_dilation_needs_integer_dimensions(dims):
+    with pytest.raises(ValidationError, match=r"^UnitaryDilation: dimensions must be integers, got \["):
+        UnitaryDilation(UnitaryOp(np.eye(4)), np.array([1.0, 0.0]), *dims)
+    dil = UnitaryDilation(UnitaryOp(np.eye(4)), np.array([1.0, 0.0]), *np.array([2, 2, 2, 2]))
+    assert [type(d) for d in (dil.d_in, dil.d_anc, dil.d_out, dil.d_env)] == [int] * 4
 
 
 def test_unitary_from_isometry_matches_on_the_embedded_subspace(rng):
@@ -383,6 +400,19 @@ def test_tracked_completion_validates_inputs():
         tracked_complete_unitary([w], wrong_ref)
     with pytest.raises(ValidationError, match="at least one"):
         tracked_complete_unitary([], complete_unitary(w))
+
+
+def test_tracked_completion_names_the_first_drifting_term_before_the_reference():
+    w = PartialIsometry(np.diag([1.0, 0.0]))
+    other = PartialIsometry(np.diag([0.0, 1.0]))
+    family = [w, w, other, w, other]
+    with pytest.raises(ValidationError, match="^term 2 has a different initial projector"):
+        tracked_complete_unitary(family, complete_unitary(w))
+    # A reference that does not complete the first term, or acts on another dimension,
+    # is checked only after the family: the drift is still what is reported.
+    for bad_reference in (UnitaryOp(np.array([[0.0, 1.0], [1.0, 0.0]])), UnitaryOp(np.eye(3))):
+        with pytest.raises(ValidationError, match="^term 2 has a different initial projector"):
+            tracked_complete_unitary(family, bad_reference)
 
 
 def _loop_tracked_unitaries(w_seq, reference, degenerate_tol=1e-8):

@@ -22,6 +22,12 @@ def test_random_isometry_shape_and_error(rng):
         ensembles.random_isometry(4, 3, rng)
 
 
+@pytest.mark.parametrize("dim, rank", [(3, True), (3, 1.0), (3.0, 2)], ids=repr)
+def test_random_partial_isometry_needs_integer_sizes(dim, rank, rng):
+    with pytest.raises(ValidationError, match=r"^random_partial_isometry: dim and rank must be integers, got \["):
+        ensembles.random_partial_isometry(dim, rank, rng)
+
+
 def test_random_partial_isometry_has_requested_rank(rng):
     w = ensembles.random_partial_isometry(6, 3, rng)
     svals = np.linalg.svd(w.w, compute_uv=False)

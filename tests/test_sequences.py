@@ -375,6 +375,30 @@ def test_givens_rotation_validation_and_norm():
     assert opnorm(r - np.eye(4)) == pytest.approx(2.0 * np.sin(0.1), abs=1e-12)
     with pytest.raises(ValidationError, match="rotation plane"):
         givens_rotation(3, 1, 1, 0.2)
+    with pytest.raises(ValidationError, match=r"^rotation dimension and plane must be integers, got \[4, 0, 1\.0\]$"):
+        givens_rotation(4, 0, 1.0, 0.2)
+    with pytest.raises(ValidationError, match=r"^rotation dimension and plane must be integers, got \[4\.0, 0, 1\]$"):
+        givens_rotation(4.0, 0, 1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "plane, message",
+    [
+        ((0, 0), r"^invalid rotation plane \(0, 0\) in dim 6$"),
+        ((6, 0), r"^invalid rotation plane \(6, 0\) in dim 6$"),
+        ((5, 0.0), r"^rotation dimension and plane must be integers, got \[6, 5, 0\.0\]$"),
+        ((True, 0), r"^rotation dimension and plane must be integers, got \[6, True, 0\]$"),
+    ],
+    ids=repr,
+)
+def test_rotation_form_checks_its_plane_at_construction(plane, message):
+    v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
+
+    def angle(n):
+        raise AssertionError("no term is built")
+
+    with pytest.raises(ValidationError, match=message):
+        rotation_partial_trace_form(v0, plane, angle)
 
 
 def test_tensor_and_compose_sequences_propagate_convergence(rng):

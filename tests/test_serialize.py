@@ -17,6 +17,7 @@ from channel_lab.report import Report
 from channel_lab.serialize import (
     SchemaError,
     complex_from_json,
+    document,
     dump,
     from_json_obj,
     load,
@@ -266,15 +267,17 @@ def test_invariant_violations_raise_validation_error():
         from_json_obj(doc)
 
 
-def test_dump_is_deterministic_and_carries_metadata(tmp_path):
+def test_dump_is_deterministic_and_the_document_carries_metadata(tmp_path):
     ch = dephasing_channel(0.5)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    dump(ch, a, metadata={"note": "x"})
-    dump(ch, b, metadata={"note": "x"})
+    dump(ch, a)
+    dump(ch, b)
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
-    assert doc["metadata"] == {"note": "x"}
     assert doc["schema_version"] == 1
+    assert "metadata" not in doc
+    # convert --out writes the document with its metadata block
+    assert document(ch, {"note": "x"})["metadata"] == {"note": "x"}
 
 
 def test_load_reports_invalid_json(tmp_path):
