@@ -47,6 +47,7 @@ from .core import (
     _eigen_order,
     _first_failure,
     _fix_phase,
+    _frozen,
     _integers,
     _kraus_matrix,
     _pure_parts,
@@ -200,26 +201,26 @@ def unitary_from_isometry(v: StinespringIsometry) -> UnitaryDilation:
     d_big = v.d_out * v.d_env
     ker_range = _kernel_basis(v.v @ dagger(v.v))
     n_spare = d_big * (v.d_in - 1)
-    # D - d_in kernel columns: R then pairs with L's d_in * (D - 1).
-    n_right = n_spare + ker_range.shape[1]
+    n = v.d_in * d_big
 
-    # Output-side columns as (output (x) environment, extra, input, ancilla): the one
-    # paired with e_i (x) [e_0 | T][:, a] is lift's column i for a = 0, else R's
-    # column i * (D - 1) + a - 1.
-    right = np.zeros((d_big, v.d_in, n_right), dtype=np.complex128)
-    right[:, 1:, :n_spare] = np.eye(n_spare).reshape(d_big, v.d_in - 1, n_spare)
-    right[:, 0, n_spare:] = ker_range
-    cols = np.zeros((d_big, v.d_in, v.d_in, d_big), dtype=np.complex128)
-    cols[:, 0, :, 0] = v.v
-    cols[..., 1:] = right.reshape(d_big, v.d_in, v.d_in, d_big - 1)
+    # Output-side columns as (output (x) environment, extra, input (x) ancilla): the
+    # one paired with e_i (x) [e_0 | T][:, a] is lift's column i for a = 0, else R's
+    # column i * (D - 1) + a - 1, so R's columns fill the ancilla indices a >= 1 in order.
+    cols = np.zeros((d_big, v.d_in, n), dtype=np.complex128)
+    cols[:, 0, ::d_big] = v.v
+    paired = np.arange(n).reshape(v.d_in, d_big)[:, 1:].ravel()
+    # R's first n_spare columns are I_D (x) (e_1 ... e_{d_in-1}), the rest C (x) e_0.
+    out, extra = np.indices((d_big, v.d_in - 1)).reshape(2, -1)
+    cols[out, extra + 1, paired[:n_spare]] = 1.0
+    cols[:, 0, paired[n_spare:]] = ker_range
     # Right-multiplying by [embed | L]* = I (x) [e_0 | T]* acts on the ancilla axis
     # only.  [e_0 | T] is a permutation, but the product, not a column shuffle, sets
-    # the signs of U's zeros.
+    # the signs of U's zeros.  U is written in place and handed over read-only.
     anc_basis = np.eye(d_big, dtype=np.complex128)[:, np.r_[0, d_big - 1 : 0 : -1]]
-    n = v.d_in * d_big
-    u = cols.reshape(n, v.d_in, d_big) @ dagger(anc_basis)
+    u = np.empty((n, n), dtype=np.complex128)
+    np.matmul(cols.reshape(-1, d_big), dagger(anc_basis), out=u.reshape(-1, d_big))
     return UnitaryDilation(
-        u=UnitaryOp(u.reshape(n, n)),
+        u=UnitaryOp(_frozen(u)),
         tau0=anc_basis[:, 0],
         d_in=v.d_in,
         d_anc=d_big,

@@ -719,14 +719,18 @@ def rotation_partial_trace_form(
     the terms converge to the limit in operator norm as the angles shrink.
     The W rule calls ``theta_fn`` once per index, builds the block's
     rotations as one stack and multiplies it by P0 in one batched product.
-    The plane is checked here, before any term is built.
+    The plane, two integer indices, is checked here, before any term is built.
     """
+    try:
+        i, j = plane
+    except (TypeError, ValueError):
+        raise ValidationError(f"rotation plane must be a pair of indices, got {plane!r}") from None
     p0 = v0.v @ dagger(v0.v)
     dim = p0.shape[0]
-    _givens_rotations(dim, plane[0], plane[1], [])
+    _givens_rotations(dim, i, j, [])
 
     def w(ns: tuple) -> np.ndarray:
-        return _frozen(_givens_rotations(dim, plane[0], plane[1], [theta_fn(n) for n in ns]) @ p0)
+        return _frozen(_givens_rotations(dim, i, j, [theta_fn(n) for n in ns]) @ p0)
 
     return PartialTraceForm(v0, w)
 

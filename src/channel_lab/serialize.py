@@ -14,9 +14,10 @@ writes for the result.  The two sweep report kinds decode through
 
 :func:`load` parses a document with the standard library's scanner, except
 the array fields of the top-level object (:data:`_ARRAY_FIELDS`): one that
-is a regular array of JSON numbers of rank >= 2 is read a piece at a time
-straight into a float64 array, so no Python list is built per row or
-``[re, im]`` pair and no copy of the whole array's text is made.  A cell
+is a regular array of JSON numbers of rank >= 2 is read once, a piece at a
+time, straight into a float64 array, so no Python list is built per row or
+``[re, im]`` pair, no copy of the whole array's text is made and whitespace
+is deleted from each piece once.  A cell
 whose text, whitespace deleted, is exactly ``0.0`` is +0.0 and is not
 parsed one at a time: the zeros of a factored unitary dilation cost a few
 byte operations each.  Deleting whitespace may not join two numbers, so
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .core import KrausChannel, StinespringIsometry, UnitaryOp
+from .core import KrausChannel, StinespringIsometry, UnitaryOp, _frozen
 from .dilation import UnitaryDilation
 from .gaussian import GaussianChannel, GaussianState
 from .report import COLUMNS, SCHEMA_VERSION, dump_json, from_json_dict
@@ -100,7 +101,8 @@ def complex_from_json(obj, ndim: int) -> np.ndarray:
     out = np.empty(a.shape[:-1], dtype=np.complex128)
     np.add(a[..., 0], np.copysign(0.0, a[..., 1]), out=out.real)
     np.add(a[..., 1], 0.0, out=out.imag)
-    return out
+    # Read-only, so the constructor it reaches takes it without a copy.
+    return _frozen(out)
 
 
 def real_from_json(obj, ndim: int) -> np.ndarray:
@@ -262,7 +264,6 @@ _JSON_SPACE = b" \t\n\r"
 _NUMBER_MARKS = bytes.maketrans(b"123456789+-.eE", b"0" * 14)
 #: An entry that is exactly "0.0" with the comma after it, as a little-endian 4-byte word.
 _ZERO_ENTRY = int.from_bytes(b"0.0,", "little")
-_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 _COMMA, _OPEN, _CLOSE = b",[]"
 #: A number right after a closing bracket or right before an opening one, as little-endian 2-byte marks.
 _CLOSE_NUMBER, _NUMBER_OPEN = (int.from_bytes(pair, "little") for pair in (b"]0", b"0["))
@@ -315,58 +316,51 @@ def _numeric_array(text: str, start: int):
 
     The array must be ASCII, its brackets and commas the skeleton of a
     shape, and number characters must sit only inside its innermost lists.
-    It is read twice, a piece at a time: for its marks, then into the array
-    the skeleton's shape fixes, so only the skeleton and the array outlive
-    a piece.  A piece's entries are its text between commas once whitespace
-    and brackets are deleted; an entry that is exactly ``0.0`` is +0.0 and
-    is not parsed, so the zero cells of a sparse array cost a few byte
-    operations each, not a Python float each.  Deleting whitespace may not
-    join two numbers: such a piece must hold one run of number characters
-    per entry.  The standard library decides whether each other entry is
-    one JSON number, and its value; a piece without a zero entry it parses
-    whole, whitespace and all.
+    It is read once, a piece at a time, into an array sized by its commas
+    (one per cell but the first); the skeleton is checked against the shape
+    it spells at the end, so only the skeleton and the array outlive a
+    piece.  Whitespace is deleted from each piece once, and its marks and
+    its entries are read off that compact copy: the entries are its text
+    between commas once brackets are deleted too.  An entry that is exactly
+    ``0.0`` is +0.0 and is not parsed, so the zero cells of a sparse array
+    cost a few byte operations each, not a Python float each.  Deleting
+    whitespace may not join two numbers: a piece must hold one run of number
+    characters per entry.  The standard library decides whether each other
+    entry is one JSON number, and its value; a piece without a zero entry it
+    parses whole, from its entries.
     """
     if not text.startswith("[", start):
         return None
     # The array cannot reach past the next string: it ends at the last "]" before one.
     stop = text.find('"', start)
     end = text.rfind("]", start, stop if stop >= 0 else len(text)) + 1
-    skeleton = []
+    # Every cell but the first follows one comma, so the commas size the array.
+    out, done, skeleton = np.zeros(text.count(",", start, end) + 1), 0, []
     try:
         for raw in _pieces(text, start, end):
-            marks = raw.translate(_NUMBER_MARKS, _JSON_SPACE)
+            compact = raw.translate(None, _JSON_SPACE)
+            marks = compact.translate(_NUMBER_MARKS)
             pairs = np.ndarray((len(marks) - 1,), "<u2", marks, strides=(1,))
             if _CLOSE_NUMBER in pairs or _NUMBER_OPEN in pairs:
                 return None
             skeleton.append(marks.translate(None, b"0"))
-    except UnicodeEncodeError:
-        return None
-    skeleton = b"".join(skeleton)
-    shape = _shape(skeleton)
-    if shape is None or len(shape) < 2 or skeleton != _skeleton(shape):
-        return None
-    out, done = np.zeros(math.prod(shape)), 0
-    try:
-        for raw in _pieces(text, start, end):
-            last = raw.endswith(b"]")
             # The piece's entries, each after a comma.
-            entries = b"," + raw.translate(None, _JSON_SPACE + b"[]") + (b"," if last else b"")
+            entries = b"," + compact.translate(None, b"[]") + (b"," if compact.endswith(b"]") else b"")
+            # Deleting whitespace may not join two numbers: one run of number
+            # characters per entry.  A run has one number character more than
+            # it has adjacent pairs of them.
+            code = np.frombuffer(raw, np.uint8)
+            number = (code > 32) & (code != _COMMA) & (code != _OPEN) & (code != _CLOSE)
+            if np.count_nonzero(number) - np.count_nonzero(number[:-1] & number[1:]) != entries.count(b",") - 1:
+                return None
             if b",0.0," not in entries:
-                # No entry is 0.0: the standard library parses them all, whitespace and all.
-                found = json.loads(b"[" + (raw if last else raw[:-1]).translate(_BLANK_BRACKETS) + b"]")
+                found = json.loads(b"[" + entries[1:-1] + b"]")
                 out[done:done + len(found)] = np.fromiter(found, np.float64, count=len(found))
                 done += len(found)
                 continue
             # Three bytes of padding, so that every entry starts a 4-byte window.
             padded = entries + b"   "
             commas = np.flatnonzero(np.frombuffer(padded, np.uint8) == _COMMA)
-            # Deleting whitespace may not join two numbers: one run of number
-            # characters per entry.  A run has one number character more than
-            # it has adjacent pairs of them.
-            code = np.frombuffer(raw, np.uint8)
-            number = (code > 32) & (code != _COMMA) & (code != _OPEN) & (code != _CLOSE)
-            if np.count_nonzero(number) - np.count_nonzero(number[:-1] & number[1:]) != commas.size - 1:
-                return None
             windows = np.ndarray((len(entries),), "<u4", padded, strides=(1,))
             kept = windows[commas[:-1] + 1] != _ZERO_ENTRY
             # The other entries go to the parser a run of neighbours at a time.
@@ -376,11 +370,17 @@ def _numeric_array(text: str, start: int):
             found = json.loads(b"[" + b"".join([entries[i:j] for i, j in zip(ends[::2], ends[1::2])])[1:] + b"]")
             out[done:done + kept.size][kept] = np.fromiter(found, np.float64, count=len(found))
             done += kept.size
-    except (ValueError, OverflowError):
-        # An entry that is not one JSON number, an empty one, or an int beyond float range.
+    except (ValueError, OverflowError, TypeError):
+        # Text that is not ASCII, an entry that is not one JSON number, an empty
+        # one, more entries than cells, an int beyond float range, or a value
+        # that is no number at all (the skeleton would reject its marks).
         return None
-    # A piece whose one entry is empty parses as no value, and the rest fall short.
-    return (out.reshape(shape), end) if done == out.size else None
+    skeleton = b"".join(skeleton)
+    shape = _shape(skeleton)
+    # The skeleton spells one shape, and every one of its cells was read.
+    if shape is None or len(shape) < 2 or skeleton != _skeleton(shape) or done != out.size:
+        return None
+    return out.reshape(shape), end
 
 
 def _parse(text: str):

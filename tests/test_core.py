@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from channel_lab import dilation, ensembles
 from channel_lab.core import (
@@ -524,6 +527,40 @@ def test_max_action_deviation_matches_loop_oracle(d_in, d_out, rng):
     assert max_action_deviation(a, b) > 0.1
     assert max_action_deviation(a, same) < 1e-12
     assert max_action_deviation(b, b) == 0.0
+
+
+@st.composite
+def _action_cases(draw):
+    """(d_in, d_out, K_a, K_b, seed): d_in 1-4, d_out 1-6, and 1-4 operators on each side that dilate d_in."""
+    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    ops = st.integers(-(-d_in // d_out), 4)
+    return d_in, d_out, draw(ops), draw(ops), draw(st.integers(0, 2**32 - 1))
+
+
+def test_max_action_deviation_over_unordered_pairs_matches_the_loop_on_both_paths():
+    # The QR core serves K_a + K_b < d_out, the dense difference the rest; the
+    # examples sit on either side of the switch.
+    paths = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_action_cases())
+    @example((2, 5, 2, 2, 0))
+    @example((2, 5, 3, 2, 0))
+    @example((1, 1, 1, 1, 0))
+    def check(case):
+        d_in, d_out, k_a, k_b, seed = case
+        rng = np.random.default_rng(seed)
+        a = ensembles.random_kraus_channel(d_in, d_out, k_a, rng)
+        b = ensembles.random_kraus_channel(d_in, d_out, k_b, rng)
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            got = max_action_deviation(a, b)
+        paths.add("qr" if qr.called else "dense")
+        assert qr.called == (k_a + k_b < d_out)
+        assert got == pytest.approx(_loop_action_deviation(a, b), rel=0, abs=1e-12)
+        assert max_action_deviation(a, KrausChannel(a.stack.copy())) == 0.0
+
+    check()
+    assert paths == {"qr", "dense"}
 
 
 def test_opnorm_is_largest_singular_value():

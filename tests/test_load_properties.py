@@ -211,6 +211,41 @@ def test_large_unitary_dilation_loads_as_before(path):
     assert peak <= 4.5 * 2**20
 
 
+def _dense_kraus_text(path):
+    """A Kraus document of no "0.0" cell, longer than one piece, and its array's first and second pieces."""
+    serialize.dump(ensembles.random_kraus_channel(16, 16, 8, np.random.default_rng(3)), path)
+    text = path.read_text()
+    start = text.index("[", text.index('"kraus"'))
+    pieces = list(serialize._pieces(text, start, text.rindex("]") + 1))
+    assert len(pieces) > 1 and np.all(np.array(json.loads(text)["kraus"]) != 0)
+    return text, start, len(pieces[0])
+
+
+def test_a_zero_free_array_larger_than_a_piece_loads_the_standard_library_bits(path):
+    text, _, _ = _dense_kraus_text(path)
+    _check(path, text)
+    want = np.array(json.loads(text)["kraus"], dtype=np.float64)
+    assert serialize._parse(text)["kraus"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("where", ["inside the first piece", "last of the first piece", "first of the second piece"])
+def test_whitespace_joining_two_numbers_of_a_zero_free_array_is_a_parse_error(path, where):
+    text, start, first = _dense_kraus_text(path)
+    numbers = [m for m in re.finditer(r"-?\d[\d.eE+-]*", text) if m.start() > start]
+    boundary = start + first
+    at = {
+        "inside the first piece": numbers[10],
+        "last of the first piece": [m for m in numbers if m.end() < boundary][-1],
+        "first of the second piece": [m for m in numbers if m.start() > boundary][0],
+    }[where]
+    assert at.end() - at.start() > 4
+    split = at.start() + 3
+    joined = text[:split] + " " + text[split:]
+    _check(path, joined)
+    with pytest.raises(SchemaError, match="^invalid JSON in "):
+        load(path)
+
+
 #: Zero cells with whitespace inside: none is one JSON number.
 _SPACED_ZEROS = ["0 .0", "0. 0", "0.\n0", "0.0 0.0", "0.0.0"]
 #: Spellings near the zero cell's "0.0": each is its own JSON number, or not one.

@@ -388,6 +388,9 @@ def test_givens_rotation_validation_and_norm():
         ((6, 0), r"^invalid rotation plane \(6, 0\) in dim 6$"),
         ((5, 0.0), r"^rotation dimension and plane must be integers, got \[6, 5, 0\.0\]$"),
         ((True, 0), r"^rotation dimension and plane must be integers, got \[6, True, 0\]$"),
+        ((1,), r"^rotation plane must be a pair of indices, got \(1,\)$"),
+        ((1, 2, 3), r"^rotation plane must be a pair of indices, got \(1, 2, 3\)$"),
+        (5, r"^rotation plane must be a pair of indices, got 5$"),
     ],
     ids=repr,
 )

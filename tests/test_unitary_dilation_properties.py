@@ -1,18 +1,22 @@
 """Property tests: the factored unitary dilation is unitary, extends the
 isometry on the embedded subspace, models the channel, and survives a JSON
 round trip; the kernel bases it is built from are exactly the kernel columns
-of ``ordered_eigh``, the ancilla's one bit for bit."""
+of ``ordered_eigh``, the ancilla's one bit for bit.  U itself is pinned bit
+for bit, signed zeros included, to the construction it replaced, written out
+here as the reference."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from channel_lab import ensembles, serialize  # noqa: E402
+from channel_lab import dilation, ensembles, serialize  # noqa: E402
+from channel_lab.core import UnitaryOp  # noqa: E402
 from channel_lab.core import dagger, max_action_deviation, opnorm, ordered_eigh  # noqa: E402
 from channel_lab.dilation import (  # noqa: E402
     _kernel_basis,
@@ -94,3 +98,67 @@ def test_ancilla_kernel_basis_is_the_reversed_unit_columns():
         got = _kernel_basis(eye[:, :1] @ eye[:1])
         want = eye[:, dim - 1 : 0 : -1]
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), dim
+
+
+def _u_by_right_and_batched_product(v):
+    """U as it was built before: R's columns in a ``right`` temporary, then the ancilla permutation as a batched product."""
+    d_big = v.d_out * v.d_env
+    ker_range = _kernel_basis(v.v @ dagger(v.v))
+    n_spare = d_big * (v.d_in - 1)
+    right = np.zeros((d_big, v.d_in, n_spare + ker_range.shape[1]), dtype=np.complex128)
+    right[:, 1:, :n_spare] = np.eye(n_spare).reshape(d_big, v.d_in - 1, n_spare)
+    right[:, 0, n_spare:] = ker_range
+    cols = np.zeros((d_big, v.d_in, v.d_in, d_big), dtype=np.complex128)
+    cols[:, 0, :, 0] = v.v
+    cols[..., 1:] = right.reshape(d_big, v.d_in, v.d_in, d_big - 1)
+    anc_basis = np.eye(d_big, dtype=np.complex128)[:, np.r_[0, d_big - 1 : 0 : -1]]
+    n = v.d_in * d_big
+    return (cols.reshape(n, v.d_in, d_big) @ dagger(anc_basis)).reshape(n, n)
+
+
+@st.composite
+def isometry_dims(draw):
+    """(d_in, d_out, d_env, seed) with d_out * d_env >= d_in: d_in 1-4, d_out 1-4, d_env 1-5."""
+    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return d_in, d_out, draw(st.integers(-(-d_in // d_out), 5)), draw(st.integers(0, 2**32 - 1))
+
+
+# d_in = 1 has no spare identity; d_out * d_env = d_in has no kernel columns.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(isometry_dims())
+@example((1, 1, 1, 0))
+@example((1, 3, 2, 1))
+@example((3, 3, 1, 2))
+@example((4, 2, 2, 3))
+@example((6, 6, 6, 21))
+def test_unitary_dilation_is_the_reference_construction_bit_for_bit(dims):
+    d_in, d_out, d_env, seed = dims
+    v = isometry_from_kraus(ensembles.random_kraus_channel(d_in, d_out, d_env, np.random.default_rng(seed)))
+    u = unitary_from_isometry(v).u.u
+    want = _u_by_right_and_batched_product(v)
+    assert u.shape == want.shape and u.tobytes() == want.tobytes()
+
+
+def test_the_built_and_the_loaded_unitary_are_kept_without_a_copy(tmp_path):
+    # U reaches UnitaryOp read-only and owning its data, from the construction and
+    # from a document alike, so the operator keeps the very array it is given.
+    v = isometry_from_kraus(ensembles.random_kraus_channel(3, 2, 3, np.random.default_rng(4)))
+    given_to_op, decoded = [], []
+    decode = serialize.complex_from_json
+
+    def op_spy(u):
+        given_to_op.append(u)
+        return UnitaryOp(u)
+
+    def decode_spy(obj, ndim):
+        decoded.append(decode(obj, ndim))
+        return decoded[-1]
+
+    with mock.patch.object(dilation, "UnitaryOp", op_spy):
+        dil = dilation.unitary_from_isometry(v)
+    assert dil.u.u is given_to_op[-1] and not dil.u.u.flags.writeable
+    serialize.dump(dil, tmp_path / "dilation.json")
+    with mock.patch.object(serialize, "complex_from_json", decode_spy):
+        loaded = serialize.load(tmp_path / "dilation.json")
+    assert loaded.u.u is decoded[0] and loaded.tau0 is decoded[1]
+    assert np.array_equal(loaded.u.u, dil.u.u)
