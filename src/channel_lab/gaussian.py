@@ -29,6 +29,14 @@ parameter triples; no Fock-space matrices are built.  Conventions:
   exponential is formed.  The bracket lies in [0, 4] because the larger
   exponent is factored out; factoring out the limit's ``e^a0`` instead would
   overflow the bracket wherever ``e^a0`` underflows and the term's does not.
+* Every characteristic function is Hermitian, ``phi(-z) = phi(z)*``, so a
+  deviation at -z equals the one at z.  In the exponents: ``a(-z) = a(z)``
+  exactly, because ``z (x) z`` is unchanged; ``b(-z) = -b(z)`` exactly,
+  because negation commutes with rounding; and ``sin`` is odd.  The sweep
+  therefore evaluates one point of each +/-z pair of a grid closed under
+  negation.  A GEMM may round a column differently by its place in the
+  stack, so the halved sup agrees with the whole one to rounding, and bit for
+  bit wherever the exponents are exact.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .core import TOL_EIG, TOL_HERM, ValidationError, _integers, _numeric, _require_finite, _require_unit_interval
-from .report import Report
+from .report import Report, _require_eps
 from .sequences import ChannelSequence, _blocks, _per_block
 
 _SYMPLECTIC_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -233,7 +241,7 @@ def apply_gaussian(ch: GaussianChannel, st: GaussianState) -> GaussianState:
 
 def _point_outer(points: np.ndarray) -> np.ndarray:
     """The (P, 4s^2) stack of flattened ``z (x) z``, against which ``z.sigma.z`` is one GEMM."""
-    return (points[:, :, None] * points[:, None, :]).reshape(len(points), -1)
+    return (points[:, :, None] * points[:, None, :]).reshape(len(points), points.shape[1] ** 2)
 
 
 def _char_exponents(means: np.ndarray, covs: np.ndarray, points: np.ndarray, outer: np.ndarray):
@@ -449,16 +457,23 @@ def param_convergence_check(
     pointwise convergence of the outputs are equivalent, so the two sides
     must co-vanish; the report exists to exhibit that numerically.
 
-    An index that is not an integer (a bool is not), or a grid that is not a
-    nonempty (P, 2 s_out) stack of finite points, raises ValidationError
-    before any term is built.  The indices are swept in blocks of at most
-    ``sequences.SWEEP_BLOCK_ENTRIES // (states x points)`` (at least one),
-    by the block rule of the Kraus sweeps, so memory does not grow with
-    ``len(ns)``.  Each block builds its terms in index order, checks their
-    complete positivity with one batched eigenvalue call, and stacks the two
-    real exponents ``a = -z.sigma.z / 2`` and ``b = m.z`` of all their output
-    characteristic values, one GEMM each; the limit's ``a0`` and ``b0`` are
-    computed once.  ``char_dev`` is the square root of the largest
+    An index that is not an integer (a bool is not), an ``eps`` that is not a
+    finite real number (by the rule of :class:`~channel_lab.report.Report`),
+    or a grid that is not a nonempty (P, 2 s_out) stack of finite points,
+    raises ValidationError before any term is built.  A grid that equals its
+    own negation read backwards (``z_grid(s)`` in full: point k's negation is
+    point P - 1 - k) is evaluated on its first ceil(P / 2) points only, one
+    of each +/-z pair and z = 0 when P is odd, since ``a(-z) = a(z)``,
+    ``b(-z) = -b(z)`` and ``sin`` is odd (see the module docstring); any
+    other grid point by point.  ``test_family`` counts the caller's P.  The
+    indices are swept in blocks of at most
+    ``sequences.SWEEP_BLOCK_ENTRIES // (states x evaluated points)`` (at
+    least one), by the block rule of the Kraus sweeps, so memory does not
+    grow with ``len(ns)``.  Each block builds its terms in index order,
+    checks their complete positivity with one batched eigenvalue call, and
+    stacks the two real exponents ``a = -z.sigma.z / 2`` and ``b = m.z`` of
+    all their output characteristic values, one GEMM each; the limit's
+    ``a0`` and ``b0`` are computed once.  ``char_dev`` is the square root of the largest
     ``e^(2 max(a, a0)) * (expm1(-|a - a0|)^2 + 4 e^(-|a - a0|)
     sin^2((b - b0) / 2))``, which is ``|e^(a + i b) - e^(a0 + i b0)|^2``
     without a complex exponential.  Factoring out ``e^max(a, a0)`` keeps the
@@ -469,6 +484,7 @@ def param_convergence_check(
     positivity.
     """
     ns = _integers(ns, "param_convergence_check: indices")
+    _require_eps("gaussian-convergence-report", eps)
     limit = seq.limit
     states = default_gaussian_test_states(limit.modes_in)
     means = np.stack([st.mean for st in states])
@@ -477,6 +493,10 @@ def param_convergence_check(
     if pts.ndim != 2 or len(pts) == 0 or pts.shape[1] != 2 * limit.modes_out:
         raise ValidationError(f"grid of shape {pts.shape} is not a nonempty (P, {2 * limit.modes_out}) stack")
     _require_finite(pts, "grid")
+    count = len(pts)
+    if np.array_equal(pts, -pts[::-1]):
+        # Closed under z -> -z with point k's negation at P - 1 - k: one point of each pair.
+        pts = pts[: (count + 1) // 2]
     outer = _point_outer(pts)
 
     def output_exponents(chs):
@@ -500,8 +520,8 @@ def param_convergence_check(
     return Report(
         "gaussian-convergence-report",
         ns,
-        eps=float(eps),
-        test_family=f"{len(states)} states x {len(pts)} grid points",
+        eps=eps,
+        test_family=f"{len(states)} states x {count} grid points",
         scale_dev=devs[0],
         shift_dev=devs[1],
         noise_dev=devs[2],

@@ -52,6 +52,12 @@ _ACCEPTS = {
 }
 
 
+def _require_eps(kind: str, eps) -> None:
+    """Reject a flag threshold ``eps`` of a ``kind`` report that is not a finite real number (a bool is not)."""
+    if not (_ACCEPTS[float](eps) and math.isfinite(eps)):
+        raise ValidationError(f"malformed {kind}: eps must be a finite real number, got {eps!r}")
+
+
 def dump_json(doc, fh) -> None:
     """Write ``doc`` to an open text file in the one JSON layout: keys sorted, indent 2, trailing newline.
 
@@ -209,8 +215,8 @@ class Report:
             raise ValidationError("a report needs at least one row, got an empty index list")
         if (eps is not None) != ("within_eps" in COLUMNS[kind]):
             raise ValidationError(f"eps={eps!r} does not fit a {kind}")
-        if eps is not None and not (_ACCEPTS[float](eps) and math.isfinite(eps)):
-            raise ValidationError(f"malformed {kind}: eps must be a finite real number, got {eps!r}")
+        if eps is not None:
+            _require_eps(kind, eps)
         if not isinstance(test_family, str):
             raise ValidationError(f"malformed {kind}: test_family must be a string, got {test_family!r}")
         if set(columns) != set(COLUMNS[kind]):

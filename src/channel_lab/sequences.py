@@ -638,7 +638,7 @@ class PartialTraceForm(ChannelSequence):
 
     def __post_init__(self):
         object.__setattr__(self, "limit", kraus_from_isometry(self.v0))
-        object.__setattr__(self, "term_fn", lambda n: KrausChannel(self._kraus_block((n,))[0]))
+        object.__setattr__(self, "term_fn", lambda n: KrausChannel(self._kraus_block((n,), term=True)[0]))
         object.__setattr__(self, "range0", self.v0.v @ dagger(self.v0.v))
 
     def isometry(self, n: int) -> StinespringIsometry:
@@ -655,7 +655,7 @@ class PartialTraceForm(ChannelSequence):
         # The (D, D) W stack can be the block's largest (D^2 > (d_out*d_in)^2).
         return super()._terms_per_block(max(entries, self.range0.size))
 
-    def _kraus_block(self, ns: tuple) -> np.ndarray:
+    def _kraus_block(self, ns: tuple, term: bool = False) -> np.ndarray:
         """The Kraus families of ``W(n) V0`` at indices ``ns`` (each >= 1), one (B, d_env, d_out, d_in) stack.
 
         The W rule's stack is checked one batched rule per invariant, in the
@@ -663,7 +663,9 @@ class PartialTraceForm(ChannelSequence):
         embedding's range projector, and ``W(n) V0`` finite and trace
         preserving (the isometry check; ``sum A*A`` is ``V*V`` summed in
         another order).  Each within ``TOL_VALID`` in operator norm.  The first
-        failing index is rejected, at the first check it fails.
+        failing index is rejected, at the first check it fails.  A ``term``
+        block of one leaves the last two checks to the ``KrausChannel`` it
+        becomes, which runs them next.
         """
         v0, dim = self.v0, len(self.range0)
         w = _cmat(self.w_fn(ns), "partial isometry")
@@ -681,7 +683,7 @@ class PartialTraceForm(ChannelSequence):
             drift > TOL_VALID,
             lambda k: f"term {ns[k]}: initial projector deviates from the embedding range by {drift[k]:.3e}",
         )
-        _first_failure(checks + [on_range] + _kraus_checks(kraus))
+        _first_failure(checks + [on_range] + ([] if term else _kraus_checks(kraus)))
         return kraus
 
 

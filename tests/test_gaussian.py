@@ -120,6 +120,12 @@ def test_char_fn_on_a_point_stack_matches_scalar_calls(rng):
             char_fn(vacuum(), bad)
 
 
+@pytest.mark.parametrize("modes", [1, 2])
+def test_char_fn_on_an_empty_point_stack_gives_no_values(modes):
+    got = char_fn(vacuum(modes), np.zeros((0, 2 * modes)))
+    assert got.shape == (0,) and got.dtype == np.complex128
+
+
 def test_attenuator_scales_coherent_amplitudes():
     out = apply_gaussian(attenuator(0.25), coherent_state(2.0 - 1.0j))
     want = coherent_state(0.25 * (2.0 - 1.0j))
@@ -426,8 +432,14 @@ def _bench_style_sequence():
     return ChannelSequence(channel(None), channel)
 
 
+def _evaluated_points(grid):
+    """How many points the sweep evaluates: one of each +-z pair on a grid that is its own negation reversed."""
+    grid = np.asarray(grid, dtype=float)
+    return (len(grid) + 1) // 2 if np.array_equal(grid, -grid[::-1]) else len(grid)
+
+
 def _block_size(states, grid):
-    return max(1, sequences.SWEEP_BLOCK_ENTRIES // (len(states) * len(grid)))
+    return max(1, sequences.SWEEP_BLOCK_ENTRIES // (len(states) * _evaluated_points(grid)))
 
 
 #: How many indices a sweep covers, in blocks of ``block`` indices.
@@ -477,6 +489,56 @@ def test_param_convergence_check_matches_the_naive_loop(case, count, rng):
     for name, field in (("scale_dev", "scale"), ("shift_dev", "shift"), ("noise_dev", "noise")):
         want = [float(np.max(np.abs(getattr(ch, field) - getattr(seq.limit, field)))) for ch in terms]
         assert list(getattr(rep, name)) == want, name
+
+
+def _shuffled_symmetric_grid():
+    """z_grid(1)'s 25 points, each +-z pair kept, in an order that is not its own negation reversed."""
+    grid = z_grid(1)
+    return np.concatenate([grid[::2], grid[1::2]])
+
+
+@pytest.mark.parametrize("grid, halved", [
+    pytest.param(z_grid(1), True, id="z_grid-1"),
+    pytest.param(z_grid(2), True, id="z_grid-2"),
+    pytest.param(z_grid(3, max_points=5**6), True, id="z_grid-3-full"),
+    pytest.param(z_grid(2, max_points=81), False, id="z_grid-2-81"),
+    pytest.param(z_grid(1, max_points=16), False, id="z_grid-1-16"),
+    pytest.param(_shuffled_symmetric_grid(), False, id="shuffled-symmetric"),
+])
+def test_param_convergence_check_halves_only_grids_that_are_their_own_negation_reversed(grid, halved, monkeypatch):
+    evaluated = []
+    real_point_outer = gaussian._point_outer
+
+    def spy(points):
+        evaluated.append(len(points))
+        return real_point_outer(points)
+
+    monkeypatch.setattr(gaussian, "_point_outer", spy)
+    modes = grid.shape[1] // 2
+    seq = _recipe_sequence(modes, modes, np.random.default_rng(modes))
+    states = gaussian.default_gaussian_test_states(modes)
+    rep = param_convergence_check(seq, range(1, 4), eps=1e-6, grid=grid)
+    assert (_evaluated_points(grid) < len(grid)) == halved
+    assert evaluated == [(len(grid) + 1) // 2 if halved else len(grid)]
+    assert rep.test_family == f"{len(states)} states x {len(grid)} grid points"
+    assert np.allclose(rep.char_dev, _naive_char_devs(seq, range(1, 4), states, grid), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [True, "1e-6", None, float("nan"), float("inf"), float("-inf")])
+def test_param_convergence_check_rejects_an_eps_that_is_not_a_finite_real_before_any_term_is_built(eps):
+    def unbuildable(n):
+        raise AssertionError(f"term {n} was built")
+
+    seq = ChannelSequence(attenuator(0.5), unbuildable)
+    with pytest.raises(ValidationError, match="eps must be a finite real number, got "):
+        param_convergence_check(seq, [1, 2], eps=eps)
+
+
+def test_param_convergence_check_keeps_a_numpy_eps_as_its_float():
+    seq = attenuator_sequence(lambda n: 0.5 + 1.0 / n, 0.5)
+    plain = param_convergence_check(seq, [10, 1000, 10**7], eps=1e-6)
+    assert param_convergence_check(seq, [10, 1000, 10**7], eps=np.float64(1e-6)).to_json_dict() == plain.to_json_dict()
+    assert plain.within_eps == (False, False, True)
 
 
 def _cp_message(ch):
@@ -530,9 +592,11 @@ def test_param_convergence_check_reports_the_first_invalid_term_of_a_block(where
     assert str(swept.value) == _cp_message(_bad_bench_term(min(bad)))
 
 
-def test_param_convergence_check_keeps_its_other_errors_and_their_order():
+@pytest.mark.parametrize("max_points", [625, 81], ids=["halved-grid", "whole-grid"])
+def test_param_convergence_check_keeps_its_other_errors_and_their_order(max_points):
     states = gaussian.default_gaussian_test_states(2)
-    block = _block_size(states, z_grid(2))
+    grid = z_grid(2, max_points=max_points)
+    block = _block_size(states, grid)
     ns = range(1, 3 * block + 1)
 
     def unbuildable(n):
@@ -541,11 +605,11 @@ def test_param_convergence_check_keeps_its_other_errors_and_their_order():
     # An invalid limit fails before any term is built.
     bad_limit = ChannelSequence(_bad_bench_term(0), unbuildable)
     with pytest.raises(ValidationError) as limit:
-        param_convergence_check(bad_limit, ns, eps=1e-6)
+        param_convergence_check(bad_limit, ns, eps=1e-6, grid=grid)
     assert str(limit.value) == _cp_message(_bad_bench_term(0))
 
     with pytest.raises(ValidationError, match="a report needs at least one row"):
-        param_convergence_check(_bench_style_sequence(), [], eps=1e-6)
+        param_convergence_check(_bench_style_sequence(), [], eps=1e-6, grid=grid)
 
     # A signature mismatch comes from ChannelSequence.term, unchanged.
     good = _bench_style_sequence()
@@ -553,7 +617,7 @@ def test_param_convergence_check_keeps_its_other_errors_and_their_order():
     with pytest.raises(ValidationError) as direct:
         mismatched.term(block + 2)
     with pytest.raises(ValidationError) as swept:
-        param_convergence_check(mismatched, ns, eps=1e-6)
+        param_convergence_check(mismatched, ns, eps=1e-6, grid=grid)
     assert str(swept.value) == str(direct.value)
 
     # In different blocks, the earlier complete-positivity failure wins ...
@@ -564,11 +628,11 @@ def test_param_convergence_check_keeps_its_other_errors_and_their_order():
         )
 
     with pytest.raises(ValidationError) as across:
-        param_convergence_check(cp_then_build(block + 1), ns, eps=1e-6)
+        param_convergence_check(cp_then_build(block + 1), ns, eps=1e-6, grid=grid)
     assert str(across.value) == _cp_message(_bad_bench_term(2))
     # ... but within one block every term is built before any is checked, so the build error wins.
     with pytest.raises(ValidationError, match=f"term {block} cannot be built"):
-        param_convergence_check(cp_then_build(block), ns, eps=1e-6)
+        param_convergence_check(cp_then_build(block), ns, eps=1e-6, grid=grid)
 
 
 def test_param_convergence_report_does_not_depend_on_the_block_size(monkeypatch):

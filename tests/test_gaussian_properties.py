@@ -1,5 +1,5 @@
 """Property tests: batched characteristic functions, the dual chain identity, the
-sweep's deviations from real exponents on far grids, the batched complete-positivity
+sweep's deviations from real exponents on far grids and on halved grids, the batched complete-positivity
 check at the validity boundary, and the one eigensolve that serves both signs of a
 validity check."""
 
@@ -33,16 +33,26 @@ from test_gaussian import _naive_char_devs  # noqa: E402
 _ENTRIES = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
-def _valid_channel(draw, s_in, s_out):
-    """A valid channel from 2 s_in to 2 s_out, its noise padded like acceptance criterion 8."""
+#: Multiples of 1/8 in [-1, 1]: products and sums of a few of them are exact in float64.
+_EIGHTHS = st.integers(-8, 8).map(lambda k: k / 8)
+
+
+def _valid_channel(draw, s_in, s_out, exact=False):
+    """A valid channel from 2 s_in to 2 s_out, its noise padded like acceptance criterion 8.
+
+    With ``exact`` every entry is a multiple of 1/8 or 1/64, the pad rounded up to one.
+    """
     d_in, d_out = 2 * s_in, 2 * s_out
-    k = draw(arrays(np.float64, (d_in, d_out), elements=_ENTRIES))
-    noise_seed = draw(arrays(np.float64, (d_out, d_out), elements=_ENTRIES))
+    entries = _EIGHTHS if exact else _ENTRIES
+    k = draw(arrays(np.float64, (d_in, d_out), elements=entries))
+    noise_seed = draw(arrays(np.float64, (d_out, d_out), elements=entries))
     bracket = symplectic_form(s_out) - k.T @ symplectic_form(s_in) @ k
     pad = float(np.linalg.norm(bracket, 2))
+    if exact:
+        pad = np.ceil(pad * 64.0) / 64.0
     return GaussianChannel(
         scale=k,
-        shift=draw(arrays(np.float64, (d_out,), elements=_ENTRIES)),
+        shift=draw(arrays(np.float64, (d_out,), elements=entries)),
         noise=noise_seed @ noise_seed.T + pad * np.eye(d_out),
     )
 
@@ -100,6 +110,60 @@ def test_sweep_deviations_match_the_naive_loop_on_far_grids(case):
     assert np.allclose(rep.char_dev, _naive_char_devs(seq, ns, states, grid), rtol=0, atol=1e-12)
     constant = ChannelSequence(seq.limit, lambda n: seq.limit)
     assert param_convergence_check(constant, ns, eps=1.0, grid=grid).char_dev == (0.0,) * count
+
+
+@st.composite
+def symmetric_grid_sequences(draw, exact):
+    """A valid limit and 1-4 valid terms at 1-2 modes each side, and a grid ``[h, (0), -h[::-1]]``
+    of 1-30 off-integer points h, the sweep's halved kind.
+
+    With ``exact`` the channels are :func:`_valid_channel`'s exact ones and every coordinate of
+    h is an odd multiple of 1/4, so every output exponent is exact in whatever order a GEMM sums it.
+    """
+    s_in, s_out = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    limit, *terms = (_valid_channel(draw, s_in, s_out, exact) for _ in range(draw(st.integers(2, 5))))
+    coords = st.integers(-6, 5).map(lambda k: (2 * k + 1) / 4) if exact else st.floats(-3.0, 3.0)
+    h = draw(arrays(np.float64, (draw(st.integers(1, 30)), 2 * s_out), elements=coords))
+    middle = [np.zeros((1, 2 * s_out))] if draw(st.booleans()) else []
+    grid = np.concatenate([h, *middle, -h[::-1]])
+    return ChannelSequence(limit, lambda n: terms[n - 1]), len(terms), grid
+
+
+def _full_grid_char_devs(seq, ns, states, grid):
+    """``gaussian._char_devs`` over every point of ``grid``, each state's output from apply_gaussian."""
+
+    def exponents(ch):
+        outs = [apply_gaussian(ch, st) for st in states]
+        means, covs = np.stack([o.mean for o in outs]), np.stack([o.cov for o in outs])
+        return gaussian._char_exponents(means, covs, grid, gaussian._point_outer(grid))
+
+    a0, b0 = exponents(seq.limit)
+    a, b = (np.stack(parts) for parts in zip(*(exponents(seq.term(n)) for n in ns)))
+    return gaussian._char_devs(a, b, a0, b0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(symmetric_grid_sequences(exact=False))
+def test_a_halved_grid_sweep_matches_the_naive_loop_over_the_whole_grid(case):
+    seq, count, grid = case
+    ns = range(1, count + 1)
+    states = gaussian.default_gaussian_test_states(seq.limit.modes_in)
+    rep = param_convergence_check(seq, ns, eps=1.0, grid=grid)
+    assert rep.test_family == f"{len(states)} states x {len(grid)} grid points"
+    assert np.allclose(rep.char_dev, _naive_char_devs(seq, ns, states, grid), rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(symmetric_grid_sequences(exact=True))
+def test_a_halved_grid_sweep_equals_the_whole_grid_bit_for_bit_where_exponents_are_exact(case):
+    """a(-z) = a(z) and b(-z) = -b(z) hold for each point's own arithmetic, and sin is odd; a
+    GEMM may round a column by its position, which cannot move an exact exponent."""
+    seq, count, grid = case
+    ns = range(1, count + 1)
+    states = gaussian.default_gaussian_test_states(seq.limit.modes_in)
+    rep = param_convergence_check(seq, ns, eps=1.0, grid=grid)
+    assert rep.char_dev == tuple(_full_grid_char_devs(seq, ns, states, grid).tolist())
+    assert np.allclose(rep.char_dev, _naive_char_devs(seq, ns, states, grid), rtol=0, atol=1e-12)
 
 
 @st.composite

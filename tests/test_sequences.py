@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from channel_lab import ensembles, sequences
+from channel_lab import core, ensembles, sequences
 from channel_lab.core import (
     DensityOperator,
     KrausChannel,
@@ -436,6 +436,28 @@ def test_a_form_goes_wherever_a_sequence_does():
     ns = [1, 2, 3]
     dense = [trace_norm(choi_matrix(double.term(n)) - choi_matrix(double.limit)) / 16 for n in ns]
     assert np.allclose(choi_defects(double, ns), dense, rtol=0, atol=1e-12)
+
+
+def test_a_form_checks_each_term_it_builds_once(monkeypatch):
+    """A term built alone runs the W checks in the form and the Kraus checks once, in ``KrausChannel``;
+    a sweep block runs them once for the whole block."""
+    sizes = []
+
+    def spy(stacks):
+        sizes.append(len(stacks))
+        return real_kraus_checks(stacks)
+
+    real_kraus_checks = core._kraus_checks
+    monkeypatch.setattr(core, "_kraus_checks", spy)
+    monkeypatch.setattr(sequences, "_kraus_checks", spy)
+    v0 = StinespringIsometry(np.eye(6, 4), 2, 3)
+    form = rotation_partial_trace_form(v0, (5, 0), lambda n: 1.0 / n)
+    for build, want in ((lambda: [form.term(n) for n in (1, 2, 3)], [1, 1, 1]),
+                        (lambda: form.isometry(4), [1]),
+                        (lambda: choi_defects(form, [1, 2, 3]), [3])):
+        sizes.clear()
+        build()
+        assert sizes == want
 
 
 def test_complementary_sequence_of_partial_trace_form(rng):
